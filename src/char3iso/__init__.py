@@ -16,6 +16,7 @@ from .errors import (
     PointNotOnCurve,
     PrecisionError,
     SeedError,
+    VerificationFailed,
     ZeroDenominator,
     ZeroDivisor,
 )
@@ -48,7 +49,6 @@ from .isocore import (
     Seed,
     alpha_from_beta,
     beta_from_alpha,
-    check_cubic_membership,
     closed_form_conditions,
     compatibility_check,
     compute_psi,

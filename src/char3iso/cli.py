@@ -25,17 +25,13 @@ from .errors import (
     InvalidCurveParameters,
     ParseError,
     SeedError,
+    VerificationFailed,
     ZeroDenominator,
 )
 from .exprparse import parse_field_element, parse_rational_function
 from .gf3field import DEFAULT_MODULI, FieldParams
-from .isocore import (
-    CurveParams,
-    Seed,
-    construct,
-    construct_with_report,
-    verify_functional_equation,
-)
+from .isocore import (CurveParams, Seed, construct, construct_with_report,
+                      verify_functional_equation)
 from .ratrec import Polynomial, RationalFunction, derive_map_pair, pade
 
 PREC_MIN, PREC_MAX = 16, 8192
@@ -132,24 +128,22 @@ def _parse_field(args):
         raise ParseError(2, "field degree must be an integer") from None
     if k < 1:
         raise ParseError(2, "field degree must be positive")
-    if args.modulus is not None:
-        modulus = _parse_modulus(args.modulus, k)
-        return FieldParams(k, modulus)
-    if k not in DEFAULT_MODULI:
+    if args.modulus is None and k not in DEFAULT_MODULI:
         raise ParseError(0, f"no default modulus for degree {k}; pass --modulus")
-    return FieldParams(k)
+    modulus = None if args.modulus is None else _parse_modulus(args.modulus)
+    try:
+        return FieldParams(k, modulus)
+    except ValueError as exc:
+        raise ParseError(0, str(exc)) from None
 
 
-def _parse_modulus(text, degree):
-    """A monic degree-k polynomial in t, as coefficients low to high."""
+def _parse_modulus(text):
+    """A polynomial in t over F3, as coefficients low to high."""
     prime = FieldParams(1)
     rf = parse_rational_function(text.replace("t", "x"), prime)
     if rf.den != Polynomial.one(prime):
         raise ParseError(0, "modulus must be a polynomial")
-    coeffs = [c.coeffs[0] for c in rf.num.coeffs]
-    if len(coeffs) != degree + 1:
-        raise ParseError(0, f"modulus must have degree {degree}")
-    return coeffs
+    return [c.coeffs[0] for c in rf.num.coeffs]
 
 
 def _job_from_args(args):
@@ -210,9 +204,20 @@ def _emit_header(out, job, command):
 
 # ---- construct ------------------------------------------------------------
 
-def _solution_rows(job, endo):
-    bound = max(1, job.prec // 2 - 2)
-    rational = pade(endo.eta, bound, bound)
+def _rational_forms(prec, endos):
+    """The Pade degree bound and each solution's rational form (or None).
+
+    Pade runs once: every other solution is eta + kappa, and (P + kappa Q)/Q
+    is again reduced with the same denominator and degree bounds, so by the
+    uniqueness of Pade forms its reconstruction is rational + kappa."""
+    bound = max(1, prec // 2 - 2)
+    first = pade(endos[0].eta, bound, bound) if endos else None
+    if first is None:
+        return bound, [None] * len(endos)
+    return bound, [first + (e.gamma0 - endos[0].gamma0) for e in endos]
+
+
+def _solution_rows(job, endo, rational):
     rows = {
         "gamma0": str(endo.gamma0),
         "eta_coeffs": _terms_text(endo.eta),
@@ -237,9 +242,10 @@ def _print_construct_records(job, seed, report, endos, out):
     out(f"beta_minus1={report.beta_minus1}")
     out(f"alpha1={report.alpha1}")
     out(f"num_solutions={len(endos)}")
-    for i, endo in enumerate(endos):
+    _, rationals = _rational_forms(job.prec, endos)
+    for i, (endo, rational) in enumerate(zip(endos, rationals)):
         out(f"solution={i}")
-        for key, value in _solution_rows(job, endo).items():
+        for key, value in _solution_rows(job, endo, rational).items():
             out(f"{key}={value}")
 
 
@@ -251,8 +257,9 @@ def _print_construct_text(job, seed, report, endos, out):
     out(f"psi(0) = {report.psi0}; principal part ok: {report.principal_part_ok}; "
         f"[x^-1]beta = {report.beta_minus1}; [x^1]alpha = {report.alpha1}")
     out(f"solutions: {len(endos)}")
-    for i, endo in enumerate(endos):
-        rows = _solution_rows(job, endo)
+    bound, rationals = _rational_forms(job.prec, endos)
+    for i, (endo, rational) in enumerate(zip(endos, rationals)):
+        rows = _solution_rows(job, endo, rational)
         out(f"  #{i}: gamma0 = {rows['gamma0']}")
         shown = list(endo.eta.nonzero_terms())[:TEXT_TERMS_SHOWN]
         body = " + ".join(f"({c})*x^{e}" for e, c in shown) or "0"
@@ -262,7 +269,7 @@ def _print_construct_text(job, seed, report, endos, out):
             out(f"      rational form: {rows['rational']}")
             out(f"      y-multiplier:  y * {rows['y_factor']}")
         else:
-            out(f"      no rational form within degree {max(1, job.prec // 2 - 2)}")
+            out(f"      no rational form within degree {bound}")
 
 
 def cmd_construct(args):
@@ -294,21 +301,23 @@ def cmd_verify(args):
         raise ParseError(0, "give exactly one of --eta, --eta-coeffs")
     if args.eta is not None:
         eta_rf = parse_rational_function(args.eta, field)
-        eta_text = str(eta_rf)
     else:
         coeffs = [parse_field_element(p.strip(), field)
                   for p in args.eta_coeffs.split(",")]
         eta_rf = RationalFunction.from_polynomial(Polynomial(field, coeffs))
-        eta_text = str(eta_rf)
+    eta_text = str(eta_rf)
     eta = eta_rf.expand(job.prec)
-    if not eta.is_zero and eta.val < -1:
-        print("FAIL: eta has a pole of order greater than one")
-        return 1
-    report = verify_functional_equation(job.curve, eta)
     out = print
-    if job.fmt == "records":
+    records = job.fmt == "records"
+    if records:
         _emit_header(out, job, "verify")
         out(f"eta={eta_text}")
+    if not eta.is_zero and eta.val < -1:
+        reason = "eta has a pole of order greater than one"
+        out(f"status=fail\nreason={reason}" if records else f"FAIL: {reason}")
+        return 1
+    report = verify_functional_equation(job.curve, eta)
+    if records:
         out(f"status={'pass' if report.ok else 'fail'}")
         out(f"checked_prec={report.checked_prec}")
         out(f"first_bad_exponent={report.first_bad_exponent if not report.ok else 'none'}")
@@ -401,11 +410,8 @@ def cmd_example(args):
             f"GF(3^{field.degree}), seed {kind} = {rf}, prec {job.prec}")
         out(f"solutions found: {len(endos)}")
 
-    bound = max(1, job.prec // 2 - 2)
-    rationals = []
-    for i, endo in enumerate(endos):
-        rational = pade(endo.eta, bound, bound)
-        rationals.append(rational)
+    _, rationals = _rational_forms(job.prec, endos)
+    for i, (endo, rational) in enumerate(zip(endos, rationals)):
         if records:
             out(f"solution={i}")
             out(f"gamma0={endo.gamma0}")
@@ -494,10 +500,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 3
-    except ZeroDenominator as exc:
+    except (ParseError, ZeroDenominator) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
     except SeedError as exc:
@@ -509,6 +512,9 @@ def main(argv=None):
     except InvalidCurveParameters as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 4
+    except VerificationFailed as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

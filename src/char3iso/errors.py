@@ -46,6 +46,10 @@ class IncompatibleSeed(Char3Error):
         self.report = report
 
 
+class VerificationFailed(Char3Error):
+    """A self-check of a computed result failed: the result is wrong."""
+
+
 class InvalidCurveParameters(Char3Error):
     """Curve parameters are singular or degenerate (A = 0 or c = 0)."""
 

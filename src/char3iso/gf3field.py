@@ -26,8 +26,6 @@ DEFAULT_MODULI = {
     8: (2, 0, 1, 0, 0, 0, 0, 0, 1),
 }
 
-IRREDUCIBILITY_CHECK_MAX_DEGREE = 8
-
 
 def _trim(coeffs):
     coeffs = list(coeffs)
@@ -56,17 +54,28 @@ def _poly_divmod_f3(a, b):
 
 
 def _is_irreducible_f3(poly):
-    """Trial factorization: no monic divisor of degree 1 .. deg/2."""
+    """Rabin's test: f of degree k >= 1 is irreducible over F3 exactly when
+    t^(3^k) = t (mod f) and gcd(t^(3^d) - t, f) = 1 for d = k/p, p each
+    prime dividing k; testing every proper divisor d of k is equivalent.
+    Cubing is the Frobenius of F3[t], so t^(3^(i+1)) mod f is t^(3^i) mod f
+    with its exponents tripled, reduced mod f again."""
     poly = _trim(poly)
     degree = len(poly) - 1
     if degree < 1:
         return False
-    for d in range(1, degree // 2 + 1):
-        for tail in itertools.product(range(3), repeat=d):
-            _, r = _poly_divmod_f3(poly, list(tail) + [1])
-            if not r:
-                return False
-    return True
+    frob = [_poly_divmod_f3([0, 1], poly)[1]]  # frob[i] = t^(3^i) mod f
+    for _ in range(degree):
+        spread = [0] * (3 * len(frob[-1]))
+        spread[::3] = frob[-1]
+        frob.append(_poly_divmod_f3(spread, poly)[1])
+    for d in [d for d in range(1, degree) if degree % d == 0]:
+        a = [(x - y) % 3 for x, y in itertools.zip_longest(frob[d], frob[0], fillvalue=0)]
+        b = poly
+        while _trim(a):
+            a, b = _poly_divmod_f3(b, a)[1], _trim(a)
+        if len(b) != 1:
+            return False
+    return frob[degree] == frob[0]
 
 
 class FieldParams:
@@ -91,7 +100,7 @@ class FieldParams:
             raise ValueError("modulus degree does not match field degree")
         if modulus[-1] != 1:
             raise ValueError("modulus must be monic")
-        if degree <= IRREDUCIBILITY_CHECK_MAX_DEGREE and not _is_irreducible_f3(modulus):
+        if not _is_irreducible_f3(modulus):
             raise ValueError("modulus is reducible over F3")
         self.degree = degree
         self.modulus = modulus

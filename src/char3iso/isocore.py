@@ -18,8 +18,8 @@ equation into three tractable pieces:
     forward coefficient recurrence once a constant term gamma(0) with
     gamma(0)^3 + A gamma(0) = psi(0) exists in the base field.
 
-construct() runs the whole pipeline and returns one endomorphism per
-admissible constant term, each verified against the defining equation.
+construct() runs the whole pipeline once and returns one endomorphism per
+admissible constant term: the first, verified, and its kernel translates.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .errors import (
     NonRegularPsi,
     PrecisionError,
     SeedError,
+    VerificationFailed,
 )
 from .gf3field import FieldElement, FieldParams, solve_additive_cubic
 from .ratrec import Polynomial, RationalFunction
@@ -222,7 +223,7 @@ def beta_from_alpha(curve, alpha, prec=None):
     num = x2 * curve.A - x * alpha * (c2 * curve.A)
     den = LaurentSeries.from_terms(curve.field, {0: c2 * curve.B, 3: c2})
     beta = num.divide(den, prec=prec)
-    assert in_residue_class(beta, 2), "beta left its residue class"
+    _require(in_residue_class(beta, 2), "beta left its residue class")
     return beta
 
 
@@ -241,7 +242,7 @@ def alpha_from_beta(curve, beta, prec=None):
     alpha = num.shift(-1) * (c2 * curve.A).inverse()
     if prec is not None:
         alpha = alpha.truncate(prec)
-    assert in_residue_class(alpha, 1), "alpha left its residue class"
+    _require(in_residue_class(alpha, 1), "alpha left its residue class")
     return alpha
 
 
@@ -345,8 +346,8 @@ def solve_gamma(A, psi, gamma0, prec):
     gamma = LaurentSeries.from_terms(
         field, {3 * n: g[n] for n in range(count)}, out_prec
     )
-    check = gamma.cube() + gamma * A
-    assert check.agrees_with(psi), "gamma recurrence failed substitution check"
+    _require((gamma.cube() + gamma * A).agrees_with(psi),
+             "gamma recurrence failed substitution check")
     return gamma
 
 
@@ -378,51 +379,13 @@ def verify_functional_equation(curve, eta, prec=None):
     return FunctionalEquationReport(False, r.prec, r.val, r.coeffs[0])
 
 
-@dataclass(frozen=True)
-class CubicMembershipReport:
-    """Residuals of the two defining relations of the solution triple."""
-
-    linear_ok: bool
-    cubic_ok: bool
-    linear_residual: LaurentSeries
-    cubic_residual: LaurentSeries
-
-    @property
-    def ok(self):
-        return self.linear_ok and self.cubic_ok
-
-
-def check_cubic_membership(curve, alpha, beta, gamma):
-    """Evaluate both relations the (alpha, beta, gamma) triple must satisfy:
-
-        c^2 A X alpha + c^2 (X^3 + B) beta = A X^2
-        c^2 (X^3+AX+B) ((alpha-beta)/X)^2 = eta^3 + A eta + B,  eta = alpha+beta+gamma
-
-    and report the residual series of each.
-    """
-    c2 = curve.c * curve.c
-    x = LaurentSeries.monomial(curve.field, 1)
-    x2 = LaurentSeries.monomial(curve.field, 2)
-    x3_plus_b = LaurentSeries.from_terms(curve.field, {0: curve.B, 3: 1})
-    r1 = x * alpha * (c2 * curve.A) + x3_plus_b * beta * c2 - x2 * curve.A
-    eta = alpha + beta + gamma
-    diff = (alpha - beta).shift(-1)
-    r2 = (curve.rhs_series() * (diff * diff) * c2
-          - eta.cube() - eta * curve.A - curve.B)
-    return CubicMembershipReport(
-        linear_ok=r1.is_zero,
-        cubic_ok=r2.is_zero,
-        linear_residual=r1,
-        cubic_residual=r2,
-    )
-
-
 def construct(curve, seed, prec):
     """Run the full pipeline for a seed and return all solutions.
 
     Expands the seed at prec + GUARD_PRECISION, determines the partner
     part through the linear relation, gates on the compatibility report,
-    then solves for gamma once per admissible constant term. Results are
+    then solves for gamma from the first admissible constant term and
+    shifts the result by each other root's difference from it. Results are
     ordered by the constant term's coefficient vector and each carries
     exactly `prec` exact coefficients.
 
@@ -460,13 +423,29 @@ def construct_with_report(curve, seed, prec):
         raise IncompatibleSeed(
             f"t^3 + A t = {report.psi0} has no root in the base field", report
         )
+    # All roots share the gamma tail (the recurrence reads gamma(0) only at
+    # n = 0), and residual(eta + kappa) = residual(eta) - (kappa^3 + A kappa):
+    # one substitution plus a kernel check per root verifies every solution.
+    gamma0 = report.gamma0_roots[0]
+    eta = alpha + beta + solve_gamma(curve.A, psi, gamma0, wp)
+    _require(verify_functional_equation(curve, eta).ok,
+             "constructed eta fails its defining equation")
+    c2 = curve.c * curve.c
+    x3_plus_b = LaurentSeries.from_terms(curve.field, {0: curve.B, 3: 1})
+    linear = (alpha.shift(1) * (c2 * curve.A) + x3_plus_b * beta * c2
+              - LaurentSeries.monomial(curve.field, 2, curve.A))
+    _require(linear.is_zero, "alpha and beta fail the linear relation")
+    eta = eta.truncate(prec)
     results = []
-    for gamma0 in report.gamma0_roots:
-        gamma = solve_gamma(curve.A, psi, gamma0, wp)
-        eta = alpha + beta + gamma
-        residual = verify_functional_equation(curve, eta)
-        assert residual.ok, "constructed eta fails its defining equation"
-        membership = check_cubic_membership(curve, alpha, beta, gamma)
-        assert membership.ok, "constructed triple fails the defining relations"
-        results.append(FormalEndomorphism(curve, eta.truncate(prec), gamma0, prec))
+    for root in report.gamma0_roots:
+        kappa = root - gamma0
+        _require((kappa.frobenius() + curve.A * kappa).is_zero,
+                 "roots of the additive cubic differ outside its kernel")
+        results.append(FormalEndomorphism(curve, eta + kappa, root, prec))
     return report, results
+
+
+def _require(condition, message):
+    """A self-check that stays on under python -O."""
+    if not condition:
+        raise VerificationFailed(message)

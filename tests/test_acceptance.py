@@ -18,7 +18,6 @@ from char3iso import (
     RationalFunction,
     Seed,
     apply_map,
-    check_cubic_membership,
     construct,
     construct_with_report,
     derive_map_pair,
@@ -36,7 +35,7 @@ from char3iso import (
 )
 from char3iso.isocore import compatibility_check, compute_psi, beta_from_alpha
 
-from helpers import random_rational, random_series
+from helpers import check_cubic_membership, random_rational, random_series
 
 
 def check(criterion, description, condition):

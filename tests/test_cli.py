@@ -136,6 +136,23 @@ def test_verify_parse_error(capsys):
     assert code == 3
 
 
+def test_verify_double_pole_text(capsys):
+    code, out, _ = run(capsys, "verify", "--A", "1", "--B", "1", "--eta", "1/x^2")
+    assert code == 1
+    assert out == "FAIL: eta has a pole of order greater than one\n"
+
+
+def test_verify_double_pole_records(capsys):
+    code, out, _ = run(capsys, "verify", "--A", "1", "--B", "1", "--eta", "1/x^2",
+                       "--format", "records")
+    assert code == 1
+    assert records(out) == [
+        ("command", "verify"), ("field", "3^1"), ("modulus", "t"), ("A", "1"),
+        ("B", "1"), ("c", "1"), ("prec", "64"), ("eta", "(1)/(x^2)"),
+        ("status", "fail"), ("reason", "eta has a pole of order greater than one"),
+    ]
+
+
 def test_verify_records_schema(capsys):
     _, out, _ = run(capsys, "verify", "--A", "1", "--B", "1", "--eta", "x+1",
                     "--format", "records")
@@ -213,6 +230,40 @@ def test_custom_modulus_round_trip(capsys):
     )
     assert code in (0, 2)
     assert "modulus=t^2+2*t+2" in out
+
+
+def test_reducible_modulus_exits_3(capsys):
+    # t^2 + 2 = (t + 1)(t + 2)
+    code, out, err = run(capsys, "construct", "--field", "3^2", "--modulus", "t^2+2",
+                         "--A", "1", "--seed-alpha", "x")
+    assert code == 3
+    assert out == ""
+    assert "parse error" in err and "reducible" in err
+
+
+def test_non_monic_modulus_exits_3(capsys):
+    code, out, err = run(capsys, "construct", "--field", "3^2", "--modulus", "2*t^2+1",
+                         "--A", "1", "--seed-alpha", "x")
+    assert code == 3
+    assert out == ""
+    assert "parse error" in err and "monic" in err
+
+
+def test_failed_self_check_exits_1(capsys, monkeypatch):
+    import char3iso.isocore as isocore
+    from char3iso import LaurentSeries
+
+    solve_gamma = isocore.solve_gamma
+
+    def corrupted(A, psi, gamma0, prec):
+        return solve_gamma(A, psi, gamma0, prec) + LaurentSeries.monomial(A.field, 3)
+
+    monkeypatch.setattr(isocore, "solve_gamma", corrupted)
+    code, out, err = run(capsys, "construct", "--A", "2", "--B", "0",
+                         "--seed-alpha", "x", "--format", "records")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failed: ")
 
 
 def test_usage_error_exits_3(capsys):

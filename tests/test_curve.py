@@ -215,7 +215,7 @@ def test_check_map_samples_pairs_on_large_field():
 
 
 def test_enumeration_cap():
-    big = FieldParams(11, (1, 2) + (0,) * 9 + (1,))  # irreducibility unchecked
+    big = FieldParams(11, (2, 0, 1) + (0,) * 8 + (1,))  # t^11 + t^2 + 2
     curve = CurveParams(big, A=1, B=1, c=1)
     with pytest.raises(FieldTooLarge):
         enumerate_points(curve)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from char3iso import FieldParams, MixedFields, solve_additive_cubic, sqrt
 from char3iso.gf3field import DEFAULT_MODULI, _is_irreducible_f3
 
-from helpers import oracle_add, oracle_mul
+from helpers import is_irreducible_trial, oracle_add, oracle_mul
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -193,6 +194,33 @@ def test_default_moduli_are_first_irreducible():
                 cand.append(v % 3)
                 v //= 3
             assert not _is_irreducible_f3(cand + [1])
+
+
+def test_default_moduli_accepted():
+    for degree, modulus in DEFAULT_MODULI.items():
+        assert FieldParams(degree, modulus).modulus == modulus
+
+
+def test_reducible_modulus_rejected_above_degree_8():
+    # t^9 + 2t = t^9 - t, the product of t - a over all a in GF(9)
+    with pytest.raises(ValueError):
+        FieldParams(9, (0, 2, 0, 0, 0, 0, 0, 0, 0, 1))
+
+
+def test_rabin_matches_trial_factorization():
+    for degree in range(1, 6):
+        for tail in itertools.product(range(3), repeat=degree):
+            poly = list(tail) + [1]
+            assert _is_irreducible_f3(poly) == is_irreducible_trial(poly), poly
+
+
+def test_irreducible_modulus_accepted_above_degree_8():
+    # t^10 + 2t^2 + 1 is irreducible over F3 (no factor of degree <= 5)
+    modulus = (1, 0, 2) + (0,) * 7 + (1,)
+    assert is_irreducible_trial(list(modulus))
+    field = FieldParams(10, modulus)
+    t = field.gen
+    assert t * t.inverse() == field.one
 
 
 def test_reducible_modulus_rejected():

@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import char3iso
 from char3iso import (
     INF,
     BadInitial,
@@ -14,7 +20,6 @@ from char3iso import (
     SeedError,
     alpha_from_beta,
     beta_from_alpha,
-    check_cubic_membership,
     closed_form_conditions,
     compatibility_check,
     compute_psi,
@@ -26,6 +31,12 @@ from char3iso import (
     split,
     verify_functional_equation,
 )
+from char3iso.cli import _EXAMPLES, _rational_forms
+from char3iso.exprparse import parse_field_element
+from char3iso.gf3field import FieldParams
+from char3iso.ratrec import pade
+
+from helpers import check_cubic_membership, construct_per_root
 
 
 def S(field, terms, prec=INF):
@@ -506,3 +517,94 @@ def _poly_rational(field, terms):
     for e, v in terms.items():
         coeffs[e] = v
     return RationalFunction.from_polynomial(Polynomial(field, coeffs))
+
+
+# ---- one solve per seed: translates against the per-root pipeline ------------------
+
+
+def _random_seed(rng, field, curve):
+    elements = list(field.elements())
+    if rng.random() < 0.5:
+        terms = {3 * i + 1: rng.choice(elements) for i in range(rng.randint(1, 3))}
+        return Seed.alpha(_poly_rational(field, terms))
+    terms = {3 * i + 2: rng.choice(elements) for i in range(rng.randint(1, 3))}
+    if curve.B.is_zero and rng.random() < 0.5:
+        # the pole coefficients that can survive the principal-part check
+        pole = rng.choice([field.zero, curve.c * curve.c * curve.A])
+        return Seed.beta(_poly_rational(field, terms) + pole / _poly_rational(field, {1: 1}))
+    return Seed.beta(_poly_rational(field, terms))
+
+
+def _equivalence_cases():
+    rng = random.Random(30303)
+    for k in (1, 2, 3, 4, 5):
+        field = FieldParams(k)
+        nonzero = [e for e in field.elements() if not e.is_zero]
+        for _ in range(40 if k <= 2 else 15):
+            curve = CurveParams(field, A=rng.choice(nonzero),
+                                B=rng.choice([field.zero, rng.choice(nonzero)]),
+                                c=rng.choice(nonzero))
+            yield curve, _random_seed(rng, field, curve), rng.choice((16, 24, 40))
+    for cfg in _EXAMPLES.values():
+        field = FieldParams(int(cfg["field"][2:]))
+        curve = CurveParams(field, *(parse_field_element(cfg[key], field)
+                                     for key in ("A", "B", "c")))
+        kind, text = cfg["seed"]
+        source = parse_rational_function(text, field)
+        yield curve, Seed(kind, source), cfg["prec"]
+    f9 = FieldParams(2)
+    yield (CurveParams(f9, A=1, B=1, c=1),
+           Seed.alpha(parse_rational_function("x^7+x^4+x", f9)), 64)
+
+
+def test_translates_equal_the_per_root_pipeline():
+    multi = rational = 0
+    for curve, seed, prec in _equivalence_cases():
+        try:
+            expected = construct_per_root(curve, seed, prec)
+        except IncompatibleSeed:
+            with pytest.raises(IncompatibleSeed):
+                construct(curve, seed, prec)
+            continue
+        sols = construct(curve, seed, prec)
+        assert [(s.gamma0, s.eta) for s in sols] == expected
+        bound, rationals = _rational_forms(prec, sols)
+        assert rationals == [pade(s.eta, bound, bound) for s in sols]
+        if len(sols) > 1:
+            multi += 1
+            rational += rationals[0] is not None
+    assert multi >= 30 and rational >= 10, (multi, rational)
+
+
+def test_injected_fault_raises_under_optimize():
+    # python -O strips assert statements; the self-checks must still fire.
+    script = textwrap.dedent("""
+        import sys
+        import char3iso.isocore as iso
+        from char3iso import (CurveParams, FieldParams, LaurentSeries, Seed,
+                              VerificationFailed, parse_rational_function)
+
+        assert False, "assert statements are live: not running under -O"
+        solve_gamma = iso.solve_gamma
+
+        def corrupted(A, psi, gamma0, prec):
+            return solve_gamma(A, psi, gamma0, prec) + LaurentSeries.monomial(A.field, 3)
+
+        iso.solve_gamma = corrupted
+        f9 = FieldParams(2)
+        curve = CurveParams(f9, A=1, B=2, c=1)
+        seed = Seed.beta(parse_rational_function("x^2/(x^9+x^3-1)", f9))
+        try:
+            iso.construct(curve, seed, 32)
+        except VerificationFailed as exc:
+            print(exc)
+            sys.exit(0)
+        sys.exit("corrupted gamma was not caught")
+    """)
+    src = str(Path(char3iso.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "defining equation" in result.stdout
