@@ -161,6 +161,14 @@ class FieldElement:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", coeffs)
 
+    @staticmethod
+    def _reduced(field, coeffs):
+        """Element from a tuple of field.degree ints already in {0, 1, 2}."""
+        element = _new_element(FieldElement)
+        _set_field(element, field)
+        _set_coeffs(element, coeffs)
+        return element
+
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
@@ -267,6 +275,9 @@ class FieldElement:
         return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # an element of the prime field equals its int, so it hashes like one
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.field.degree, self.field.modulus, self.coeffs))
 
     def sort_key(self):
@@ -286,6 +297,11 @@ class FieldElement:
 
     def __repr__(self):
         return f"<GF(3^{self.field.degree}): {self}>"
+
+
+_new_element = object.__new__
+_set_field = FieldElement.field.__set__
+_set_coeffs = FieldElement.coeffs.__set__
 
 
 def solve_additive_cubic(a_coeff, rhs):

@@ -386,11 +386,12 @@ def construct(curve, seed, prec):
     part through the linear relation, gates on the compatibility report,
     then solves for gamma from the first admissible constant term and
     shifts the result by each other root's difference from it. Results are
-    ordered by the constant term's coefficient vector and each carries
-    exactly `prec` exact coefficients.
+    ordered by the constant term's coefficient vector; each one's prec is
+    the precision its eta is known to, which is `prec`.
 
     Raises IncompatibleSeed when psi has a surviving principal part or
-    the additive cubic has no root in the base field.
+    the additive cubic has no root in the base field, and
+    VerificationFailed when the guard coefficients ran out before `prec`.
     """
     return construct_with_report(curve, seed, prec)[1]
 
@@ -435,13 +436,15 @@ def construct_with_report(curve, seed, prec):
     linear = (alpha.shift(1) * (c2 * curve.A) + x3_plus_b * beta * c2
               - LaurentSeries.monomial(curve.field, 2, curve.A))
     _require(linear.is_zero, "alpha and beta fail the linear relation")
+    _require(eta.prec >= prec,
+             f"guard precision ran out: eta is known to X^{eta.prec}, not X^{prec}")
     eta = eta.truncate(prec)
     results = []
     for root in report.gamma0_roots:
         kappa = root - gamma0
         _require((kappa.frobenius() + curve.A * kappa).is_zero,
                  "roots of the additive cubic differ outside its kernel")
-        results.append(FormalEndomorphism(curve, eta + kappa, root, prec))
+        results.append(FormalEndomorphism(curve, eta + kappa, root, eta.prec))
     return report, results
 
 

@@ -1,0 +1,191 @@
+"""Products, power-series inverses and polynomial division of dense
+coefficient runs over GF(3^k), by Kronecker substitution.
+
+A run is a sequence of FieldElements, lowest degree first. A product packs
+each run into one Python int: the t^j digit of the x^i coefficient goes to
+slot i*(2k-1) + j, and every slot is wide enough (4*n*k fits in it, n the
+shorter run) that no slot of the integer product carries into the next.
+CPython's big-int product (Karatsuba) then does the whole convolution.
+Since 256 = 1 (mod 3), a slot's value mod 3 is the sum of its bytes mod 3,
+so unpacking is bytes slicing and translation; the slots for t^k .. t^(2k-2)
+are folded back with the field's table of high powers of t.
+
+Between packings a run travels as k columns of bytes (column j holds the
+t^j digit of every coefficient), so a Newton step packs, unpacks, negates
+and concatenates without per-coefficient Python work.
+
+A division whose quotient length times divisor length is below
+CLASSICAL_WORK takes the classical coefficient loop instead: its few field
+operations cost less than the fixed cost of packing. Small gcds and the
+command line's expression parser divide on that side; the Euclid steps of
+a Pade fit (quotients of one or two coefficients by divisors of hundreds)
+and series quotients at working precision on the other.
+"""
+
+from __future__ import annotations
+
+from .gf3field import FieldElement
+
+# Classical division below this many quotient-by-divisor coefficient pairs.
+CLASSICAL_WORK = 16
+
+_MOD3 = bytes(v % 3 for v in range(256))
+_NEG = bytes((-v) % 3 for v in range(256))
+
+
+def mul(a, b, n=None):
+    """The product of runs a and b, cut to its first n coefficients when
+    n is given (never longer than len(a) + len(b) - 1)."""
+    if not a or not b:
+        return []
+    full = len(a) + len(b) - 1
+    n = full if n is None else min(n, full)
+    if n <= 0:
+        return []
+    field = a[0].field
+    ca = _columns(a[:n])
+    cb = ca if b is a else _columns(b[:n])
+    return _elements(field, _mul_cols(field, ca, cb, n))
+
+
+def inverse(b, n):
+    """The first n coefficients of the power series 1/b; b[0] must be nonzero."""
+    if not b or b[0].is_zero:
+        raise ZeroDivisionError("power series inverse needs a nonzero constant term")
+    if n <= 0:
+        return []
+    field = b[0].field
+    if n * min(n, len(b)) < CLASSICAL_WORK:
+        return _classical_inverse(b, n)
+    return _elements(field, _inverse_cols(field, _columns(b[:n]), n))
+
+
+def divmod(a, b):
+    """Quotient and remainder of polynomials given as runs: a = b*q + r
+    with len(r) < len(b). b's last coefficient must be nonzero; the
+    remainder comes back without trailing zeros."""
+    if not b or b[-1].is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    qn = len(a) - len(b) + 1
+    if qn <= 0:
+        return [], _trim(list(a))
+    if qn * len(b) < CLASSICAL_WORK:
+        return _classical_divmod(a, b)
+    field = b[0].field
+    ca, cb = _columns(a), _columns(b)
+    lb = len(b)
+    # the reversed quotient is the low product of reversed a and 1/reversed b
+    rev_inv = _inverse_cols(field, [c[::-1][:qn] for c in cb], qn)
+    q = _mul_cols(field, [c[::-1][:qn] for c in ca], rev_inv, qn)
+    q = [c[::-1] for c in q]
+    r = _sub_cols([c[:lb - 1] for c in ca], _mul_cols(field, cb, q, lb - 1))
+    return _elements(field, q), _trim(_elements(field, r))
+
+
+# ---- columns -----------------------------------------------------------
+
+def _columns(run):
+    return [bytes(col) for col in zip(*[c.coeffs for c in run])]
+
+
+def _elements(field, cols):
+    make = FieldElement._reduced
+    return [make(field, digits) for digits in zip(*cols)]
+
+
+def _trim(run):
+    while run and run[-1].is_zero:
+        run.pop()
+    return run
+
+
+def _sub_cols(a, b):
+    n = len(a[0])
+    return [(int.from_bytes(x, "little") + int.from_bytes(y.translate(_NEG), "little"))
+            .to_bytes(n, "little").translate(_MOD3) for x, y in zip(a, b)]
+
+
+def _pack(cols, stride, width):
+    step = stride * width
+    buf = bytearray(len(cols[0]) * step)
+    for j, col in enumerate(cols):
+        buf[j * width::step] = col
+    return int.from_bytes(buf, "little")
+
+
+def _mul_cols(field, a, b, n):
+    """Columns of the first n coefficients of a*b (both nonempty), zero-padded to n."""
+    k = field.degree
+    la, lb = len(a[0]), len(b[0])
+    stride = 2 * k - 1
+    width = ((4 * min(la, lb) * k).bit_length() + 7) // 8
+    pa = _pack(a, stride, width)
+    product = pa * pa if b is a else pa * _pack(b, stride, width)
+    size = n * stride * width
+    raw = product.to_bytes(max(size, (la + lb - 1) * stride * width), "little")[:size]
+    if width > 1:
+        raw = raw.translate(_MOD3)
+        total = 0
+        for i in range(width):
+            total += int.from_bytes(raw[i::width], "little")
+        raw = total.to_bytes(n * stride, "little")
+    digits = raw.translate(_MOD3)
+    if k == 1:
+        return [digits]
+    top = [int.from_bytes(digits[k + i::stride], "little") for i in range(k - 1)]
+    out = []
+    for j in range(k):
+        acc = int.from_bytes(digits[j::stride], "little")
+        for i, t in enumerate(top):
+            c = field._high_powers[i][j]
+            if c:
+                acc += c * t
+            if i % 60 == 59:  # 2 + 60 terms of at most 4 stay below 256
+                acc = int.from_bytes(acc.to_bytes(n, "little").translate(_MOD3), "little")
+        out.append(acc.to_bytes(n, "little").translate(_MOD3))
+    return out
+
+
+def _inverse_cols(field, b, n):
+    """Columns of the first n coefficients of 1/b, by Newton's iteration
+    g <- g - x^m g e, where b g = 1 + x^m e mod x^n and g is exact mod x^m."""
+    if n * n < CLASSICAL_WORK:
+        head = _elements(field, [c[:n] for c in b])
+        return _columns(_classical_inverse(head, n))
+    m = (n + 1) // 2
+    g = _inverse_cols(field, b, m)
+    e = [c[m:] for c in _mul_cols(field, [c[:n] for c in b], g, n)]
+    correction = _mul_cols(field, g, e, n - m)
+    return [x + y.translate(_NEG) for x, y in zip(g, correction)]
+
+
+# ---- classical loops for short runs -----------------------------------------
+
+def _classical_inverse(b, n):
+    """First n coefficients of the power series 1/b, one coefficient at a time."""
+    field = b[0].field
+    lead_inv = b[0].inverse()
+    q = []
+    for j in range(n):
+        acc = field.zero if j else field.one
+        for i in range(max(0, j - len(b) + 1), j):
+            qi = q[i]
+            if qi:
+                acc = acc - qi * b[j - i]
+        q.append(acc * lead_inv)
+    return q
+
+
+def _classical_divmod(a, b):
+    """Long division from the top, one quotient coefficient at a time."""
+    lead_inv = b[-1].inverse()
+    q = [b[0].field.zero] * (len(a) - len(b) + 1)
+    r = list(a)
+    for d in range(len(q) - 1, -1, -1):
+        c = r[d + len(b) - 1] * lead_inv
+        if c:
+            q[d] = c
+            for i, bc in enumerate(b):
+                if bc:
+                    r[i + d] = r[i + d] - c * bc
+    return q, _trim(r[:len(b) - 1])

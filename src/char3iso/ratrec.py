@@ -8,6 +8,7 @@ coefficient; an imperfect match yields None rather than a guess.
 
 from __future__ import annotations
 
+from . import kronecker
 from .errors import InsufficientPrecision, MixedFields, ZeroDenominator
 from .gf3field import FieldElement
 from .series import INF, expand_rational
@@ -100,14 +101,7 @@ class Polynomial:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Polynomial.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return Polynomial(self.field, out)
+        return Polynomial(self.field, kronecker.mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -129,19 +123,7 @@ class Polynomial:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [self.field.zero] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        r = list(self.coeffs)
-        lead_inv = other.leading().inverse()
-        while len(r) >= len(other.coeffs):
-            while r and r[-1].is_zero:
-                r.pop()
-            if len(r) < len(other.coeffs):
-                break
-            d = len(r) - len(other.coeffs)
-            c = r[-1] * lead_inv
-            q[d] = c
-            for i, bc in enumerate(other.coeffs):
-                r[i + d] = r[i + d] - c * bc
+        q, r = kronecker.divmod(self.coeffs, other.coeffs)
         return Polynomial(self.field, q), Polynomial(self.field, r)
 
     def __floordiv__(self, other):
@@ -248,15 +230,26 @@ class RationalFunction:
         if num.is_zero:
             den = Polynomial.one(num.field)
         else:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num = num // g
-                den = den // g
+            if den.degree() > 0:
+                g = poly_gcd(num, den)
+                if g.degree() > 0:
+                    num = num // g
+                    den = den // g
             lead_inv = den.leading().inverse()
             num = num * lead_inv
             den = den * lead_inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _lowest_terms(cls, num, den):
+        """num/den from a pair already coprime with den monic."""
+        if num.is_zero:
+            den = Polynomial.one(num.field)
+        rf = object.__new__(cls)
+        object.__setattr__(rf, "num", num)
+        object.__setattr__(rf, "den", den)
+        return rf
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -296,6 +289,10 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if other.den.degree() == 0 or self.den.degree() == 0:
+            # P/Q + p = (P + pQ)/Q, and gcd(P + pQ, Q) = gcd(P, Q) = 1
+            frac, poly = (self, other) if other.den.degree() == 0 else (other, self)
+            return RationalFunction._lowest_terms(frac.num + poly.num * frac.den, frac.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -422,25 +419,29 @@ def pade(series, deg_num_max, deg_den_max):
         u_prev, u_cur = u_cur, u_prev - q * u_cur
     if u_cur.is_zero:
         return None
-    if r_cur.is_zero:
-        candidate = RationalFunction.constant(field, 0)
-    else:
-        candidate = RationalFunction(r_cur, u_cur)
-    if candidate.den.eval(field.zero).is_zero:
-        return None
-    if candidate.num.degree() > dn or candidate.den.degree() > dd:
-        return None
-    if shifted:
-        candidate = candidate / Polynomial.x(field)
-
     if series.prec == INF:
         check_prec = (series.val + len(series.coeffs)
                       + deg_num_max + deg_den_max + 2)
     else:
         check_prec = series.prec
-    if not candidate.expand(check_prec).agrees_with(series.truncate(check_prec)):
+    if r_cur.is_zero:
+        num, den = r_cur, Polynomial.one(field)
+    else:
+        # Strip the common power of X; if X still divides u, the reduced
+        # form has a pole at 0 that the series does not have.
+        s = min(r_cur.valuation(), u_cur.valuation())
+        num = Polynomial(field, r_cur.coeffs[s:])
+        den = Polynomial(field, u_cur.coeffs[s:])
+        if den.coeffs[0].is_zero:
+            return None
+    # Euclid keeps deg u = order - deg r_prev <= dd, so r/u meets both degree
+    # bounds as it stands. It is the same function as its reduced form, so
+    # it is certified first and reduced by a gcd only once it has passed.
+    if shifted:
+        den = Polynomial(field, (field.zero,) + den.coeffs)
+    if not expand_rational(num, den, check_prec).agrees_with(series.truncate(check_prec)):
         return None
-    return candidate
+    return RationalFunction(num, den)
 
 
 def derive_map_pair(curve, eta_rat):

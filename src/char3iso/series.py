@@ -23,6 +23,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
+from . import kronecker
 from .errors import MixedFields, PrecisionError, ZeroDenominator, ZeroDivisor
 from .gf3field import FieldElement
 
@@ -186,16 +187,7 @@ class LaurentSeries:
         n = len(self.coeffs) + len(other.coeffs) - 1
         if prec != INF:
             n = min(n, prec - val)
-        out = [self.field.zero] * n
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero or i >= n:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= n:
-                    break
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return LaurentSeries(self.field, val, out, prec)
+        return LaurentSeries(self.field, val, kronecker.mul(self.coeffs, other.coeffs, n), prec)
 
     __rmul__ = __mul__
 
@@ -224,7 +216,7 @@ class LaurentSeries:
             return LaurentSeries.zero(self.field, target)
         qval = self.val - other.val
         if target == INF:
-            q, r = _poly_divmod(self.field, self.coeffs, other.coeffs)
+            q, r = kronecker.divmod(self.coeffs, other.coeffs)
             if r:
                 raise ValueError(
                     "division of exact series is inexact; pass prec for a truncation"
@@ -233,17 +225,7 @@ class LaurentSeries:
         n = target - qval
         if n <= 0:
             return LaurentSeries.zero(self.field, target)
-        a = list(self.coeffs) + [self.field.zero] * max(0, n - len(self.coeffs))
-        b = list(other.coeffs) + [self.field.zero] * max(0, n - len(other.coeffs))
-        lead_inv = b[0].inverse()
-        q = []
-        for j in range(n):
-            acc = a[j]
-            for i, qi in enumerate(q):
-                bj = b[j - i]
-                if not (qi.is_zero or bj.is_zero):
-                    acc = acc - qi * bj
-            q.append(acc * lead_inv)
+        q = kronecker.mul(self.coeffs, kronecker.inverse(other.coeffs, n), n)
         return LaurentSeries(self.field, qval, q, target)
 
     def inverse(self, prec=None):
@@ -317,30 +299,6 @@ class LaurentSeries:
 
     def __repr__(self):
         return f"<series {self}>"
-
-
-def _poly_divmod(field, a, b):
-    """Long division of coefficient runs (lowest first), highest-degree style."""
-    a = list(a)
-    b = list(b)
-    while b and b[-1].is_zero:
-        b.pop()
-    q = [field.zero] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    lead_inv = b[-1].inverse()
-    while len(r) >= len(b):
-        while r and r[-1].is_zero:
-            r.pop()
-        if len(r) < len(b):
-            break
-        d = len(r) - len(b)
-        c = r[-1] * lead_inv
-        q[d] = c
-        for i, bc in enumerate(b):
-            r[i + d] = r[i + d] - c * bc
-    while r and r[-1].is_zero:
-        r.pop()
-    return q, r
 
 
 class TriSplit(NamedTuple):

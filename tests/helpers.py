@@ -2,13 +2,15 @@
 
 The oracles here deliberately reimplement arithmetic from scratch (plain
 int lists mod 3) so they cannot share a bug with the library code paths
-they are checking.
+they are checking. The schoolbook run oracles build on FieldElement
+arithmetic instead, which is itself checked against oracle_mul.
 """
 
 import itertools
 from dataclasses import dataclass
 
 from char3iso import (
+    INF,
     IncompatibleSeed,
     LaurentSeries,
     Polynomial,
@@ -102,6 +104,108 @@ def oracle_expand(num_ints, den_ints, prec):
             if j + i < len(rem):
                 rem[j + i] = (rem[j + i] - q * d) % 3
     return out
+
+
+# ---- schoolbook coefficient-run oracles for char3iso.kronecker -------------
+
+def schoolbook_mul(a, b, n=None):
+    """Product of FieldElement runs (lowest degree first), cut to its first
+    n coefficients when n is given, one coefficient pair at a time."""
+    if not a or not b:
+        return []
+    full = len(a) + len(b) - 1
+    n = full if n is None else min(n, full)
+    out = [a[0].field.zero] * max(0, n)
+    for i, x in enumerate(a[:n]):
+        if x.is_zero:
+            continue
+        for j, y in enumerate(b[:n - i]):
+            if not y.is_zero:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def schoolbook_inverse(b, n):
+    """First n coefficients of 1/b by series long division; b[0] != 0."""
+    field = b[0].field
+    lead_inv = b[0].inverse()
+    q = []
+    for j in range(n):
+        acc = field.one if j == 0 else field.zero
+        for i, qi in enumerate(q):
+            if j - i < len(b):
+                acc = acc - qi * b[j - i]
+        q.append(acc * lead_inv)
+    return q
+
+
+def schoolbook_divmod(a, b):
+    """Polynomial long division of runs from the top; b[-1] != 0. The
+    remainder has no trailing zeros."""
+    field = b[0].field
+    lead_inv = b[-1].inverse()
+    q = [field.zero] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    while len(r) >= len(b):
+        while r and r[-1].is_zero:
+            r.pop()
+        if len(r) < len(b):
+            break
+        d = len(r) - len(b)
+        c = r[-1] * lead_inv
+        q[d] = c
+        for i, bc in enumerate(b):
+            r[i + d] = r[i + d] - c * bc
+    while r and r[-1].is_zero:
+        r.pop()
+    return q, r
+
+
+# ---- Pade that normalises every candidate before certifying it -------------
+
+def pade_normalising_first(series, deg_num_max, deg_den_max):
+    """Pade by the normalise-first procedure: the Euclid candidate is
+    reduced by its gcd, checked against the degree bounds and the pole at
+    0, and only then re-expanded. ratrec.pade, which certifies first, must
+    give the same answer."""
+    field = series.field
+    if series.is_zero:
+        return RationalFunction.constant(field, 0)
+    shifted = series.val < 0
+    t = series.shift(1) if shifted else series
+    dn = deg_num_max
+    dd = deg_den_max - 1 if shifted else deg_den_max
+    if dd < 0:
+        return None
+    order = dn + dd + 1
+    if t.prec != INF:
+        order = min(order, int(t.prec))
+    r_prev = Polynomial(field, [0] * order + [1])
+    r_cur = Polynomial(field, [t.coefficient(e) for e in range(order)])
+    u_prev, u_cur = Polynomial.zero(field), Polynomial.one(field)
+    while r_cur.degree() > dn:
+        q, rem = divmod(r_prev, r_cur)
+        r_prev, r_cur = r_cur, rem
+        u_prev, u_cur = u_cur, u_prev - q * u_cur
+    if u_cur.is_zero:
+        return None
+    if r_cur.is_zero:
+        candidate = RationalFunction.constant(field, 0)
+    else:
+        candidate = RationalFunction(r_cur, u_cur)
+    if candidate.den.eval(field.zero).is_zero:
+        return None
+    if candidate.num.degree() > dn or candidate.den.degree() > dd:
+        return None
+    if shifted:
+        candidate = candidate / Polynomial.x(field)
+    if series.prec == INF:
+        check_prec = series.val + len(series.coeffs) + deg_num_max + deg_den_max + 2
+    else:
+        check_prec = series.prec
+    if not candidate.expand(check_prec).agrees_with(series.truncate(check_prec)):
+        return None
+    return candidate
 
 
 # ---- trial-factorization irreducibility oracle ---------------------------

@@ -220,6 +220,23 @@ def test_example_golden_transcripts(capsys, n):
     assert out == expected
 
 
+# Transcripts written by the schoolbook coefficient loops, before the
+# Kronecker kernel replaced them: one rational seed (Pade certifies) and one
+# non-rational seed (Pade runs its full Euclid and declines).
+SEEDS_2048 = {
+    "mul2": ["--B=2", "--seed-beta=x^2/(x^9+x^3-1)"],
+    "nonrational": ["--B=1", "--seed-alpha=x^7+x^4+x"],
+}
+
+
+@pytest.mark.parametrize("name", SEEDS_2048)
+def test_construct_prec_2048_matches_schoolbook_transcript(capsys, name):
+    code, out, _ = run(capsys, "construct", "--field", "3^2", "--A=1", "--c=1",
+                       *SEEDS_2048[name], "--prec", "2048", "--format", "records")
+    assert code == 0
+    assert out == (DATA / f"construct_{name}_prec2048.records.txt").read_text()
+
+
 # ---- usage ------------------------------------------------------------------------
 
 

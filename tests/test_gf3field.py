@@ -95,6 +95,21 @@ def test_frobenius_of_generator(f9):
     assert f9.gen.frobenius() == f9.element((0, 2))
 
 
+def test_hash_agrees_with_equality(f3, f9):
+    # elements equal to an int must hash like it, so dict and set lookups
+    # find them by either key
+    for field in (f3, f9):
+        for n in (0, 1, 2):
+            element = field.from_int(n)
+            assert element == n and hash(element) == hash(n)
+            assert {n: "v"}.get(element) == "v"
+            assert {element: "v"}.get(n) == "v"
+            assert element in {n} and n in {element}
+    assert f9.gen not in {0, 1, 2}
+    assert len({e for e in f9.elements()} | {0, 1, 2}) == 9
+    assert {f9.element((1, 2)): "v"}.get(f9.element((1, 2))) == "v"
+
+
 def test_mixed_fields_rejected(f3, f9):
     with pytest.raises(MixedFields):
         f3.one + f9.one

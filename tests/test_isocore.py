@@ -608,3 +608,29 @@ def test_injected_fault_raises_under_optimize():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert "defining equation" in result.stdout
+
+
+def test_reported_prec_is_measured_and_guard_exhaustion_raises(monkeypatch, f9):
+    curve = CurveParams(f9, A=1, B=2, c=1)
+    seed = Seed.beta(parse_rational_function("x^2/(x^9+x^3-1)", f9))
+    assert [e.prec for e in construct(curve, seed, 40)] == [40, 40, 40]
+    # Without guard coefficients the squared difference quotient loses a
+    # place, so eta is known only to X^39: construct must refuse, not
+    # report 40.
+    monkeypatch.setattr(char3iso.isocore, "GUARD_PRECISION", 0)
+    with pytest.raises(char3iso.VerificationFailed, match="guard precision"):
+        construct(curve, seed, 40)
+    alpha_curve = CurveParams(FieldParams(1), A=1, B=0, c=1)
+    with pytest.raises(char3iso.VerificationFailed, match="X\\^38"):
+        construct(alpha_curve, Seed.alpha(parse_rational_function("x", alpha_curve.field)), 40)
+
+
+@pytest.mark.parametrize("prec", [512, 1024])
+def test_construct_is_a_prefix_of_construct_at_double_precision(f9, prec):
+    curve = CurveParams(f9, A=1, B=2, c=1)
+    seed = Seed.beta(parse_rational_function("x^2/(x^9+x^3-1)", f9))
+    short, long = construct(curve, seed, prec), construct(curve, seed, 2 * prec)
+    assert [e.gamma0 for e in short] == [e.gamma0 for e in long]
+    for s, l in zip(short, long):
+        assert (s.prec, l.prec) == (prec, 2 * prec)
+        assert l.eta.truncate(prec) == s.eta

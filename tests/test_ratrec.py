@@ -8,7 +8,9 @@ from char3iso import (
     LaurentSeries,
     Polynomial,
     RationalFunction,
+    Seed,
     ZeroDenominator,
+    construct,
     derive_map_pair,
     pade,
     parse_polynomial,
@@ -17,8 +19,9 @@ from char3iso import (
     poly_gcd,
     solve_gamma,
 )
+from char3iso import ratrec
 
-from helpers import random_polynomial, random_rational
+from helpers import pade_normalising_first, random_polynomial, random_rational
 
 
 # ---- polynomials ---------------------------------------------------------
@@ -158,6 +161,48 @@ def test_pade_non_rational_sparse_series(f3):
     psi = LaurentSeries.monomial(f3, 3)
     g = solve_gamma(f3.one, psi, f3.zero, 64)
     assert pade(g, 10, 10) is None
+
+
+def test_pade_agrees_with_normalising_first(f3, f9):
+    # Shifted, perturbed and pole-carrying expansions under random degree
+    # bounds: certifying before the gcd must not change a single answer.
+    rng = random.Random(7012)
+    found = 0
+    for _ in range(400):
+        field = f9 if rng.random() < 0.5 else f3
+        series = random_rational(rng, field, 4).expand(rng.randint(12, 30))
+        series = series.shift(rng.choice((-1, 0, 1, 2, 3)))
+        if rng.random() < 0.3:
+            series = series + LaurentSeries.monomial(
+                field, rng.randint(0, series.prec - 1), prec=series.prec)
+        dn, dd = rng.randint(0, 6), rng.randint(0, 6)
+        if series.is_zero or series.val < -1 or series.prec < dn + dd + 2:
+            continue
+        got = pade(series, dn, dd)
+        assert got == pade_normalising_first(series, dn, dd)
+        found += got is not None
+    assert 50 < found < 250, found
+
+
+def test_pade_declines_a_non_rational_series_without_a_gcd(monkeypatch, f9):
+    curve = CurveParams(f9, A=1, B=1, c=1)
+    seed = Seed.alpha(parse_rational_function("x^7+x^4+x", f9))
+    eta = construct(curve, seed, 256)[0].eta
+    calls = []
+    real_gcd = ratrec.poly_gcd
+    monkeypatch.setattr(ratrec, "poly_gcd", lambda a, b: calls.append(1) or real_gcd(a, b))
+    assert pade(eta, 126, 126) is None
+    assert calls == []
+
+
+def test_adding_a_polynomial_keeps_lowest_terms_without_a_gcd(monkeypatch, f9):
+    rng = random.Random(5)
+    cases = [(random_rational(rng, f9), random_polynomial(rng, f9, 3)) for _ in range(40)]
+    cases += [(rf, f9.gen) for rf, _ in cases[:10]]
+    expected = [RationalFunction(rf.num + rf.den * p, rf.den) for rf, p in cases]
+    monkeypatch.setattr(ratrec, "poly_gcd", None)
+    for (rf, p), want in zip(cases, expected):
+        assert rf + p == want and p + rf == want
 
 
 def test_pade_zero_series(f3):
