@@ -20,7 +20,7 @@ from .errors import (
     ZeroDenominator,
     ZeroDivisor,
 )
-from .gf3field import DEFAULT_MODULI, FieldElement, FieldParams, solve_additive_cubic, sqrt
+from .gf3field import DEFAULT_MODULI, FieldElement, FieldParams, solve_additive_cubic
 from .series import (
     INF,
     Homogeneity,
@@ -68,7 +68,6 @@ from .curve import (
     p_add,
     p_double,
     p_neg,
-    scalar_mul,
 )
 from .exprparse import parse_field_element, parse_polynomial, parse_rational_function
 

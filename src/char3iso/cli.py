@@ -19,7 +19,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .curve import apply_map, check_map, enumerate_points, identify_scalar, on_curve
+from .curve import check_map, identify_scalar
 from .errors import (
     IncompatibleSeed,
     InvalidCurveParameters,
@@ -339,22 +339,21 @@ def cmd_identify(args):
     job = _job_from_args(args)
     fx = parse_rational_function(args.fx, job.field)
     fy = parse_rational_function(args.fy_factor, job.field)
-    points = enumerate_points(job.curve)
     report = check_map(job.curve, fx, fy)
     scalar = None
     if report.all_on_curve:
-        scalar = identify_scalar(job.curve, fx, fy, args.max_scalar)
+        scalar = identify_scalar(job.curve, report, args.max_scalar)
     out = print
     if job.fmt == "records":
         _emit_header(out, job, "identify")
         out(f"fx={fx}")
         out(f"fy_factor={fy}")
-        out(f"points={len(points)}")
+        out(f"points={len(report.points)}")
         out(f"all_on_curve={str(report.all_on_curve).lower()}")
         out(f"homomorphism={str(report.homomorphism_ok).lower()}")
         out(f"scalar={scalar if scalar is not None else 'none'}")
     else:
-        out(f"map (x, y) -> ({fx}, y * ({fy})) on {len(points)} points")
+        out(f"map (x, y) -> ({fx}, y * ({fy})) on {len(report.points)} points")
         out(f"all images on curve: {report.all_on_curve}")
         out(f"homomorphism on rational points: {report.homomorphism_ok} "
             f"({report.pairs_checked} pairs)")
@@ -446,21 +445,20 @@ def cmd_example(args):
         got = tuple(str(r) if r is not None else "none" for r in rationals)
         ok &= got == expected
         if n == 3:
-            points = enumerate_points(curve)
             for i, rational in enumerate(rationals):
                 if rational is None:
                     ok = False
                     continue
                 fx, fy = derive_map_pair(curve, rational)
-                all_on = all(on_curve(curve, apply_map(curve, fx, fy, p))
-                             for p in points)
+                pointwise = check_map(curve, fx, fy)
+                all_on = pointwise.all_on_curve
                 ok &= all_on
                 if records:
                     out(f"map_{i}_y_factor={fy}")
                     out(f"map_{i}_pointwise_on_curve={str(all_on).lower()}")
                 else:
                     out(f"  map #{i}: (x, y) -> ({fx}, y * ({fy})); "
-                        f"images on curve for all {len(points)} points: {all_on}")
+                        f"images on curve for all {len(pointwise.points)} points: {all_on}")
         if records:
             out(f"expected_etas={' '.join(expected)}")
             out(f"etas_match={str(got == expected).lower()}")
@@ -475,7 +473,7 @@ def cmd_example(args):
         scalar = None
         if rational is not None:
             fx, fy = derive_map_pair(curve, rational)
-            scalar = identify_scalar(curve, fx, fy, 10)
+            scalar = identify_scalar(curve, check_map(curve, fx, fy), 10)
         ok &= scalar == 2
         if records:
             out(f"expected_rational={expected_eta}")

@@ -100,41 +100,28 @@ def p_add(curve, p, q):
     return Point(x3, y3)
 
 
-def scalar_mul(curve, m, point):
-    """m * P by double-and-add; negative m through the inverse point."""
-    _require_on_curve(curve, point)
-    if m < 0:
-        return scalar_mul(curve, -m, p_neg(curve, point))
-    acc = Point.infinity()
-    base = point
-    while m:
-        if m & 1:
-            acc = p_add(curve, acc, base)
-        base = p_double(curve, base)
-        m >>= 1
-    return acc
-
-
 def enumerate_points(curve):
     """Every rational point: infinity first, then affine points in
-    ascending (x, y) coefficient order."""
-    from .gf3field import sqrt
+    ascending (x, y) coefficient order.
 
-    if curve.field.order > ENUMERATION_MAX_ORDER:
+    One table maps each square to its smaller root, built from q
+    squarings in ascending order, so every x costs a lookup."""
+    field = curve.field
+    if field.order > ENUMERATION_MAX_ORDER:
         raise FieldTooLarge(
-            f"field order {curve.field.order} exceeds {ENUMERATION_MAX_ORDER}"
+            f"field order {field.order} exceeds {ENUMERATION_MAX_ORDER}"
         )
+    roots = {}
+    for y in field.elements():
+        roots.setdefault(y * y, y)
     points = [Point.infinity()]
-    for x in curve.field.elements():
-        rhs = x * x * x + curve.A * x + curve.B
-        root = sqrt(rhs)
+    for x in field.elements():
+        root = roots.get(x * x * x + curve.A * x + curve.B)
         if root is None:
             continue
-        if root.is_zero:
-            points.append(Point(x, root))
-        else:
-            ys = sorted((root, -root), key=lambda e: e.coeffs)
-            points.extend(Point(x, y) for y in ys)
+        points.append(Point(x, root))
+        if not root.is_zero:
+            points.append(Point(x, -root))
     return points
 
 
@@ -158,12 +145,15 @@ def apply_map(curve, fx, fy_factor, point):
 
 @dataclass(frozen=True)
 class MapCheckReport:
-    """Pointwise diagnostics of a coordinate map over the rational points."""
+    """Pointwise diagnostics of a coordinate map over the rational points,
+    with the points in enumeration order and the image of each."""
 
     all_on_curve: bool
     off_curve_points: tuple
     homomorphism_ok: bool
     pairs_checked: int
+    points: tuple
+    images: tuple
 
 
 def check_map(curve, fx, fy_factor, rng_seed=0):
@@ -171,36 +161,40 @@ def check_map(curve, fx, fy_factor, rng_seed=0):
 
     Checks that each image lies on the curve and that the map commutes
     with addition; pairs are exhaustive for fields of at most 81 elements
-    and 1000 seeded-random pairs above that.
+    and 1000 seeded-random pairs above that. The points are enumerated and
+    mapped once: p + q is itself a rational point, so its image is read
+    from the same table.
     """
-    points = enumerate_points(curve)
-    images = {p: apply_map(curve, fx, fy_factor, p) for p in points}
-    off = tuple(p for p in points if not on_curve(curve, images[p]))
+    points = tuple(enumerate_points(curve))
+    images = tuple(apply_map(curve, fx, fy_factor, p) for p in points)
+    off = tuple(p for p, image in zip(points, images) if not on_curve(curve, image))
     if off:
-        return MapCheckReport(False, off, False, 0)
+        return MapCheckReport(False, off, False, 0, points, images)
     if curve.field.order <= 81:
         pairs = [(p, q) for p in points for q in points]
     else:
         rng = random.Random(rng_seed)
         pairs = [(rng.choice(points), rng.choice(points)) for _ in range(1000)]
+    image_of = dict(zip(points, images))
     hom_ok = True
     for p, q in pairs:
-        s = p_add(curve, p, q)
-        lhs = apply_map(curve, fx, fy_factor, s)
-        rhs = p_add(curve, images[p], images[q])
+        lhs = image_of[p_add(curve, p, q)]
+        rhs = p_add(curve, image_of[p], image_of[q])
         if lhs != rhs:
             hom_ok = False
             break
-    return MapCheckReport(True, (), hom_ok, len(pairs))
+    return MapCheckReport(True, (), hom_ok, len(pairs), points, images)
 
 
-def identify_scalar(curve, fx, fy_factor, max_m):
-    """Smallest m in [1, max_m] acting like the map on every rational
-    point, or None. Meaningful once check_map has passed."""
-    points = enumerate_points(curve)
-    images = [apply_map(curve, fx, fy_factor, p) for p in points]
+def identify_scalar(curve, report, max_m):
+    """Smallest m in [1, max_m] acting like the map of a check_map report
+    on every rational point, or None. Meaningful once check_map has passed.
+
+    N = #E(F_q) kills every rational point, so m and m - N act alike and
+    the smallest match, if any, is at most N: the search stops there."""
+    points, images = report.points, report.images
     multiples = list(points)  # m = 1
-    for m in range(1, max_m + 1):
+    for m in range(1, min(max_m, len(points)) + 1):
         if m > 1:
             multiples = [p_add(curve, acc, p) for acc, p in zip(multiples, points)]
         if all(img == acc for img, acc in zip(images, multiples)):

@@ -245,9 +245,25 @@ class FieldElement:
         return other * self.inverse()
 
     def inverse(self):
+        """The extended Euclidean algorithm over F3[t] on the modulus and
+        the coefficients: it keeps s with s * self = r (mod modulus) and
+        stops at a constant r, a unit of F3 and so its own inverse."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field element")
-        return self ** (self.field.order - 2)
+        r_prev, r = list(self.field.modulus), _trim(self.coeffs)
+        s_prev, s = [], [1]
+        while len(r) > 1:
+            q, rem = _poly_divmod_f3(r_prev, r)
+            r_prev, r = r, rem
+            qs = [0] * (len(q) + len(s) - 1)
+            for i, a in enumerate(q):
+                for j, b in enumerate(s):
+                    qs[i + j] += a * b
+            s_prev, s = s, [(x - y) % 3 for x, y in
+                            itertools.zip_longest(s_prev, qs, fillvalue=0)]
+        # deg s < deg modulus, so s has at most k coefficients
+        coeffs = [(r[0] * c) % 3 for c in s] + [0] * (self.field.degree - len(s))
+        return FieldElement._reduced(self.field, tuple(coeffs))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -268,7 +284,10 @@ class FieldElement:
         return self * self * self
 
     def __eq__(self, other):
+        # an int equals an element only where their hashes agree: 0, 1, 2
         if isinstance(other, int):
+            if not 0 <= other <= 2:
+                return False
             other = self.field.from_int(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
@@ -358,44 +377,3 @@ def _solve_f3(matrix, b):
             x[c] = (aug[r][n] - sum(aug[r][j] * x[j] for j in free)) % 3
         solutions.append(tuple(x))
     return solutions
-
-
-def sqrt(a):
-    """A square root of a, or None if a is a non-square.
-
-    Tonelli-Shanks on the multiplicative group; works for every odd 3^k.
-    Between the two roots the one with the smaller coefficient vector is
-    returned, so the choice is deterministic.
-    """
-    field = a.field
-    if a.is_zero:
-        return a
-    q = field.order
-    if a ** ((q - 1) // 2) != field.one:
-        return None
-    m = q - 1
-    s = 0
-    while m % 2 == 0:
-        m //= 2
-        s += 1
-    nonresidue = None
-    for z in field.elements():
-        if not z.is_zero and z ** ((q - 1) // 2) != field.one:
-            nonresidue = z
-            break
-    c = nonresidue ** m
-    t = a ** m
-    r = a ** ((m + 1) // 2)
-    big = s
-    while t != field.one:
-        t2 = t
-        i = 0
-        while t2 != field.one:
-            t2 = t2 * t2
-            i += 1
-        b = c ** (2 ** (big - i - 1))
-        big = i
-        c = b * b
-        t = t * c
-        r = r * b
-    return min(r, -r, key=lambda e: e.coeffs)

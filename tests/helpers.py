@@ -13,8 +13,14 @@ from char3iso import (
     INF,
     IncompatibleSeed,
     LaurentSeries,
+    Point,
+    PointNotOnCurve,
     Polynomial,
     RationalFunction,
+    on_curve,
+    p_add,
+    p_double,
+    p_neg,
     solve_gamma,
     verify_functional_equation,
 )
@@ -232,6 +238,89 @@ def is_irreducible_trial(poly):
             if not any(_remainder_f3(poly, list(tail) + [1])):
                 return False
     return True
+
+
+# ---- square roots and point enumeration by Tonelli-Shanks ----------------
+
+def sqrt(a):
+    """A square root of a, or None if a is a non-square.
+
+    Tonelli-Shanks on the multiplicative group; works for every odd 3^k.
+    Between the two roots the one with the smaller coefficient vector is
+    returned, so the choice is deterministic.
+    """
+    field = a.field
+    if a.is_zero:
+        return a
+    q = field.order
+    if a ** ((q - 1) // 2) != field.one:
+        return None
+    m = q - 1
+    s = 0
+    while m % 2 == 0:
+        m //= 2
+        s += 1
+    nonresidue = None
+    for z in field.elements():
+        if not z.is_zero and z ** ((q - 1) // 2) != field.one:
+            nonresidue = z
+            break
+    c = nonresidue ** m
+    t = a ** m
+    r = a ** ((m + 1) // 2)
+    big = s
+    while t != field.one:
+        t2 = t
+        i = 0
+        while t2 != field.one:
+            t2 = t2 * t2
+            i += 1
+        b = c ** (2 ** (big - i - 1))
+        big = i
+        c = b * b
+        t = t * c
+        r = r * b
+    return min(r, -r, key=lambda e: e.coeffs)
+
+
+def enumerate_points_by_sqrt(curve):
+    """The rational points in enumerate_points order, one sqrt per x."""
+    points = [Point.infinity()]
+    for x in curve.field.elements():
+        root = sqrt(x * x * x + curve.A * x + curve.B)
+        if root is None:
+            continue
+        ys = sorted({root, -root}, key=lambda e: e.coeffs)
+        points.extend(Point(x, y) for y in ys)
+    return points
+
+
+def enumerate_points_by_scan(curve):
+    """The rational points in enumerate_points order, testing every
+    (x, y) pair against the curve equation."""
+    elements = list(curve.field.elements())
+    squares = [(y, (y * y).coeffs) for y in elements]
+    points = [Point.infinity()]
+    for x in elements:
+        rhs = (x * x * x + curve.A * x + curve.B).coeffs
+        points.extend(Point(x, y) for y, square in squares if square == rhs)
+    return points
+
+
+def scalar_mul(curve, m, point):
+    """m * P by double-and-add; negative m through the inverse point."""
+    if not on_curve(curve, point):
+        raise PointNotOnCurve(f"{point!r} fails the curve equation")
+    if m < 0:
+        return scalar_mul(curve, -m, p_neg(curve, point))
+    acc = Point.infinity()
+    base = point
+    while m:
+        if m & 1:
+            acc = p_add(curve, acc, base)
+        base = p_double(curve, base)
+        m >>= 1
+    return acc
 
 
 # ---- the two defining relations, evaluated term by term ------------------

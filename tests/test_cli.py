@@ -192,6 +192,58 @@ def test_identify_shift_has_no_scalar(capsys):
     assert "homomorphism on rational points: True" in out
 
 
+def test_identify_scalar_search_stops_at_the_group_order(capsys, monkeypatch):
+    # y^2 = x^3 - x over GF(3) has 4 points, so 4 kills each of them and no
+    # scalar above 4 can be the first to match: a search up to 10^8 ends
+    # after a few dozen additions
+    import char3iso.curve as curve
+
+    p_add = curve.p_add
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= 1000, "the scalar search ran past the group order"
+        return p_add(*args)
+
+    monkeypatch.setattr(curve, "p_add", counted)
+    code, out, _ = run(capsys, "identify", "--A", "2", "--B", "0",
+                       "--fx", "x+1", "--fy-factor", "1",
+                       "--max-scalar", "100000000")
+    assert code == 0
+    assert out.endswith("scalar: none (no multiplication map matches pointwise)\n")
+
+
+def test_identify_translation_by_two_torsion(capsys):
+    # P -> P + (0, 0) on y^2 = x^3 - x: fx = (x^3 - x)/x^2 - x = -1/x and
+    # fy = (0 - fx)/x = 1/x^2; every image is on the curve, but a
+    # translation commutes with no addition and fixes no scalar
+    code, out, _ = run(capsys, "identify", "--A", "2", "--B", "0",
+                       "--fx=-1/x", "--fy-factor=1/x^2", "--format", "records")
+    assert code == 0
+    pairs = dict(records(out))
+    assert pairs["points"] == "4"
+    assert pairs["all_on_curve"] == "true"
+    assert pairs["homomorphism"] == "false"
+    assert pairs["scalar"] == "none"
+
+
+# The parent of the single-pass check wrote these, on the benchmark's
+# identify-mul2 job: the doubling map on the 244 points of GF(3^5).
+IDENTIFY_MUL2 = [
+    "identify", "--field", "3^5", "--A", "1", "--B", "2",
+    "--fx", "(x^4+x^2+(2)*x+(1))/(x^3+x+(2))",
+    "--fy-factor=((2)*x^6+x^4+(2)*x^3+(2)*x^2+(2)*x)/(x^6+(2)*x^4+x^3+x^2+x+(1))",
+]
+
+
+@pytest.mark.parametrize("fmt", ["records", "text"])
+def test_identify_mul2_matches_transcript(capsys, fmt):
+    code, out, _ = run(capsys, *IDENTIFY_MUL2, "--format", fmt)
+    assert code == 0
+    assert out == (DATA / f"identify_mul2_gf35.{fmt}.txt").read_text()
+
+
 def test_identify_records_schema(capsys):
     _, out, _ = run(capsys, "identify", "--A", "2", "--B", "0",
                     "--fx", "x", "--fy-factor", "1", "--format", "records")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -18,8 +19,9 @@ from char3iso import (
     p_double,
     p_neg,
     parse_rational_function,
-    scalar_mul,
 )
+
+from helpers import enumerate_points_by_scan, enumerate_points_by_sqrt, scalar_mul
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +45,19 @@ def test_enumeration_f3(e_f3, f3):
 def test_enumeration_f9_pinned_count(e_f9):
     # order recorded once from brute force
     assert len(enumerate_points(e_f9)) == 16
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_enumeration_matches_sqrt_and_scan(degree):
+    rng = random.Random(2401 + degree)
+    field = FieldParams(degree)
+    elements = list(field.elements())
+    for _ in range(2):
+        curve = CurveParams(field, A=rng.choice(elements[1:]),
+                            B=rng.choice(elements), c=1)
+        points = enumerate_points(curve)
+        assert points == enumerate_points_by_sqrt(curve)
+        assert points == enumerate_points_by_scan(curve)
 
 
 def test_enumeration_deterministic(e_f9):
@@ -180,7 +195,7 @@ def test_degree_four_map_lands_on_curve(e_f9, f9):
 def test_identify_identity(e_f9, f9):
     fx = parse_rational_function("x", f9)
     fy = parse_rational_function("1", f9)
-    assert identify_scalar(e_f9, fx, fy, 10) == 1
+    assert identify_scalar(e_f9, check_map(e_f9, fx, fy), 10) == 1
 
 
 def test_identify_degree_four_map_both_signs(e_f9, f9):
@@ -188,8 +203,8 @@ def test_identify_degree_four_map_both_signs(e_f9, f9):
     # its negative act identically on them: both identify as 2
     eta = parse_rational_function("(x^4+x^2+2*x+1)/(x^3+x+2)", f9)
     fx, fy = derive_map_pair(e_f9, eta)
-    assert identify_scalar(e_f9, fx, fy, 10) == 2
-    assert identify_scalar(e_f9, fx, -fy, 10) == 2
+    assert identify_scalar(e_f9, check_map(e_f9, fx, fy), 10) == 2
+    assert identify_scalar(e_f9, check_map(e_f9, fx, -fy), 10) == 2
 
 
 def test_x_shift_has_no_scalar(e_f3, f3):
@@ -198,7 +213,52 @@ def test_x_shift_has_no_scalar(e_f3, f3):
     report = check_map(e_f3, fx, fy)
     assert report.all_on_curve
     assert report.homomorphism_ok  # permutes the rational 2-torsion
-    assert identify_scalar(e_f3, fx, fy, 10) is None
+    assert identify_scalar(e_f3, report, 10) is None
+
+
+def test_zero_map_identifies_as_the_group_order(f3):
+    # y^2 = x^3 + x over GF(3) is cyclic of order 4, generated by (2, 1);
+    # poles at both affine abscissas send every point to infinity, which
+    # only multiples of 4 = #E do: the last scalar the capped search tries
+    curve = CurveParams(f3, A=1, B=0, c=1)
+    fx = parse_rational_function("1/(x^2+x)", f3)
+    fy = parse_rational_function("1", f3)
+    report = check_map(curve, fx, fy)
+    assert len(report.points) == 4
+    assert report.all_on_curve and report.homomorphism_ok
+    assert identify_scalar(curve, report, 10) == 4
+    assert identify_scalar(curve, report, 3) is None
+
+
+def test_check_map_report_carries_points_and_images(e_f9, f9):
+    eta = parse_rational_function("(x^4+x^2+2*x+1)/(x^3+x+2)", f9)
+    fx, fy = derive_map_pair(e_f9, eta)
+    report = check_map(e_f9, fx, fy)
+    assert report.points == tuple(enumerate_points(e_f9))
+    assert report.images == tuple(apply_map(e_f9, fx, fy, p) for p in report.points)
+
+
+@pytest.mark.parametrize("A", [1, 2])
+def test_translation_by_two_torsion_is_no_homomorphism(f3, A):
+    # P -> P + T for a rational 2-torsion point T = (x0, 0): the chord
+    # through T and P gives fx = (x^3+Ax+B)/(x-x0)^2 - x - x0 and
+    # y * (x0 - fx)/(x - x0). The images lie on the curve, but
+    # (P+Q) + T differs from (P+T) + (Q+T) = P + Q, so the check has to
+    # find a pair whose sum's image disagrees.
+    curve = CurveParams(f3, A=A, B=0, c=1)
+    x = parse_rational_function("x", f3)
+    torsion = [p for p in enumerate_points(curve) if not p.is_infinity and p.y.is_zero]
+    assert len(torsion) == (1 if A == 1 else 3)
+    for t in torsion:
+        fx = (x * x * x + curve.A * x + curve.B) / ((x - t.x) * (x - t.x)) - x - t.x
+        fy = (t.x - fx) / (x - t.x)
+        report = check_map(curve, fx, fy)
+        for p, image in zip(report.points, report.images):
+            if not p.is_infinity and p != t:
+                assert image == p_add(curve, p, t)
+        assert report.all_on_curve
+        assert not report.homomorphism_ok
+        assert identify_scalar(curve, report, 10) is None
 
 
 def test_check_map_samples_pairs_on_large_field():

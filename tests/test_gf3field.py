@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from char3iso import FieldParams, MixedFields, solve_additive_cubic, sqrt
+from char3iso import FieldParams, MixedFields, solve_additive_cubic
 from char3iso.gf3field import DEFAULT_MODULI, _is_irreducible_f3
 
-from helpers import is_irreducible_trial, oracle_add, oracle_mul
+from helpers import is_irreducible_trial, oracle_add, oracle_mul, sqrt
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -105,6 +105,13 @@ def test_hash_agrees_with_equality(f3, f9):
             assert {n: "v"}.get(element) == "v"
             assert {element: "v"}.get(n) == "v"
             assert element in {n} and n in {element}
+    # other ints are never equal, since their hashes cannot agree
+    for field in (f3, f9):
+        for n in (-1, 3, 4):
+            element = field.from_int(n)
+            assert element != n and n != element
+            assert {n: "v"}.get(element) is None
+            assert element not in {n}
     assert f9.gen not in {0, 1, 2}
     assert len({e for e in f9.elements()} | {0, 1, 2}) == 9
     assert {f9.element((1, 2)): "v"}.get(f9.element((1, 2))) == "v"
@@ -115,6 +122,16 @@ def test_mixed_fields_rejected(f3, f9):
         f3.one + f9.one
     with pytest.raises(MixedFields):
         f3.one * f9.from_int(2)
+
+
+@pytest.mark.parametrize("field", [FieldParams(k) for k in range(1, 7)] + [
+    # the dense degree-7 modulus of the kernel tests
+    FieldParams(7, (2, 2, 2, 2, 2, 1, 1, 1)),
+], ids=lambda field: f"3^{field.degree}")
+def test_inverse_exhaustive(field):
+    for a in field.elements():
+        if not a.is_zero:
+            assert a * a.inverse() == field.one
 
 
 def test_inverse_of_zero(f3):
