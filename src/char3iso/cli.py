@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .curve import check_map, identify_scalar
 from .errors import (
+    FieldTooLarge,
     IncompatibleSeed,
     InvalidCurveParameters,
     ParseError,
@@ -337,6 +338,8 @@ def cmd_verify(args):
 
 def cmd_identify(args):
     job = _job_from_args(args)
+    if args.max_scalar < 1:
+        raise ParseError(0, "max-scalar must be at least 1")
     fx = parse_rational_function(args.fx, job.field)
     fy = parse_rational_function(args.fy_factor, job.field)
     report = check_map(job.curve, fx, fy)
@@ -368,126 +371,99 @@ def cmd_identify(args):
 
 # ---- bundled worked examples ------------------------------------------------
 
+# Each example is a construct invocation plus the facts its run must show:
+# "solutions" the x-parts, of which only the count is printed; "etas" the
+# x-parts, printed in full; "fails" a form that must fail the defining
+# equation, with a "note"; "pointwise" that every map sends the rational
+# points onto the curve; "rational" the x-part of the solution with a given
+# gamma0; "scalar" the multiplication map it is.
 _EXAMPLES = {
-    1: dict(field="3^1", A="1", B="1", c="1", seed=("alpha", "x"), prec=64,
-            expected_etas=("x",)),
-    2: dict(field="3^1", A="2", B="0", c="1", seed=("alpha", "x"), prec=64,
-            expected_etas=("x", "x+1", "x+2")),
-    3: dict(field="3^1", A="2", B="0", c="1", seed=("beta", "-1/x"), prec=64,
-            expected_etas=("(2)/(x)", "(x+2)/(x)", "(2*x+2)/(x)")),
-    4: dict(field="3^2", A="1", B="2", c="1",
-            seed=("beta", "x^2/(x^9+x^3-1)"), prec=128,
-            expected_etas=None),
+    1: dict(flags=["--A=1", "--B=1", "--seed-alpha=x"], solutions=("x",), fails="x+1",
+            note="only c0 = 0 solves c0^3 + c0 = 0 over GF(3), so x is the only "
+                 "translate; x+1 fails the defining equation at x^0"),
+    2: dict(flags=["--A=2", "--B=0", "--seed-alpha=x"], etas=("x", "x+1", "x+2")),
+    3: dict(flags=["--A=2", "--B=0", "--seed-beta=-1/x"], pointwise=True,
+            etas=("(2)/(x)", "(x+2)/(x)", "(2*x+2)/(x)")),
+    4: dict(flags=["--field=3^2", "--A=1", "--B=2", "--seed-beta=x^2/(x^9+x^3-1)",
+                   "--prec=128"],
+            rational=("2", "(x^4+x^2+2*x+1)/(x^3+x+2)"), scalar=2),
 }
 
 
+def _example_job(n):
+    """The job and seed of worked example n, parsed as construct arguments."""
+    args = build_parser().parse_args(["construct", *_EXAMPLES[n]["flags"]])
+    job = _job_from_args(args)
+    return job, _seed_from_args(args, job.field)
+
+
 def cmd_example(args):
-    n = args.n
-    cfg = _EXAMPLES[n]
-    field = FieldParams(int(cfg["field"][2:]))
-    A = parse_field_element(cfg["A"], field)
-    B = parse_field_element(cfg["B"], field)
-    c = parse_field_element(cfg["c"], field)
-    curve = CurveParams(field, A, B, c)
-    kind, seed_text = cfg["seed"]
-    rf = parse_rational_function(seed_text, field)
-    seed = Seed.alpha(rf) if kind == "alpha" else Seed.beta(rf)
-    job = JobSpec(field=field, curve=curve, prec=cfg["prec"], fmt=args.format)
+    n, ex = args.n, _EXAMPLES[args.n]
+    job, seed = _example_job(n)
+    curve, records = job.curve, args.format == "records"
     endos = construct(curve, seed, job.prec)
-    out = print
-    ok = True
-
-    records = job.fmt == "records"
-    if records:
-        _emit_header(out, job, "example")
-        out(f"example={n}")
-        out(f"seed_kind={kind}")
-        out(f"seed={rf}")
-        out(f"num_solutions={len(endos)}")
-    else:
-        out(f"worked example {n}: y^2 = x^3 + ({A})*x + ({B}) over "
-            f"GF(3^{field.degree}), seed {kind} = {rf}, prec {job.prec}")
-        out(f"solutions found: {len(endos)}")
-
     _, rationals = _rational_forms(job.prec, endos)
-    for i, (endo, rational) in enumerate(zip(endos, rationals)):
-        if records:
-            out(f"solution={i}")
-            out(f"gamma0={endo.gamma0}")
-            out(f"rational={rational if rational is not None else 'none'}")
-            if rational is not None:
-                _, fy = derive_map_pair(curve, rational)
-                out(f"y_factor={fy}")
-            else:
-                out("y_factor=none")
-        else:
-            desc = str(rational) if rational is not None else "(not rational at this degree bound)"
-            out(f"  gamma0 = {endo.gamma0}: eta = {desc}")
+    rows = [_solution_rows(job, e, r) for e, r in zip(endos, rationals)]
+    got = tuple(row["rational"] for row in rows)
+    checks = []
 
-    if n == 1:
-        expected = 1
-        ok &= len(endos) == 1 and str(rationals[0]) == "x"
-        report = verify_functional_equation(
-            curve, parse_rational_function("x+1", field).expand(job.prec))
-        ok &= not report.ok
-        note = ("only c0 = 0 solves c0^3 + c0 = 0 over GF(3), so x is the only "
-                "translate; x+1 fails the defining equation at x^0")
-        if records:
-            out(f"expected_solutions={expected}")
-            out(f"verify_x_plus_1={'fail' if not report.ok else 'pass'}")
-            out(f"note={note}")
-        else:
-            out(f"check: x+1 satisfies the defining equation: {report.ok} "
-                f"(first residual at x^{report.first_bad_exponent})")
-            out(f"note: {note}")
-    elif n in (2, 3):
-        expected = cfg["expected_etas"]
-        got = tuple(str(r) if r is not None else "none" for r in rationals)
-        ok &= got == expected
-        if n == 3:
-            for i, rational in enumerate(rationals):
-                if rational is None:
-                    ok = False
-                    continue
-                fx, fy = derive_map_pair(curve, rational)
-                pointwise = check_map(curve, fx, fy)
-                all_on = pointwise.all_on_curve
-                ok &= all_on
-                if records:
-                    out(f"map_{i}_y_factor={fy}")
-                    out(f"map_{i}_pointwise_on_curve={str(all_on).lower()}")
-                else:
-                    out(f"  map #{i}: (x, y) -> ({fx}, y * ({fy})); "
-                        f"images on curve for all {len(pointwise.points)} points: {all_on}")
-        if records:
-            out(f"expected_etas={' '.join(expected)}")
-            out(f"etas_match={str(got == expected).lower()}")
-        else:
-            out(f"expected x-parts: {', '.join(expected)}; match: {got == expected}")
-    else:
-        expected_eta = "(x^4+x^2+2*x+1)/(x^3+x+2)"
-        chosen = next((i for i, e in enumerate(endos)
-                       if str(e.gamma0) == "2"), None)
-        rational = rationals[chosen] if chosen is not None else None
-        ok &= rational is not None and str(rational) == expected_eta
+    def show(record_lines, text_lines):
+        for line in record_lines if records else text_lines:
+            print(line)
+
+    if records:
+        _emit_header(print, job, "example")
+    show([f"example={n}", f"seed_kind={seed.kind}", f"seed={seed.source}",
+          f"num_solutions={len(endos)}"],
+         [f"worked example {n}: y^2 = x^3 + ({curve.A})*x + ({curve.B}) over "
+          f"GF(3^{job.field.degree}), seed {seed.kind} = {seed.source}, prec {job.prec}",
+          f"solutions found: {len(endos)}"])
+    for i, row in enumerate(rows):
+        desc = row["rational"] if rationals[i] is not None else "(not rational at this degree bound)"
+        show([f"solution={i}"] + [f"{key}={row[key]}" for key in ("gamma0", "rational", "y_factor")],
+             [f"  gamma0 = {row['gamma0']}: eta = {desc}"])
+    if "solutions" in ex:
+        checks.append(got == ex["solutions"])
+        show([f"expected_solutions={len(ex['solutions'])}"], [])
+    if "fails" in ex:
+        form = parse_rational_function(ex["fails"], job.field)
+        report = verify_functional_equation(curve, form.expand(job.prec))
+        checks.append(not report.ok)
+        show([f"verify_{ex['fails'].replace('+', '_plus_')}={'pass' if report.ok else 'fail'}",
+              f"note={ex['note']}"],
+             [f"check: {ex['fails']} satisfies the defining equation: {report.ok} "
+              f"(first residual at x^{report.first_bad_exponent})", f"note: {ex['note']}"])
+    if ex.get("pointwise"):
+        for i, rational in enumerate(rationals):
+            checks.append(rational is not None)
+            if rational is None:
+                continue
+            fx, fy = derive_map_pair(curve, rational)
+            report = check_map(curve, fx, fy)
+            checks.append(report.all_on_curve)
+            show([f"map_{i}_y_factor={fy}",
+                  f"map_{i}_pointwise_on_curve={str(report.all_on_curve).lower()}"],
+                 [f"  map #{i}: (x, y) -> ({fx}, y * ({fy})); images on curve for all "
+                  f"{len(report.points)} points: {report.all_on_curve}"])
+    if "etas" in ex:
+        match = got == ex["etas"]
+        checks.append(match)
+        show([f"expected_etas={' '.join(ex['etas'])}", f"etas_match={str(match).lower()}"],
+             [f"expected x-parts: {', '.join(ex['etas'])}; match: {match}"])
+    if "rational" in ex:
+        gamma0, expected = ex["rational"]
+        rational = next((r for e, r in zip(endos, rationals) if str(e.gamma0) == gamma0), None)
+        match = rational is not None and str(rational) == expected
         scalar = None
         if rational is not None:
-            fx, fy = derive_map_pair(curve, rational)
-            scalar = identify_scalar(curve, check_map(curve, fx, fy), 10)
-        ok &= scalar == 2
-        if records:
-            out(f"expected_rational={expected_eta}")
-            out(f"rational_match={str(rational is not None and str(rational) == expected_eta).lower()}")
-            out(f"scalar={scalar if scalar is not None else 'none'}")
-        else:
-            out(f"gamma0 = 2 solution reconstructs to {rational} "
-                f"(expected {expected_eta})")
-            out(f"pointwise scalar over E(GF(9)): {scalar}")
-
-    if records:
-        out(f"status={'ok' if ok else 'mismatch'}")
-    else:
-        out(f"overall: {'ok' if ok else 'MISMATCH'}")
+            scalar = identify_scalar(curve, check_map(curve, *derive_map_pair(curve, rational)), 10)
+        checks.append(match and scalar == ex["scalar"])
+        show([f"expected_rational={expected}", f"rational_match={str(match).lower()}",
+              f"scalar={scalar if scalar is not None else 'none'}"],
+             [f"gamma0 = {gamma0} solution reconstructs to {rational} (expected {expected})",
+              f"pointwise scalar over E(GF({job.field.order})): {scalar}"])
+    ok = all(checks)
+    show([f"status={'ok' if ok else 'mismatch'}"], [f"overall: {'ok' if ok else 'MISMATCH'}"])
     return 0 if ok else 1
 
 
@@ -510,6 +486,9 @@ def main(argv=None):
     except InvalidCurveParameters as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 4
+    except FieldTooLarge as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 3
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

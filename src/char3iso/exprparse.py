@@ -11,63 +11,23 @@ Implicit multiplication ("2x") is rejected. Integer literals may be
 arbitrarily large and are reduced mod 3. 't' is the generator of the field
 extension and needs degree >= 2; 'x' is only meaningful when parsing a
 polynomial or rational function. Error offsets are 0-based byte positions.
+
+The parser turns the whole text into postfix steps before anything is
+evaluated, so a syntax error anywhere wins over an error of value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 
-from .errors import GeneratorUnavailable, ParseError, ZeroDenominator
+from .errors import Char3Error, GeneratorUnavailable, ParseError, ZeroDenominator
 from .ratrec import Polynomial, RationalFunction
 
-
-# ---- tokens and AST -----------------------------------------------------
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # INT OP LPAREN RPAREN GEN VAR END
-    text: str
-    pos: int
-
-
-@dataclass(frozen=True)
-class Lit:
-    value: int
-    pos: int
-
-
-@dataclass(frozen=True)
-class Gen:
-    pos: int
-
-
-@dataclass(frozen=True)
-class Var:
-    pos: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-    pos: int
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*', '/'
-    left: object
-    right: object
-    pos: int
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-    pos: int
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _tokenize(text):
+    """(text, offset) pairs; an empty text marks the end of the input."""
     tokens = []
     i = 0
     n = len(text)
@@ -80,33 +40,29 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(_Token("INT", text[i:j], i))
+            tokens.append((text[i:j], i))
             i = j
             continue
-        if ch == "t":
-            tokens.append(_Token("GEN", ch, i))
-        elif ch == "x":
-            tokens.append(_Token("VAR", ch, i))
-        elif ch in "+-*/^":
-            tokens.append(_Token("OP", ch, i))
-        elif ch == "(":
-            tokens.append(_Token("LPAREN", ch, i))
-        elif ch == ")":
-            tokens.append(_Token("RPAREN", ch, i))
-        else:
+        if ch not in "tx+-*/^()":
             raise ParseError(i, f"unexpected character {ch!r}")
+        tokens.append((ch, i))
         i += 1
-    tokens.append(_Token("END", "", n))
+    tokens.append(("", n))
     return tokens
 
 
 class _Parser:
+    """Recursive descent that emits postfix (token, offset) steps: an
+    integer literal, 't', 'x', a binary operator, 'neg' for unary minus
+    or '^n' for a power."""
+
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.steps = []
 
     def peek(self):
-        return self.tokens[self.i]
+        return self.tokens[self.i][0]
 
     def advance(self):
         tok = self.tokens[self.i]
@@ -114,130 +70,102 @@ class _Parser:
         return tok
 
     def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "END":
-            raise ParseError(tok.pos, f"unexpected {tok.text!r}")
-        return node
+        self.expr()
+        text, pos = self.tokens[self.i]
+        if text:
+            raise ParseError(pos, f"unexpected {text!r}")
+        return self.steps
 
     def expr(self):
-        node = self.term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
+        self.term()
+        while self.peek() in ("+", "-"):
             op = self.advance()
-            node = BinOp(op.text, node, self.term(), op.pos)
-        return node
+            self.term()
+            self.steps.append(op)
 
     def term(self):
-        node = self.factor()
-        while self.peek().kind == "OP" and self.peek().text in "*/":
+        self.factor()
+        while self.peek() in ("*", "/"):
             op = self.advance()
-            node = BinOp(op.text, node, self.factor(), op.pos)
-        return node
+            self.factor()
+            self.steps.append(op)
 
     def factor(self):
-        sign = None
-        if self.peek().kind == "OP" and self.peek().text == "-":
-            sign = self.advance()
-        node = self.atom()
-        if self.peek().kind == "OP" and self.peek().text == "^":
-            caret = self.advance()
-            exp_tok = self.peek()
-            if exp_tok.kind != "INT":
-                raise ParseError(exp_tok.pos, "exponent must be an unsigned integer")
-            self.advance()
-            node = Pow(node, int(exp_tok.text), caret.pos)
+        sign = self.advance() if self.peek() == "-" else None
+        self.atom()
+        if self.peek() == "^":
+            _, caret = self.advance()
+            exponent, pos = self.advance()
+            if not exponent.isdigit():
+                raise ParseError(pos, "exponent must be an unsigned integer")
+            self.steps.append(("^" + exponent, caret))
         if sign is not None:
-            node = Neg(node, sign.pos)
-        return node
+            self.steps.append(("neg", sign[1]))
 
     def atom(self):
-        tok = self.advance()
-        if tok.kind == "INT":
-            return Lit(int(tok.text), tok.pos)
-        if tok.kind == "GEN":
-            return Gen(tok.pos)
-        if tok.kind == "VAR":
-            return Var(tok.pos)
-        if tok.kind == "LPAREN":
-            node = self.expr()
-            closing = self.advance()
-            if closing.kind != "RPAREN":
-                raise ParseError(closing.pos, "expected ')'")
-            return node
-        raise ParseError(tok.pos, f"expected a value, found {tok.text or 'end of input'!r}")
+        text, pos = self.advance()
+        if text == "(":
+            self.expr()
+            closing, at = self.advance()
+            if closing != ")":
+                raise ParseError(at, "expected ')'")
+        elif text.isdigit() or text in ("t", "x"):
+            self.steps.append((text, pos))
+        else:
+            raise ParseError(pos, f"expected a value, found {text or 'end of input'!r}")
 
 
-def parse_expression(text):
-    """The raw syntax tree; mostly useful for tests of precedence."""
-    return _Parser(text).parse()
+def _evaluate(steps, field, rational):
+    """Run the postfix steps to a field constant or, when `rational`, a
+    rational function in x.
 
-
-# ---- evaluation ---------------------------------------------------------
-
-def _field_gen(field, pos):
-    if field.degree < 2:
-        raise GeneratorUnavailable(pos, "'t' needs a field extension of degree >= 2")
-    return field.gen
-
-
-def _eval_constant(node, field):
-    if isinstance(node, Lit):
-        return field.from_int(node.value)
-    if isinstance(node, Gen):
-        return _field_gen(field, node.pos)
-    if isinstance(node, Var):
-        raise ParseError(node.pos, "'x' is not allowed in a field constant")
-    if isinstance(node, Neg):
-        return -_eval_constant(node.operand, field)
-    if isinstance(node, Pow):
-        return _eval_constant(node.base, field) ** node.exponent
-    if isinstance(node, BinOp):
-        if node.op == "/":
-            raise ParseError(node.pos, "division is not allowed in a field constant")
-        left = _eval_constant(node.left, field)
-        right = _eval_constant(node.right, field)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _eval_rational(node, field):
-    if isinstance(node, Lit):
-        return RationalFunction.constant(field, node.value)
-    if isinstance(node, Gen):
-        return RationalFunction.constant(field, _field_gen(field, node.pos))
-    if isinstance(node, Var):
-        return RationalFunction.x(field)
-    if isinstance(node, Neg):
-        return -_eval_rational(node.operand, field)
-    if isinstance(node, Pow):
-        return _eval_rational(node.base, field) ** node.exponent
-    if isinstance(node, BinOp):
-        left = _eval_rational(node.left, field)
-        right = _eval_rational(node.right, field)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if right.is_zero:
-            raise ZeroDenominator(f"zero denominator at offset {node.pos}")
-        return left / right
-    raise TypeError(f"unknown node {node!r}")
+    An error is kept on the stack as a value, so the one raised is the one
+    met first in a walk that evaluates left before right and checks a
+    constant's division before its operands."""
+    stack = []
+    for token, pos in steps:
+        if token in _BINARY:
+            right = stack.pop()
+            left = stack.pop()
+            if token == "/" and not rational:
+                value = ParseError(pos, "division is not allowed in a field constant")
+            elif isinstance(left, Char3Error):
+                value = left
+            elif isinstance(right, Char3Error):
+                value = right
+            elif token == "/" and right.is_zero:
+                value = ZeroDenominator(f"zero denominator at offset {pos}")
+            else:
+                value = _BINARY[token](left, right)
+        elif token == "neg" or token[0] == "^":
+            value = stack.pop()
+            if not isinstance(value, Char3Error):
+                value = -value if token == "neg" else value ** int(token[1:])
+        elif token == "x":
+            value = (RationalFunction.x(field) if rational else
+                     ParseError(pos, "'x' is not allowed in a field constant"))
+        else:
+            if token == "t":
+                value = field.gen if field.degree >= 2 else GeneratorUnavailable(
+                    pos, "'t' needs a field extension of degree >= 2")
+            else:
+                value = field.from_int(int(token))
+            if rational and not isinstance(value, Char3Error):
+                value = RationalFunction.constant(field, value)
+        stack.append(value)
+    if isinstance(stack[0], Char3Error):
+        raise stack[0]
+    return stack[0]
 
 
 def parse_field_element(text, field):
     """Evaluate a constant expression (integers, 't', + - * ^, parens)."""
-    return _eval_constant(_Parser(text).parse(), field)
+    return _evaluate(_Parser(text).parse(), field, rational=False)
 
 
 def parse_rational_function(text, field):
     """Evaluate a polynomial or quotient expression in x, in lowest terms."""
-    return _eval_rational(_Parser(text).parse(), field)
+    return _evaluate(_Parser(text).parse(), field, rational=True)
 
 
 def parse_polynomial(text, field):

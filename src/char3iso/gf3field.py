@@ -192,7 +192,7 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(
+        return FieldElement._reduced(
             self.field, tuple((a + b) % 3 for a, b in zip(self.coeffs, other.coeffs))
         )
 
@@ -202,7 +202,7 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(
+        return FieldElement._reduced(
             self.field, tuple((a - b) % 3 for a, b in zip(self.coeffs, other.coeffs))
         )
 
@@ -210,7 +210,7 @@ class FieldElement:
         return (-self) + other
 
     def __neg__(self):
-        return FieldElement(self.field, tuple((-a) % 3 for a in self.coeffs))
+        return FieldElement._reduced(self.field, tuple((-a) % 3 for a in self.coeffs))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -228,7 +228,7 @@ class FieldElement:
             if c:
                 high = self.field._high_powers[i - k]
                 out = [(x + c * h) % 3 for x, h in zip(out, high)]
-        return FieldElement(self.field, out)
+        return FieldElement._reduced(self.field, tuple(out))
 
     __rmul__ = __mul__
 
@@ -298,9 +298,6 @@ class FieldElement:
         if not any(self.coeffs[1:]):
             return hash(self.coeffs[0])
         return hash((self.field.degree, self.field.modulus, self.coeffs))
-
-    def sort_key(self):
-        return self.coeffs
 
     def __str__(self):
         terms = []

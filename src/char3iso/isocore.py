@@ -24,7 +24,7 @@ admissible constant term: the first, verified, and its kernel translates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (
     BadInitial,
@@ -155,32 +155,15 @@ class CompatReport:
     principal_part_ok requires psi to have no coefficients at negative
     exponents nor at exponents not divisible by three; when it holds,
     gamma0_roots lists every solution of t^3 + A t = psi(0) in the field.
-    The remaining fields are closed-form diagnostics filled in from the
-    alpha/beta data when available.
+    beta_minus1 and alpha1 are the coefficients of X^-1 in beta and of X
+    in alpha.
     """
 
     psi0: FieldElement
     principal_part_ok: bool
     gamma0_roots: tuple
-    beta_minus1: FieldElement | None = None
-    alpha1: FieldElement | None = None
-    delta0: FieldElement | None = None
-
-
-@dataclass(frozen=True)
-class ClosedFormConditions:
-    """The closed-form compatibility data for the B = 0 branch analysis.
-
-    Purely diagnostic: construction always gates on the generic principal
-    part and residue check of psi, which subsumes these conditions.
-    """
-
     beta_minus1: FieldElement
     alpha1: FieldElement
-    delta0: FieldElement | None
-    pole_cubic_ok: bool   # c^2 A b^2 - b^3 = 0 for b the X^-1 coefficient
-    pole_cross_ok: bool   # c^2 (b^2 + A a1 b) - A b = 0
-    branch: str           # "beta_zero", "beta_c2A" or "other"
 
 
 class FormalEndomorphism:
@@ -190,21 +173,16 @@ class FormalEndomorphism:
     precision; the y-part of the full map is c * y * eta'(x).
     """
 
-    __slots__ = ("curve", "eta", "c", "gamma0", "prec")
+    __slots__ = ("curve", "eta", "gamma0", "prec")
 
     def __init__(self, curve, eta, gamma0, prec):
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "c", curve.c)
         object.__setattr__(self, "gamma0", gamma0)
         object.__setattr__(self, "prec", prec)
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalEndomorphism is immutable")
-
-    def y_factor_series(self):
-        """c * eta', the series multiplying y in the second coordinate."""
-        return self.eta.derivative() * self.c
 
     def __repr__(self):
         return f"<endomorphism gamma0={self.gamma0} eta={self.eta}>"
@@ -263,8 +241,9 @@ def compute_psi(curve, alpha, beta):
             - alpha * curve.A - beta * curve.A - curve.B)
 
 
-def compatibility_check(curve, psi):
-    """Inspect psi and report whether gamma can exist.
+def compatibility_check(curve, alpha, beta, psi):
+    """Inspect psi = compute_psi(curve, alpha, beta) and report whether
+    gamma can exist.
 
     The check is generic: every known coefficient of psi at a negative
     exponent or at an exponent not divisible by three must vanish, and
@@ -277,37 +256,8 @@ def compatibility_check(curve, psi):
     except PrecisionError:
         raise ValueError("psi carries no constant term at this precision") from None
     roots = solve_additive_cubic(curve.A, psi0) if ok else ()
-    return CompatReport(psi0=psi0, principal_part_ok=ok, gamma0_roots=roots)
-
-
-def closed_form_conditions(curve, alpha, beta):
-    """Closed-form diagnostics from the leading alpha/beta coefficients.
-
-    Extracts b = [X^-1] beta, a1 = [X^1] alpha and (for B = 0) the constant
-    term of alpha/X as delta0, then evaluates the two pole-cancellation
-    identities of the B = 0 analysis. b must be 0 or c^2 A for the pole of
-    psi to cancel; the branch field records which one holds.
-    """
-    b = beta.coefficient(-1)
-    a1 = alpha.coefficient(1)
-    c2 = curve.c * curve.c
-    delta0 = a1 if curve.B.is_zero else None
-    pole_cubic = c2 * curve.A * b * b - b * b * b
-    pole_cross = c2 * (b * b + curve.A * a1 * b) - curve.A * b
-    if b.is_zero:
-        branch = "beta_zero"
-    elif b == c2 * curve.A:
-        branch = "beta_c2A"
-    else:
-        branch = "other"
-    return ClosedFormConditions(
-        beta_minus1=b,
-        alpha1=a1,
-        delta0=delta0,
-        pole_cubic_ok=pole_cubic.is_zero,
-        pole_cross_ok=pole_cross.is_zero,
-        branch=branch,
-    )
+    return CompatReport(psi0=psi0, principal_part_ok=ok, gamma0_roots=roots,
+                        beta_minus1=beta.coefficient(-1), alpha1=alpha.coefficient(1))
 
 
 def solve_gamma(A, psi, gamma0, prec):
@@ -408,14 +358,7 @@ def construct_with_report(curve, seed, prec):
         beta = seed.expand(wp)
         alpha = alpha_from_beta(curve, beta)
     psi = compute_psi(curve, alpha, beta)
-    report = compatibility_check(curve, psi)
-    forms = closed_form_conditions(curve, alpha, beta)
-    report = replace(
-        report,
-        beta_minus1=forms.beta_minus1,
-        alpha1=forms.alpha1,
-        delta0=forms.delta0,
-    )
+    report = compatibility_check(curve, alpha, beta, psi)
     if not report.principal_part_ok:
         raise IncompatibleSeed(
             "psi has coefficients off the regular residue-zero grid", report

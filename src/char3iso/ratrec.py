@@ -72,22 +72,26 @@ class Polynomial:
             return Polynomial(self.field, (other,))
         return None
 
-    def __add__(self, other):
+    def _add(self, other, subtract):
+        """self + other, or self - other, coefficientwise; only other's
+        nonzero coefficients cost a field operation."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [self.field.zero] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [self.field.zero] * (n - len(other.coeffs))
-        return Polynomial(self.field, [x + y for x, y in zip(a, b)])
+        run = list(self.coeffs) + [self.field.zero] * (len(other.coeffs) - len(self.coeffs))
+        op = FieldElement.__sub__ if subtract else FieldElement.__add__
+        for i, c in enumerate(other.coeffs):
+            if c:
+                run[i] = op(run[i], c)
+        return Polynomial(self.field, run)
+
+    def __add__(self, other):
+        return self._add(other, False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -198,23 +202,6 @@ def poly_gcd(a, b):
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
-
-
-def poly_extended_euclid(a, b):
-    """(g, s, t) with g = s*a + t*b and g the monic gcd."""
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd of two zero polynomials")
-    field = a.field
-    r0, r1 = a, b
-    s0, s1 = Polynomial.one(field), Polynomial.zero(field)
-    t0, t1 = Polynomial.zero(field), Polynomial.one(field)
-    while not r1.is_zero:
-        q, rem = divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    lead_inv = r0.leading().inverse()
-    return r0 * lead_inv, s0 * lead_inv, t0 * lead_inv
 
 
 class RationalFunction:
@@ -439,7 +426,8 @@ def pade(series, deg_num_max, deg_den_max):
     # it is certified first and reduced by a gcd only once it has passed.
     if shifted:
         den = Polynomial(field, (field.zero,) + den.coeffs)
-    if not expand_rational(num, den, check_prec).agrees_with(series.truncate(check_prec)):
+    if not expand_rational(num.coeffs, den.coeffs, check_prec).agrees_with(
+            series.truncate(check_prec)):
         return None
     return RationalFunction(num, den)
 

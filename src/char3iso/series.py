@@ -20,8 +20,6 @@ the valuation lower bound in the rules above.
 from __future__ import annotations
 
 import math
-from enum import Enum
-from typing import NamedTuple
 
 from . import kronecker
 from .errors import MixedFields, PrecisionError, ZeroDenominator, ZeroDivisor
@@ -42,23 +40,23 @@ class LaurentSeries:
     __slots__ = ("field", "val", "coeffs", "prec")
 
     def __init__(self, field, val, coeffs, prec):
-        coeffs = list(coeffs)
+        coeffs = tuple(coeffs)
         if prec != INF and not isinstance(prec, int):
             raise TypeError("prec must be an int or INF")
         # drop anything at or beyond prec, then strip zero padding
+        end = len(coeffs)
         if prec != INF and val is not None:
-            keep = max(0, min(len(coeffs), prec - val))
-            coeffs = coeffs[:keep]
-        while coeffs and coeffs[0].is_zero:
-            coeffs.pop(0)
-            val += 1
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        if not coeffs:
-            val = None
+            end = max(0, min(end, prec - val))
+        start = 0
+        while start < end and coeffs[start].is_zero:
+            start += 1
+        while end > start and coeffs[end - 1].is_zero:
+            end -= 1
+        coeffs = coeffs[start:end]
+        val = val + start if coeffs else None
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "val", val)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "prec", prec)
 
     def __setattr__(self, name, value):
@@ -146,27 +144,37 @@ class LaurentSeries:
             return LaurentSeries.constant(self.field, other)
         return None
 
-    def __add__(self, other):
+    def _add(self, other, subtract):
+        """self + other, or self - other, on the runs aligned below the
+        common precision; only other's nonzero coefficients cost a field
+        operation."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         prec = min(self.prec, other.prec)
-        terms = {}
-        for e, c in self.nonzero_terms():
-            if e < prec:
-                terms[e] = c
-        for e, c in other.nonzero_terms():
-            if e < prec:
-                terms[e] = terms.get(e, self.field.zero) + c
-        return LaurentSeries.from_terms(self.field, terms, prec)
+        present = [s for s in (self, other) if s.coeffs]
+        lo = min((s.val for s in present), default=0)
+        hi = min(max((s.val + len(s.coeffs) for s in present), default=0), prec)
+        if hi <= lo:
+            return LaurentSeries.zero(self.field, prec)
+        run = [self.field.zero] * (hi - lo)
+        if self.coeffs:
+            part = self.coeffs[:max(0, hi - self.val)]
+            run[self.val - lo:self.val - lo + len(part)] = part
+        if other.coeffs:
+            op = FieldElement.__sub__ if subtract else FieldElement.__add__
+            for i, c in enumerate(other.coeffs[:max(0, hi - other.val)], other.val - lo):
+                if c:
+                    run[i] = op(run[i], c)
+        return LaurentSeries(self.field, lo, run, prec)
+
+    def __add__(self, other):
+        return self._add(other, False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -301,84 +309,20 @@ class LaurentSeries:
         return f"<series {self}>"
 
 
-class TriSplit(NamedTuple):
-    """The three components of a series by exponent residue mod 3."""
-
-    alpha: LaurentSeries  # exponents = 1 (mod 3)
-    beta: LaurentSeries   # exponents = 2 (mod 3)
-    gamma: LaurentSeries  # exponents = 0 (mod 3)
-
-    def recombined(self):
-        return self.alpha + self.beta + self.gamma
-
-
-class Homogeneity(Enum):
-    """Eigenclass of a series under S -> X S'."""
-
-    V0 = "V0"    # S' = 0
-    V1 = "V1"    # S' = S / X
-    VM1 = "Vm1"  # S' = -S / X
-    MIXED = "mixed"
-
-
-_CLASS_BY_RESIDUE = {0: Homogeneity.V0, 1: Homogeneity.V1, 2: Homogeneity.VM1}
-
-
-def split(s):
-    """Partition a series into its mod-3 exponent components."""
-    buckets = {0: {}, 1: {}, 2: {}}
-    for e, c in s.nonzero_terms():
-        buckets[e % 3][e] = c
-    return TriSplit(
-        alpha=LaurentSeries.from_terms(s.field, buckets[1], s.prec),
-        beta=LaurentSeries.from_terms(s.field, buckets[2], s.prec),
-        gamma=LaurentSeries.from_terms(s.field, buckets[0], s.prec),
-    )
-
-
-def split_by_formula(s):
-    """Same decomposition computed through derivatives.
-
-    With d = S' and e = S'': alpha = X d - X^2 e, beta = -X^2 e and
-    gamma = S - X d - X^2 e. Must agree with split(); kept as an
-    independent cross-check.
-    """
-    d1 = s.derivative().shift(1)
-    d2 = s.derivative().derivative().shift(2)
-    return TriSplit(alpha=d1 - d2, beta=-d2, gamma=s - d1 - d2)
-
-
-def homogeneity_class(s):
-    """Which eigenclass the known coefficients of s lie in."""
-    residues = {e % 3 for e, _ in s.nonzero_terms()}
-    if len(residues) > 1:
-        return Homogeneity.MIXED
-    if not residues:
-        return Homogeneity.V0
-    return _CLASS_BY_RESIDUE[residues.pop()]
-
-
 def in_residue_class(s, residue):
     """True when every known nonzero coefficient sits at exponent = residue (mod 3)."""
     return all(e % 3 == residue for e, _ in s.nonzero_terms())
-
-
-def _coeff_run(poly):
-    return tuple(getattr(poly, "coeffs", poly))
 
 
 def expand_rational(num, den, prec):
     """Laurent expansion of num/den at X = 0 to absolute precision prec.
 
     num and den are polynomials given as coefficient sequences of field
-    elements (lowest degree first); objects with a .coeffs attribute are
-    accepted as-is.
+    elements (lowest degree first).
     """
-    num_c = _coeff_run(num)
-    den_c = _coeff_run(den)
-    if not den_c or all(c.is_zero for c in den_c):
+    if not den or all(c.is_zero for c in den):
         raise ZeroDenominator("expansion denominator is zero")
-    field = den_c[0].field
-    a = LaurentSeries.from_coeffs(field, 0, num_c, INF)
-    b = LaurentSeries.from_coeffs(field, 0, den_c, INF)
+    field = den[0].field
+    a = LaurentSeries.from_coeffs(field, 0, num, INF)
+    b = LaurentSeries.from_coeffs(field, 0, den, INF)
     return a.divide(b, prec=prec)

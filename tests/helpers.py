@@ -8,29 +8,28 @@ arithmetic instead, which is itself checked against oracle_mul.
 
 import itertools
 from dataclasses import dataclass
+from enum import Enum
+from typing import NamedTuple
 
 from char3iso import (
-    INF,
+    FieldElement,
     IncompatibleSeed,
     LaurentSeries,
-    Point,
     PointNotOnCurve,
-    Polynomial,
     RationalFunction,
-    on_curve,
-    p_add,
-    p_double,
-    p_neg,
-    solve_gamma,
     verify_functional_equation,
 )
+from char3iso.curve import Point, on_curve, p_add, p_double, p_neg
 from char3iso.isocore import (
     GUARD_PRECISION,
     alpha_from_beta,
     beta_from_alpha,
     compatibility_check,
     compute_psi,
+    solve_gamma,
 )
+from char3iso.ratrec import Polynomial
+from char3iso.series import INF
 
 
 def random_series(rng, field, val_lo=-6, val_hi=6, max_len=12, prec_extra=4):
@@ -377,7 +376,7 @@ def construct_per_root(curve, seed, prec):
         beta = seed.expand(wp)
         alpha = alpha_from_beta(curve, beta)
     psi = compute_psi(curve, alpha, beta)
-    report = compatibility_check(curve, psi)
+    report = compatibility_check(curve, alpha, beta, psi)
     if not (report.principal_part_ok and report.gamma0_roots):
         raise IncompatibleSeed("no solution", report)
     out = []
@@ -388,3 +387,123 @@ def construct_per_root(curve, seed, prec):
         assert check_cubic_membership(curve, alpha, beta, gamma).ok
         out.append((gamma0, eta.truncate(prec)))
     return out
+
+
+# ---- exponent-residue splitting, two ways ---------------------------------
+
+class TriSplit(NamedTuple):
+    """The three components of a series by exponent residue mod 3."""
+
+    alpha: LaurentSeries  # exponents = 1 (mod 3)
+    beta: LaurentSeries   # exponents = 2 (mod 3)
+    gamma: LaurentSeries  # exponents = 0 (mod 3)
+
+    def recombined(self):
+        return self.alpha + self.beta + self.gamma
+
+
+def split(s):
+    """Partition a series into its mod-3 exponent components."""
+    buckets = {0: {}, 1: {}, 2: {}}
+    for e, c in s.nonzero_terms():
+        buckets[e % 3][e] = c
+    return TriSplit(
+        alpha=LaurentSeries.from_terms(s.field, buckets[1], s.prec),
+        beta=LaurentSeries.from_terms(s.field, buckets[2], s.prec),
+        gamma=LaurentSeries.from_terms(s.field, buckets[0], s.prec),
+    )
+
+
+def split_by_formula(s):
+    """Same decomposition computed through derivatives.
+
+    With d = S' and e = S'': alpha = X d - X^2 e, beta = -X^2 e and
+    gamma = S - X d - X^2 e. Must agree with split(), which builds the
+    parts from nonzero_terms and from_terms instead of the library's
+    derivative, shift and subtraction.
+    """
+    d1 = s.derivative().shift(1)
+    d2 = s.derivative().derivative().shift(2)
+    return TriSplit(alpha=d1 - d2, beta=-d2, gamma=s - d1 - d2)
+
+
+class Homogeneity(Enum):
+    """Eigenclass of a series under S -> X S'."""
+
+    V0 = "V0"    # S' = 0
+    V1 = "V1"    # S' = S / X
+    VM1 = "Vm1"  # S' = -S / X
+    MIXED = "mixed"
+
+
+def homogeneity_class(s):
+    """Which eigenclass the known coefficients of s lie in."""
+    residues = {e % 3 for e, _ in s.nonzero_terms()}
+    if len(residues) > 1:
+        return Homogeneity.MIXED
+    if not residues:
+        return Homogeneity.V0
+    return (Homogeneity.V0, Homogeneity.V1, Homogeneity.VM1)[residues.pop()]
+
+
+# ---- extended Euclid over GF(3^k)[x] ---------------------------------------
+
+def poly_extended_euclid(a, b):
+    """(g, s, t) with g = s*a + t*b and g the monic gcd."""
+    if a.is_zero and b.is_zero:
+        raise ValueError("gcd of two zero polynomials")
+    field = a.field
+    r0, r1 = a, b
+    s0, s1 = Polynomial.one(field), Polynomial.zero(field)
+    t0, t1 = Polynomial.zero(field), Polynomial.one(field)
+    while not r1.is_zero:
+        q, rem = divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    lead_inv = r0.leading().inverse()
+    return r0 * lead_inv, s0 * lead_inv, t0 * lead_inv
+
+
+# ---- the closed-form pole analysis of the B = 0 branch -----------------------
+
+@dataclass(frozen=True)
+class ClosedFormConditions:
+    """The closed-form compatibility data for the B = 0 branch analysis."""
+
+    beta_minus1: FieldElement
+    alpha1: FieldElement
+    delta0: FieldElement | None
+    pole_cubic_ok: bool   # c^2 A b^2 - b^3 = 0 for b the X^-1 coefficient
+    pole_cross_ok: bool   # c^2 (b^2 + A a1 b) - A b = 0
+    branch: str           # "beta_zero", "beta_c2A" or "other"
+
+
+def closed_form_conditions(curve, alpha, beta):
+    """Closed-form diagnostics from the leading alpha/beta coefficients.
+
+    Extracts b = [X^-1] beta, a1 = [X^1] alpha and (for B = 0) the constant
+    term of alpha/X as delta0, then evaluates the two pole-cancellation
+    identities of the B = 0 analysis. b must be 0 or c^2 A for the pole of
+    psi to cancel; the branch field records which one holds.
+    """
+    b = beta.coefficient(-1)
+    a1 = alpha.coefficient(1)
+    c2 = curve.c * curve.c
+    delta0 = a1 if curve.B.is_zero else None
+    pole_cubic = c2 * curve.A * b * b - b * b * b
+    pole_cross = c2 * (b * b + curve.A * a1 * b) - curve.A * b
+    if b.is_zero:
+        branch = "beta_zero"
+    elif b == c2 * curve.A:
+        branch = "beta_c2A"
+    else:
+        branch = "other"
+    return ClosedFormConditions(
+        beta_minus1=b,
+        alpha1=a1,
+        delta0=delta0,
+        pole_cubic_ok=pole_cubic.is_zero,
+        pole_cross_ok=pole_cross.is_zero,
+        branch=branch,
+    )

@@ -14,29 +14,29 @@ from char3iso import (
     LaurentSeries,
     NonRegularPsi,
     IncompatibleSeed,
-    Polynomial,
     RationalFunction,
     Seed,
-    apply_map,
     check_map,
     construct,
     construct_with_report,
     derive_map_pair,
-    enumerate_points,
     identify_scalar,
-    on_curve,
-    p_add,
     pade,
     parse_rational_function,
-    solve_additive_cubic,
-    solve_gamma,
-    split,
-    split_by_formula,
     verify_functional_equation,
 )
-from char3iso.isocore import compatibility_check, compute_psi, beta_from_alpha
+from char3iso.curve import apply_map, enumerate_points, on_curve, p_add
+from char3iso.gf3field import solve_additive_cubic
+from char3iso.isocore import beta_from_alpha, compatibility_check, compute_psi, solve_gamma
+from char3iso.ratrec import Polynomial
 
-from helpers import check_cubic_membership, random_rational, random_series
+from helpers import (
+    check_cubic_membership,
+    random_rational,
+    random_series,
+    split,
+    split_by_formula,
+)
 
 
 def check(criterion, description, condition):
@@ -107,8 +107,8 @@ def test_criterion_4_unit_curve_discrepancy():
     # survives and the translated candidates fail the defining equation.
     curve = CurveParams(F3, A=1, B=1, c=1)
     alpha = Seed.alpha(parse_rational_function("x", F3)).expand(40)
-    psi = compute_psi(curve, alpha, beta_from_alpha(curve, alpha))
-    report = compatibility_check(curve, psi)
+    beta = beta_from_alpha(curve, alpha)
+    report = compatibility_check(curve, alpha, beta, compute_psi(curve, alpha, beta))
     ok = {e.coeffs[0] for e in report.gamma0_roots} == {0}
     sols = construct(curve, Seed.alpha(parse_rational_function("x", F3)), 64)
     ok = ok and len(sols) == 1 and pade(sols[0].eta, 3, 3) == \
@@ -170,7 +170,7 @@ def test_criterion_7b_cube_is_triple_product():
 
 
 def test_criterion_7c_alpha_beta_round_trip():
-    from char3iso import alpha_from_beta
+    from char3iso.isocore import alpha_from_beta
     rng = random.Random(70003)
     ok = True
     for _ in range(500):

@@ -228,6 +228,23 @@ def test_identify_translation_by_two_torsion(capsys):
     assert pairs["scalar"] == "none"
 
 
+def test_identify_field_above_the_enumeration_cap_exits_3(capsys):
+    code, out, err = run(capsys, "identify", "--field", "3^11", "--modulus", "t^11+t^2+2",
+                         "--A", "1", "--fx", "x", "--fy-factor", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "usage error: field order 177147 exceeds 59049\n"
+
+
+@pytest.mark.parametrize("max_scalar", ["0", "-5"])
+def test_identify_max_scalar_below_one_exits_3(capsys, max_scalar):
+    code, out, err = run(capsys, "identify", "--A", "1", "--fx", "x", "--fy-factor", "1",
+                         f"--max-scalar={max_scalar}")
+    assert code == 3
+    assert out == ""
+    assert err == "parse error: at offset 0: max-scalar must be at least 1\n"
+
+
 # The parent of the single-pass check wrote these, on the benchmark's
 # identify-mul2 job: the doubling map on the 244 points of GF(3^5).
 IDENTIFY_MUL2 = [
@@ -270,6 +287,14 @@ def test_example_golden_transcripts(capsys, n):
     assert code == 0
     expected = (DATA / f"example{n}.records.txt").read_text()
     assert out == expected
+
+
+# Written by the per-example branches that the table of examples replaced.
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_example_text_transcripts(capsys, n):
+    code, out, _ = run(capsys, "example", str(n))
+    assert code == 0
+    assert out == (DATA / f"example{n}.text.txt").read_text()
 
 
 # Transcripts written by the schoolbook coefficient loops, before the

@@ -7,18 +7,20 @@ from char3iso import (
     CurveParams,
     FieldParams,
     FieldTooLarge,
-    Point,
     PointNotOnCurve,
-    apply_map,
     check_map,
     derive_map_pair,
-    enumerate_points,
     identify_scalar,
+    parse_rational_function,
+)
+from char3iso.curve import (
+    Point,
+    apply_map,
+    enumerate_points,
     on_curve,
     p_add,
     p_double,
     p_neg,
-    parse_rational_function,
 )
 
 from helpers import enumerate_points_by_scan, enumerate_points_by_sqrt, scalar_mul
@@ -286,7 +288,8 @@ def test_reconstructed_solutions_map_points_onto_curve(f3, f9):
     # to every rational point must land back on the curve
     import random
 
-    from char3iso import IncompatibleSeed, Polynomial, RationalFunction, Seed
+    from char3iso import IncompatibleSeed, RationalFunction, Seed
+    from char3iso.ratrec import Polynomial
     from char3iso import construct, pade
 
     rng = random.Random(91125)

@@ -5,13 +5,11 @@ import pytest
 from char3iso import (
     GeneratorUnavailable,
     ParseError,
-    Polynomial,
     ZeroDenominator,
-    parse_field_element,
-    parse_polynomial,
     parse_rational_function,
 )
-from char3iso.exprparse import BinOp, Lit, Neg, Pow, Var, parse_expression
+from char3iso.exprparse import parse_field_element, parse_polynomial
+from char3iso.ratrec import Polynomial
 
 from helpers import random_rational
 
@@ -78,20 +76,43 @@ def test_polynomial_rejects_quotient(f3):
 # ---- grammar details -----------------------------------------------------------
 
 
-def test_precedence_ast():
-    ast = parse_expression("1+2*3^2")
-    assert isinstance(ast, BinOp) and ast.op == "+"
-    assert ast.left == Lit(1, 0)
-    assert isinstance(ast.right, BinOp) and ast.right.op == "*"
-    assert isinstance(ast.right.right, Pow)
-    assert ast.right.right.exponent == 2
+def test_precedence_ast(f3):
+    # (1+2)*x^2 would be 0 and 1+(2*x)^2 would be x^2+1
+    assert str(parse_rational_function("1+2*x^2", f3)) == "2*x^2+1"
 
 
-def test_unary_minus_binds_after_power():
-    ast = parse_expression("-x^2")
-    assert isinstance(ast, Neg)
-    assert isinstance(ast.operand, Pow)
-    assert isinstance(ast.operand.base, Var)
+def test_unary_minus_binds_after_power(f3):
+    # (-x)^2 would be x^2
+    assert str(parse_rational_function("-x^2", f3)) == "2*x^2"
+
+
+def test_syntax_error_wins_over_value_error(f3):
+    # 't' over GF(3) and the zero denominator come before the stray ')'
+    with pytest.raises(ParseError) as err:
+        parse_rational_function("t+)", f3)
+    assert type(err.value) is ParseError and err.value.offset == 2
+    with pytest.raises(ParseError) as err:
+        parse_rational_function("1/(x-x))", f3)
+    assert type(err.value) is ParseError and err.value.offset == 7
+
+
+@pytest.mark.parametrize("text, rational, error, offset", [
+    # a constant's division is rejected before its operands are looked at
+    ("x/1", False, ParseError, 1),
+    ("(1/2)/x", False, ParseError, 5),
+    # otherwise the left operand's error comes first
+    ("x+1/2", False, ParseError, 0),
+    ("t/(x-x)", True, GeneratorUnavailable, 0),
+    ("1/(x-x)+t", True, ZeroDenominator, None),
+])
+def test_first_value_error_in_evaluation_order(f3, text, rational, error, offset):
+    parse = parse_rational_function if rational else parse_field_element
+    with pytest.raises(error) as err:
+        parse(text, f3)
+    assert type(err.value) is error
+    assert getattr(err.value, "offset", None) == offset
+    if error is ZeroDenominator:
+        assert str(err.value) == "zero denominator at offset 1"
 
 
 def test_minus_both_unary_and_binary(f3):

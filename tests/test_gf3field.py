@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from char3iso import FieldParams, MixedFields, solve_additive_cubic
-from char3iso.gf3field import DEFAULT_MODULI, _is_irreducible_f3
+from char3iso import FieldParams, MixedFields
+from char3iso.gf3field import DEFAULT_MODULI, _is_irreducible_f3, solve_additive_cubic
 
 from helpers import is_irreducible_trial, oracle_add, oracle_mul, sqrt
 

@@ -9,7 +9,6 @@ import pytest
 
 import char3iso
 from char3iso import (
-    INF,
     BadInitial,
     CurveParams,
     IncompatibleSeed,
@@ -18,25 +17,30 @@ from char3iso import (
     NonRegularPsi,
     Seed,
     SeedError,
-    alpha_from_beta,
-    beta_from_alpha,
-    closed_form_conditions,
-    compatibility_check,
-    compute_psi,
     construct,
-    in_residue_class,
+    construct_with_report,
     parse_rational_function,
-    solve_additive_cubic,
-    solve_gamma,
-    split,
     verify_functional_equation,
 )
-from char3iso.cli import _EXAMPLES, _rational_forms
-from char3iso.exprparse import parse_field_element
+from char3iso.gf3field import solve_additive_cubic
+from char3iso.isocore import (
+    alpha_from_beta,
+    beta_from_alpha,
+    compatibility_check,
+    compute_psi,
+    solve_gamma,
+)
+from char3iso.cli import _EXAMPLES, _example_job, _rational_forms
 from char3iso.gf3field import FieldParams
 from char3iso.ratrec import pade
+from char3iso.series import INF, in_residue_class
 
-from helpers import check_cubic_membership, construct_per_root
+from helpers import (
+    check_cubic_membership,
+    closed_form_conditions,
+    construct_per_root,
+    split,
+)
 
 
 def S(field, terms, prec=INF):
@@ -192,22 +196,43 @@ def test_psi_residue_class_for_nonzero_b(f3, f9):
 
 def test_compatibility_roots_golden(curve_am1b0, curve_a1b1, f3):
     zero_psi = LaurentSeries.zero(f3, 30)
-    rep = compatibility_check(curve_am1b0, zero_psi)
+    rep = compatibility_check(curve_am1b0, zero_psi, zero_psi, zero_psi)
     assert rep.principal_part_ok
     assert {e.coeffs[0] for e in rep.gamma0_roots} == {0, 1, 2}
-    rep = compatibility_check(curve_a1b1, zero_psi)
+    rep = compatibility_check(curve_a1b1, zero_psi, zero_psi, zero_psi)
     assert {e.coeffs[0] for e in rep.gamma0_roots} == {0}
 
 
 def test_compatibility_principal_part(curve_a1b1, f3):
-    rep = compatibility_check(curve_a1b1, S(f3, {-3: 1}, 30))
+    zero = LaurentSeries.zero(f3, 30)
+    rep = compatibility_check(curve_a1b1, zero, zero, S(f3, {-3: 1}, 30))
     assert not rep.principal_part_ok
     assert rep.gamma0_roots == ()
 
 
 def test_compatibility_wrong_residue(curve_a1b1, f3):
-    rep = compatibility_check(curve_a1b1, S(f3, {1: 1}, 30))
+    zero = LaurentSeries.zero(f3, 30)
+    rep = compatibility_check(curve_a1b1, zero, zero, S(f3, {1: 1}, 30))
     assert not rep.principal_part_ok
+
+
+# On y^2 = x^3 + 2x + B over GF(3), c = 1, the linear relation gives the
+# partner by hand: alpha = 2x+x^4 and B = 0 give beta = 1/x + x^2; beta = x^2
+# and B = 1 give alpha = 2x - 2x^4; beta = -1/x and B = 0 give alpha = 0.
+@pytest.mark.parametrize("B, kind, text, beta_minus1, alpha1", [
+    (0, "beta", "-1/x", 2, 0),
+    (0, "alpha", "2*x+x^4", 1, 2),
+    (1, "alpha", "2*x+x^4", 0, 2),
+    (1, "beta", "x^2", 0, 2),
+])
+def test_report_carries_the_x_minus_1_and_x_coefficients(f3, B, kind, text, beta_minus1, alpha1):
+    curve = CurveParams(f3, A=2, B=B, c=1)
+    seed = Seed(kind, parse_rational_function(text, f3))
+    try:
+        report, _ = construct_with_report(curve, seed, 32)
+    except IncompatibleSeed as exc:
+        report = exc.report
+    assert (report.beta_minus1, report.alpha1) == (f3.from_int(beta_minus1), f3.from_int(alpha1))
 
 
 # ---- closed-form diagnostics ------------------------------------------------------
@@ -268,7 +293,7 @@ def test_closed_forms_dichotomy_when_b_zero_succeeds(f3, f9):
             seed_series = S(field, terms, 28)
             beta, alpha = seed_series, alpha_from_beta(curve, seed_series)
         psi = compute_psi(curve, alpha, beta)
-        report = compatibility_check(curve, psi)
+        report = compatibility_check(curve, alpha, beta, psi)
         forms = closed_form_conditions(curve, alpha, beta)
         if report.principal_part_ok:
             succeeded += 1
@@ -511,7 +536,8 @@ def test_construct_random_seeds_all_verified(f3, f9):
 
 
 def _poly_rational(field, terms):
-    from char3iso import Polynomial, RationalFunction
+    from char3iso import RationalFunction
+    from char3iso.ratrec import Polynomial
     size = max(terms) + 1 if terms else 1
     coeffs = [0] * size
     for e, v in terms.items():
@@ -545,13 +571,9 @@ def _equivalence_cases():
                                 B=rng.choice([field.zero, rng.choice(nonzero)]),
                                 c=rng.choice(nonzero))
             yield curve, _random_seed(rng, field, curve), rng.choice((16, 24, 40))
-    for cfg in _EXAMPLES.values():
-        field = FieldParams(int(cfg["field"][2:]))
-        curve = CurveParams(field, *(parse_field_element(cfg[key], field)
-                                     for key in ("A", "B", "c")))
-        kind, text = cfg["seed"]
-        source = parse_rational_function(text, field)
-        yield curve, Seed(kind, source), cfg["prec"]
+    for n in _EXAMPLES:
+        job, seed = _example_job(n)
+        yield job.curve, seed, job.prec
     f9 = FieldParams(2)
     yield (CurveParams(f9, A=1, B=1, c=1),
            Seed.alpha(parse_rational_function("x^7+x^4+x", f9)), 64)

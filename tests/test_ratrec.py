@@ -6,22 +6,25 @@ from char3iso import (
     CurveParams,
     InsufficientPrecision,
     LaurentSeries,
-    Polynomial,
     RationalFunction,
     Seed,
     ZeroDenominator,
     construct,
     derive_map_pair,
     pade,
-    parse_polynomial,
     parse_rational_function,
-    poly_extended_euclid,
-    poly_gcd,
-    solve_gamma,
 )
 from char3iso import ratrec
+from char3iso.exprparse import parse_polynomial
+from char3iso.isocore import solve_gamma
+from char3iso.ratrec import Polynomial, poly_gcd
 
-from helpers import pade_normalising_first, random_polynomial, random_rational
+from helpers import (
+    pade_normalising_first,
+    poly_extended_euclid,
+    random_polynomial,
+    random_rational,
+)
 
 
 # ---- polynomials ---------------------------------------------------------

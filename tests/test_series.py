@@ -3,20 +3,22 @@ import random
 import pytest
 
 from char3iso import (
-    INF,
-    Homogeneity,
     LaurentSeries,
     MixedFields,
     PrecisionError,
     ZeroDenominator,
     ZeroDivisor,
-    expand_rational,
+)
+from char3iso.series import INF, expand_rational
+
+from helpers import (
+    Homogeneity,
     homogeneity_class,
+    oracle_expand,
+    random_series,
     split,
     split_by_formula,
 )
-
-from helpers import oracle_expand, random_series
 
 
 def S(field, terms, prec=INF):
