@@ -7,10 +7,11 @@ Grammar (whitespace between tokens is ignored):
     factor := '-'? atom ('^' UINT)?
     atom   := UINT | 't' | 'x' | '(' expr ')'
 
-Implicit multiplication ("2x") is rejected. Integer literals may be
-arbitrarily large and are reduced mod 3. 't' is the generator of the field
-extension and needs degree >= 2; 'x' is only meaningful when parsing a
-polynomial or rational function. Error offsets are 0-based byte positions.
+Implicit multiplication ("2x") is rejected. An integer literal (UINT) is a
+run of the ASCII digits 0-9; it may be arbitrarily large and is reduced
+mod 3. 't' is the generator of the field extension and needs degree >= 2;
+'x' is only meaningful when parsing a polynomial or rational function.
+Error offsets are 0-based byte positions.
 
 The parser turns the whole text into postfix steps before anything is
 evaluated, so a syntax error anywhere wins over an error of value.
@@ -26,6 +27,12 @@ from .ratrec import Polynomial, RationalFunction
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
+def _is_uint(text):
+    """A run of ASCII digits: str.isdigit alone also takes '²', which int()
+    rejects, and '١', which int() reads as 1."""
+    return text.isascii() and text.isdigit()
+
+
 def _tokenize(text):
     """(text, offset) pairs; an empty text marks the end of the input."""
     tokens = []
@@ -36,9 +43,9 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if _is_uint(ch):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and _is_uint(text[j]):
                 j += 1
             tokens.append((text[i:j], i))
             i = j
@@ -96,7 +103,7 @@ class _Parser:
         if self.peek() == "^":
             _, caret = self.advance()
             exponent, pos = self.advance()
-            if not exponent.isdigit():
+            if not _is_uint(exponent):
                 raise ParseError(pos, "exponent must be an unsigned integer")
             self.steps.append(("^" + exponent, caret))
         if sign is not None:
@@ -109,7 +116,7 @@ class _Parser:
             closing, at = self.advance()
             if closing != ")":
                 raise ParseError(at, "expected ')'")
-        elif text.isdigit() or text in ("t", "x"):
+        elif _is_uint(text) or text in ("t", "x"):
             self.steps.append((text, pos))
         else:
             raise ParseError(pos, f"expected a value, found {text or 'end of input'!r}")

@@ -2,15 +2,23 @@
 
 Elements are coefficient vectors over F3 reduced modulo a monic irreducible
 polynomial. Everything is exact and immutable; operations are pure.
+
+An element packs its k digits one per byte into a Python int (the t^j digit
+is byte j). Since 256 = 1 (mod 3), each operation is a few big-int steps and
+one bytes.translate that reduces every byte mod 3, with no loop over digits.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from .errors import MixedFields
 
 CHAR = 3
+
+_MOD3 = bytes(v % 3 for v in range(256))
 
 # First monic irreducible polynomial of each degree over F3, counting the
 # non-leading coefficient vector (c0, c1, ...) in ascending base-3 numeric
@@ -116,24 +124,28 @@ class FieldParams:
                 cur = [(x + lead * h) % 3 for x, h in zip(cur, high[0])]
             high.append(tuple(cur))
         self._high_powers = tuple(high)
-        self.zero = FieldElement(self, (0,) * degree)
-        self.one = FieldElement(self, (1,) + (0,) * (degree - 1))
-        if degree >= 2:
-            self.gen = FieldElement(self, (0, 1) + (0,) * (degree - 2))
-        else:
-            self.gen = None
+        self.zero = FieldElement._from_packed(self, 0)
+        self.one = FieldElement._from_packed(self, 1)
+        self.gen = FieldElement._from_packed(self, 256) if degree >= 2 else None
+
+    @functools.cached_property
+    def _tables(self):
+        """The byte width of a product slot (k products of digits of at most
+        2 sum to 4k) and _high_powers as packed ints, for FieldElement.__mul__."""
+        return ((4 * self.degree).bit_length() + 7) // 8, tuple(
+            int.from_bytes(bytes(h), "little") for h in self._high_powers)
 
     def element(self, coeffs):
         return FieldElement(self, coeffs)
 
     def from_int(self, n):
         """The integer n reduced mod 3 as a field constant."""
-        return FieldElement(self, (n % 3,) + (0,) * (self.degree - 1))
+        return FieldElement._from_packed(self, n % 3)
 
     def elements(self):
         """All field elements in ascending coefficient order."""
         for coeffs in itertools.product(range(3), repeat=self.degree):
-            yield FieldElement(self, coeffs)
+            yield FieldElement._from_packed(self, int.from_bytes(bytes(coeffs), "little"))
 
     def __eq__(self, other):
         if not isinstance(other, FieldParams):
@@ -148,33 +160,38 @@ class FieldParams:
 
 
 class FieldElement:
-    """An element of GF(3^k); coordinates in the polynomial basis 1, t, t^2, ..."""
+    """An element of GF(3^k); coordinates in the polynomial basis 1, t, t^2, ...
+    packed one digit per byte into the int `packed`."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "packed")
 
     def __init__(self, field, coeffs):
-        coeffs = tuple(int(c) % 3 for c in coeffs)
-        if len(coeffs) != field.degree:
+        digits = bytes(int(c) % 3 for c in coeffs)
+        if len(digits) != field.degree:
             raise ValueError(
-                f"expected {field.degree} coordinates, got {len(coeffs)}"
+                f"expected {field.degree} coordinates, got {len(digits)}"
             )
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "packed", int.from_bytes(digits, "little"))
 
     @staticmethod
-    def _reduced(field, coeffs):
-        """Element from a tuple of field.degree ints already in {0, 1, 2}."""
+    def _from_packed(field, packed):
+        """Element from an int whose bytes are field.degree digits in {0, 1, 2}."""
         element = _new_element(FieldElement)
         _set_field(element, field)
-        _set_coeffs(element, coeffs)
+        _set_packed(element, packed)
         return element
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
+    @property
+    def coeffs(self):
+        return tuple(self.packed.to_bytes(self.field.degree, "little"))
+
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise MixedFields(f"{self.field!r} vs {other.field!r}")
             return other
         if isinstance(other, int):
@@ -183,18 +200,16 @@ class FieldElement:
 
     @property
     def is_zero(self):
-        return not any(self.coeffs)
+        return not self.packed
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.packed)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement._reduced(
-            self.field, tuple((a + b) % 3 for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return _from_packed(self.field, _reduce(self.packed + other.packed, self.field.degree))
 
     __radd__ = __add__
 
@@ -202,33 +217,34 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement._reduced(
-            self.field, tuple((a - b) % 3 for a, b in zip(self.coeffs, other.coeffs))
-        )
+        # -b = 2b (mod 3)
+        return _from_packed(self.field, _reduce(self.packed + 2 * other.packed, self.field.degree))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return FieldElement._reduced(self.field, tuple((-a) % 3 for a in self.coeffs))
+        return _from_packed(self.field, _reduce(2 * self.packed, self.field.degree))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        k = self.field.degree
-        conv = [0] * (2 * k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    conv[i + j] += a * b
-        out = [c % 3 for c in conv[:k]]
-        for i in range(k, 2 * k - 1):
-            c = conv[i] % 3
-            if c:
-                high = self.field._high_powers[i - k]
-                out = [(x + c * h) % 3 for x, h in zip(out, high)]
-        return FieldElement._reduced(self.field, tuple(out))
+        field = self.field
+        k = field.degree
+        width, high = field._tables
+        if width == 1:
+            digits = (self.packed * other.packed).to_bytes(2 * k - 1, "little").translate(_MOD3)
+        else:  # 256 = 1 (mod 3), so a slot is its bytes' sum mod 3
+            slots = _spread(self.packed, k, width) * _spread(other.packed, k, width)
+            slots = slots.to_bytes((2 * k - 1) * width, "little").translate(_MOD3)
+            total = sum(int.from_bytes(slots[i::width], "little") for i in range(width))
+            digits = total.to_bytes(2 * k - 1, "little").translate(_MOD3)
+        # fold t^k .. t^(2k-2) back: 2 + 63 terms of at most 4 stay below 256
+        acc = int.from_bytes(digits[:k], "little")
+        for i in range(k, 2 * k - 1, 63):
+            acc = _reduce(sum(map(operator.mul, digits[i:i + 63], high[i - k:i - k + 63]), acc), k)
+        return _from_packed(field, acc)
 
     __rmul__ = __mul__
 
@@ -246,24 +262,25 @@ class FieldElement:
 
     def inverse(self):
         """The extended Euclidean algorithm over F3[t] on the modulus and
-        the coefficients: it keeps s with s * self = r (mod modulus) and
-        stops at a constant r, a unit of F3 and so its own inverse."""
-        if self.is_zero:
+        the digits, one leading digit at a time: it keeps s with
+        s * self = r (mod modulus) and stops at a constant r, a unit of F3
+        and so its own inverse."""
+        if not self.packed:
             raise ZeroDivisionError("inverse of zero field element")
-        r_prev, r = list(self.field.modulus), _trim(self.coeffs)
-        s_prev, s = [], [1]
-        while len(r) > 1:
-            q, rem = _poly_divmod_f3(r_prev, r)
-            r_prev, r = r, rem
-            qs = [0] * (len(q) + len(s) - 1)
-            for i, a in enumerate(q):
-                for j, b in enumerate(s):
-                    qs[i + j] += a * b
-            s_prev, s = s, [(x - y) % 3 for x, y in
-                            itertools.zip_longest(s_prev, qs, fillvalue=0)]
-        # deg s < deg modulus, so s has at most k coefficients
-        coeffs = [(r[0] * c) % 3 for c in s] + [0] * (self.field.degree - len(s))
-        return FieldElement._reduced(self.field, tuple(coeffs))
+        field = self.field
+        n = field.degree + 1
+        r_prev = int.from_bytes(bytes(field.modulus), "little")
+        r, s_prev, s = self.packed, 0, 1
+        while r > 2:
+            top = (r.bit_length() - 1) // 8
+            lead = r >> 8 * top
+            while r_prev.bit_length() > 8 * top:  # r_prev -= c * t^shift * r
+                d = (r_prev.bit_length() - 1) // 8
+                c, shift = 3 - (r_prev >> 8 * d) * lead % 3, 8 * (d - top)
+                r_prev = _reduce(r_prev + (c * r << shift), n)
+                s_prev = _reduce(s_prev + (c * s << shift), n)
+            r_prev, r, s_prev, s = r, r_prev, s, s_prev
+        return _from_packed(field, _reduce(r * s, n))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -286,38 +303,41 @@ class FieldElement:
     def __eq__(self, other):
         # an int equals an element only where their hashes agree: 0, 1, 2
         if isinstance(other, int):
-            if not 0 <= other <= 2:
-                return False
-            other = self.field.from_int(other)
+            return 0 <= other <= 2 and self.packed == other
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.packed == other.packed and (
+            self.field is other.field or self.field == other.field)
 
     def __hash__(self):
-        # an element of the prime field equals its int, so it hashes like one
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash((self.field.degree, self.field.modulus, self.coeffs))
+        # an element of the prime field is packed as its int, so it hashes like one
+        return hash(self.packed)
 
     def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = "t" if i == 1 else f"t^{i}"
-                terms.append(var if c == 1 else f"{c}*{var}")
-        return "+".join(terms) if terms else "0"
+        terms = [str(c) if i == 0 else ("" if c == 1 else f"{c}*") + ("t" if i == 1 else f"t^{i}")
+                 for i, c in enumerate(self.coeffs) if c]
+        return "+".join(terms) or "0"
 
     def __repr__(self):
         return f"<GF(3^{self.field.degree}): {self}>"
 
 
+def _reduce(value, n):
+    """Each of the n bytes of value reduced mod 3."""
+    return int.from_bytes(value.to_bytes(n, "little").translate(_MOD3), "little")
+
+
+def _spread(packed, k, width):
+    """The k digits of packed moved to slots of width bytes."""
+    buf = bytearray(k * width)
+    buf[::width] = packed.to_bytes(k, "little")
+    return int.from_bytes(buf, "little")
+
+
 _new_element = object.__new__
 _set_field = FieldElement.field.__set__
-_set_coeffs = FieldElement.coeffs.__set__
+_set_packed = FieldElement.packed.__set__
+_from_packed = FieldElement._from_packed
 
 
 def solve_additive_cubic(a_coeff, rhs):

@@ -24,12 +24,13 @@ and series quotients at working precision on the other.
 
 from __future__ import annotations
 
-from .gf3field import FieldElement
+import struct
+
+from .gf3field import _MOD3, FieldElement
 
 # Classical division below this many quotient-by-divisor coefficient pairs.
 CLASSICAL_WORK = 16
 
-_MOD3 = bytes(v % 3 for v in range(256))
 _NEG = bytes((-v) % 3 for v in range(256))
 
 
@@ -42,8 +43,7 @@ def mul(a, b, n=None):
     n = full if n is None else min(n, full)
     if n <= 0:
         return []
-    field = a[0].field
-    ca = _columns(a[:n])
+    field, ca = a[0].field, _columns(a[:n])
     cb = ca if b is a else _columns(b[:n])
     return _elements(field, _mul_cols(field, ca, cb, n))
 
@@ -54,10 +54,9 @@ def inverse(b, n):
         raise ZeroDivisionError("power series inverse needs a nonzero constant term")
     if n <= 0:
         return []
-    field = b[0].field
     if n * min(n, len(b)) < CLASSICAL_WORK:
         return _classical_inverse(b, n)
-    return _elements(field, _inverse_cols(field, _columns(b[:n]), n))
+    return _elements(b[0].field, _inverse_cols(b[0].field, _columns(b[:n]), n))
 
 
 def divmod(a, b):
@@ -71,9 +70,8 @@ def divmod(a, b):
         return [], _trim(list(a))
     if qn * len(b) < CLASSICAL_WORK:
         return _classical_divmod(a, b)
-    field = b[0].field
+    field, lb = b[0].field, len(b)
     ca, cb = _columns(a), _columns(b)
-    lb = len(b)
     # the reversed quotient is the low product of reversed a and 1/reversed b
     rev_inv = _inverse_cols(field, [c[::-1][:qn] for c in cb], qn)
     q = _mul_cols(field, [c[::-1][:qn] for c in ca], rev_inv, qn)
@@ -85,12 +83,19 @@ def divmod(a, b):
 # ---- columns -----------------------------------------------------------
 
 def _columns(run):
-    return [bytes(col) for col in zip(*[c.coeffs for c in run])]
+    k = run[0].field.degree
+    digits = b"".join([c.packed.to_bytes(k, "little") for c in run])
+    return [digits[j::k] for j in range(k)]
 
 
 def _elements(field, cols):
-    make = FieldElement._reduced
-    return [make(field, digits) for digits in zip(*cols)]
+    k, n = len(cols), len(cols[0])
+    if k <= 8:  # one little-endian 8-byte word per coefficient: struct reads them all
+        packed = struct.unpack(f"<{n}Q", _interleave(cols, 8, 1))
+    else:
+        digits = _interleave(cols, k, 1)
+        packed = [int.from_bytes(digits[i:i + k], "little") for i in range(0, n * k, k)]
+    return list(map(FieldElement._from_packed, [field] * n, packed))
 
 
 def _trim(run):
@@ -100,17 +105,17 @@ def _trim(run):
 
 
 def _sub_cols(a, b):
-    n = len(a[0])
     return [(int.from_bytes(x, "little") + int.from_bytes(y.translate(_NEG), "little"))
-            .to_bytes(n, "little").translate(_MOD3) for x, y in zip(a, b)]
+            .to_bytes(len(x), "little").translate(_MOD3) for x, y in zip(a, b)]
 
 
-def _pack(cols, stride, width):
+def _interleave(cols, stride, width):
+    """The digit of column j, coefficient i, at byte (i*stride + j)*width."""
     step = stride * width
     buf = bytearray(len(cols[0]) * step)
     for j, col in enumerate(cols):
         buf[j * width::step] = col
-    return int.from_bytes(buf, "little")
+    return buf
 
 
 def _mul_cols(field, a, b, n):
@@ -119,15 +124,13 @@ def _mul_cols(field, a, b, n):
     la, lb = len(a[0]), len(b[0])
     stride = 2 * k - 1
     width = ((4 * min(la, lb) * k).bit_length() + 7) // 8
-    pa = _pack(a, stride, width)
-    product = pa * pa if b is a else pa * _pack(b, stride, width)
+    pa = int.from_bytes(_interleave(a, stride, width), "little")
+    product = pa * pa if b is a else pa * int.from_bytes(_interleave(b, stride, width), "little")
     size = n * stride * width
     raw = product.to_bytes(max(size, (la + lb - 1) * stride * width), "little")[:size]
     if width > 1:
         raw = raw.translate(_MOD3)
-        total = 0
-        for i in range(width):
-            total += int.from_bytes(raw[i::width], "little")
+        total = sum(int.from_bytes(raw[i::width], "little") for i in range(width))
         raw = total.to_bytes(n * stride, "little")
     digits = raw.translate(_MOD3)
     if k == 1:
@@ -137,9 +140,7 @@ def _mul_cols(field, a, b, n):
     for j in range(k):
         acc = int.from_bytes(digits[j::stride], "little")
         for i, t in enumerate(top):
-            c = field._high_powers[i][j]
-            if c:
-                acc += c * t
+            acc += field._high_powers[i][j] * t
             if i % 60 == 59:  # 2 + 60 terms of at most 4 stay below 256
                 acc = int.from_bytes(acc.to_bytes(n, "little").translate(_MOD3), "little")
         out.append(acc.to_bytes(n, "little").translate(_MOD3))
@@ -150,8 +151,7 @@ def _inverse_cols(field, b, n):
     """Columns of the first n coefficients of 1/b, by Newton's iteration
     g <- g - x^m g e, where b g = 1 + x^m e mod x^n and g is exact mod x^m."""
     if n * n < CLASSICAL_WORK:
-        head = _elements(field, [c[:n] for c in b])
-        return _columns(_classical_inverse(head, n))
+        return _columns(_classical_inverse(_elements(field, [c[:n] for c in b]), n))
     m = (n + 1) // 2
     g = _inverse_cols(field, b, m)
     e = [c[m:] for c in _mul_cols(field, [c[:n] for c in b], g, n)]

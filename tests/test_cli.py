@@ -72,6 +72,19 @@ def test_construct_parse_error_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("flag, text, offset", [
+    ("--A", "\u00b2", 0),          # superscript two: isdigit, but int() rejects it
+    ("--seed-alpha", "x^\u00b2", 2),
+    ("--A", "\u0661", 0),          # Arabic-Indic one: isdigit, and int() reads 1
+])
+def test_unicode_digits_are_not_integer_literals(capsys, flag, text, offset):
+    args = {"--A": "1", "--seed-alpha": "x", flag: text}
+    code, out, err = run(capsys, "construct", *[part for kv in args.items() for part in kv])
+    assert code == 3
+    assert out == ""
+    assert err == f"parse error: at offset {offset}: unexpected character {text[offset]!r}\n"
+
+
 def test_construct_incompatible_seed_exits_2(capsys):
     code, _, _ = run(capsys, "construct", "--field", "3^1", "--A", "1",
                      "--B", "2", "--seed-beta", "1/x")
@@ -211,6 +224,7 @@ def test_identify_scalar_search_stops_at_the_group_order(capsys, monkeypatch):
                        "--fx", "x+1", "--fy-factor", "1",
                        "--max-scalar", "100000000")
     assert code == 0
+    assert calls, "identify_scalar no longer adds through curve.p_add"
     assert out.endswith("scalar: none (no multiplication map matches pointwise)\n")
 
 
@@ -259,6 +273,37 @@ def test_identify_mul2_matches_transcript(capsys, fmt):
     code, out, _ = run(capsys, *IDENTIFY_MUL2, "--format", fmt)
     assert code == 0
     assert out == (DATA / f"identify_mul2_gf35.{fmt}.txt").read_text()
+
+
+def test_identify_mul2_checks_each_point_once(capsys, monkeypatch):
+    # check_map puts each enumerated point and each image through on_curve
+    # and adds through the unchecked group law: at most 3 checks a point
+    import char3iso.cli as cli
+    import char3iso.curve as curve
+
+    checked = []
+    on_curve, check_map = curve.on_curve, curve.check_map
+
+    def counted(c, point):
+        checked.append(point)
+        return on_curve(c, point)
+
+    def measured(*args):
+        start = len(checked)
+        report = check_map(*args)
+        within.extend(checked[start:])
+        reports.append(report)
+        return report
+
+    within, reports = [], []
+    monkeypatch.setattr(curve, "on_curve", counted)
+    monkeypatch.setattr(cli, "check_map", measured)
+    code, _, _ = run(capsys, *IDENTIFY_MUL2, "--format", "records")
+    assert code == 0
+    (report,) = reports
+    assert len(report.points) == 244
+    assert len(within) <= 3 * 244
+    assert set(within) >= set(report.points) | set(report.images)
 
 
 def test_identify_records_schema(capsys):

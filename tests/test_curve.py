@@ -81,6 +81,26 @@ def test_off_curve_point_rejected(e_f9, f9):
         p_add(e_f9, bogus, Point.infinity())
 
 
+def test_public_group_law_checks_every_operand(e_f9, f9):
+    bogus = Point(f9.zero, f9.one)
+    good = enumerate_points(e_f9)[1]
+    for p, q in [(good, bogus), (bogus, good), (bogus, bogus), (Point.infinity(), bogus)]:
+        with pytest.raises(PointNotOnCurve):
+            p_add(e_f9, p, q)
+
+
+def test_check_map_checks_each_enumerated_point(e_f9, f9, monkeypatch):
+    # check_map adds through the unchecked group law, so a point off the
+    # curve must be caught when it is enumerated
+    import char3iso.curve as curve
+
+    points = enumerate_points(e_f9) + [Point(f9.zero, f9.one)]
+    monkeypatch.setattr(curve, "enumerate_points", lambda c: list(points))
+    x = parse_rational_function("x", f9)
+    with pytest.raises(PointNotOnCurve):
+        check_map(e_f9, x, parse_rational_function("1", f9))
+
+
 def test_identity_and_inverse(e_f3, e_f9):
     for curve in (e_f3, e_f9):
         for p in enumerate_points(curve):

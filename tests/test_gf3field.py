@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -122,6 +123,100 @@ def test_mixed_fields_rejected(f3, f9):
         f3.one + f9.one
     with pytest.raises(MixedFields):
         f3.one * f9.from_int(2)
+
+
+# ---- packed digits against the tuple oracles ----------------------------------
+
+
+def oracle_neg(a):
+    return tuple((-x) % 3 for x in a)
+
+
+def check_against_oracles(a, b):
+    """Every packed operation on a and b, with b from an equal but distinct
+    FieldParams, against tuple arithmetic on their coefficients."""
+    modulus = a.field.modulus
+    ca, cb = a.coeffs, b.coeffs
+    assert (a + b).coeffs == oracle_add(ca, cb)
+    assert (a - b).coeffs == oracle_add(ca, oracle_neg(cb))
+    assert (-a).coeffs == oracle_neg(ca)
+    assert (a * b).coeffs == oracle_mul(ca, cb, modulus)
+    assert (a == b) == (ca == cb) == (b == a)
+    if ca == cb:
+        assert hash(a) == hash(b)
+    if any(ca):
+        one = (1,) + (0,) * (len(ca) - 1)
+        assert oracle_mul(ca, a.inverse().coeffs, modulus) == one
+
+
+def twin(field):
+    return FieldParams(field.degree, field.modulus)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_packed_ops_match_tuple_oracles_exhaustive(degree):
+    field = FieldParams(degree)
+    elems = list(field.elements())
+    assert [e.coeffs for e in elems] == list(itertools.product(range(3), repeat=degree))
+    assert len(set(elems)) == field.order
+    others = list(twin(field).elements())
+    for a in elems:
+        for b in others:
+            check_against_oracles(a, b)
+
+
+@pytest.mark.parametrize("degree", [5, 6, 7, 8])
+def test_packed_ops_match_tuple_oracles_sampled(degree):
+    rng = random.Random(degree * 4243)
+    field = FieldParams(degree)
+    other = twin(field)
+    for _ in range(300):
+        ca, cb = (tuple(rng.randrange(3) for _ in range(degree)) for _ in range(2))
+        a, b = field.element(ca), other.element(rng.choice([ca, cb]))
+        assert a.coeffs == ca
+        check_against_oracles(a, b)
+
+
+# Dense irreducible moduli, low coefficient first, found by Rabin's test in
+# FieldParams among seeded random polynomials with every coefficient nonzero.
+# Single-byte digit slots hold a product (up to 4k per slot) only to k = 63.
+BOUNDARY_MODULI = {
+    63: "1122122111222112111111221121111122121111221112222121121222112211",
+    64: "21122212222212222112211112222122122211212222121111211111212112221",
+    65: "221112221122221222211222121121121121112212121212221111221222211121",
+}
+
+
+@pytest.mark.parametrize("degree", sorted(BOUNDARY_MODULI))
+def test_packed_ops_at_the_byte_slot_boundary(degree):
+    field = FieldParams(degree, tuple(map(int, BOUNDARY_MODULI[degree])))
+    other = twin(field)
+    rng = random.Random(degree)
+    extremes = [(2,) * degree, (1,) * degree, (0,) * (degree - 1) + (2,)]
+    pairs = [(x, y) for x in extremes for y in extremes]
+    pairs += [tuple(tuple(rng.randrange(3) for _ in range(degree)) for _ in range(2))
+              for _ in range(20)]
+    for ca, cb in pairs:
+        check_against_oracles(field.element(ca), other.element(cb))
+
+
+def test_equal_field_params_interoperate():
+    field, other = FieldParams(5), FieldParams(5)
+    assert field is not other and field == other
+    a, b = field.gen, other.gen
+    assert a == b and hash(a) == hash(b)
+    assert a - b == field.zero and (a * b).coeffs == (0, 0, 1, 0, 0)
+    assert a / b == field.one and {a: "v"}.get(b) == "v"
+
+
+@pytest.mark.parametrize("other", [FieldParams(4), FieldParams(5, (1, 0, 0, 0, 2, 1))],
+                         ids=["degree", "modulus"])
+def test_different_fields_still_raise_mixed_fields(other):
+    a, b = FieldParams(5).gen, other.gen
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(MixedFields):
+            op(a, b)
+    assert a != b
 
 
 @pytest.mark.parametrize("field", [FieldParams(k) for k in range(1, 7)] + [
