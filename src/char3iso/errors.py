@@ -63,7 +63,8 @@ class FieldTooLarge(Char3Error):
 
 
 class ParseError(Char3Error):
-    """Malformed input text; `offset` is the 0-based byte position."""
+    """Malformed input text; `offset` is the 0-based character offset
+    (a code point index, not a byte position)."""
 
     def __init__(self, offset, message):
         super().__init__(f"at offset {offset}: {message}")

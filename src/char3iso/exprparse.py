@@ -11,7 +11,9 @@ Implicit multiplication ("2x") is rejected. An integer literal (UINT) is a
 run of the ASCII digits 0-9; it may be arbitrarily large and is reduced
 mod 3. 't' is the generator of the field extension and needs degree >= 2;
 'x' is only meaningful when parsing a polynomial or rational function.
-Error offsets are 0-based byte positions.
+An exponent may be arbitrarily large on a field constant, but a power in
+x may not pass degree MAX_POWER_DEGREE. Error offsets are 0-based
+character offsets (code points, not bytes).
 
 The parser turns the whole text into postfix steps before anything is
 evaluated, so a syntax error anywhere wins over an error of value.
@@ -23,6 +25,9 @@ import operator
 
 from .errors import Char3Error, GeneratorUnavailable, ParseError, ZeroDenominator
 from .ratrec import Polynomial, RationalFunction
+
+# The highest degree a power in x may reach; above it the power is refused.
+MAX_POWER_DEGREE = 2 ** 16
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
@@ -147,7 +152,7 @@ def _evaluate(steps, field, rational):
         elif token == "neg" or token[0] == "^":
             value = stack.pop()
             if not isinstance(value, Char3Error):
-                value = -value if token == "neg" else value ** int(token[1:])
+                value = -value if token == "neg" else _power(value, token[1:], pos, field)
         elif token == "x":
             value = (RationalFunction.x(field) if rational else
                      ParseError(pos, "'x' is not allowed in a field constant"))
@@ -155,14 +160,32 @@ def _evaluate(steps, field, rational):
             if token == "t":
                 value = field.gen if field.degree >= 2 else GeneratorUnavailable(
                     pos, "'t' needs a field extension of degree >= 2")
-            else:
-                value = field.from_int(int(token))
+            else:  # 10 = 1 (mod 3), so a literal is its digit sum mod 3
+                value = field.from_int(sum(map(int, token)))
             if rational and not isinstance(value, Char3Error):
                 value = RationalFunction.constant(field, value)
         stack.append(value)
     if isinstance(stack[0], Char3Error):
         raise stack[0]
     return stack[0]
+
+
+def _power(base, digits, pos, field):
+    """base ** e, e given by its decimal digits; a ParseError at the '^'
+    when base has x and the power would pass degree MAX_POWER_DEGREE."""
+    degree = (max(base.num.degree(), base.den.degree())
+              if isinstance(base, RationalFunction) else 0)
+    e = digits.lstrip("0") or "0"
+    if degree == 0 and e != "0":
+        # c^e = c^((e-1) mod (q-1) + 1) for a field constant c and e >= 1;
+        # e is read 500 digits at a time, as int() refuses over 4,300 digits
+        m, r = field.order - 1, 0
+        for i in range(0, len(e), 500):
+            r = (r * 10 ** len(e[i:i + 500]) + int(e[i:i + 500])) % m
+        return base ** (r or m)
+    if len(e) > len(str(MAX_POWER_DEGREE)) or degree * int(e) > MAX_POWER_DEGREE:
+        return ParseError(pos, f"power of degree above {MAX_POWER_DEGREE}")
+    return base ** int(e)
 
 
 def parse_field_element(text, field):

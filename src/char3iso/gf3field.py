@@ -35,57 +35,6 @@ DEFAULT_MODULI = {
 }
 
 
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_divmod_f3(a, b):
-    """Quotient and remainder of coefficient lists over F3, low degree first."""
-    a = _trim(a)
-    b = _trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead_inv = 1 if b[-1] == 1 else 2
-    q = [0] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b):
-        d = len(r) - len(b)
-        c = (r[-1] * lead_inv) % 3
-        q[d] = c
-        for i, bc in enumerate(b):
-            r[i + d] = (r[i + d] - c * bc) % 3
-        r = _trim(r)
-    return _trim(q), r
-
-
-def _is_irreducible_f3(poly):
-    """Rabin's test: f of degree k >= 1 is irreducible over F3 exactly when
-    t^(3^k) = t (mod f) and gcd(t^(3^d) - t, f) = 1 for d = k/p, p each
-    prime dividing k; testing every proper divisor d of k is equivalent.
-    Cubing is the Frobenius of F3[t], so t^(3^(i+1)) mod f is t^(3^i) mod f
-    with its exponents tripled, reduced mod f again."""
-    poly = _trim(poly)
-    degree = len(poly) - 1
-    if degree < 1:
-        return False
-    frob = [_poly_divmod_f3([0, 1], poly)[1]]  # frob[i] = t^(3^i) mod f
-    for _ in range(degree):
-        spread = [0] * (3 * len(frob[-1]))
-        spread[::3] = frob[-1]
-        frob.append(_poly_divmod_f3(spread, poly)[1])
-    for d in [d for d in range(1, degree) if degree % d == 0]:
-        a = [(x - y) % 3 for x, y in itertools.zip_longest(frob[d], frob[0], fillvalue=0)]
-        b = poly
-        while _trim(a):
-            a, b = _poly_divmod_f3(b, a)[1], _trim(a)
-        if len(b) != 1:
-            return False
-    return frob[degree] == frob[0]
-
-
 class FieldParams:
     """GF(3^k) given by extension degree and a monic irreducible modulus.
 
@@ -108,8 +57,6 @@ class FieldParams:
             raise ValueError("modulus degree does not match field degree")
         if modulus[-1] != 1:
             raise ValueError("modulus must be monic")
-        if not _is_irreducible_f3(modulus):
-            raise ValueError("modulus is reducible over F3")
         self.degree = degree
         self.modulus = modulus
         self.order = 3 ** degree
@@ -127,6 +74,17 @@ class FieldParams:
         self.zero = FieldElement._from_packed(self, 0)
         self.one = FieldElement._from_packed(self, 1)
         self.gen = FieldElement._from_packed(self, 256) if degree >= 2 else None
+        # Rabin's test, on this ring's own arithmetic (exact in F3[t]/(f) for
+        # any monic f): f of degree k > 1 is irreducible exactly when
+        # t^(3^k) = t and t^(3^d) - t is a unit for each proper divisor d of
+        # k; inverse() returns 0 for a non-unit. Degree 1 is always irreducible.
+        frob = self.gen
+        for d in range(1, degree + 1) if degree > 1 else ():
+            frob = frob.frobenius()  # t^(3^d) mod f
+            gap = frob - self.gen
+            proper_divisor = d < degree and degree % d == 0
+            if (d == degree and gap) or (proper_divisor and not (gap and gap.inverse())):
+                raise ValueError("modulus is reducible over F3")
 
     @functools.cached_property
     def _tables(self):
@@ -264,7 +222,8 @@ class FieldElement:
         """The extended Euclidean algorithm over F3[t] on the modulus and
         the digits, one leading digit at a time: it keeps s with
         s * self = r (mod modulus) and stops at a constant r, a unit of F3
-        and so its own inverse."""
+        and so its own inverse. Run in F3[t]/(f) for a reducible f, it ends
+        at r = 0 when self shares a factor with f and then returns 0."""
         if not self.packed:
             raise ZeroDivisionError("inverse of zero field element")
         field = self.field

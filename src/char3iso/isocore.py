@@ -188,7 +188,7 @@ class FormalEndomorphism:
         return f"<endomorphism gamma0={self.gamma0} eta={self.eta}>"
 
 
-def beta_from_alpha(curve, alpha, prec=None):
+def beta_from_alpha(curve, alpha):
     """The beta part determined by alpha through
     c^2 A X alpha + c^2 (X^3 + B) beta = A X^2.
 
@@ -200,12 +200,12 @@ def beta_from_alpha(curve, alpha, prec=None):
     x2 = LaurentSeries.monomial(curve.field, 2)
     num = x2 * curve.A - x * alpha * (c2 * curve.A)
     den = LaurentSeries.from_terms(curve.field, {0: c2 * curve.B, 3: c2})
-    beta = num.divide(den, prec=prec)
+    beta = num.divide(den)
     _require(in_residue_class(beta, 2), "beta left its residue class")
     return beta
 
 
-def alpha_from_beta(curve, beta, prec=None):
+def alpha_from_beta(curve, beta):
     """The alpha part determined by beta (inverse direction of the linear
     relation). Fails when the numerator is not divisible by X, e.g. for
     B != 0 with a genuine pole in beta."""
@@ -218,8 +218,6 @@ def alpha_from_beta(curve, beta, prec=None):
             "beta seed leaves a term below X^1; no alpha part exists"
         )
     alpha = num.shift(-1) * (c2 * curve.A).inverse()
-    if prec is not None:
-        alpha = alpha.truncate(prec)
     _require(in_residue_class(alpha, 1), "alpha left its residue class")
     return alpha
 

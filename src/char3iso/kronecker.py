@@ -14,12 +14,9 @@ Between packings a run travels as k columns of bytes (column j holds the
 t^j digit of every coefficient), so a Newton step packs, unpacks, negates
 and concatenates without per-coefficient Python work.
 
-A division whose quotient length times divisor length is below
-CLASSICAL_WORK takes the classical coefficient loop instead: its few field
-operations cost less than the fixed cost of packing. Small gcds and the
-command line's expression parser divide on that side; the Euclid steps of
-a Pade fit (quotients of one or two coefficients by divisors of hundreds)
-and series quotients at working precision on the other.
+Every inverse and every division, however short, takes Newton's iteration;
+it bottoms out in a coefficient loop for inverses of at most 3 terms, where
+a product costs more than the few field operations it would replace.
 """
 
 from __future__ import annotations
@@ -27,9 +24,6 @@ from __future__ import annotations
 import struct
 
 from .gf3field import _MOD3, FieldElement
-
-# Classical division below this many quotient-by-divisor coefficient pairs.
-CLASSICAL_WORK = 16
 
 _NEG = bytes((-v) % 3 for v in range(256))
 
@@ -54,8 +48,6 @@ def inverse(b, n):
         raise ZeroDivisionError("power series inverse needs a nonzero constant term")
     if n <= 0:
         return []
-    if n * min(n, len(b)) < CLASSICAL_WORK:
-        return _classical_inverse(b, n)
     return _elements(b[0].field, _inverse_cols(b[0].field, _columns(b[:n]), n))
 
 
@@ -68,8 +60,6 @@ def divmod(a, b):
     qn = len(a) - len(b) + 1
     if qn <= 0:
         return [], _trim(list(a))
-    if qn * len(b) < CLASSICAL_WORK:
-        return _classical_divmod(a, b)
     field, lb = b[0].field, len(b)
     ca, cb = _columns(a), _columns(b)
     # the reversed quotient is the low product of reversed a and 1/reversed b
@@ -150,7 +140,7 @@ def _mul_cols(field, a, b, n):
 def _inverse_cols(field, b, n):
     """Columns of the first n coefficients of 1/b, by Newton's iteration
     g <- g - x^m g e, where b g = 1 + x^m e mod x^n and g is exact mod x^m."""
-    if n * n < CLASSICAL_WORK:
+    if n <= 3:
         return _columns(_classical_inverse(_elements(field, [c[:n] for c in b]), n))
     m = (n + 1) // 2
     g = _inverse_cols(field, b, m)
@@ -158,8 +148,6 @@ def _inverse_cols(field, b, n):
     correction = _mul_cols(field, g, e, n - m)
     return [x + y.translate(_NEG) for x, y in zip(g, correction)]
 
-
-# ---- classical loops for short runs -----------------------------------------
 
 def _classical_inverse(b, n):
     """First n coefficients of the power series 1/b, one coefficient at a time."""
@@ -174,18 +162,3 @@ def _classical_inverse(b, n):
                 acc = acc - qi * b[j - i]
         q.append(acc * lead_inv)
     return q
-
-
-def _classical_divmod(a, b):
-    """Long division from the top, one quotient coefficient at a time."""
-    lead_inv = b[-1].inverse()
-    q = [b[0].field.zero] * (len(a) - len(b) + 1)
-    r = list(a)
-    for d in range(len(q) - 1, -1, -1):
-        c = r[d + len(b) - 1] * lead_inv
-        if c:
-            q[d] = c
-            for i, bc in enumerate(b):
-                if bc:
-                    r[i + d] = r[i + d] - c * bc
-    return q, _trim(r[:len(b) - 1])

@@ -76,6 +76,7 @@ def test_construct_parse_error_exits_3(capsys):
     ("--A", "\u00b2", 0),          # superscript two: isdigit, but int() rejects it
     ("--seed-alpha", "x^\u00b2", 2),
     ("--A", "\u0661", 0),          # Arabic-Indic one: isdigit, and int() reads 1
+    ("--A", "\u3000\u00e9", 1),    # an ideographic space is 3 bytes but one character
 ])
 def test_unicode_digits_are_not_integer_literals(capsys, flag, text, offset):
     args = {"--A": "1", "--seed-alpha": "x", flag: text}
@@ -83,6 +84,39 @@ def test_unicode_digits_are_not_integer_literals(capsys, flag, text, offset):
     assert code == 3
     assert out == ""
     assert err == f"parse error: at offset {offset}: unexpected character {text[offset]!r}\n"
+
+
+# 5,000 digits: more than int() reads from a string, and 2 (mod 3) and 7 (mod 8)
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("field, long, short", [
+    ("3^1", LONG, "2"),                      # a literal is its digit sum mod 3
+    ("3^2", "t^" + LONG, "t^7"),             # t^e = t^((e-1) mod 8 + 1) in GF(9)
+    ("3^2", "1+0^8" + "0" * 4999, "1"),      # e = 0 (mod 8) reads as 8, not 0: 0^e = 0
+    ("3^2", "(1+t)^" + LONG, "(1+t)^7"),
+], ids=["literal", "power-of-t", "power-of-zero", "power-of-sum"])
+def test_long_numbers_in_field_constants(capsys, field, long, short):
+    expected = run(capsys, "construct", "--field", field, "--A", short, "--seed-alpha", "x")
+    assert expected[0] == 0
+    assert run(capsys, "construct", "--field", field, "--A", long, "--seed-alpha", "x") == expected
+    seed = run(capsys, "construct", "--field", field, "--A", "1", "--seed-alpha", f"x+({long})*x^2")
+    assert seed == run(capsys, "construct", "--field", field, "--A", "1",
+                       "--seed-alpha", f"x+({short})*x^2")
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--seed-alpha", "x^99999999999"),    # squared dense polynomials until memory ran out
+    ("--seed-alpha", "x^" + LONG),        # int() refused the exponent
+    ("--seed-alpha", "x^65537"),
+    ("--seed-beta", "(1/x^2)^32769"),
+    ("--modulus", "t^99999999999+t+2"),
+], ids=["eleven-digits", "long-exponent", "x^65537", "pole", "modulus"])
+def test_powers_in_x_above_the_degree_cap_are_parse_errors(capsys, flag, text):
+    seed = [] if flag.startswith("--seed") else ["--seed-alpha", "x"]
+    code, out, err = run(capsys, "construct", "--A", "1", *seed, flag, text)
+    assert (code, out) == (3, "")
+    assert err == f"parse error: at offset {text.rindex('^')}: power of degree above 65536\n"
 
 
 def test_construct_incompatible_seed_exits_2(capsys):

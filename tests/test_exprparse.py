@@ -8,6 +8,7 @@ from char3iso import (
     ZeroDenominator,
     parse_rational_function,
 )
+from char3iso import exprparse
 from char3iso.exprparse import parse_field_element, parse_polynomial
 from char3iso.ratrec import Polynomial
 
@@ -25,6 +26,29 @@ def test_constant_goldens(f3, f9):
     assert parse_field_element("2^4", f3) == f3.one
     assert parse_field_element("t*t", f9) == f9.from_int(2)
     assert parse_field_element("(1+t)*(1-t)", f9) == f9.from_int(2)
+
+
+def test_long_literals_and_exponents_reduce(f3, f9):
+    long = "1" * 5000  # past int()'s digit limit; 2 (mod 3), 1 (mod 2), 7 (mod 8)
+    assert parse_field_element(long, f3) == f3.from_int(2)
+    assert parse_field_element("2^" + long, f3) == f3.from_int(2)
+    assert parse_field_element("2^" + long + "0", f3) == f3.one
+    assert parse_field_element("t^" + long, f9) == f9.gen ** 7
+    assert parse_field_element("0^" + long, f9) == f9.zero
+    assert parse_field_element("0^" + long + "0", f3) == f3.zero  # e = 0 (mod 2), e > 0
+    assert parse_field_element("0^000", f9) == f9.one
+
+
+def test_power_in_x_capped_at_max_degree(f3, monkeypatch):
+    monkeypatch.setattr(exprparse, "MAX_POWER_DEGREE", 6)
+    assert parse_rational_function("x^6", f3).num.degree() == 6
+    assert parse_rational_function("(1/(x+1))^3", f3).den.degree() == 3
+    assert parse_rational_function("(2*x^0)^7", f3) == parse_rational_function("2", f3)
+    for text, offset in [("x^7", 1), ("(x^2)^4", 5), ("(1/x^3)^3", 7), ("(x/(x+1))^0007", 9)]:
+        with pytest.raises(ParseError) as err:
+            parse_rational_function(text, f3)
+        assert type(err.value) is ParseError and err.value.offset == offset, text
+        assert str(err.value).endswith("power of degree above 6")
 
 
 def test_generator_needs_extension(f3):
@@ -104,6 +128,8 @@ def test_syntax_error_wins_over_value_error(f3):
     ("x+1/2", False, ParseError, 0),
     ("t/(x-x)", True, GeneratorUnavailable, 0),
     ("1/(x-x)+t", True, ZeroDenominator, None),
+    ("x^70000+t", True, ParseError, 1),
+    ("t+x^70000", True, GeneratorUnavailable, 0),
 ])
 def test_first_value_error_in_evaluation_order(f3, text, rational, error, offset):
     parse = parse_rational_function if rational else parse_field_element

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from char3iso import FieldParams, MixedFields
-from char3iso.gf3field import DEFAULT_MODULI, _is_irreducible_f3, solve_additive_cubic
+from char3iso.gf3field import DEFAULT_MODULI, FieldElement, solve_additive_cubic
 
 from helpers import is_irreducible_trial, oracle_add, oracle_mul, sqrt
 
@@ -307,11 +307,29 @@ def test_sqrt_presence_and_value(degree):
 # ---- field parameter validation ---------------------------------------------
 
 
+def accepts(poly):
+    """Whether FieldParams takes the monic poly (int list, lowest degree
+    first) as a modulus; it rejects a reducible one with ValueError."""
+    try:
+        FieldParams(len(poly) - 1, poly)
+    except ValueError:
+        return False
+    return True
+
+
+def poly_mul_f3(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % 3
+    return out
+
+
 def test_default_moduli_are_first_irreducible():
     for degree, modulus in DEFAULT_MODULI.items():
         assert len(modulus) == degree + 1
         assert modulus[-1] == 1
-        assert _is_irreducible_f3(list(modulus))
+        assert is_irreducible_trial(list(modulus)) and accepts(list(modulus))
         # nothing earlier in base-3 counting order is irreducible
         value = sum(c * 3 ** i for i, c in enumerate(modulus[:-1]))
         for earlier in range(value):
@@ -320,7 +338,7 @@ def test_default_moduli_are_first_irreducible():
             for _ in range(degree):
                 cand.append(v % 3)
                 v //= 3
-            assert not _is_irreducible_f3(cand + [1])
+            assert not is_irreducible_trial(cand + [1]) and not accepts(cand + [1])
 
 
 def test_default_moduli_accepted():
@@ -338,7 +356,38 @@ def test_rabin_matches_trial_factorization():
     for degree in range(1, 6):
         for tail in itertools.product(range(3), repeat=degree):
             poly = list(tail) + [1]
-            assert _is_irreducible_f3(poly) == is_irreducible_trial(poly), poly
+            assert accepts(poly) == is_irreducible_trial(poly), poly
+
+
+def test_product_of_distinct_quartics_rejected_in_degree_64():
+    # Each irreducible quartic divides t^(3^4) - t, and so t^(3^64) - t: the
+    # last condition of Rabin's test holds, and the product is rejected by
+    # the unit condition at d = 4 alone, in the wide product slots of k = 64.
+    quartics = [list(tail) + [1] for tail in itertools.product(range(3), repeat=4)
+                if is_irreducible_trial(list(tail) + [1])][:16]
+    assert len(quartics) == 16
+    product = [1]
+    for q in quartics:
+        product = poly_mul_f3(product, q)
+    assert len(product) == 65 and product[-1] == 1
+    with pytest.raises(ValueError, match="reducible"):
+        FieldParams(64, product)
+
+
+def test_rabin_reads_a_zero_inverse_as_a_common_factor(monkeypatch):
+    # (t + 1)(t^3 + 2t + 1): t^3 - t is a nonzero zero divisor modulo it, so
+    # the unit condition at d = 1 fails through inverse() returning zero
+    modulus = poly_mul_f3([1, 1], list(DEFAULT_MODULI[3]))
+    inverses = []
+    original = FieldElement.inverse
+
+    def recorded(self):
+        inverses.append(original(self))
+        return inverses[-1]
+
+    monkeypatch.setattr(FieldElement, "inverse", recorded)
+    assert not accepts(modulus)
+    assert len(inverses) == 1 and inverses[0].is_zero
 
 
 def test_irreducible_modulus_accepted_above_degree_8():

@@ -1,5 +1,6 @@
 """The Kronecker-substituted coefficient kernel against the schoolbook
-oracle in helpers, on both sides of its classical-division cut-off."""
+oracle in helpers, from runs short enough for the coefficient loop at
+the bottom of Newton's iteration to runs of hundreds of coefficients."""
 
 import random
 
