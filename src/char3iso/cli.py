@@ -171,8 +171,7 @@ def _seed_from_args(args, field):
     coeffs = [parse_field_element(part.strip(), field)
               for part in args.seed_coeffs.split(",")]
     poly = Polynomial(field, coeffs)
-    src = RationalFunction.from_polynomial(poly)
-    return Seed.alpha(src) if args.seed_kind == "alpha" else Seed.beta(src)
+    return Seed.alpha(poly) if args.seed_kind == "alpha" else Seed.beta(poly)
 
 
 def modulus_text(field):
@@ -205,32 +204,30 @@ def _emit_header(out, job, command):
 
 # ---- construct ------------------------------------------------------------
 
-def _rational_forms(prec, endos):
-    """The Pade degree bound and each solution's rational form (or None).
+def _rational_forms(curve, prec, endos):
+    """The Pade degree bound and each solution's maps (fx, fy_factor), or None.
 
     Pade runs once: every other solution is eta + kappa, and (P + kappa Q)/Q
     is again reduced with the same denominator and degree bounds, so by the
-    uniqueness of Pade forms its reconstruction is rational + kappa."""
+    uniqueness of Pade forms its reconstruction is rational + kappa. The
+    constant kappa leaves c * eta' alone, so fy_factor is derived once."""
     bound = max(1, prec // 2 - 2)
     first = pade(endos[0].eta, bound, bound) if endos else None
     if first is None:
         return bound, [None] * len(endos)
-    return bound, [first + (e.gamma0 - endos[0].gamma0) for e in endos]
+    fx, fy = derive_map_pair(curve, first)
+    return bound, [(fx + (e.gamma0 - endos[0].gamma0), fy) for e in endos]
 
 
-def _solution_rows(job, endo, rational):
-    rows = {
+def _solution_rows(endo, pair):
+    fx, fy = pair or ("none", "none")
+    return {
         "gamma0": str(endo.gamma0),
         "eta_coeffs": _terms_text(endo.eta),
         "certified_prec": str(endo.prec),
-        "rational": "none",
-        "y_factor": "none",
+        "rational": str(fx),
+        "y_factor": str(fy),
     }
-    if rational is not None:
-        fx, fy = derive_map_pair(job.curve, rational)
-        rows["rational"] = str(fx)
-        rows["y_factor"] = str(fy)
-    return rows
 
 
 def _print_construct_records(job, seed, report, endos, out):
@@ -243,10 +240,10 @@ def _print_construct_records(job, seed, report, endos, out):
     out(f"beta_minus1={report.beta_minus1}")
     out(f"alpha1={report.alpha1}")
     out(f"num_solutions={len(endos)}")
-    _, rationals = _rational_forms(job.prec, endos)
-    for i, (endo, rational) in enumerate(zip(endos, rationals)):
+    _, maps = _rational_forms(job.curve, job.prec, endos)
+    for i, (endo, pair) in enumerate(zip(endos, maps)):
         out(f"solution={i}")
-        for key, value in _solution_rows(job, endo, rational).items():
+        for key, value in _solution_rows(endo, pair).items():
             out(f"{key}={value}")
 
 
@@ -258,9 +255,9 @@ def _print_construct_text(job, seed, report, endos, out):
     out(f"psi(0) = {report.psi0}; principal part ok: {report.principal_part_ok}; "
         f"[x^-1]beta = {report.beta_minus1}; [x^1]alpha = {report.alpha1}")
     out(f"solutions: {len(endos)}")
-    bound, rationals = _rational_forms(job.prec, endos)
-    for i, (endo, rational) in enumerate(zip(endos, rationals)):
-        rows = _solution_rows(job, endo, rational)
+    bound, maps = _rational_forms(curve, job.prec, endos)
+    for i, (endo, pair) in enumerate(zip(endos, maps)):
+        rows = _solution_rows(endo, pair)
         out(f"  #{i}: gamma0 = {rows['gamma0']}")
         shown = list(endo.eta.nonzero_terms())[:TEXT_TERMS_SHOWN]
         body = " + ".join(f"({c})*x^{e}" for e, c in shown) or "0"
@@ -402,8 +399,8 @@ def cmd_example(args):
     job, seed = _example_job(n)
     curve, records = job.curve, args.format == "records"
     endos = construct(curve, seed, job.prec)
-    _, rationals = _rational_forms(job.prec, endos)
-    rows = [_solution_rows(job, e, r) for e, r in zip(endos, rationals)]
+    _, maps = _rational_forms(curve, job.prec, endos)
+    rows = [_solution_rows(e, pair) for e, pair in zip(endos, maps)]
     got = tuple(row["rational"] for row in rows)
     checks = []
 
@@ -419,7 +416,7 @@ def cmd_example(args):
           f"GF(3^{job.field.degree}), seed {seed.kind} = {seed.source}, prec {job.prec}",
           f"solutions found: {len(endos)}"])
     for i, row in enumerate(rows):
-        desc = row["rational"] if rationals[i] is not None else "(not rational at this degree bound)"
+        desc = row["rational"] if maps[i] is not None else "(not rational at this degree bound)"
         show([f"solution={i}"] + [f"{key}={row[key]}" for key in ("gamma0", "rational", "y_factor")],
              [f"  gamma0 = {row['gamma0']}: eta = {desc}"])
     if "solutions" in ex:
@@ -434,11 +431,11 @@ def cmd_example(args):
              [f"check: {ex['fails']} satisfies the defining equation: {report.ok} "
               f"(first residual at x^{report.first_bad_exponent})", f"note: {ex['note']}"])
     if ex.get("pointwise"):
-        for i, rational in enumerate(rationals):
-            checks.append(rational is not None)
-            if rational is None:
+        for i, pair in enumerate(maps):
+            checks.append(pair is not None)
+            if pair is None:
                 continue
-            fx, fy = derive_map_pair(curve, rational)
+            fx, fy = pair
             report = check_map(curve, fx, fy)
             checks.append(report.all_on_curve)
             show([f"map_{i}_y_factor={fy}",
@@ -452,11 +449,11 @@ def cmd_example(args):
              [f"expected x-parts: {', '.join(ex['etas'])}; match: {match}"])
     if "rational" in ex:
         gamma0, expected = ex["rational"]
-        rational = next((r for e, r in zip(endos, rationals) if str(e.gamma0) == gamma0), None)
+        pair = next((p for e, p in zip(endos, maps) if str(e.gamma0) == gamma0), None)
+        rational = scalar = None
+        if pair is not None:
+            rational, scalar = pair[0], identify_scalar(curve, check_map(curve, *pair), 10)
         match = rational is not None and str(rational) == expected
-        scalar = None
-        if rational is not None:
-            scalar = identify_scalar(curve, check_map(curve, *derive_map_pair(curve, rational)), 10)
         checks.append(match and scalar == ex["scalar"])
         show([f"expected_rational={expected}", f"rational_match={str(match).lower()}",
               f"scalar={scalar if scalar is not None else 'none'}"],

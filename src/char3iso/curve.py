@@ -17,17 +17,12 @@ from .errors import FieldTooLarge, PointNotOnCurve
 ENUMERATION_MAX_ORDER = 3 ** 10
 
 
+@dataclass(frozen=True)
 class Point:
     """A point of the curve: affine (x, y) or the point at infinity."""
 
-    __slots__ = ("x", "y")
-
-    def __init__(self, x=None, y=None):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Point is immutable")
+    x: object = None
+    y: object = None
 
     @classmethod
     def infinity(cls):
@@ -36,14 +31,6 @@ class Point:
     @property
     def is_infinity(self):
         return self.x is None
-
-    def __eq__(self, other):
-        if not isinstance(other, Point):
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        return hash((self.x, self.y))
 
     def __repr__(self):
         if self.is_infinity:

@@ -11,9 +11,10 @@ Implicit multiplication ("2x") is rejected. An integer literal (UINT) is a
 run of the ASCII digits 0-9; it may be arbitrarily large and is reduced
 mod 3. 't' is the generator of the field extension and needs degree >= 2;
 'x' is only meaningful when parsing a polynomial or rational function.
-An exponent may be arbitrarily large on a field constant, but a power in
-x may not pass degree MAX_POWER_DEGREE. Error offsets are 0-based
-character offsets (code points, not bytes).
+An exponent may be arbitrarily large on a field constant, which is
+evaluated in the field, but no value in x may pass degree MAX_POWER_DEGREE
+in numerator or denominator, and parentheses nest at most MAX_NESTING_DEPTH
+deep. Error offsets are 0-based character offsets (code points, not bytes).
 
 The parser turns the whole text into postfix steps before anything is
 evaluated, so a syntax error anywhere wins over an error of value.
@@ -26,8 +27,10 @@ import operator
 from .errors import Char3Error, GeneratorUnavailable, ParseError, ZeroDenominator
 from .ratrec import Polynomial, RationalFunction
 
-# The highest degree a power in x may reach; above it the power is refused.
+# The highest degree a value in x may reach, and the deepest parentheses may
+# nest: the descent recurses once per level, so Python's stack bounds it.
 MAX_POWER_DEGREE = 2 ** 16
+MAX_NESTING_DEPTH = 100
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
@@ -41,7 +44,7 @@ def _is_uint(text):
 def _tokenize(text):
     """(text, offset) pairs; an empty text marks the end of the input."""
     tokens = []
-    i = 0
+    i = depth = 0
     n = len(text)
     while i < n:
         ch = text[i]
@@ -57,6 +60,9 @@ def _tokenize(text):
             continue
         if ch not in "tx+-*/^()":
             raise ParseError(i, f"unexpected character {ch!r}")
+        depth += (ch == "(") - (ch == ")")
+        if depth > MAX_NESTING_DEPTH:
+            raise ParseError(i, f"parentheses nested deeper than {MAX_NESTING_DEPTH}")
         tokens.append((ch, i))
         i += 1
     tokens.append(("", n))
@@ -147,6 +153,8 @@ def _evaluate(steps, field, rational):
                 value = right
             elif token == "/" and right.is_zero:
                 value = ZeroDenominator(f"zero denominator at offset {pos}")
+            elif _reach(token, left, right) > MAX_POWER_DEGREE:
+                value = ParseError(pos, f"value of degree above {MAX_POWER_DEGREE}")
             else:
                 value = _BINARY[token](left, right)
         elif token == "neg" or token[0] == "^":
@@ -156,25 +164,38 @@ def _evaluate(steps, field, rational):
         elif token == "x":
             value = (RationalFunction.x(field) if rational else
                      ParseError(pos, "'x' is not allowed in a field constant"))
-        else:
-            if token == "t":
-                value = field.gen if field.degree >= 2 else GeneratorUnavailable(
-                    pos, "'t' needs a field extension of degree >= 2")
-            else:  # 10 = 1 (mod 3), so a literal is its digit sum mod 3
-                value = field.from_int(sum(map(int, token)))
-            if rational and not isinstance(value, Char3Error):
-                value = RationalFunction.constant(field, value)
+        elif token == "t":
+            value = field.gen if field.degree >= 2 else GeneratorUnavailable(
+                pos, "'t' needs a field extension of degree >= 2")
+        else:  # 10 = 1 (mod 3), so a literal is its digit sum mod 3
+            value = field.from_int(sum(map(int, token)))
         stack.append(value)
     if isinstance(stack[0], Char3Error):
         raise stack[0]
+    if rational and not isinstance(stack[0], RationalFunction):
+        return RationalFunction.constant(field, stack[0])
     return stack[0]
+
+
+def _degrees(value):
+    """(deg num, deg den) of a rational function; (0, 0) for a constant."""
+    if isinstance(value, RationalFunction):
+        return value.num.degree(), value.den.degree()
+    return 0, 0
+
+
+def _reach(token, left, right):
+    """The highest degree of num or den that left op right has before reduction."""
+    (ln, ld), (rn, rd) = _degrees(left), _degrees(right)
+    if token == "/":
+        rn, rd = rd, rn
+    return max(ln + rn, ld + rd) if token in "*/" else max(ln + rd, rn + ld, ld + rd)
 
 
 def _power(base, digits, pos, field):
     """base ** e, e given by its decimal digits; a ParseError at the '^'
     when base has x and the power would pass degree MAX_POWER_DEGREE."""
-    degree = (max(base.num.degree(), base.den.degree())
-              if isinstance(base, RationalFunction) else 0)
+    degree = max(_degrees(base))
     e = digits.lstrip("0") or "0"
     if degree == 0 and e != "0":
         # c^e = c^((e-1) mod (q-1) + 1) for a field constant c and e >= 1;

@@ -46,6 +46,7 @@ from .series import INF, LaurentSeries, in_residue_class
 GUARD_PRECISION = 8
 
 
+@dataclass(frozen=True)
 class CurveParams:
     """y^2 = x^3 + A x + B with the scale constant c of the y-coordinate map.
 
@@ -53,43 +54,28 @@ class CurveParams:
     x^3 + B is a cube), as is c = 0 (the maps built here are separable).
     """
 
-    __slots__ = ("field", "A", "B", "c")
+    field: FieldParams
+    A: FieldElement
+    B: FieldElement
+    c: FieldElement
 
-    def __init__(self, field: FieldParams, A, B, c):
-        if isinstance(A, int):
-            A = field.from_int(A)
-        if isinstance(B, int):
-            B = field.from_int(B)
-        if isinstance(c, int):
-            c = field.from_int(c)
-        if A.field != field or B.field != field or c.field != field:
-            raise InvalidCurveParameters("curve constants from a different field")
-        if A.is_zero:
+    def __post_init__(self):
+        for name in ("A", "B", "c"):
+            value = getattr(self, name)
+            if isinstance(value, int):
+                object.__setattr__(self, name, self.field.from_int(value))
+            elif value.field != self.field:
+                raise InvalidCurveParameters("curve constants from a different field")
+        if self.A.is_zero:
             raise InvalidCurveParameters("A = 0 gives a singular curve")
-        if c.is_zero:
+        if self.c.is_zero:
             raise InvalidCurveParameters("c = 0 is not a separable map")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CurveParams is immutable")
 
     def rhs_series(self):
         """X^3 + A X + B as an exact series."""
         return LaurentSeries.from_terms(
             self.field, {0: self.B, 1: self.A, 3: self.field.one}
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, CurveParams):
-            return NotImplemented
-        return (self.field == other.field and self.A == other.A
-                and self.B == other.B and self.c == other.c)
-
-    def __hash__(self):
-        return hash((self.field, self.A, self.B, self.c))
 
     def __repr__(self):
         return f"CurveParams(GF(3^{self.field.degree}), A={self.A}, B={self.B}, c={self.c})"
@@ -166,6 +152,7 @@ class CompatReport:
     alpha1: FieldElement
 
 
+@dataclass(frozen=True)
 class FormalEndomorphism:
     """A constructed solution: the x-part eta with its derivation data.
 
@@ -173,16 +160,10 @@ class FormalEndomorphism:
     precision; the y-part of the full map is c * y * eta'(x).
     """
 
-    __slots__ = ("curve", "eta", "gamma0", "prec")
-
-    def __init__(self, curve, eta, gamma0, prec):
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "gamma0", gamma0)
-        object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalEndomorphism is immutable")
+    curve: CurveParams
+    eta: LaurentSeries
+    gamma0: FieldElement
+    prec: int
 
     def __repr__(self):
         return f"<endomorphism gamma0={self.gamma0} eta={self.eta}>"

@@ -196,12 +196,12 @@ class Polynomial:
 
 
 def poly_gcd(a, b):
-    """Monic greatest common divisor."""
+    """Monic greatest common divisor; 1 once a remainder is a nonzero constant."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials")
-    while not b.is_zero:
+    while b.degree() > 0:
         a, b = b, a % b
-    return a.monic()
+    return a.monic() if b.is_zero else Polynomial.one(b.field)
 
 
 class RationalFunction:

@@ -119,6 +119,25 @@ def test_powers_in_x_above_the_degree_cap_are_parse_errors(capsys, flag, text):
     assert err == f"parse error: at offset {text.rindex('^')}: power of degree above 65536\n"
 
 
+@pytest.mark.parametrize("flag, text, offset", [
+    ("--seed-alpha", "x^65536*x", 7),
+    ("--seed-beta", "1/x+x^65536", 3),
+    ("--seed-alpha", "x^32768/(1/x^32769)", 7),
+])
+def test_values_in_x_above_the_degree_cap_are_parse_errors(capsys, flag, text, offset):
+    code, out, err = run(capsys, "construct", "--A", "1", flag, text)
+    assert (code, out) == (3, "")
+    assert err == f"parse error: at offset {offset}: value of degree above 65536\n"
+
+
+@pytest.mark.parametrize("flag", ["--A", "--seed-alpha", "--modulus"])
+def test_nesting_past_the_depth_cap_is_a_parse_error(capsys, flag):
+    args = {"--A": "1", "--seed-alpha": "x", flag: "(" * 260 + "1" + ")" * 260}
+    code, out, err = run(capsys, "construct", *[part for kv in args.items() for part in kv])
+    assert (code, out) == (3, "")
+    assert err == "parse error: at offset 100: parentheses nested deeper than 100\n"
+
+
 def test_construct_incompatible_seed_exits_2(capsys):
     code, _, _ = run(capsys, "construct", "--field", "3^1", "--A", "1",
                      "--B", "2", "--seed-beta", "1/x")

@@ -8,9 +8,9 @@ from char3iso import (
     ZeroDenominator,
     parse_rational_function,
 )
-from char3iso import exprparse
+from char3iso import exprparse, kronecker
 from char3iso.exprparse import parse_field_element, parse_polynomial
-from char3iso.ratrec import Polynomial
+from char3iso.ratrec import Polynomial, RationalFunction
 
 from helpers import random_rational
 
@@ -51,6 +51,28 @@ def test_power_in_x_capped_at_max_degree(f3, monkeypatch):
         assert str(err.value).endswith("power of degree above 6")
 
 
+def test_every_value_in_x_capped_at_max_degree(f3, monkeypatch):
+    monkeypatch.setattr(exprparse, "MAX_POWER_DEGREE", 6)
+    for text in ["x^3*x^3", "(x^6+1)/(x^6+2)", "x^5+1/x", "1/x^3-x^3"]:
+        parse_rational_function(text, f3)  # each reaches degree 6 exactly
+    for text, offset in [("x^4*x^3", 3), ("x^6+1/x", 3), ("1/x-x^6", 3), ("x^3/(1/x^4)", 3),
+                         ("(x^6+1)/(x^6+2)*x", 15)]:
+        with pytest.raises(ParseError) as err:
+            parse_rational_function(text, f3)
+        assert type(err.value) is ParseError and err.value.offset == offset, text
+        assert str(err.value).endswith("value of degree above 6")
+
+
+def test_nesting_capped_at_max_depth(f3):
+    depth = exprparse.MAX_NESTING_DEPTH
+    for parse in (parse_field_element, parse_rational_function):
+        assert parse("(" * depth + "2" + ")" * depth, f3) == parse("2", f3)
+        with pytest.raises(ParseError) as err:
+            parse("1+" + "(" * (depth + 1) + "2" + ")" * (depth + 1), f3)
+        assert err.value.offset == depth + 2
+        assert str(err.value).endswith(f"parentheses nested deeper than {depth}")
+
+
 def test_generator_needs_extension(f3):
     with pytest.raises(GeneratorUnavailable) as err:
         parse_field_element("t", f3)
@@ -80,6 +102,32 @@ def test_rational_goldens(f3):
     rf = parse_rational_function("x", f3)
     assert rf.num == Polynomial.x(f3)
     assert rf.den == Polynomial.one(f3)
+
+
+@pytest.mark.parametrize("text, form", [
+    ("2-x", "2*x+2"),
+    ("x-2", "x+1"),
+    ("t/x", "(t)/(x)"),
+    ("x/t", "(2*t)*x"),
+    ("(t+1)*x", "(1+t)*x"),
+    ("x*(t+1)", "(1+t)*x"),
+    ("(1/(t+2))^3*x", "(1+2*t)*x"),
+])
+def test_constants_meet_x_in_either_order(f9, text, form):
+    rf = parse_rational_function(text, f9)
+    assert isinstance(rf, RationalFunction) and str(rf) == form
+
+
+def test_x_free_text_is_evaluated_in_the_field(f9, monkeypatch):
+    products = []
+    mul = kronecker.mul
+    monkeypatch.setattr(kronecker, "mul", lambda a, b: products.append(1) or mul(a, b))
+    rf = parse_rational_function("(t+1)^5*(2+t)/(t-1)+1/2", f9)
+    parsed, products[:] = len(products), []
+    assert isinstance(rf, RationalFunction) and str(rf) == "(1+2*t)"
+    assert rf == RationalFunction.constant(f9, f9.element((1, 2)))
+    assert parsed == len(products)  # the kernel ran only to promote the value once
+    assert parse_polynomial("(t+1)/(t-1)", f9) == Polynomial(f9, [f9.element((0, 2))])
 
 
 def test_rational_zero_denominator(f3):
@@ -130,6 +178,7 @@ def test_syntax_error_wins_over_value_error(f3):
     ("1/(x-x)+t", True, ZeroDenominator, None),
     ("x^70000+t", True, ParseError, 1),
     ("t+x^70000", True, GeneratorUnavailable, 0),
+    ("x^65536*x+t", True, ParseError, 7),
 ])
 def test_first_value_error_in_evaluation_order(f3, text, rational, error, offset):
     parse = parse_rational_function if rational else parse_field_element

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -31,8 +32,9 @@ from char3iso.isocore import (
     solve_gamma,
 )
 from char3iso.cli import _EXAMPLES, _example_job, _rational_forms
+from char3iso.curve import Point
 from char3iso.gf3field import FieldParams
-from char3iso.ratrec import pade
+from char3iso.ratrec import derive_map_pair, pade
 from char3iso.series import INF, in_residue_class
 
 from helpers import (
@@ -73,6 +75,19 @@ def test_singular_curve_rejected(f3):
 def test_zero_scale_rejected(f3):
     with pytest.raises(InvalidCurveParameters):
         CurveParams(f3, A=1, B=1, c=0)
+
+
+def test_records_are_frozen_and_equal_values_hash_equal(f9):
+    def records():
+        curve = CurveParams(f9, A=1, B=2, c=1)
+        endo = construct(curve, Seed.beta(parse_rational_function("x^2/(x^9+x^3-1)", f9)), 16)[0]
+        return Point(f9.gen, f9.one), curve, endo
+
+    for a, b in zip(records(), records()):
+        assert a is not b and a == b and hash(a) == hash(b)
+        for name in [f.name for f in dataclasses.fields(a)] + ["extra"]:
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
 
 
 def test_alpha_seed_wrong_residue(f3):
@@ -590,8 +605,9 @@ def test_translates_equal_the_per_root_pipeline():
             continue
         sols = construct(curve, seed, prec)
         assert [(s.gamma0, s.eta) for s in sols] == expected
-        bound, rationals = _rational_forms(prec, sols)
-        assert rationals == [pade(s.eta, bound, bound) for s in sols]
+        bound, maps = _rational_forms(curve, prec, sols)
+        rationals = [pade(s.eta, bound, bound) for s in sols]
+        assert maps == [None if r is None else derive_map_pair(curve, r) for r in rationals]
         if len(sols) > 1:
             multi += 1
             rational += rationals[0] is not None
