@@ -16,6 +16,7 @@ solution block per admissible constant term.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -470,7 +471,15 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output: exit as a shell reports a
+        # process killed by SIGPIPE (128 + 13), with stdout on devnull so
+        # that the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, ZeroDenominator) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3

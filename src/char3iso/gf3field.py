@@ -93,6 +93,13 @@ class FieldParams:
         return ((4 * self.degree).bit_length() + 7) // 8, tuple(
             int.from_bytes(bytes(h), "little") for h in self._high_powers)
 
+    @functools.cached_property
+    def _frobenius(self):
+        """The cube map a -> a^3 as a matrix over F3 on the digits, by rows:
+        entry (i, j) is the t^i digit of (t^j)^3. For LaurentSeries.cube."""
+        return tuple(zip(*(_from_packed(self, 1 << 8 * j).frobenius().coeffs
+                           for j in range(self.degree))))
+
     def element(self, coeffs):
         return FieldElement(self, coeffs)
 

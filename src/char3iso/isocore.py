@@ -264,9 +264,12 @@ def solve_gamma(A, psi, gamma0, prec):
     if psi.prec != INF:
         count = min(count, (int(psi.prec) + 2) // 3)
     a_inv = A.inverse()
+    # psi's coefficients at X^0, X^3, ..., X^(3 count - 3), made at once
+    c = ([field.zero] * (psi.val or 0) + list(psi.truncate(3 * count).coeffs))[::3]
+    c += [field.zero] * (count - len(c))
     g = [gamma0]
     for n in range(1, count):
-        c_n = psi.coefficient(3 * n)
+        c_n = c[n]
         if n % 3 != 0:
             g.append(c_n * a_inv)
         else:
@@ -305,7 +308,7 @@ def verify_functional_equation(curve, eta, prec=None):
         r = r.truncate(prec)
     if r.is_zero:
         return FunctionalEquationReport(True, r.prec, None, None)
-    return FunctionalEquationReport(False, r.prec, r.val, r.coeffs[0])
+    return FunctionalEquationReport(False, r.prec, r.val, r.coefficient(r.val))
 
 
 def construct(curve, seed, prec):

@@ -15,8 +15,9 @@ t^j digit of every coefficient), so a Newton step packs, unpacks, negates
 and concatenates without per-coefficient Python work.
 
 Every inverse and every division, however short, takes Newton's iteration;
-it bottoms out in a coefficient loop for inverses of at most 3 terms, where
-a product costs more than the few field operations it would replace.
+it bottoms out at the field inverse of the constant term. LaurentSeries
+keeps its runs in column form and calls the column functions directly;
+mul, inverse and divmod adapt element runs for Polynomial.
 """
 
 from __future__ import annotations
@@ -57,16 +58,10 @@ def divmod(a, b):
     remainder comes back without trailing zeros."""
     if not b or b[-1].is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    qn = len(a) - len(b) + 1
-    if qn <= 0:
-        return [], _trim(list(a))
-    field, lb = b[0].field, len(b)
-    ca, cb = _columns(a), _columns(b)
-    # the reversed quotient is the low product of reversed a and 1/reversed b
-    rev_inv = _inverse_cols(field, [c[::-1][:qn] for c in cb], qn)
-    q = _mul_cols(field, [c[::-1][:qn] for c in ca], rev_inv, qn)
-    q = [c[::-1] for c in q]
-    r = _sub_cols([c[:lb - 1] for c in ca], _mul_cols(field, cb, q, lb - 1))
+    if not a:
+        return [], []
+    field = b[0].field
+    q, r = _divmod_cols(field, _columns(a), _columns(b))
     return _elements(field, q), _trim(_elements(field, r))
 
 
@@ -74,6 +69,9 @@ def divmod(a, b):
 
 def _columns(run):
     k = run[0].field.degree
+    if k <= 8:  # one little-endian 8-byte word per coefficient: struct writes them all
+        raw = struct.pack(f"<{len(run)}Q", *[c.packed for c in run])
+        return [raw[j::8] for j in range(k)]
     digits = b"".join([c.packed.to_bytes(k, "little") for c in run])
     return [digits[j::k] for j in range(k)]
 
@@ -140,8 +138,10 @@ def _mul_cols(field, a, b, n):
 def _inverse_cols(field, b, n):
     """Columns of the first n coefficients of 1/b, by Newton's iteration
     g <- g - x^m g e, where b g = 1 + x^m e mod x^n and g is exact mod x^m."""
-    if n <= 3:
-        return _columns(_classical_inverse(_elements(field, [c[:n] for c in b]), n))
+    if n == 1:
+        lead = FieldElement._from_packed(field, int.from_bytes(bytes([c[0] for c in b]), "little"))
+        digits = lead.inverse().packed.to_bytes(field.degree, "little")
+        return [digits[j:j + 1] for j in range(field.degree)]
     m = (n + 1) // 2
     g = _inverse_cols(field, b, m)
     e = [c[m:] for c in _mul_cols(field, [c[:n] for c in b], g, n)]
@@ -149,16 +149,14 @@ def _inverse_cols(field, b, n):
     return [x + y.translate(_NEG) for x, y in zip(g, correction)]
 
 
-def _classical_inverse(b, n):
-    """First n coefficients of the power series 1/b, one coefficient at a time."""
-    field = b[0].field
-    lead_inv = b[0].inverse()
-    q = []
-    for j in range(n):
-        acc = field.zero if j else field.one
-        for i in range(max(0, j - len(b) + 1), j):
-            qi = q[i]
-            if qi:
-                acc = acc - qi * b[j - i]
-        q.append(acc * lead_inv)
-    return q
+def _divmod_cols(field, a, b):
+    """Columns of the quotient and remainder of a by b as polynomials
+    (b's last coefficient nonzero); the remainder keeps len(b) - 1
+    coefficients, trailing zeros included."""
+    qn, lb = len(a[0]) - len(b[0]) + 1, len(b[0])
+    if qn <= 0:
+        return [b""] * len(a), a
+    # the reversed quotient is the low product of reversed a and 1/reversed b
+    rev_inv = _inverse_cols(field, [c[::-1][:qn] for c in b], qn)
+    q = [c[::-1] for c in _mul_cols(field, [c[::-1][:qn] for c in a], rev_inv, qn)]
+    return q, _sub_cols([c[:lb - 1] for c in a], _mul_cols(field, b, q, lb - 1))

@@ -105,6 +105,9 @@ class Polynomial:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Polynomial.zero(self.field)
+        if len(self.coeffs) == 1 or len(other.coeffs) == 1:  # a constant scales coefficientwise
+            (c,), p = (self.coeffs, other) if len(self.coeffs) == 1 else (other.coeffs, self)
+            return p if c == 1 else Polynomial(self.field, [x * c for x in p.coeffs])
         return Polynomial(self.field, kronecker.mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
@@ -394,7 +397,8 @@ def pade(series, deg_num_max, deg_den_max):
     order = dn + dd + 1
     if t.prec != INF:
         order = min(order, int(t.prec))
-    prefix = Polynomial(field, [t.coefficient(e) for e in range(order)])
+    head = t.truncate(order)  # t.val >= 0
+    prefix = Polynomial(field, (field.zero,) * (head.val or 0) + head.coeffs)
 
     r_prev = Polynomial(field, [0] * order + [1])  # X^order
     r_cur = prefix
@@ -407,7 +411,7 @@ def pade(series, deg_num_max, deg_den_max):
     if u_cur.is_zero:
         return None
     if series.prec == INF:
-        check_prec = (series.val + len(series.coeffs)
+        check_prec = (series.val + len(series.cols[0])
                       + deg_num_max + deg_den_max + 2)
     else:
         check_prec = series.prec

@@ -23,7 +23,7 @@ import math
 
 from . import kronecker
 from .errors import MixedFields, PrecisionError, ZeroDenominator, ZeroDivisor
-from .gf3field import FieldElement
+from .gf3field import _MOD3, FieldElement, _reduce
 
 INF = math.inf
 
@@ -35,28 +35,35 @@ class LaurentSeries:
     ends with nonzero coefficients and exponents between the end of the run
     and prec are known zeros. The zero-to-precision series has an empty run
     and val None.
+
+    The run is kept in the kernel's column form: `cols` holds k bytes
+    columns, column j the t^j digit of each coefficient, so arithmetic is a
+    few big-int or bytes operations per column. FieldElements are made only
+    where coefficients are handed out (coeffs, coefficient, nonzero_terms).
     """
 
-    __slots__ = ("field", "val", "coeffs", "prec")
+    __slots__ = ("field", "val", "cols", "prec")
 
     def __init__(self, field, val, coeffs, prec):
         coeffs = tuple(coeffs)
+        self._store(field, val, kronecker._columns(coeffs) if coeffs else (), prec)
+
+    def _store(self, field, val, cols, prec):
         if prec != INF and not isinstance(prec, int):
             raise TypeError("prec must be an int or INF")
         # drop anything at or beyond prec, then strip zero padding
-        end = len(coeffs)
+        end = len(cols[0]) if cols else 0
         if prec != INF and val is not None:
             end = max(0, min(end, prec - val))
-        start = 0
-        while start < end and coeffs[start].is_zero:
-            start += 1
-        while end > start and coeffs[end - 1].is_zero:
-            end -= 1
-        coeffs = coeffs[start:end]
-        val = val + start if coeffs else None
+        mask = _mask([c[:end] for c in cols])
+        if mask:
+            start, stop = ((mask & -mask).bit_length() - 1) // 8, (mask.bit_length() + 7) // 8
+            val, cols = val + start, tuple(bytes(c[start:stop]) for c in cols)
+        else:
+            val, cols = None, (b"",) * field.degree
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "val", val)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "prec", prec)
 
     def __setattr__(self, name, value):
@@ -66,19 +73,18 @@ class LaurentSeries:
 
     @classmethod
     def zero(cls, field, prec=INF):
-        return cls(field, None, (), prec)
+        return _series(field, None, (), prec)
 
     @classmethod
     def constant(cls, field, value, prec=INF):
-        if isinstance(value, int):
-            value = field.from_int(value)
-        return cls(field, 0, (value,), prec)
+        return cls.monomial(field, 0, value, prec)
 
     @classmethod
     def monomial(cls, field, exponent, coeff=1, prec=INF):
         if isinstance(coeff, int):
             coeff = field.from_int(coeff)
-        return cls(field, exponent, (coeff,), prec)
+        digits = coeff.packed.to_bytes(field.degree, "little")
+        return _series(field, exponent, [digits[j:j + 1] for j in range(field.degree)], prec)
 
     @classmethod
     def from_terms(cls, field, terms, prec=INF):
@@ -102,17 +108,22 @@ class LaurentSeries:
     # ---- basic queries -------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The coefficient run as a tuple of FieldElements, made on each call."""
+        return tuple(kronecker._elements(self.field, self.cols))
+
+    @property
     def is_zero(self):
         """True when every known coefficient vanishes (zero to precision)."""
-        return not self.coeffs
+        return self.val is None
 
     @property
     def is_exactly_zero(self):
-        return not self.coeffs and self.prec == INF
+        return self.val is None and self.prec == INF
 
     def _vbound(self):
         """Valuation, or its best lower bound (prec) for a zero series."""
-        return self.val if self.coeffs else self.prec
+        return self.prec if self.val is None else self.val
 
     def coefficient(self, exponent):
         """Coefficient at the exponent; refuses to answer beyond prec."""
@@ -120,17 +131,15 @@ class LaurentSeries:
             raise PrecisionError(
                 f"coefficient at X^{exponent} unknown (prec {self.prec})"
             )
-        if not self.coeffs or exponent < self.val:
+        if self.val is None or not 0 <= exponent - self.val < len(self.cols[0]):
             return self.field.zero
-        i = exponent - self.val
-        if i >= len(self.coeffs):
-            return self.field.zero
-        return self.coeffs[i]
+        digits = bytes([c[exponent - self.val] for c in self.cols])
+        return FieldElement._from_packed(self.field, int.from_bytes(digits, "little"))
 
     def nonzero_terms(self):
         """Known nonzero (exponent, coefficient) pairs, ascending."""
         for i, c in enumerate(self.coeffs):
-            if not c.is_zero:
+            if c:
                 yield self.val + i, c
 
     # ---- arithmetic ----------------------------------------------------
@@ -146,27 +155,21 @@ class LaurentSeries:
 
     def _add(self, other, subtract):
         """self + other, or self - other, on the runs aligned below the
-        common precision; only other's nonzero coefficients cost a field
-        operation."""
+        common precision: one int sum and one translate per column."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         prec = min(self.prec, other.prec)
-        present = [s for s in (self, other) if s.coeffs]
+        present = [s for s in (self, other) if s.val is not None]
         lo = min((s.val for s in present), default=0)
-        hi = min(max((s.val + len(s.coeffs) for s in present), default=0), prec)
+        hi = min(max((s.val + len(s.cols[0]) for s in present), default=0), prec)
         if hi <= lo:
             return LaurentSeries.zero(self.field, prec)
-        run = [self.field.zero] * (hi - lo)
-        if self.coeffs:
-            part = self.coeffs[:max(0, hi - self.val)]
-            run[self.val - lo:self.val - lo + len(part)] = part
-        if other.coeffs:
-            op = FieldElement.__sub__ if subtract else FieldElement.__add__
-            for i, c in enumerate(other.coeffs[:max(0, hi - other.val)], other.val - lo):
-                if c:
-                    run[i] = op(run[i], c)
-        return LaurentSeries(self.field, lo, run, prec)
+        factor = 2 if subtract else 1  # -d = 2d (mod 3); a byte sums to at most 6
+        cols = [(_aligned(x, self.val, lo, hi) + factor * _aligned(y, other.val, lo, hi))
+                .to_bytes(hi - lo, "little").translate(_MOD3)
+                for x, y in zip(self.cols, other.cols)]
+        return _series(self.field, lo, cols, prec)
 
     def __add__(self, other):
         return self._add(other, False)
@@ -180,7 +183,8 @@ class LaurentSeries:
         return (-self) + other
 
     def __neg__(self):
-        return LaurentSeries(self.field, self.val, [-c for c in self.coeffs], self.prec)
+        return _series(self.field, self.val, [c.translate(kronecker._NEG) for c in self.cols],
+                       self.prec)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -192,10 +196,12 @@ class LaurentSeries:
         val = self.val + other.val
         if prec != INF and prec <= val:
             return LaurentSeries.zero(self.field, prec)
-        n = len(self.coeffs) + len(other.coeffs) - 1
+        n = len(self.cols[0]) + len(other.cols[0]) - 1
         if prec != INF:
             n = min(n, prec - val)
-        return LaurentSeries(self.field, val, kronecker.mul(self.coeffs, other.coeffs, n), prec)
+        a = [c[:n] for c in self.cols]
+        b = a if other is self else [c[:n] for c in other.cols]
+        return _series(self.field, val, kronecker._mul_cols(self.field, a, b, n), prec)
 
     __rmul__ = __mul__
 
@@ -222,19 +228,20 @@ class LaurentSeries:
         target = natural if prec is None else min(natural, prec)
         if self.is_zero:
             return LaurentSeries.zero(self.field, target)
-        qval = self.val - other.val
+        field, qval = self.field, self.val - other.val
         if target == INF:
-            q, r = kronecker.divmod(self.coeffs, other.coeffs)
-            if r:
+            q, r = kronecker._divmod_cols(field, self.cols, other.cols)
+            if _mask(r):
                 raise ValueError(
                     "division of exact series is inexact; pass prec for a truncation"
                 )
-            return LaurentSeries(self.field, qval, q, INF)
+            return _series(field, qval, q, INF)
         n = target - qval
         if n <= 0:
-            return LaurentSeries.zero(self.field, target)
-        q = kronecker.mul(self.coeffs, kronecker.inverse(other.coeffs, n), n)
-        return LaurentSeries(self.field, qval, q, target)
+            return LaurentSeries.zero(field, target)
+        inv = kronecker._inverse_cols(field, [c[:n] for c in other.cols], n)
+        q = kronecker._mul_cols(field, [c[:n] for c in self.cols], inv, n)
+        return _series(field, qval, q, target)
 
     def inverse(self, prec=None):
         one = LaurentSeries.constant(self.field, 1)
@@ -243,33 +250,49 @@ class LaurentSeries:
     def shift(self, n):
         """Multiply by X^n (n may be negative)."""
         val = None if self.val is None else self.val + n
-        return LaurentSeries(self.field, val, self.coeffs, self.prec + n)
+        return _series(self.field, val, self.cols, self.prec + n)
 
     def truncate(self, prec):
         """Forget coefficients at and beyond `prec` (never gains precision)."""
-        new_prec = min(prec, self.prec)
-        return LaurentSeries(self.field, self.val, self.coeffs, new_prec)
+        return _series(self.field, self.val, self.cols, min(prec, self.prec))
 
     def derivative(self):
-        """Formal derivative; exponents act mod 3."""
+        """Formal derivative; exponents act mod 3, so the coefficients at
+        exponents = 0 vanish and those at exponents = 2 change sign."""
         if self.is_zero:
             return LaurentSeries.zero(self.field, self.prec - 1)
-        out = [c * ((self.val + i) % 3) for i, c in enumerate(self.coeffs)]
-        return LaurentSeries(self.field, self.val - 1, out, self.prec - 1)
+        at0, at2 = -self.val % 3, (2 - self.val) % 3
+        cols = []
+        for c in self.cols:
+            buf = bytearray(c)
+            buf[at0::3] = bytes(len(buf[at0::3]))
+            buf[at2::3] = buf[at2::3].translate(kronecker._NEG)
+            cols.append(buf)
+        return _series(self.field, self.val - 1, cols, self.prec - 1)
 
     def cube(self):
         """Third power via the Frobenius: sum of a_n^3 X^(3n).
 
         In characteristic 3 cubing is coefficientwise, so the result is
-        known out to three times the input precision.
+        known out to three times the input precision. The Frobenius is
+        F3-linear on the digits: its matrix maps the columns, and each
+        image column spreads to every third exponent.
         """
         if self.is_zero:
             return LaurentSeries.zero(self.field, 3 * self.prec)
-        out = [self.field.zero] * (3 * (len(self.coeffs) - 1) + 1)
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                out[3 * i] = c.frobenius()
-        return LaurentSeries(self.field, 3 * self.val, out, 3 * self.prec)
+        n = len(self.cols[0])
+        digits = [int.from_bytes(c, "little") for c in self.cols]
+        cols = []
+        for row in self.field._frobenius:
+            acc = 0
+            for j, (m, d) in enumerate(zip(row, digits)):
+                acc += m * d
+                if j % 63 == 62:  # 2 + 63 terms of at most 4 stay below 256
+                    acc = _reduce(acc, n)
+            buf = bytearray(3 * n - 2)
+            buf[::3] = acc.to_bytes(n, "little").translate(_MOD3)
+            cols.append(buf)
+        return _series(self.field, 3 * self.val, cols, 3 * self.prec)
 
     # ---- comparisons and display ----------------------------------------
 
@@ -277,10 +300,10 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         return (self.field == other.field and self.val == other.val
-                and self.coeffs == other.coeffs and self.prec == other.prec)
+                and self.cols == other.cols and self.prec == other.prec)
 
     def __hash__(self):
-        return hash((self.val, self.coeffs, self.prec))
+        return hash((self.val, self.cols, self.prec))
 
     def agrees_with(self, other):
         """Equality after truncating both to the common precision."""
@@ -311,7 +334,32 @@ class LaurentSeries:
 
 def in_residue_class(s, residue):
     """True when every known nonzero coefficient sits at exponent = residue (mod 3)."""
-    return all(e % 3 == residue for e, _ in s.nonzero_terms())
+    if s.is_zero:
+        return True
+    support = bytearray(_mask(s.cols).to_bytes(len(s.cols[0]), "little"))
+    at = (residue - s.val) % 3
+    support[at::3] = bytes(len(support[at::3]))
+    return support.count(0) == len(support)
+
+
+def _series(field, val, cols, prec):
+    """Series from a run in column form, cut at prec and stripped."""
+    s = object.__new__(LaurentSeries)
+    s._store(field, val, cols, prec)
+    return s
+
+
+def _mask(cols):
+    """An int whose byte i is nonzero exactly where coefficient i is."""
+    mask = 0
+    for c in cols:
+        mask |= int.from_bytes(c, "little")
+    return mask
+
+
+def _aligned(col, val, lo, hi):
+    """A column's digits as an int whose byte i is exponent lo + i, cut at hi."""
+    return int.from_bytes(col[:max(0, hi - val)], "little") << 8 * (val - lo) if col else 0
 
 
 def expand_rational(num, den, prec):

@@ -16,6 +16,7 @@ from char3iso import (
     IncompatibleSeed,
     LaurentSeries,
     PointNotOnCurve,
+    PrecisionError,
     RationalFunction,
     verify_functional_equation,
 )
@@ -62,6 +63,16 @@ def random_rational(rng, field, max_deg=5):
         den = random_polynomial(rng, field, max_deg, nonzero=True)
         if not den.eval(field.zero).is_zero:
             return RationalFunction(num, den)
+
+
+# Dense irreducible moduli, low coefficient first, found by Rabin's test in
+# FieldParams among seeded random polynomials with every coefficient nonzero.
+# Single-byte digit slots hold a product (up to 4k per slot) only to k = 63.
+BOUNDARY_MODULI = {
+    63: "1122122111222112111111221121111122121111221112222121121222112211",
+    64: "21122212222212222112211112222122122211212222121111211111212112221",
+    65: "221112221122221222211222121121121121112212121212221111221222211121",
+}
 
 
 # ---- independent GF(3^k) oracle (int-tuple polynomial remaindering) -----
@@ -164,6 +175,58 @@ def schoolbook_divmod(a, b):
     while r and r[-1].is_zero:
         r.pop()
     return q, r
+
+
+# ---- element-loop series oracles for the column form of char3iso.series ----
+# LaurentSeries keeps its run as bytes columns; these take the run as
+# FieldElements (s.coeffs) and work one coefficient at a time.
+
+def elementwise_coefficient(s, exponent):
+    if exponent >= s.prec:
+        raise PrecisionError(f"coefficient at X^{exponent} unknown (prec {s.prec})")
+    run = s.coeffs
+    i = exponent - s.val if run else -1
+    return run[i] if 0 <= i < len(run) else s.field.zero
+
+
+def elementwise_add(a, b, subtract=False):
+    """a + b, or a - b, on the runs aligned below the common precision."""
+    prec = min(a.prec, b.prec)
+    present = [s for s in (a, b) if s.coeffs]
+    lo = min((s.val for s in present), default=0)
+    hi = min(max((s.val + len(s.coeffs) for s in present), default=0), prec)
+    if hi <= lo:
+        return LaurentSeries.zero(a.field, prec)
+    run = [a.field.zero] * (hi - lo)
+    for s, negate in ((a, False), (b, subtract)):
+        for j, c in enumerate(s.coeffs, s.val - lo if s.coeffs else 0):
+            if j < hi - lo:
+                run[j] = run[j] - c if negate else run[j] + c
+    return LaurentSeries(a.field, lo, run, prec)
+
+
+def elementwise_neg(s):
+    return LaurentSeries(s.field, s.val, [-c for c in s.coeffs], s.prec)
+
+
+def elementwise_derivative(s):
+    if not s.coeffs:
+        return LaurentSeries.zero(s.field, s.prec - 1)
+    run = [c * ((s.val + i) % 3) for i, c in enumerate(s.coeffs)]
+    return LaurentSeries(s.field, s.val - 1, run, s.prec - 1)
+
+
+def elementwise_cube(s):
+    if not s.coeffs:
+        return LaurentSeries.zero(s.field, 3 * s.prec)
+    run = [s.field.zero] * (3 * (len(s.coeffs) - 1) + 1)
+    for i, c in enumerate(s.coeffs):
+        run[3 * i] = c.frobenius()
+    return LaurentSeries(s.field, 3 * s.val, run, 3 * s.prec)
+
+
+def elementwise_in_residue_class(s, residue):
+    return all(e % 3 == residue for e, c in enumerate(s.coeffs, s.val or 0) if c)
 
 
 # ---- Pade that normalises every candidate before certifying it -------------

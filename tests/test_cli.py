@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import char3iso
 from char3iso.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -468,3 +472,24 @@ def test_unknown_command_exits_3(capsys):
     with pytest.raises(SystemExit) as err:
         main(["bogus"])
     assert err.value.code == 3
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # At --prec 8192 the records output (about 100 kB) outgrows a pipe's
+    # buffer, so the command is still writing when the reader goes away.
+    src = str(Path(char3iso.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "char3iso.cli", "construct", "--field", "3^2", "--A=1",
+         *SEEDS_2048["mul2"], "--prec", "8192", "--format", "records"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"command=construct\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()

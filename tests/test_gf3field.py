@@ -7,7 +7,7 @@ import pytest
 from char3iso import FieldParams, MixedFields
 from char3iso.gf3field import DEFAULT_MODULI, FieldElement, solve_additive_cubic
 
-from helpers import is_irreducible_trial, oracle_add, oracle_mul, sqrt
+from helpers import BOUNDARY_MODULI, is_irreducible_trial, oracle_add, oracle_mul, sqrt
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -175,16 +175,6 @@ def test_packed_ops_match_tuple_oracles_sampled(degree):
         a, b = field.element(ca), other.element(rng.choice([ca, cb]))
         assert a.coeffs == ca
         check_against_oracles(a, b)
-
-
-# Dense irreducible moduli, low coefficient first, found by Rabin's test in
-# FieldParams among seeded random polynomials with every coefficient nonzero.
-# Single-byte digit slots hold a product (up to 4k per slot) only to k = 63.
-BOUNDARY_MODULI = {
-    63: "1122122111222112111111221121111122121111221112222121121222112211",
-    64: "21122212222212222112211112222122122211212222121111211111212112221",
-    65: "221112221122221222211222121121121121112212121212221111221222211121",
-}
 
 
 @pytest.mark.parametrize("degree", sorted(BOUNDARY_MODULI))

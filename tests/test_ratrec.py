@@ -14,7 +14,7 @@ from char3iso import (
     pade,
     parse_rational_function,
 )
-from char3iso import ratrec
+from char3iso import kronecker, ratrec
 from char3iso.exprparse import parse_polynomial
 from char3iso.isocore import solve_gamma
 from char3iso.ratrec import Polynomial, poly_gcd
@@ -24,6 +24,7 @@ from helpers import (
     poly_extended_euclid,
     random_polynomial,
     random_rational,
+    schoolbook_mul,
 )
 
 
@@ -59,6 +60,26 @@ def test_poly_eval_horner(f9):
 def test_poly_derivative_char3(f3):
     assert parse_polynomial("x^3", f3).derivative().is_zero
     assert parse_polynomial("x^4", f3).derivative() == parse_polynomial("x^3", f3)
+
+
+def test_constant_factors_scale_without_the_kernel(monkeypatch, f9):
+    products = []
+    real_mul = kronecker.mul
+    monkeypatch.setattr(kronecker, "mul", lambda *args: products.append(1) or real_mul(*args))
+    rng = random.Random(11)
+    for _ in range(40):
+        p = random_polynomial(rng, f9, 6)
+        c = random_polynomial(rng, f9, 0)
+        want = Polynomial(f9, schoolbook_mul(p.coeffs, c.coeffs))
+        assert p * c == want and c * p == want
+    assert products == []
+    p = random_polynomial(rng, f9, 6, nonzero=True)
+    assert p * 1 is p and Polynomial.one(f9) * p is p
+    RationalFunction.x(f9)
+    RationalFunction.constant(f9, f9.gen)
+    assert products == []
+    RationalFunction.x(f9) * RationalFunction.x(f9)
+    assert len(products) == 1
 
 
 def test_gcd_goldens(f3):

@@ -3,19 +3,29 @@ import random
 import pytest
 
 from char3iso import (
+    FieldParams,
     LaurentSeries,
     MixedFields,
     PrecisionError,
     ZeroDenominator,
     ZeroDivisor,
 )
-from char3iso.series import INF, expand_rational
+from char3iso.series import INF, expand_rational, in_residue_class
 
 from helpers import (
+    BOUNDARY_MODULI,
     Homogeneity,
+    elementwise_add,
+    elementwise_coefficient,
+    elementwise_cube,
+    elementwise_derivative,
+    elementwise_in_residue_class,
+    elementwise_neg,
     homogeneity_class,
     oracle_expand,
     random_series,
+    schoolbook_inverse,
+    schoolbook_mul,
     split,
     split_by_formula,
 )
@@ -286,3 +296,88 @@ def test_deep_negative_valuations(f3):
     inv = s.inverse()
     assert inv.val == 6
     assert (inv * s).agrees_with(LaurentSeries.constant(f3, 1))
+
+
+# ---- the column form against the element loops ----------------------------------
+
+COLUMN_FIELDS = [FieldParams(k) for k in range(1, 6)] + [
+    # the dense degree-7 modulus of the kernel tests
+    FieldParams(7, (2, 2, 2, 2, 2, 1, 1, 1)),
+]
+
+
+def _element(rng, field, density):
+    if rng.random() >= density:
+        return field.zero
+    return field.element([rng.randrange(3) for _ in range(field.degree)])
+
+
+def _full_field_series(rng, field):
+    """A series with coefficients anywhere in the field: negative valuations,
+    empty, all-zero and zero-padded runs, and a precision that is infinite,
+    past the run or cutting inside it."""
+    val = rng.randint(-8, 6)
+    density = rng.choice((1.0, 0.5, 0.0))
+    run = [_element(rng, field, density) for _ in range(rng.randint(0, 14))]
+    prec = rng.choice((INF, val + len(run) + rng.randint(0, 4), val + rng.randint(-2, len(run))))
+    return LaurentSeries(field, val, run, prec)
+
+
+def _same_coeffs(a, b):
+    return (a.field, a.val, a.coeffs, a.prec) == (b.field, b.val, b.coeffs, b.prec)
+
+
+@pytest.mark.parametrize("field", COLUMN_FIELDS, ids=lambda field: f"3^{field.degree}")
+def test_column_ops_match_element_loops(field):
+    rng = random.Random(f"columns:{field.degree}")
+    twin = FieldParams(field.degree, field.modulus)
+    for _ in range(150):
+        a, b = _full_field_series(rng, field), _full_field_series(rng, field)
+        assert a + b == elementwise_add(a, b)
+        assert a - b == elementwise_add(a, b, subtract=True)
+        assert -a == elementwise_neg(a)
+        assert a.derivative() == elementwise_derivative(a)
+        assert a.cube() == elementwise_cube(a)
+        for residue in range(3):
+            assert in_residue_class(a, residue) == elementwise_in_residue_class(a, residue)
+        lo = a.val if a.val is not None else 0
+        for e in range(lo - 2, lo + len(a.coeffs) + 3):
+            if e < a.prec:
+                assert a.coefficient(e) == elementwise_coefficient(a, e)
+            else:
+                with pytest.raises(PrecisionError):
+                    a.coefficient(e)
+        # products and quotients reach the kernel's column functions directly
+        if a.coeffs and b.coeffs:
+            product = a * b
+            run = schoolbook_mul(a.coeffs, b.coeffs)
+            assert product == LaurentSeries(field, a.val + b.val, run, product.prec)
+            quotient = a.divide(b, prec=a.val - b.val + rng.randint(0, 16))
+            n = quotient.prec - (a.val - b.val)
+            run = schoolbook_mul(a.coeffs, schoolbook_inverse(b.coeffs, n), n) if n > 0 else []
+            assert quotient == LaurentSeries(field, a.val - b.val, run, quotient.prec)
+            if a.prec == b.prec == INF:
+                assert product / b == a
+        # equality and hash follow the coefficient runs, across equal fields
+        assert (a == b) == _same_coeffs(a, b)
+        cut = a.truncate(rng.randint(-9, 20))
+        assert (a == cut) == _same_coeffs(a, cut)
+        padded = LaurentSeries(twin, lo - 1, (field.zero,) + a.coeffs + (field.zero,), a.prec)
+        assert padded == a and hash(padded) == hash(a) and _same_coeffs(padded, a)
+
+
+@pytest.mark.parametrize("degree", sorted(BOUNDARY_MODULI))
+def test_cube_at_the_byte_slot_boundary(degree):
+    field = FieldParams(degree, tuple(map(int, BOUNDARY_MODULI[degree])))
+    twos = field.element((2,) * degree)
+    s = LaurentSeries(field, -1, [twos, field.gen, field.zero, twos], 40)
+    assert s.cube() == elementwise_cube(s)
+    # A digit of the cube sums k terms of at most 2*2 from the Frobenius
+    # matrix; from k = 64 on that passes 255 unless cube reduces on the way.
+    # The map is the same linear map for any matrix, so an all-2 matrix on
+    # all-2 digits is the worst case: every digit becomes 4k = k (mod 3).
+    ring = FieldParams(degree, field.modulus)
+    ring._frobenius = ((2,) * degree,) * degree
+    worst = LaurentSeries(ring, 0, [ring.element((2,) * degree)] * 2, INF)
+    image = ring.element((degree % 3,) * degree)
+    assert worst.cube() == LaurentSeries(ring, 0, [image, ring.zero, ring.zero, image], INF)
