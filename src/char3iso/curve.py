@@ -42,7 +42,7 @@ def on_curve(curve, point):
     if point.is_infinity:
         return True
     x, y = point.x, point.y
-    return y * y == x * x * x + curve.A * x + curve.B
+    return y * y == (x * x + curve.A) * x + curve.B
 
 
 def _require_on_curve(curve, point):
@@ -102,18 +102,21 @@ def enumerate_points(curve):
     ascending (x, y) coefficient order.
 
     One table maps each square to its smaller root, built from q
-    squarings in ascending order, so every x costs a lookup."""
+    squarings in ascending order, so every x costs a lookup. The work
+    grows with q, so the field's log tables are built first and every
+    product and inverse on these points is a table lookup."""
     field = curve.field
     if field.order > ENUMERATION_MAX_ORDER:
         raise FieldTooLarge(
             f"field order {field.order} exceeds {ENUMERATION_MAX_ORDER}"
         )
+    field.build_log_tables()
     roots = {}
     for y in field.elements():
         roots.setdefault(y * y, y)
     points = [Point.infinity()]
     for x in field.elements():
-        root = roots.get(x * x * x + curve.A * x + curve.B)
+        root = roots.get((x * x + curve.A) * x + curve.B)
         if root is None:
             continue
         points.append(Point(x, root))
@@ -138,6 +141,22 @@ def apply_map(curve, fx, fy_factor, point):
     if factor is None:
         return Point.infinity()
     return Point(image_x, point.y * factor)
+
+
+def _map_points(fx, fy_factor, points):
+    """apply_map on each point in enumeration order, where (x, y) and
+    (x, -y) are adjacent and share x: fx and fy_factor are evaluated
+    once per x."""
+    x = factor = None
+    for p in points:
+        if p.is_infinity:
+            yield p
+            continue
+        if p.x is not x:
+            x = p.x
+            image_x = fx.eval(x)
+            factor = None if image_x is None else fy_factor.eval(x)
+        yield Point.infinity() if factor is None else Point(image_x, p.y * factor)
 
 
 @dataclass(frozen=True)
@@ -167,7 +186,7 @@ def check_map(curve, fx, fy_factor):
     points = tuple(enumerate_points(curve))
     for p in points:
         _require_on_curve(curve, p)
-    images = tuple(apply_map(curve, fx, fy_factor, p) for p in points)
+    images = tuple(_map_points(fx, fy_factor, points))
     off = tuple(p for p, image in zip(points, images) if not on_curve(curve, image))
     if off:
         return MapCheckReport(False, off, False, 0, points, images)
@@ -192,12 +211,14 @@ def identify_scalar(curve, report, max_m):
     on every rational point, or None. Meaningful once check_map has passed.
 
     N = #E(F_q) kills every rational point, so m and m - N act alike and
-    the smallest match, if any, is at most N: the search stops there."""
+    the smallest match, if any, is at most N: the search stops there.
+    The multiples go through the unchecked group law: every operand is an
+    enumerated point check_map has checked, or a sum of such points."""
     points, images = report.points, report.images
     multiples = list(points)  # m = 1
     for m in range(1, min(max_m, len(points)) + 1):
         if m > 1:
-            multiples = [p_add(curve, acc, p) for acc, p in zip(multiples, points)]
+            multiples = [_add(curve, acc, p) for acc, p in zip(multiples, points)]
         if all(img == acc for img, acc in zip(images, multiples)):
             return m
     return None

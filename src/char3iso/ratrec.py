@@ -151,8 +151,10 @@ class Polynomial:
         )
 
     def eval(self, x):
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
+        if not self.coeffs:
+            return self.field.zero
+        acc = self.coeffs[-1]
+        for c in self.coeffs[-2::-1]:
             acc = acc * x + c
         return acc
 

@@ -231,6 +231,102 @@ def test_negative_powers(f9):
     assert t ** 0 == f9.one
 
 
+# ---- log tables --------------------------------------------------------------
+
+def tabled(degree, modulus=None):
+    field = FieldParams(degree, modulus)
+    field.build_log_tables()
+    return field
+
+
+def check_tables_against_packed(a, b, plain):
+    """Every table operation on a and b, elements of a field with log
+    tables, against the packed arithmetic of plain, an equal field
+    without them."""
+    field, n = a.field, a.field.order - 1
+    pa, pb = plain.element(a.coeffs), plain.element(b.coeffs)
+    cases = [(a * b, pa * pb), (a + b, pa + pb), (a - b, pa - pb), (-a, -pa),
+             (a.frobenius(), pa.frobenius()), (a * pb, pa * pb), (a - pb, pa - pb)]
+    cases += [(a ** e, pa ** e) for e in (0, 1, 2, 3, n - 1, n, n + 1, 3 * n + 5)]
+    if b:
+        cases += [(a / b, pa / pb), (b.inverse(), pb.inverse()), (b ** -1, pb ** -1),
+                  (b ** -2, pb ** -2)]
+    for got, want in cases:
+        assert got.field is field and got.packed == want.packed, (a, b)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_log_tables_match_packed_arithmetic_exhaustive(degree):
+    field, plain = tabled(degree), FieldParams(degree)
+    assert plain._log is None
+    elems = list(field.elements())
+    for a in elems:
+        for b in elems:
+            check_tables_against_packed(a, b, plain)
+
+
+@pytest.mark.parametrize("field", [FieldParams(k) for k in range(5, 11)] + [
+    FieldParams(5, (1, 0, 0, 0, 2, 1)),
+    # the dense degree-7 modulus of the kernel tests
+    FieldParams(7, (2, 2, 2, 2, 2, 1, 1, 1)),
+], ids=lambda field: f"3^{field.degree}:{''.join(map(str, field.modulus))}")
+def test_log_tables_match_packed_arithmetic_sampled(field):
+    plain = FieldParams(field.degree, field.modulus)
+    field.build_log_tables()
+    rng = random.Random(field.order)
+    elems = [field.element(tuple(rng.randrange(3) for _ in range(field.degree)))
+             for _ in range(200)] + [field.zero, field.one, -field.one]
+    for _ in range(300):
+        check_tables_against_packed(rng.choice(elems), rng.choice(elems), plain)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 5])
+def test_antilog_list_is_a_permutation_of_the_units(degree):
+    field = tabled(degree)
+    n = field.order - 1
+    powers = [e.packed for e in field._exp]
+    assert len(powers) == 2 * n and powers[n:] == powers[:n]
+    assert sorted(powers[:n]) == sorted(e.packed for e in field.elements() if e)
+    assert all(field._log[p] == i for i, p in enumerate(powers[:n]))
+    exp_before = field._exp
+    field.build_log_tables()  # a second call keeps the tables
+    assert field._exp is exp_before
+
+
+def test_log_tables_zero_operands():
+    field = tabled(3)
+    a = field.gen + 1
+    for z in (field.zero, 0):
+        assert a * z == field.zero and z * a == field.zero
+        assert a + z == a and a - z == a and (z - a) == -a
+    assert field.zero * field.zero == field.zero and -field.zero == field.zero
+    assert a - a == field.zero and a + (-a) == field.zero
+    assert field.zero ** 0 == field.one and field.zero ** 3 == field.zero
+    with pytest.raises(ZeroDivisionError):
+        field.zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        a / field.zero
+    with pytest.raises(ZeroDivisionError):
+        field.zero ** -1
+
+
+def test_log_tables_leave_equality_and_hash_alone():
+    field, plain = tabled(4), FieldParams(4)
+    assert field == plain and hash(field) == hash(plain)
+    for a in field.elements():
+        b = plain.element(a.coeffs)
+        assert a == b and hash(a) == hash(b)
+
+
+def test_construct_builds_no_log_tables():
+    from char3iso import CurveParams, Seed, construct, parse_rational_function
+    field = FieldParams(2)
+    curve = CurveParams(field, A=1, B=2, c=1)
+    seed = Seed.beta(parse_rational_function("x^2/(x^9+x^3-1)", field))
+    assert len(construct(curve, seed, 64)) == 3
+    assert field._log is None and field._exp is None
+
+
 # ---- additive cubic solver -------------------------------------------------
 
 
