@@ -297,29 +297,12 @@ class FieldElement:
         return other * self.inverse()
 
     def inverse(self):
-        """The extended Euclidean algorithm over F3[t] on the modulus and
-        the digits, one leading digit at a time: it keeps s with
-        s * self = r (mod modulus) and stops at a constant r, a unit of F3
-        and so its own inverse. Run in F3[t]/(f) for a reducible f, it ends
-        at r = 0 when self shares a factor with f and then returns 0."""
         if not self.packed:
             raise ZeroDivisionError("inverse of zero field element")
         field = self.field
         if field._log is not None:
             return field._exp[field.order - 1 - field._log[self.packed]]
-        n = field.degree + 1
-        r_prev = int.from_bytes(bytes(field.modulus), "little")
-        r, s_prev, s = self.packed, 0, 1
-        while r > 2:
-            top = (r.bit_length() - 1) // 8
-            lead = r >> 8 * top
-            while r_prev.bit_length() > 8 * top:  # r_prev -= c * t^shift * r
-                d = (r_prev.bit_length() - 1) // 8
-                c, shift = 3 - (r_prev >> 8 * d) * lead % 3, 8 * (d - top)
-                r_prev = _reduce(r_prev + (c * r << shift), n)
-                s_prev = _reduce(s_prev + (c * s << shift), n)
-            r_prev, r, s_prev, s = r, r_prev, s, s_prev
-        return _from_packed(field, _reduce(r * s, n))
+        return _from_packed(field, _inverse_packed(field, self.packed))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -364,6 +347,28 @@ class FieldElement:
 def _reduce(value, n):
     """Each of the n bytes of value reduced mod 3."""
     return int.from_bytes(value.to_bytes(n, "little").translate(_MOD3), "little")
+
+
+def _inverse_packed(field, packed):
+    """The packed inverse of a nonzero packed element, by the extended
+    Euclidean algorithm over F3[t] on the modulus and the digits, one
+    leading digit at a time: it keeps s with s * a = r (mod modulus) and
+    stops at a constant r, a unit of F3 and so its own inverse. Run in
+    F3[t]/(f) for a reducible f, it ends at r = 0 when a shares a factor
+    with f and then returns 0."""
+    n = field.degree + 1
+    r_prev = int.from_bytes(bytes(field.modulus), "little")
+    r, s_prev, s = packed, 0, 1
+    while r > 2:
+        top = (r.bit_length() - 1) // 8
+        lead = r >> 8 * top
+        while r_prev.bit_length() > 8 * top:  # r_prev -= c * t^shift * r
+            d = (r_prev.bit_length() - 1) // 8
+            c, shift = 3 - (r_prev >> 8 * d) * lead % 3, 8 * (d - top)
+            r_prev = _reduce(r_prev + (c * r << shift), n)
+            s_prev = _reduce(s_prev + (c * s << shift), n)
+        r_prev, r, s_prev, s = r, r_prev, s, s_prev
+    return _reduce(r * s, n)
 
 
 def _prime_factors(n):

@@ -1,68 +1,32 @@
 """Products, power-series inverses and polynomial division of dense
 coefficient runs over GF(3^k), by Kronecker substitution.
 
-A run is a sequence of FieldElements, lowest degree first. A product packs
-each run into one Python int: the t^j digit of the x^i coefficient goes to
-slot i*(2k-1) + j, and every slot is wide enough (4*n*k fits in it, n the
-shorter run) that no slot of the integer product carries into the next.
-CPython's big-int product (Karatsuba) then does the whole convolution.
-Since 256 = 1 (mod 3), a slot's value mod 3 is the sum of its bytes mod 3,
-so unpacking is bytes slicing and translation; the slots for t^k .. t^(2k-2)
-are folded back with the field's table of high powers of t.
-
-Between packings a run travels as k columns of bytes (column j holds the
-t^j digit of every coefficient), so a Newton step packs, unpacks, negates
-and concatenates without per-coefficient Python work.
+A run is k columns of bytes, lowest degree first: column j holds the t^j
+digit of every coefficient. A product packs each run into one Python int:
+the t^j digit of the x^i coefficient goes to slot i*(2k-1) + j, and every
+slot is wide enough (4*n*k fits in it, n the shorter run) that no slot of
+the integer product carries into the next. CPython's big-int product
+(Karatsuba) then does the whole convolution. Since 256 = 1 (mod 3), a
+slot's value mod 3 is the sum of its bytes mod 3, so unpacking is bytes
+slicing and translation; the slots for t^k .. t^(2k-2) are folded back with
+the field's table of high powers of t. A Newton step packs, unpacks,
+negates and concatenates columns without per-coefficient Python work.
 
 Every inverse and every division, however short, takes Newton's iteration;
-it bottoms out at the field inverse of the constant term. LaurentSeries
-keeps its runs in column form and calls the column functions directly;
-mul, inverse and divmod adapt element runs for Polynomial.
+it bottoms out at the packed inverse of the constant term, so the kernel
+makes no FieldElement. LaurentSeries and Polynomial (an exact series) keep
+their runs in column form and call the column functions directly; there
+is no entry point on element runs. _columns and _elements convert where a
+series is built from, or hands out, FieldElements.
 """
 
 from __future__ import annotations
 
 import struct
 
-from .gf3field import _MOD3, FieldElement
+from .gf3field import _MOD3, FieldElement, _inverse_packed
 
 _NEG = bytes((-v) % 3 for v in range(256))
-
-
-def mul(a, b, n=None):
-    """The product of runs a and b, cut to its first n coefficients when
-    n is given (never longer than len(a) + len(b) - 1)."""
-    if not a or not b:
-        return []
-    full = len(a) + len(b) - 1
-    n = full if n is None else min(n, full)
-    if n <= 0:
-        return []
-    field, ca = a[0].field, _columns(a[:n])
-    cb = ca if b is a else _columns(b[:n])
-    return _elements(field, _mul_cols(field, ca, cb, n))
-
-
-def inverse(b, n):
-    """The first n coefficients of the power series 1/b; b[0] must be nonzero."""
-    if not b or b[0].is_zero:
-        raise ZeroDivisionError("power series inverse needs a nonzero constant term")
-    if n <= 0:
-        return []
-    return _elements(b[0].field, _inverse_cols(b[0].field, _columns(b[:n]), n))
-
-
-def divmod(a, b):
-    """Quotient and remainder of polynomials given as runs: a = b*q + r
-    with len(r) < len(b). b's last coefficient must be nonzero; the
-    remainder comes back without trailing zeros."""
-    if not b or b[-1].is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return [], []
-    field = b[0].field
-    q, r = _divmod_cols(field, _columns(a), _columns(b))
-    return _elements(field, q), _trim(_elements(field, r))
 
 
 # ---- columns -----------------------------------------------------------
@@ -84,12 +48,6 @@ def _elements(field, cols):
         digits = _interleave(cols, k, 1)
         packed = [int.from_bytes(digits[i:i + k], "little") for i in range(0, n * k, k)]
     return list(map(FieldElement._from_packed, [field] * n, packed))
-
-
-def _trim(run):
-    while run and run[-1].is_zero:
-        run.pop()
-    return run
 
 
 def _sub_cols(a, b):
@@ -139,8 +97,10 @@ def _inverse_cols(field, b, n):
     """Columns of the first n coefficients of 1/b, by Newton's iteration
     g <- g - x^m g e, where b g = 1 + x^m e mod x^n and g is exact mod x^m."""
     if n == 1:
-        lead = FieldElement._from_packed(field, int.from_bytes(bytes([c[0] for c in b]), "little"))
-        digits = lead.inverse().packed.to_bytes(field.degree, "little")
+        lead = int.from_bytes(bytes([c[0] for c in b]), "little")
+        if not lead:
+            raise ZeroDivisionError("power series inverse needs a nonzero constant term")
+        digits = _inverse_packed(field, lead).to_bytes(field.degree, "little")
         return [digits[j:j + 1] for j in range(field.degree)]
     m = (n + 1) // 2
     g = _inverse_cols(field, b, m)

@@ -1,6 +1,12 @@
 """Exact polynomials and rational functions over GF(3^k), plus the
 rational reconstruction (Pade approximation) of series prefixes.
 
+A Polynomial is an exact LaurentSeries (prec INF, val >= 0): its run stays
+in the kernel's byte columns, so sums, products, division and the Euclid
+loops of pade and poly_gcd make no FieldElement, apart from the k that
+build a constant factor's matrix over F3. The coefficients are unpacked
+once per polynomial, and only where they are read (eval, str).
+
 Reconstruction runs the extended Euclidean scheme on the prefix and then
 certifies the candidate by re-expanding it and comparing every known
 coefficient; an imperfect match yields None rather than a guess.
@@ -10,58 +16,79 @@ from __future__ import annotations
 
 from . import kronecker
 from .errors import InsufficientPrecision, MixedFields, ZeroDenominator
-from .gf3field import FieldElement
-from .series import INF, expand_rational
+from .gf3field import FieldElement, _inverse_packed
+from .series import INF, LaurentSeries, _f3_linear, _series
 
 
 class Polynomial:
-    """Polynomial with FieldElement coefficients, lowest degree first.
+    """Polynomial over GF(3^k): the exact series `series`, read as a run
+    from degree 0. The zero polynomial has degree -1."""
 
-    Normalized: no trailing zero coefficients; the zero polynomial has an
-    empty coefficient tuple and degree -1.
-    """
-
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("series", "_coeffs")
 
     def __init__(self, field, coeffs=()):
         run = [field.from_int(c) if isinstance(c, int) else c for c in coeffs]
-        while run and run[-1].is_zero:
-            run.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(run))
+        object.__setattr__(self, "series", LaurentSeries(field, 0, run, INF))
+        object.__setattr__(self, "_coeffs", None)
+
+    @classmethod
+    def _of(cls, series):
+        p = object.__new__(cls)
+        object.__setattr__(p, "series", series)
+        object.__setattr__(p, "_coeffs", None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls._of(LaurentSeries.zero(field))
 
     @classmethod
     def one(cls, field):
-        return cls(field, (1,))
+        return cls._of(LaurentSeries.monomial(field, 0, field.one))
 
     @classmethod
     def x(cls, field):
-        return cls(field, (0, 1))
+        return cls._of(LaurentSeries.monomial(field, 1, field.one))
+
+    @property
+    def field(self):
+        return self.series.field
+
+    @property
+    def coeffs(self):
+        """The coefficients from degree 0 up as FieldElements, unpacked on
+        first use and kept."""
+        if self._coeffs is None:
+            s = self.series
+            run = () if s.val is None else (s.field.zero,) * s.val + s.coeffs
+            object.__setattr__(self, "_coeffs", run)
+        return self._coeffs
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return self.series.val is None
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return self.series.val is not None
 
     def degree(self):
-        return len(self.coeffs) - 1
+        s = self.series
+        return -1 if s.val is None else s.val + len(s.cols[0]) - 1
 
     def leading(self):
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldElement._from_packed(self.field, self._top())
+
+    def _top(self):
+        """The leading coefficient as a packed int (self nonzero)."""
+        return int.from_bytes(bytes([c[-1] for c in self.series.cols]), "little")
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+        return not self.is_zero and self.leading() == 1
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -69,21 +96,14 @@ class Polynomial:
                 raise MixedFields("polynomials over different fields")
             return other
         if isinstance(other, (FieldElement, int)):
-            return Polynomial(self.field, (other,))
+            return Polynomial._of(LaurentSeries.constant(self.field, other))
         return None
 
     def _add(self, other, subtract):
-        """self + other, or self - other, coefficientwise; only other's
-        nonzero coefficients cost a field operation."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        run = list(self.coeffs) + [self.field.zero] * (len(other.coeffs) - len(self.coeffs))
-        op = FieldElement.__sub__ if subtract else FieldElement.__add__
-        for i, c in enumerate(other.coeffs):
-            if c:
-                run[i] = op(run[i], c)
-        return Polynomial(self.field, run)
+        return Polynomial._of(self.series._add(other.series, subtract))
 
     def __add__(self, other):
         return self._add(other, False)
@@ -97,32 +117,55 @@ class Polynomial:
         return (-self) + other
 
     def __neg__(self):
-        return Polynomial(self.field, [-c for c in self.coeffs])
+        return Polynomial._of(-self.series)
 
     def __mul__(self, other):
+        if isinstance(other, (FieldElement, int)):
+            return self._scaled(other % 3 if isinstance(other, int) else other.packed)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        a, b = self.series, other.series
+        if not self or not other:
             return Polynomial.zero(self.field)
-        if len(self.coeffs) == 1 or len(other.coeffs) == 1:  # a constant scales coefficientwise
-            (c,), p = (self.coeffs, other) if len(self.coeffs) == 1 else (other.coeffs, self)
-            return p if c == 1 else Polynomial(self.field, [x * c for x in p.coeffs])
-        return Polynomial(self.field, kronecker.mul(self.coeffs, other.coeffs))
+        if self.degree() == 0:  # a constant scales coefficientwise
+            return other._scaled(self._top())
+        if other.degree() == 0:
+            return self._scaled(other._top())
+        n = len(a.cols[0]) + len(b.cols[0]) - 1
+        cols = kronecker._mul_cols(self.field, a.cols, b.cols, n)
+        return Polynomial._of(_series(self.field, a.val + b.val, cols, INF))
 
     __rmul__ = __mul__
+
+    def _scaled(self, packed):
+        """self times the field constant packed as `packed`: the constant's
+        k x k matrix over F3 maps the digit columns, with no kernel
+        product; times 1 is self."""
+        if packed == 1 or self.is_zero:
+            return self
+        field = self.field
+        if not packed:
+            return Polynomial.zero(field)
+        c = FieldElement._from_packed(field, packed)
+        images = [c.coeffs]  # c t^j, the images of the basis
+        for _ in range(field.degree - 1):
+            c = c * field.gen
+            images.append(c.coeffs)
+        cols = _f3_linear(tuple(zip(*images)), self.series.cols)
+        return Polynomial._of(_series(field, self.series.val, cols, INF))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = Polynomial.one(self.field)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return Polynomial.one(self.field) if result is None else result
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -130,8 +173,13 @@ class Polynomial:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q, r = kronecker.divmod(self.coeffs, other.coeffs)
-        return Polynomial(self.field, q), Polynomial(self.field, r)
+        field = self.field
+        if self.degree() < other.degree():
+            return Polynomial.zero(field), self
+        # the runs padded from degree 0, so that both are aligned at the top
+        a, b = ([bytes(p.series.val) + c for c in p.series.cols] for p in (self, other))
+        return tuple(Polynomial._of(_series(field, 0, cols, INF))
+                     for cols in kronecker._divmod_cols(field, a, b))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -140,40 +188,29 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def monic(self):
-        if self.is_zero:
-            return self
-        inv = self.leading().inverse()
-        return Polynomial(self.field, [c * inv for c in self.coeffs])
+        return self if self.is_zero else self._scaled(_inverse_packed(self.field, self._top()))
 
     def derivative(self):
-        return Polynomial(
-            self.field, [c * (i % 3) for i, c in enumerate(self.coeffs)][1:]
-        )
+        return Polynomial._of(self.series.derivative())
 
     def eval(self, x):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return self.field.zero
-        acc = self.coeffs[-1]
-        for c in self.coeffs[-2::-1]:
+        acc = coeffs[-1]
+        for c in coeffs[-2::-1]:
             acc = acc * x + c
         return acc
 
-    def valuation(self):
-        """Index of the first nonzero coefficient (None for zero)."""
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                return i
-        return None
-
     def __eq__(self, other):
         if isinstance(other, (FieldElement, int)):
-            other = Polynomial(self.field, (other,))
+            other = self._coerce(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.series == other.series
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.series)
 
     def __str__(self):
         if self.is_zero:
@@ -227,9 +264,8 @@ class RationalFunction:
                 if g.degree() > 0:
                     num = num // g
                     den = den // g
-            lead_inv = den.leading().inverse()
-            num = num * lead_inv
-            den = den * lead_inv
+            lead_inv = _inverse_packed(den.field, den._top())
+            num, den = num._scaled(lead_inv), den._scaled(lead_inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -349,7 +385,7 @@ class RationalFunction:
 
     def expand(self, prec):
         """Laurent expansion at X = 0 to absolute precision prec."""
-        return expand_rational(self.num.coeffs, self.den.coeffs, prec)
+        return self.num.series.divide(self.den.series, prec=prec)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -361,7 +397,7 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __str__(self):
-        if self.den == Polynomial.one(self.field):
+        if self.den.degree() == 0:  # the denominator is monic
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -400,9 +436,9 @@ def pade(series, deg_num_max, deg_den_max):
     if t.prec != INF:
         order = min(order, int(t.prec))
     head = t.truncate(order)  # t.val >= 0
-    prefix = Polynomial(field, (field.zero,) * (head.val or 0) + head.coeffs)
+    prefix = Polynomial._of(_series(field, head.val, head.cols, INF))
 
-    r_prev = Polynomial(field, [0] * order + [1])  # X^order
+    r_prev = Polynomial._of(LaurentSeries.monomial(field, order, field.one))
     r_cur = prefix
     u_prev = Polynomial.zero(field)
     u_cur = Polynomial.one(field)
@@ -417,25 +453,24 @@ def pade(series, deg_num_max, deg_den_max):
                       + deg_num_max + deg_den_max + 2)
     else:
         check_prec = series.prec
-    if r_cur.is_zero:
-        num, den = r_cur, Polynomial.one(field)
-    else:
+    num, den = r_cur.series, u_cur.series
+    if not r_cur.is_zero:
         # Strip the common power of X; if X still divides u, the reduced
         # form has a pole at 0 that the series does not have.
-        s = min(r_cur.valuation(), u_cur.valuation())
-        num = Polynomial(field, r_cur.coeffs[s:])
-        den = Polynomial(field, u_cur.coeffs[s:])
-        if den.coeffs[0].is_zero:
+        s = min(num.val, den.val)
+        num, den = num.shift(-s), den.shift(-s)
+        if den.val != 0:
             return None
+    else:
+        den = LaurentSeries.monomial(field, 0, field.one)
     # Euclid keeps deg u = order - deg r_prev <= dd, so r/u meets both degree
     # bounds as it stands. It is the same function as its reduced form, so
     # it is certified first and reduced by a gcd only once it has passed.
     if shifted:
-        den = Polynomial(field, (field.zero,) + den.coeffs)
-    if not expand_rational(num.coeffs, den.coeffs, check_prec).agrees_with(
-            series.truncate(check_prec)):
+        den = den.shift(1)
+    if not num.divide(den, prec=check_prec).agrees_with(series.truncate(check_prec)):
         return None
-    return RationalFunction(num, den)
+    return RationalFunction(Polynomial._of(num), Polynomial._of(den))
 
 
 def derive_map_pair(curve, eta_rat):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from . import kronecker
-from .errors import MixedFields, PrecisionError, ZeroDenominator, ZeroDivisor
+from .errors import MixedFields, PrecisionError, ZeroDivisor
 from .gf3field import _MOD3, FieldElement, _reduce
 
 INF = math.inf
@@ -193,9 +193,7 @@ class LaurentSeries:
         prec = min(self.prec + other._vbound(), other.prec + self._vbound())
         if self.is_zero or other.is_zero:
             return LaurentSeries.zero(self.field, prec)
-        val = self.val + other.val
-        if prec != INF and prec <= val:
-            return LaurentSeries.zero(self.field, prec)
+        val = self.val + other.val  # below prec, as each run lies below its own prec
         n = len(self.cols[0]) + len(other.cols[0]) - 1
         if prec != INF:
             n = min(n, prec - val)
@@ -280,17 +278,10 @@ class LaurentSeries:
         """
         if self.is_zero:
             return LaurentSeries.zero(self.field, 3 * self.prec)
-        n = len(self.cols[0])
-        digits = [int.from_bytes(c, "little") for c in self.cols]
         cols = []
-        for row in self.field._frobenius:
-            acc = 0
-            for j, (m, d) in enumerate(zip(row, digits)):
-                acc += m * d
-                if j % 63 == 62:  # 2 + 63 terms of at most 4 stay below 256
-                    acc = _reduce(acc, n)
-            buf = bytearray(3 * n - 2)
-            buf[::3] = acc.to_bytes(n, "little").translate(_MOD3)
+        for col in _f3_linear(self.field._frobenius, self.cols):
+            buf = bytearray(3 * len(col) - 2)
+            buf[::3] = col
             cols.append(buf)
         return _series(self.field, 3 * self.val, cols, 3 * self.prec)
 
@@ -342,6 +333,23 @@ def in_residue_class(s, residue):
     return support.count(0) == len(support)
 
 
+def _f3_linear(rows, cols):
+    """The columns of a run after the F3-linear map with matrix `rows`
+    (entry (i, j) is the t^i digit of the image of t^j) is applied to
+    every coefficient: row i sums the column ints it weights."""
+    n = len(cols[0])
+    digits = [int.from_bytes(c, "little") for c in cols]
+    out = []
+    for row in rows:
+        acc = 0
+        for j, (m, d) in enumerate(zip(row, digits)):
+            acc += m * d
+            if j % 63 == 62:  # 2 + 63 terms of at most 4 stay below 256
+                acc = _reduce(acc, n)
+        out.append(acc.to_bytes(n, "little").translate(_MOD3))
+    return out
+
+
 def _series(field, val, cols, prec):
     """Series from a run in column form, cut at prec and stripped."""
     s = object.__new__(LaurentSeries)
@@ -360,17 +368,3 @@ def _mask(cols):
 def _aligned(col, val, lo, hi):
     """A column's digits as an int whose byte i is exponent lo + i, cut at hi."""
     return int.from_bytes(col[:max(0, hi - val)], "little") << 8 * (val - lo) if col else 0
-
-
-def expand_rational(num, den, prec):
-    """Laurent expansion of num/den at X = 0 to absolute precision prec.
-
-    num and den are polynomials given as coefficient sequences of field
-    elements (lowest degree first).
-    """
-    if not den or all(c.is_zero for c in den):
-        raise ZeroDenominator("expansion denominator is zero")
-    field = den[0].field
-    a = LaurentSeries.from_coeffs(field, 0, num, INF)
-    b = LaurentSeries.from_coeffs(field, 0, den, INF)
-    return a.divide(b, prec=prec)

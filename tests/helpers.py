@@ -2,8 +2,10 @@
 
 The oracles here deliberately reimplement arithmetic from scratch (plain
 int lists mod 3) so they cannot share a bug with the library code paths
-they are checking. The schoolbook run oracles build on FieldElement
-arithmetic instead, which is itself checked against oracle_mul.
+they are checking. The schoolbook run oracles, and the Euclid and Pade
+loops built on them, work on lists of FieldElements (runs, lowest degree
+first) with FieldElement arithmetic, which is itself checked against
+oracle_mul; they share no code with Polynomial or the kernel.
 """
 
 import itertools
@@ -124,6 +126,35 @@ def oracle_expand(num_ints, den_ints, prec):
 
 # ---- schoolbook coefficient-run oracles for char3iso.kronecker -------------
 
+def pack(field, run):
+    """A run of FieldElements as the kernel's columns: k bytes objects,
+    column j the t^j digit of every coefficient."""
+    return [bytes(c.coeffs[j] for c in run) for j in range(field.degree)]
+
+
+def unpack(field, cols):
+    """The run of FieldElements held in the kernel's columns."""
+    return [field.element([col[i] for col in cols]) for i in range(len(cols[0]))]
+
+
+def trim(run):
+    """The run without trailing zeros, as a new list."""
+    run = list(run)
+    while run and run[-1].is_zero:
+        run.pop()
+    return run
+
+
+def run_sub(a, b):
+    """a - b for runs, trimmed."""
+    n = max(len(a), len(b))
+    if not n:
+        return []
+    zero = (a or b)[0].field.zero
+    a, b = list(a) + [zero] * (n - len(a)), list(b) + [zero] * (n - len(b))
+    return trim(x - y for x, y in zip(a, b))
+
+
 def schoolbook_mul(a, b, n=None):
     """Product of FieldElement runs (lowest degree first), cut to its first
     n coefficients when n is given, one coefficient pair at a time."""
@@ -232,13 +263,15 @@ def elementwise_in_residue_class(s, residue):
 # ---- Pade that normalises every candidate before certifying it -------------
 
 def pade_normalising_first(series, deg_num_max, deg_den_max):
-    """Pade by the normalise-first procedure: the Euclid candidate is
-    reduced by its gcd, checked against the degree bounds and the pole at
-    0, and only then re-expanded. ratrec.pade, which certifies first, must
-    give the same answer."""
+    """Pade by the normalise-first procedure, on runs: the Euclid candidate
+    is reduced by its gcd, checked against the degree bounds and the pole
+    at 0, and only then re-expanded by schoolbook loops. Returns None or
+    (num, den) in lowest terms with den monic; ratrec.pade, which
+    certifies first, must give the same answer."""
     field = series.field
+    zero, one = field.zero, field.one
     if series.is_zero:
-        return RationalFunction.constant(field, 0)
+        return [], [one]
     shifted = series.val < 0
     t = series.shift(1) if shifted else series
     dn = deg_num_max
@@ -248,32 +281,41 @@ def pade_normalising_first(series, deg_num_max, deg_den_max):
     order = dn + dd + 1
     if t.prec != INF:
         order = min(order, int(t.prec))
-    r_prev = Polynomial(field, [0] * order + [1])
-    r_cur = Polynomial(field, [t.coefficient(e) for e in range(order)])
-    u_prev, u_cur = Polynomial.zero(field), Polynomial.one(field)
-    while r_cur.degree() > dn:
-        q, rem = divmod(r_prev, r_cur)
+    r_prev = [zero] * order + [one]
+    r_cur = trim(t.coefficient(e) for e in range(order))
+    u_prev, u_cur = [], [one]
+    while len(r_cur) - 1 > dn:
+        q, rem = schoolbook_divmod(r_prev, r_cur)
         r_prev, r_cur = r_cur, rem
-        u_prev, u_cur = u_cur, u_prev - q * u_cur
-    if u_cur.is_zero:
+        u_prev, u_cur = u_cur, run_sub(u_prev, schoolbook_mul(q, u_cur))
+    if not u_cur:
         return None
-    if r_cur.is_zero:
-        candidate = RationalFunction.constant(field, 0)
+    if not r_cur:
+        num, den = [], [one]
     else:
-        candidate = RationalFunction(r_cur, u_cur)
-    if candidate.den.eval(field.zero).is_zero:
+        g = poly_extended_euclid(r_cur, u_cur)[0]
+        num, den = schoolbook_divmod(r_cur, g)[0], schoolbook_divmod(u_cur, g)[0]
+        lead_inv = den[-1].inverse()
+        num, den = [c * lead_inv for c in num], [c * lead_inv for c in den]
+    if den[0].is_zero:
         return None
-    if candidate.num.degree() > dn or candidate.den.degree() > dd:
+    if len(num) - 1 > dn or len(den) - 1 > dd:
         return None
-    if shifted:
-        candidate = candidate / Polynomial.x(field)
+    if shifted:  # divide by X, cancelling an X of the numerator
+        num, den = (num[1:], den) if num and num[0].is_zero else (num, [zero] + den)
     if series.prec == INF:
         check_prec = series.val + len(series.coeffs) + deg_num_max + deg_den_max + 2
     else:
         check_prec = series.prec
-    if not candidate.expand(check_prec).agrees_with(series.truncate(check_prec)):
+    # num/den = X^-v num / den[v:]; its coefficient at X^e is run[e + v]
+    v = 1 if den[0].is_zero else 0
+    n = check_prec + v
+    run = schoolbook_mul(num, schoolbook_inverse(den[v:], n), n) if num else []
+    run += [zero] * (n - len(run))
+    if any((run[e + v] if e + v >= 0 else zero) != series.coefficient(e)
+           for e in range(-1, check_prec)):
         return None
-    return candidate
+    return num, den
 
 
 # ---- trial-factorization irreducibility oracle ---------------------------
@@ -512,20 +554,22 @@ def homogeneity_class(s):
 # ---- extended Euclid over GF(3^k)[x] ---------------------------------------
 
 def poly_extended_euclid(a, b):
-    """(g, s, t) with g = s*a + t*b and g the monic gcd."""
-    if a.is_zero and b.is_zero:
+    """(g, s, t) with g = s*a + t*b and g the monic gcd, for runs a and b
+    (lowest degree first); the results are runs without trailing zeros."""
+    a, b = trim(a), trim(b)
+    if not a and not b:
         raise ValueError("gcd of two zero polynomials")
-    field = a.field
+    one = (a or b)[0].field.one
     r0, r1 = a, b
-    s0, s1 = Polynomial.one(field), Polynomial.zero(field)
-    t0, t1 = Polynomial.zero(field), Polynomial.one(field)
-    while not r1.is_zero:
-        q, rem = divmod(r0, r1)
+    s0, s1 = [one], []
+    t0, t1 = [], [one]
+    while r1:
+        q, rem = schoolbook_divmod(r0, r1)
         r0, r1 = r1, rem
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    lead_inv = r0.leading().inverse()
-    return r0 * lead_inv, s0 * lead_inv, t0 * lead_inv
+        s0, s1 = s1, run_sub(s0, schoolbook_mul(q, s1))
+        t0, t1 = t1, run_sub(t0, schoolbook_mul(q, t1))
+    lead_inv = r0[-1].inverse()
+    return tuple([c * lead_inv for c in run] for run in (r0, s0, t0))
 
 
 # ---- the closed-form pole analysis of the B = 0 branch -----------------------

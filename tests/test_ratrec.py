@@ -14,7 +14,7 @@ from char3iso import (
     pade,
     parse_rational_function,
 )
-from char3iso import kronecker, ratrec
+from char3iso import FieldElement, FieldParams, gf3field, kronecker, ratrec
 from char3iso.exprparse import parse_polynomial
 from char3iso.isocore import solve_gamma
 from char3iso.ratrec import Polynomial, poly_gcd
@@ -24,8 +24,15 @@ from helpers import (
     poly_extended_euclid,
     random_polynomial,
     random_rational,
+    run_sub,
+    schoolbook_divmod,
     schoolbook_mul,
+    trim,
 )
+
+FIELDS = [FieldParams(k) for k in range(1, 6)] + [
+    FieldParams(7, (2, 2, 2, 2, 2, 1, 1, 1)),
+]
 
 
 # ---- polynomials ---------------------------------------------------------
@@ -64,8 +71,9 @@ def test_poly_derivative_char3(f3):
 
 def test_constant_factors_scale_without_the_kernel(monkeypatch, f9):
     products = []
-    real_mul = kronecker.mul
-    monkeypatch.setattr(kronecker, "mul", lambda *args: products.append(1) or real_mul(*args))
+    real_mul = kronecker._mul_cols
+    monkeypatch.setattr(kronecker, "_mul_cols",
+                        lambda *args: products.append(1) or real_mul(*args))
     rng = random.Random(11)
     for _ in range(40):
         p = random_polynomial(rng, f9, 6)
@@ -80,6 +88,80 @@ def test_constant_factors_scale_without_the_kernel(monkeypatch, f9):
     assert products == []
     RationalFunction.x(f9) * RationalFunction.x(f9)
     assert len(products) == 1
+
+
+def _operand(rng, field):
+    """A run that is zero, a constant, divisible by X, dense or sparse, with
+    trailing zeros at times."""
+    shape = rng.choice(("zero", "constant", "x-divisible", "dense", "sparse"))
+    if shape == "zero":
+        return [field.zero] * rng.randint(0, 2)
+    length = 1 if shape == "constant" else rng.randint(2, rng.choice((8, 40)))
+    run = [field.element([rng.randrange(3) for _ in range(field.degree)])
+           if shape != "sparse" or rng.random() < 0.2 else field.zero
+           for _ in range(length)]
+    if shape == "x-divisible":
+        run = [field.zero] * rng.randint(1, 6) + run
+    return run + [field.zero] * rng.choice((0, 0, 2))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda field: f"3^{field.degree}")
+def test_polynomial_ops_match_element_runs(field):
+    rng = random.Random(f"poly-ops:{field.degree}")
+    for _ in range(120):
+        a, b = _operand(rng, field), _operand(rng, field)
+        pa, pb = Polynomial(field, a), Polynomial(field, b)
+        a, b = trim(a), trim(b)
+        assert list(pa.coeffs) == a and pa.degree() == len(a) - 1
+        assert list((pa * pb).coeffs) == trim(schoolbook_mul(a, b))
+        assert list((pa - pb).coeffs) == run_sub(a, b)
+        assert list((pa + pb).coeffs) == run_sub(a, [-c for c in b])
+        if b:
+            q, r = divmod(pa, pb)
+            q_ref, r_ref = schoolbook_divmod(a, b)
+            assert (list(q.coeffs), list(r.coeffs)) == (trim(q_ref), r_ref)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                divmod(pa, pb)
+        if a or b:
+            assert list(poly_gcd(pa, pb).coeffs) == poly_extended_euclid(a, b)[0]
+        lead_inv = a[-1].inverse() if a else None
+        assert list(pa.monic().coeffs) == [c * lead_inv for c in a]
+        assert list(pa.derivative().coeffs) == trim(c * (i % 3) for i, c in enumerate(a))[1:]
+        x = field.element([rng.randrange(3) for _ in range(field.degree)])
+        value = field.zero
+        for i, c in enumerate(a):
+            value = value + c * x ** i
+        assert pa.eval(x) == value
+
+
+def test_pade_and_gcd_make_few_field_elements(monkeypatch, f9):
+    # Pade's Euclid, its certification and poly_gcd stay on the kernel's
+    # columns: elements are made only for leading coefficients and scalings.
+    made = []
+    real = FieldElement._from_packed
+
+    def counting(field, packed):
+        made.append(1)
+        return real(field, packed)
+
+    def count(call, *args):
+        made.clear()
+        monkeypatch.setattr(FieldElement, "_from_packed", staticmethod(counting))
+        monkeypatch.setattr(gf3field, "_from_packed", counting)
+        try:
+            call(*args)
+        finally:
+            monkeypatch.undo()
+        return len(made)
+
+    for b, kind, text in ((1, "alpha", "x^7+x^4+x"), (2, "beta", "x^2/(x^9+x^3-1)")):
+        seed = getattr(Seed, kind)(parse_rational_function(text, f9))
+        eta = construct(CurveParams(f9, A=1, B=b, c=1), seed, 512)[0].eta
+        assert count(pade, eta, 254, 254) < 64
+    a = parse_polynomial("(x^2+x+t)^256", f9)
+    b = parse_polynomial("(x^3+t*x+1)^170", f9)
+    assert count(poly_gcd, a, b) < b.degree()
 
 
 def test_gcd_goldens(f3):
@@ -99,9 +181,10 @@ def test_extended_euclid_identity_randomized(f3, f9):
         b = random_polynomial(rng, field)
         if a.is_zero and b.is_zero:
             continue
-        g, s, t = poly_extended_euclid(a, b)
+        g, s, t = (Polynomial(field, run)
+                   for run in poly_extended_euclid(a.coeffs, b.coeffs))
         assert s * a + t * b == g
-        assert g.is_monic()
+        assert g.is_monic() and g == poly_gcd(a, b)
         if not a.is_zero:
             assert (a % g).is_zero
         if not b.is_zero:
@@ -203,7 +286,8 @@ def test_pade_agrees_with_normalising_first(f3, f9):
         if series.is_zero or series.val < -1 or series.prec < dn + dd + 2:
             continue
         got = pade(series, dn, dd)
-        assert got == pade_normalising_first(series, dn, dd)
+        want = pade_normalising_first(series, dn, dd)
+        assert (None if got is None else (list(got.num.coeffs), list(got.den.coeffs))) == want
         found += got is not None
     assert 50 < found < 250, found
 
