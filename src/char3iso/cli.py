@@ -19,6 +19,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 from .curve import check_map, identify_scalar
 from .errors import (
@@ -260,9 +261,9 @@ def _print_construct_text(job, seed, report, endos, out):
     for i, (endo, pair) in enumerate(zip(endos, maps)):
         rows = _solution_rows(endo, pair)
         out(f"  #{i}: gamma0 = {rows['gamma0']}")
-        shown = list(endo.eta.nonzero_terms())[:TEXT_TERMS_SHOWN]
-        body = " + ".join(f"({c})*x^{e}" for e, c in shown) or "0"
-        more = "" if len(list(endo.eta.nonzero_terms())) <= TEXT_TERMS_SHOWN else " + ..."
+        shown = list(islice(endo.eta.nonzero_terms(), TEXT_TERMS_SHOWN + 1))
+        body = " + ".join(f"({c})*x^{e}" for e, c in shown[:TEXT_TERMS_SHOWN]) or "0"
+        more = " + ..." if len(shown) > TEXT_TERMS_SHOWN else ""
         out(f"      eta = {body}{more}  (exact to x^{endo.prec})")
         if rows["rational"] != "none":
             out(f"      rational form: {rows['rational']}")

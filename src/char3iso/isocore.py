@@ -14,9 +14,10 @@ equation into three tractable pieces:
   * a regularity and residue condition on the combination
     psi = c^2 (X^3+AX+B) ((alpha-beta)/X)^2 - alpha^3 - beta^3
           - A alpha - A beta - B;
-  * the additive-cubic equation gamma^3 + A gamma = psi, solved by a
-    forward coefficient recurrence once a constant term gamma(0) with
-    gamma(0)^3 + A gamma(0) = psi(0) exists in the base field.
+  * the additive-cubic equation gamma^3 + A gamma = psi, solved as the
+    fixed point of gamma <- (psi - gamma^3) / A on whole coefficient
+    columns, from a constant term gamma(0) with gamma(0)^3 + A gamma(0) =
+    psi(0) in the base field; each pass triples the valuation of the error.
 
 construct() runs the whole pipeline once and returns one endomorphism per
 admissible constant term: the first, verified, and its kernel translates.
@@ -240,46 +241,35 @@ def compatibility_check(curve, alpha, beta, psi):
 
 
 def solve_gamma(A, psi, gamma0, prec):
-    """The gamma part: the series in X^3 solving gamma^3 + A gamma = psi.
+    """The gamma part: the series in X^3 solving gamma^3 + A gamma = psi,
+    known to min(prec, psi.prec).
 
-    Writing psi = sum C_n X^(3n) and gamma = sum g_n X^(3n), matching
-    coefficients of the Frobenius expansion gamma^3 = sum g_n^3 X^(9n)
-    gives a forward recurrence:
-
-        g_0   = gamma0                      (given root of t^3 + A t = C_0)
-        g_n   = C_n / A                     when 3 does not divide n
-        g_3l  = (C_3l - g_l^3) / A          for l >= 1
-
-    The result is substituted back into gamma^3 + A gamma and compared
-    with psi before returning.
+    gamma is the fixed point of gamma <- (psi - gamma^3) / A, iterated from
+    the constant gamma0 (a root of t^3 + A t = psi(0)) on whole columns:
+    one cube, one subtraction and one scaling per pass. If gamma solves the
+    equation, an approximation gamma + e goes to gamma - e^3 / A (the cube is
+    additive in characteristic three), so the error's valuation, at least 3
+    at the start, triples on each pass; passes stop once it reaches the
+    precision. The result is substituted back into gamma^3 + A gamma and
+    compared with psi before returning.
     """
     if not (in_residue_class(psi, 0) and (psi.is_zero or psi.val >= 0)):
         raise NonRegularPsi(
             "psi must be a power series with exponents divisible by three"
         )
-    field = A.field
     if gamma0.frobenius() + A * gamma0 != psi.coefficient(0):
         raise BadInitial("gamma0 does not solve t^3 + A t = psi(0)")
-    count = (prec + 2) // 3  # indices n with 3n < prec
-    if psi.prec != INF:
-        count = min(count, (int(psi.prec) + 2) // 3)
+    psi = psi.truncate(prec)
+    if psi.prec == INF:
+        raise ValueError("gamma needs a finite precision")
     a_inv = A.inverse()
-    # psi's coefficients at X^0, X^3, ..., X^(3 count - 3), made at once
-    c = ([field.zero] * (psi.val or 0) + list(psi.truncate(3 * count).coeffs))[::3]
-    c += [field.zero] * (count - len(c))
-    g = [gamma0]
-    for n in range(1, count):
-        c_n = c[n]
-        if n % 3 != 0:
-            g.append(c_n * a_inv)
-        else:
-            g.append((c_n - g[n // 3].frobenius()) * a_inv)
-    out_prec = min(prec, 3 * count)
-    gamma = LaurentSeries.from_terms(
-        field, {3 * n: g[n] for n in range(count)}, out_prec
-    )
+    gamma = LaurentSeries.constant(A.field, gamma0, psi.prec)
+    error_val = 3
+    while error_val < psi.prec:
+        gamma = (psi - gamma.cube()) * a_inv
+        error_val *= 3
     _require((gamma.cube() + gamma * A).agrees_with(psi),
-             "gamma recurrence failed substitution check")
+             "gamma fixed point failed substitution check")
     return gamma
 
 
@@ -349,9 +339,10 @@ def construct_with_report(curve, seed, prec):
         raise IncompatibleSeed(
             f"t^3 + A t = {report.psi0} has no root in the base field", report
         )
-    # All roots share the gamma tail (the recurrence reads gamma(0) only at
-    # n = 0), and residual(eta + kappa) = residual(eta) - (kappa^3 + A kappa):
-    # one substitution plus a kernel check per root verifies every solution.
+    # All roots share the gamma tail (gamma + kappa solves the cubic when
+    # kappa^3 + A kappa = 0), and residual(eta + kappa) = residual(eta) -
+    # (kappa^3 + A kappa): one substitution plus a kernel check per root
+    # verifies every solution.
     gamma0 = report.gamma0_roots[0]
     eta = alpha + beta + solve_gamma(curve.A, psi, gamma0, wp)
     _require(verify_functional_equation(curve, eta).ok,

@@ -3,9 +3,12 @@ rational reconstruction (Pade approximation) of series prefixes.
 
 A Polynomial is an exact LaurentSeries (prec INF, val >= 0): its run stays
 in the kernel's byte columns, so sums, products, division and the Euclid
-loops of pade and poly_gcd make no FieldElement, apart from the k that
-build a constant factor's matrix over F3. The coefficients are unpacked
-once per polynomial, and only where they are read (eval, str).
+loops of pade and poly_gcd make no FieldElement. A product is one series
+product: a constant or monomial factor scales the other run through its
+matrix over F3 (LaurentSeries._scaled; the k elements that build that
+matrix are the only ones made), and monic and RationalFunction multiply
+by the inverse leading coefficient that way. The coefficients are
+unpacked once per polynomial, and only where they are read (eval, str).
 
 Reconstruction runs the extended Euclidean scheme on the prefix and then
 certifies the candidate by re-expanding it and comparing every known
@@ -16,8 +19,8 @@ from __future__ import annotations
 
 from . import kronecker
 from .errors import InsufficientPrecision, MixedFields, ZeroDenominator
-from .gf3field import FieldElement, _inverse_packed
-from .series import INF, LaurentSeries, _f3_linear, _series
+from .gf3field import FieldElement
+from .series import INF, LaurentSeries, _series
 
 
 class Polynomial:
@@ -81,11 +84,8 @@ class Polynomial:
     def leading(self):
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return FieldElement._from_packed(self.field, self._top())
-
-    def _top(self):
-        """The leading coefficient as a packed int (self nonzero)."""
-        return int.from_bytes(bytes([c[-1] for c in self.series.cols]), "little")
+        digits = bytes([c[-1] for c in self.series.cols])
+        return FieldElement._from_packed(self.field, int.from_bytes(digits, "little"))
 
     def is_monic(self):
         return not self.is_zero and self.leading() == 1
@@ -120,40 +120,18 @@ class Polynomial:
         return Polynomial._of(-self.series)
 
     def __mul__(self, other):
-        if isinstance(other, (FieldElement, int)):
-            return self._scaled(other % 3 if isinstance(other, int) else other.packed)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.series, other.series
-        if not self or not other:
-            return Polynomial.zero(self.field)
-        if self.degree() == 0:  # a constant scales coefficientwise
-            return other._scaled(self._top())
-        if other.degree() == 0:
-            return self._scaled(other._top())
-        n = len(a.cols[0]) + len(b.cols[0]) - 1
-        cols = kronecker._mul_cols(self.field, a.cols, b.cols, n)
-        return Polynomial._of(_series(self.field, a.val + b.val, cols, INF))
+        if isinstance(other, (FieldElement, int)):  # the series scales by it
+            product = self.series * other
+        else:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+            product = self.series * other.series
+            if product is other.series:  # 1 times other
+                return other
+        return self if product is self.series else Polynomial._of(product)
 
     __rmul__ = __mul__
-
-    def _scaled(self, packed):
-        """self times the field constant packed as `packed`: the constant's
-        k x k matrix over F3 maps the digit columns, with no kernel
-        product; times 1 is self."""
-        if packed == 1 or self.is_zero:
-            return self
-        field = self.field
-        if not packed:
-            return Polynomial.zero(field)
-        c = FieldElement._from_packed(field, packed)
-        images = [c.coeffs]  # c t^j, the images of the basis
-        for _ in range(field.degree - 1):
-            c = c * field.gen
-            images.append(c.coeffs)
-        cols = _f3_linear(tuple(zip(*images)), self.series.cols)
-        return Polynomial._of(_series(field, self.series.val, cols, INF))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -188,7 +166,7 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def monic(self):
-        return self if self.is_zero else self._scaled(_inverse_packed(self.field, self._top()))
+        return self if self.is_zero else self * self.leading().inverse()
 
     def derivative(self):
         return Polynomial._of(self.series.derivative())
@@ -264,8 +242,8 @@ class RationalFunction:
                 if g.degree() > 0:
                     num = num // g
                     den = den // g
-            lead_inv = _inverse_packed(den.field, den._top())
-            num, den = num._scaled(lead_inv), den._scaled(lead_inv)
+            lead_inv = den.leading().inverse()
+            num, den = num * lead_inv, den * lead_inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

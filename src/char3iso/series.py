@@ -38,7 +38,9 @@ class LaurentSeries:
 
     The run is kept in the kernel's column form: `cols` holds k bytes
     columns, column j the t^j digit of each coefficient, so arithmetic is a
-    few big-int or bytes operations per column. FieldElements are made only
+    few big-int or bytes operations per column. A product with a
+    one-coefficient run c X^n scales the other run by c's matrix over F3
+    (_scaled) instead of a kernel product. FieldElements are made only
     where coefficients are handed out (coeffs, coefficient, nonzero_terms).
     """
 
@@ -187,12 +189,19 @@ class LaurentSeries:
                        self.prec)
 
     def __mul__(self, other):
+        if isinstance(other, (FieldElement, int)):  # c X^0 keeps val and prec
+            packed = other % 3 if isinstance(other, int) else other.packed
+            return self._scaled(packed, 0, self.prec) if packed else LaurentSeries.zero(self.field)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         prec = min(self.prec + other._vbound(), other.prec + self._vbound())
         if self.is_zero or other.is_zero:
             return LaurentSeries.zero(self.field, prec)
+        if len(other.cols[0]) == 1:  # c X^n scales the other run
+            return self._scaled(int.from_bytes(b"".join(other.cols), "little"), other.val, prec)
+        if len(self.cols[0]) == 1:
+            return other._scaled(int.from_bytes(b"".join(self.cols), "little"), self.val, prec)
         val = self.val + other.val  # below prec, as each run lies below its own prec
         n = len(self.cols[0]) + len(other.cols[0]) - 1
         if prec != INF:
@@ -202,6 +211,22 @@ class LaurentSeries:
         return _series(self.field, val, kronecker._mul_cols(self.field, a, b, n), prec)
 
     __rmul__ = __mul__
+
+    def _scaled(self, packed, shift, prec):
+        """self times c X^shift cut at prec, c the nonzero constant packed as
+        `packed`: c's k x k matrix over F3 (column j the digits of c t^j)
+        maps the columns, with no kernel product; times 1 is self."""
+        if packed == 1 and shift == 0 and prec == self.prec:
+            return self
+        field, cols = self.field, self.cols
+        if packed != 1:
+            c = FieldElement._from_packed(field, packed)
+            images = [c.coeffs]
+            for _ in range(field.degree - 1):
+                c = c * field.gen
+                images.append(c.coeffs)
+            cols = _f3_linear(tuple(zip(*images)), cols)
+        return _series(field, None if self.val is None else self.val + shift, cols, prec)
 
     def __truediv__(self, other):
         other = self._coerce(other)

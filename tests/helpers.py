@@ -260,6 +260,24 @@ def elementwise_in_residue_class(s, residue):
     return all(e % 3 == residue for e, c in enumerate(s.coeffs, s.val or 0) if c)
 
 
+def gamma_by_recurrence(A, psi, gamma0, prec):
+    """gamma^3 + A gamma = psi solved one coefficient at a time, known to
+    min(prec, psi.prec). With psi = sum C_n X^(3n) and gamma = sum g_n X^(3n),
+    the Frobenius expansion gamma^3 = sum g_n^3 X^(9n) gives
+
+        g_0  = gamma0,   g_n = C_n / A (3 does not divide n),
+        g_3l = (C_3l - g_l^3) / A."""
+    top = min(prec, psi.prec)
+    run = psi.coeffs
+    a_inv = A.inverse()
+    g = [gamma0]
+    for n in range(1, (top + 2) // 3):  # the n with 3n < top
+        i = 3 * n - psi.val if run else -1
+        c = run[i] if 0 <= i < len(run) else A.field.zero
+        g.append((c - g[n // 3].frobenius() if n % 3 == 0 else c) * a_inv)
+    return LaurentSeries.from_terms(A.field, {3 * n: x for n, x in enumerate(g)}, top)
+
+
 # ---- Pade that normalises every candidate before certifying it -------------
 
 def pade_normalising_first(series, deg_num_max, deg_den_max):

@@ -33,7 +33,7 @@ from char3iso.isocore import (
 )
 from char3iso.cli import _EXAMPLES, _example_job, _rational_forms
 from char3iso.curve import Point
-from char3iso.gf3field import FieldParams
+from char3iso.gf3field import FieldElement, FieldParams
 from char3iso.ratrec import derive_map_pair, pade
 from char3iso.series import INF, in_residue_class
 
@@ -41,6 +41,7 @@ from helpers import (
     check_cubic_membership,
     closed_form_conditions,
     construct_per_root,
+    gamma_by_recurrence,
     split,
 )
 
@@ -319,7 +320,7 @@ def test_closed_forms_dichotomy_when_b_zero_succeeds(f3, f9):
     assert succeeded > 0
 
 
-# ---- the gamma recurrence -----------------------------------------------------------
+# ---- the gamma fixed point ----------------------------------------------------------
 
 
 def test_gamma_sparse_alternating_solution(f3):
@@ -358,6 +359,11 @@ def test_gamma_rejects_bad_initial(f3):
         solve_gamma(f3.one, LaurentSeries.zero(f3, 32), f3.one, 32)
 
 
+def test_gamma_needs_a_finite_precision(f3):
+    with pytest.raises(ValueError):
+        solve_gamma(f3.one, LaurentSeries.monomial(f3, 3), f3.zero, INF)
+
+
 def test_gamma_substitution_round_trip_random(f3, f9):
     rng = random.Random(50033)
     for _ in range(200):
@@ -369,6 +375,56 @@ def test_gamma_substitution_round_trip_random(f3, f9):
         psi = gamma.cube() + gamma * a
         back = solve_gamma(a, psi, gamma.coefficient(0), 48)
         assert back.agrees_with(gamma)
+
+
+GAMMA_FIELDS = [FieldParams(k) for k in range(1, 6)] + [FieldParams(7, (2, 2, 2, 2, 2, 1, 1, 1))]
+
+
+@pytest.mark.parametrize("field", GAMMA_FIELDS, ids=lambda field: f"3^{field.degree}")
+def test_gamma_fixed_point_matches_the_recurrence(field):
+    rng = random.Random(f"gamma:{field.degree}")
+
+    def element():
+        return field.element([rng.randrange(3) for _ in range(field.degree)])
+
+    for trial in range(40):
+        a = element()
+        while a.is_zero:
+            a = element()
+        # exact, cut short of a multiple of 3, or zero to its precision
+        shape = ("exact", "cut", "zero")[trial % 3]
+        if shape == "zero":
+            psi = LaurentSeries.zero(field, rng.randint(1, 60))
+        else:
+            terms = {3 * n: element() for n in range(rng.randint(1, 25))}
+            cut = 3 * rng.randint(1, 25) - rng.randint(1, 2)
+            psi = LaurentSeries.from_terms(field, terms, INF if shape == "exact" else cut)
+            root = element()  # make psi(0) = root^3 + A root, so that roots exist
+            psi = psi - psi.coefficient(0) + root.frobenius() + a * root
+        prec = rng.randint(1, 90)
+        for gamma0 in solve_additive_cubic(a, psi.coefficient(0)):
+            gamma = solve_gamma(a, psi, gamma0, prec)
+            assert gamma.prec == min(prec, psi.prec)  # so never past psi's precision
+            assert gamma.agrees_with(gamma_by_recurrence(a, psi, gamma0, prec))
+
+
+@pytest.mark.parametrize("B, kind, seed", [(2, "beta", "x^2/(x^9+x^3-1)"),
+                                           (1, "alpha", "x^7+x^4+x")])
+def test_construct_makes_few_field_products(monkeypatch, f9, B, kind, seed):
+    # only the constants are field products; every run stays in columns
+    curve = CurveParams(f9, A=1, B=B, c=1)
+    source = getattr(Seed, kind)(parse_rational_function(seed, f9))
+    calls = []
+    real_mul = FieldElement.__mul__
+
+    def counted(x, y):
+        calls.append(1)
+        return real_mul(x, y)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    monkeypatch.setattr(FieldElement, "__rmul__", counted)
+    assert construct(curve, source, 8192)
+    assert len(calls) < 100
 
 
 # ---- functional equation and membership ------------------------------------------

@@ -86,7 +86,10 @@ def test_constant_factors_scale_without_the_kernel(monkeypatch, f9):
     RationalFunction.x(f9)
     RationalFunction.constant(f9, f9.gen)
     assert products == []
-    RationalFunction.x(f9) * RationalFunction.x(f9)
+    RationalFunction.x(f9) * RationalFunction.x(f9)  # a monomial factor scales too
+    assert products == []
+    x_plus_1 = RationalFunction.x(f9) + 1
+    x_plus_1 * x_plus_1
     assert len(products) == 1
 
 

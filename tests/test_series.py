@@ -11,6 +11,7 @@ from char3iso import (
     ZeroDenominator,
     ZeroDivisor,
 )
+from char3iso import kronecker
 from char3iso.ratrec import Polynomial
 from char3iso.series import INF, in_residue_class
 
@@ -118,6 +119,38 @@ def test_scalar_operands(f9):
     assert s * 2 == S(f9, {1: 2}, 6)
     assert (s + 1).coefficient(0) == f9.one
     assert (s * 0).is_zero
+
+
+def _vbound(s):
+    """The valuation, or for a series zero to its precision that precision."""
+    return s.prec if s.is_zero else s.val
+
+
+def test_one_coefficient_factors_scale_without_the_kernel(monkeypatch, f9):
+    products = []
+    real_mul = kronecker._mul_cols
+    monkeypatch.setattr(kronecker, "_mul_cols",
+                        lambda *args: products.append(1) or real_mul(*args))
+    c = f9.element((2, 1))
+    operands = [
+        LaurentSeries.from_coeffs(f9, -3, [c, 0, 1, c, 2], 7),  # a pole, finite precision
+        LaurentSeries.from_coeffs(f9, 2, [1, c, 0, c]),
+        LaurentSeries.zero(f9, 5),
+        LaurentSeries.zero(f9, -2),
+    ]
+    factors = [c, f9.one, f9.zero, 2, 1, 0, LaurentSeries.monomial(f9, -2, c),
+               LaurentSeries.monomial(f9, 4, c, prec=6), LaurentSeries.monomial(f9, 0, 1, prec=3),
+               LaurentSeries.zero(f9, 4)]
+    for s in operands:
+        for factor in factors:
+            g = factor if isinstance(factor, LaurentSeries) else LaurentSeries.constant(f9, factor)
+            prec = min(s.prec + _vbound(g), g.prec + _vbound(s))
+            run = schoolbook_mul(s.coeffs, g.coeffs)
+            want = LaurentSeries(f9, s.val + g.val, run, prec) if run else LaurentSeries.zero(f9, prec)
+            assert s * factor == want and factor * s == want  # == compares prec too
+        if not s.is_zero:
+            assert s * 1 is s and LaurentSeries.constant(f9, 1) * s is s
+    assert products == []
 
 
 def test_zero_series_semantics(f3):
@@ -354,17 +387,24 @@ def test_column_ops_match_element_loops(field):
             else:
                 with pytest.raises(PrecisionError):
                     a.coefficient(e)
-        # products and quotients reach the kernel's column functions directly
+        # products follow the precision rule; a one-coefficient factor c
+        # (possibly zero, exact or not) scales the other run, in either order
+        c = LaurentSeries(field, rng.randint(-4, 4), [_element(rng, field, 1.0)],
+                          rng.choice((INF, rng.randint(-3, 9))))
+        for x, y in ((a, b), (a, c), (c, a)):
+            product = x * y
+            assert product.prec == min(x.prec + _vbound(y), y.prec + _vbound(x))
+            run = schoolbook_mul(x.coeffs, y.coeffs)
+            assert product == (LaurentSeries(field, x.val + y.val, run, product.prec) if run
+                               else LaurentSeries.zero(field, product.prec))
+        # quotients reach the kernel's column functions directly
         if a.coeffs and b.coeffs:
-            product = a * b
-            run = schoolbook_mul(a.coeffs, b.coeffs)
-            assert product == LaurentSeries(field, a.val + b.val, run, product.prec)
             quotient = a.divide(b, prec=a.val - b.val + rng.randint(0, 16))
             n = quotient.prec - (a.val - b.val)
             run = schoolbook_mul(a.coeffs, schoolbook_inverse(b.coeffs, n), n) if n > 0 else []
             assert quotient == LaurentSeries(field, a.val - b.val, run, quotient.prec)
             if a.prec == b.prec == INF:
-                assert product / b == a
+                assert a * b / b == a
         # equality and hash follow the coefficient runs, across equal fields
         assert (a == b) == _same_coeffs(a, b)
         cut = a.truncate(rng.randint(-9, 20))
@@ -379,6 +419,9 @@ def test_cube_at_the_byte_slot_boundary(degree):
     twos = field.element((2,) * degree)
     s = LaurentSeries(field, -1, [twos, field.gen, field.zero, twos], 40)
     assert s.cube() == elementwise_cube(s)
+    # a scaled digit also sums k products of at most 2*2, through the constant's matrix
+    for factor in (twos, field.gen):
+        assert s * factor == LaurentSeries(field, -1, [x * factor for x in s.coeffs], 40)
     # A digit of the cube sums k terms of at most 2*2 from the Frobenius
     # matrix; from k = 64 on that passes 255 unless cube reduces on the way.
     # The map is the same linear map for any matrix, so an all-2 matrix on
