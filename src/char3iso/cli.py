@@ -149,6 +149,11 @@ def _parse_modulus(text):
     return [c.coeffs[0] for c in rf.num.coeffs]
 
 
+def _modulus_text(field):
+    """The field's modulus as a polynomial in t, the inverse of _parse_modulus."""
+    return str(Polynomial(FieldParams(1), field.modulus)).replace("x", "t")
+
+
 def _job_from_args(args):
     field = _parse_field(args)
     A = parse_field_element(args.A, field)
@@ -176,28 +181,10 @@ def _seed_from_args(args, field):
     return Seed.alpha(poly) if args.seed_kind == "alpha" else Seed.beta(poly)
 
 
-def modulus_text(field):
-    parts = []
-    for i in range(field.degree, -1, -1):
-        c = field.modulus[i]
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            ts = "t" if i == 1 else f"t^{i}"
-            parts.append(ts if c == 1 else f"{c}*{ts}")
-    return "+".join(parts)
-
-
-def _terms_text(series):
-    return " ".join(f"{e}:{c}" for e, c in series.nonzero_terms()) or "0"
-
-
 def _emit_header(out, job, command):
     out(f"command={command}")
     out(f"field=3^{job.field.degree}")
-    out(f"modulus={modulus_text(job.field)}")
+    out(f"modulus={_modulus_text(job.field)}")
     out(f"A={job.curve.A}")
     out(f"B={job.curve.B}")
     out(f"c={job.curve.c}")
@@ -223,13 +210,7 @@ def _rational_forms(curve, prec, endos):
 
 def _solution_rows(endo, pair):
     fx, fy = pair or ("none", "none")
-    return {
-        "gamma0": str(endo.gamma0),
-        "eta_coeffs": _terms_text(endo.eta),
-        "certified_prec": str(endo.prec),
-        "rational": str(fx),
-        "y_factor": str(fy),
-    }
+    return {"gamma0": str(endo.gamma0), "rational": str(fx), "y_factor": str(fy)}
 
 
 def _print_construct_records(job, seed, report, endos, out):
@@ -244,15 +225,19 @@ def _print_construct_records(job, seed, report, endos, out):
     out(f"num_solutions={len(endos)}")
     _, maps = _rational_forms(job.curve, job.prec, endos)
     for i, (endo, pair) in enumerate(zip(endos, maps)):
+        rows = _solution_rows(endo, pair)
         out(f"solution={i}")
-        for key, value in _solution_rows(endo, pair).items():
-            out(f"{key}={value}")
+        out(f"gamma0={rows['gamma0']}")
+        out(f"eta_coeffs={' '.join(f'{e}:{c}' for e, c in endo.eta.nonzero_terms()) or '0'}")
+        out(f"certified_prec={endo.prec}")
+        out(f"rational={rows['rational']}")
+        out(f"y_factor={rows['y_factor']}")
 
 
 def _print_construct_text(job, seed, report, endos, out):
     curve = job.curve
     out(f"curve: y^2 = x^3 + ({curve.A})*x + ({curve.B}) over "
-        f"GF(3^{job.field.degree}), modulus {modulus_text(job.field)}, c = {curve.c}")
+        f"GF(3^{job.field.degree}), modulus {_modulus_text(job.field)}, c = {curve.c}")
     out(f"seed ({seed.kind}): {seed.source}")
     out(f"psi(0) = {report.psi0}; principal part ok: {report.principal_part_ok}; "
         f"[x^-1]beta = {report.beta_minus1}; [x^1]alpha = {report.alpha1}")
@@ -419,7 +404,7 @@ def cmd_example(args):
           f"solutions found: {len(endos)}"])
     for i, row in enumerate(rows):
         desc = row["rational"] if maps[i] is not None else "(not rational at this degree bound)"
-        show([f"solution={i}"] + [f"{key}={row[key]}" for key in ("gamma0", "rational", "y_factor")],
+        show([f"solution={i}"] + [f"{key}={value}" for key, value in row.items()],
              [f"  gamma0 = {row['gamma0']}: eta = {desc}"])
     if "solutions" in ex:
         checks.append(got == ex["solutions"])

@@ -11,9 +11,10 @@ equation into three tractable pieces:
 
   * a linear relation  c^2 A X alpha + c^2 (X^3 + B) beta = A X^2  that
     determines either of alpha/beta from the other;
-  * a regularity and residue condition on the combination
-    psi = c^2 (X^3+AX+B) ((alpha-beta)/X)^2 - alpha^3 - beta^3
-          - A alpha - A beta - B;
+  * a regularity and residue condition on psi, the residual of alpha +
+    beta in the equation (gamma' = 0 and cubing is additive, so eta' =
+    (alpha - beta)/X and psi = c^2 (X^3+AX+B) ((alpha-beta)/X)^2 -
+    alpha^3 - beta^3 - A alpha - A beta - B);
   * the additive-cubic equation gamma^3 + A gamma = psi, solved as the
     fixed point of gamma <- (psi - gamma^3) / A on whole coefficient
     columns, from a constant term gamma(0) with gamma(0)^3 + A gamma(0) =
@@ -170,19 +171,22 @@ class FormalEndomorphism:
         return f"<endomorphism gamma0={self.gamma0} eta={self.eta}>"
 
 
+def _linear_relation(curve):
+    """(p, q, r) = (c^2 A X, c^2 (X^3 + B), A X^2): p alpha + q beta = r."""
+    c2 = curve.c * curve.c
+    return (LaurentSeries.monomial(curve.field, 1, c2 * curve.A),
+            LaurentSeries.from_terms(curve.field, {0: c2 * curve.B, 3: c2}),
+            LaurentSeries.monomial(curve.field, 2, curve.A))
+
+
 def beta_from_alpha(curve, alpha):
-    """The beta part determined by alpha through
-    c^2 A X alpha + c^2 (X^3 + B) beta = A X^2.
+    """The beta part determined by alpha through the linear relation.
 
     For B != 0 the divisor is a unit and beta lands in X^2 K[[X]]; for
     B = 0 the division by X^3 may leave a simple pole.
     """
-    c2 = curve.c * curve.c
-    x = LaurentSeries.monomial(curve.field, 1)
-    x2 = LaurentSeries.monomial(curve.field, 2)
-    num = x2 * curve.A - x * alpha * (c2 * curve.A)
-    den = LaurentSeries.from_terms(curve.field, {0: c2 * curve.B, 3: c2})
-    beta = num.divide(den)
+    p, q, r = _linear_relation(curve)
+    beta = (r - p * alpha).divide(q)
     _require(in_residue_class(beta, 2), "beta left its residue class")
     return beta
 
@@ -191,21 +195,29 @@ def alpha_from_beta(curve, beta):
     """The alpha part determined by beta (inverse direction of the linear
     relation). Fails when the numerator is not divisible by X, e.g. for
     B != 0 with a genuine pole in beta."""
-    c2 = curve.c * curve.c
-    x2 = LaurentSeries.monomial(curve.field, 2)
-    x3_plus_b = LaurentSeries.from_terms(curve.field, {0: curve.B, 3: 1})
-    num = x2 * curve.A - x3_plus_b * beta * c2
+    p, q, r = _linear_relation(curve)
+    num = r - q * beta
     if not num.is_zero and num.val < 1:
-        raise IncompatibleSeed(
-            "beta seed leaves a term below X^1; no alpha part exists"
-        )
-    alpha = num.shift(-1) * (c2 * curve.A).inverse()
+        raise IncompatibleSeed("beta seed leaves a term below X^1; no alpha part exists")
+    alpha = num.divide(p)
     _require(in_residue_class(alpha, 1), "alpha left its residue class")
     return alpha
 
 
+def _lhs(curve, eta):
+    """c^2 (X^3+AX+B) (eta')^2, the left side of the defining equation."""
+    d = eta.derivative()
+    return curve.rhs_series() * (d * d) * (curve.c * curve.c)
+
+
+def _residual(curve, eta, lhs):
+    """The residual of the defining equation for eta, given its left side."""
+    return lhs - eta.cube() - eta * curve.A - curve.B
+
+
 def compute_psi(curve, alpha, beta):
     """The series whose regularity gates the existence of the gamma part:
+    the residual of alpha + beta in the defining equation, that is
 
     psi = c^2 (X^3+AX+B) ((alpha-beta)/X)^2
           - alpha^3 - beta^3 - A alpha - A beta - B.
@@ -214,11 +226,8 @@ def compute_psi(curve, alpha, beta):
     exponents divisible by three; for B = 0 it may carry a principal part
     down to X^-3, which compatibility_check then inspects.
     """
-    c2 = curve.c * curve.c
-    diff = (alpha - beta).shift(-1)
-    lhs = curve.rhs_series() * (diff * diff) * c2
-    return (lhs - alpha.cube() - beta.cube()
-            - alpha * curve.A - beta * curve.A - curve.B)
+    ab = alpha + beta
+    return _residual(curve, ab, _lhs(curve, ab))
 
 
 def compatibility_check(curve, alpha, beta, psi):
@@ -290,12 +299,7 @@ def verify_functional_equation(curve, eta, prec=None):
     """
     if not eta.is_zero and eta.val < -1:
         raise ValueError("eta must have a pole of order at most one")
-    c2 = curve.c * curve.c
-    d = eta.derivative()
-    r = (curve.rhs_series() * (d * d) * c2
-         - eta.cube() - eta * curve.A - curve.B)
-    if prec is not None:
-        r = r.truncate(prec)
+    r = _residual(curve, eta, _lhs(curve, eta)).truncate(INF if prec is None else prec)
     if r.is_zero:
         return FunctionalEquationReport(True, r.prec, None, None)
     return FunctionalEquationReport(False, r.prec, r.val, r.coefficient(r.val))
@@ -329,29 +333,28 @@ def construct_with_report(curve, seed, prec):
     else:
         beta = seed.expand(wp)
         alpha = alpha_from_beta(curve, beta)
-    psi = compute_psi(curve, alpha, beta)
+    # eta = alpha + beta + gamma has the derivative of alpha + beta, so one
+    # left side serves psi and the check of eta, which cubes eta itself.
+    ab = alpha + beta
+    lhs = _lhs(curve, ab)
+    psi = _residual(curve, ab, lhs)
     report = compatibility_check(curve, alpha, beta, psi)
     if not report.principal_part_ok:
-        raise IncompatibleSeed(
-            "psi has coefficients off the regular residue-zero grid", report
-        )
+        raise IncompatibleSeed("psi has coefficients off the regular residue-zero grid",
+                               report)
     if not report.gamma0_roots:
-        raise IncompatibleSeed(
-            f"t^3 + A t = {report.psi0} has no root in the base field", report
-        )
+        raise IncompatibleSeed(f"t^3 + A t = {report.psi0} has no root in the base field",
+                               report)
     # All roots share the gamma tail (gamma + kappa solves the cubic when
     # kappa^3 + A kappa = 0), and residual(eta + kappa) = residual(eta) -
     # (kappa^3 + A kappa): one substitution plus a kernel check per root
     # verifies every solution.
     gamma0 = report.gamma0_roots[0]
-    eta = alpha + beta + solve_gamma(curve.A, psi, gamma0, wp)
-    _require(verify_functional_equation(curve, eta).ok,
+    eta = ab + solve_gamma(curve.A, psi, gamma0, wp)
+    _require(_residual(curve, eta, lhs).is_zero,
              "constructed eta fails its defining equation")
-    c2 = curve.c * curve.c
-    x3_plus_b = LaurentSeries.from_terms(curve.field, {0: curve.B, 3: 1})
-    linear = (alpha.shift(1) * (c2 * curve.A) + x3_plus_b * beta * c2
-              - LaurentSeries.monomial(curve.field, 2, curve.A))
-    _require(linear.is_zero, "alpha and beta fail the linear relation")
+    p, q, r = _linear_relation(curve)
+    _require((p * alpha + q * beta - r).is_zero, "alpha and beta fail the linear relation")
     _require(eta.prec >= prec,
              f"guard precision ran out: eta is known to X^{eta.prec}, not X^{prec}")
     eta = eta.truncate(prec)

@@ -48,6 +48,8 @@ class LaurentSeries:
 
     def __init__(self, field, val, coeffs, prec):
         coeffs = tuple(coeffs)
+        for c in coeffs:
+            _packed(field, c)
         self._store(field, val, kronecker._columns(coeffs) if coeffs else (), prec)
 
     def _store(self, field, val, cols, prec):
@@ -85,7 +87,7 @@ class LaurentSeries:
     def monomial(cls, field, exponent, coeff=1, prec=INF):
         if isinstance(coeff, int):
             coeff = field.from_int(coeff)
-        digits = coeff.packed.to_bytes(field.degree, "little")
+        digits = _packed(field, coeff).to_bytes(field.degree, "little")
         return _series(field, exponent, [digits[j:j + 1] for j in range(field.degree)], prec)
 
     @classmethod
@@ -190,7 +192,7 @@ class LaurentSeries:
 
     def __mul__(self, other):
         if isinstance(other, (FieldElement, int)):  # c X^0 keeps val and prec
-            packed = other % 3 if isinstance(other, int) else other.packed
+            packed = other % 3 if isinstance(other, int) else _packed(self.field, other)
             return self._scaled(packed, 0, self.prec) if packed else LaurentSeries.zero(self.field)
         other = self._coerce(other)
         if other is None:
@@ -252,6 +254,8 @@ class LaurentSeries:
         if self.is_zero:
             return LaurentSeries.zero(self.field, target)
         field, qval = self.field, self.val - other.val
+        if len(other.cols[0]) == 1:  # by c X^n: scale by 1/c, as a product scales by c
+            return self._scaled(other.coefficient(other.val).inverse().packed, -other.val, target)
         if target == INF:
             q, r = kronecker._divmod_cols(field, self.cols, other.cols)
             if _mask(r):
@@ -373,6 +377,13 @@ def _f3_linear(rows, cols):
                 acc = _reduce(acc, n)
         out.append(acc.to_bytes(n, "little").translate(_MOD3))
     return out
+
+
+def _packed(field, element):
+    """The element's packed digits; MixedFields unless it lies in `field`."""
+    if element.field is not field and element.field != field:
+        raise MixedFields("coefficient from a different field")
+    return element.packed
 
 
 def _series(field, val, cols, prec):

@@ -474,16 +474,25 @@ def check_cubic_membership(curve, alpha, beta, gamma):
     x2 = LaurentSeries.monomial(curve.field, 2)
     x3_plus_b = LaurentSeries.from_terms(curve.field, {0: curve.B, 3: 1})
     r1 = x * alpha * (c2 * curve.A) + x3_plus_b * beta * c2 - x2 * curve.A
-    eta = alpha + beta + gamma
-    diff = (alpha - beta).shift(-1)
-    r2 = (curve.rhs_series() * (diff * diff) * c2
-          - eta.cube() - eta * curve.A - curve.B)
+    r2 = psi_by_formula(curve, alpha, beta) - gamma.cube() - gamma * curve.A
     return CubicMembershipReport(
         linear_ok=r1.is_zero,
         cubic_ok=r2.is_zero,
         linear_residual=r1,
         cubic_residual=r2,
     )
+
+
+def psi_by_formula(curve, alpha, beta):
+    """The closed formula on the difference quotient (alpha - beta)/X:
+
+        c^2 (X^3+AX+B) ((alpha-beta)/X)^2 - alpha^3 - beta^3 - A alpha - A beta - B,
+
+    built from series arithmetic alone, with no isocore code."""
+    diff = (alpha - beta).shift(-1)
+    rhs = LaurentSeries.from_terms(curve.field, {0: curve.B, 1: curve.A, 3: 1})
+    return (rhs * (diff * diff) * (curve.c * curve.c) - alpha.cube() - beta.cube()
+            - alpha * curve.A - beta * curve.A - curve.B)
 
 
 def construct_per_root(curve, seed, prec):

@@ -7,6 +7,7 @@ import pytest
 
 import char3iso
 from char3iso.cli import main
+from char3iso.gf3field import DEFAULT_MODULI
 
 DATA = Path(__file__).parent / "data"
 
@@ -429,6 +430,36 @@ def test_construct_prec_2048_matches_schoolbook_transcript(capsys, name):
                        *SEEDS_2048[name], "--prec", "2048", "--format", "records")
     assert code == 0
     assert out == (DATA / f"construct_{name}_prec2048.records.txt").read_text()
+
+
+# Written by the printer that formatted eta_coeffs= and certified_prec= for
+# the text output too, where neither is shown.
+def test_construct_prec_2048_text_transcript(capsys):
+    code, out, _ = run(capsys, "construct", "--field", "3^2", "--A=1", "--c=1",
+                       *SEEDS_2048["mul2"], "--prec", "2048")
+    assert code == 0
+    assert out == (DATA / "construct_mul2_prec2048.text.txt").read_text()
+
+
+# The modulus= header lines the hand-written formatter printed, one per
+# degree of the default table, and one for a modulus given on the command line.
+MODULUS_HEADERS = {
+    ("3^1", None): "t", ("3^2", None): "t^2+1", ("3^3", None): "t^3+2*t+1",
+    ("3^4", None): "t^4+t+2", ("3^5", None): "t^5+2*t+1", ("3^6", None): "t^6+t+2",
+    ("3^7", None): "t^7+t^2+2", ("3^8", None): "t^8+t^2+2",
+    ("3^9", None): "t^9+2*t^3+t^2+1", ("3^10", None): "t^10+2*t^2+1",
+    ("3^2", "t^2 + 2*t + 2"): "t^2+2*t+2",
+}
+
+
+def test_modulus_header_for_every_default_degree(capsys):
+    assert {int(k[2:]) for k, m in MODULUS_HEADERS if m is None} == set(DEFAULT_MODULI)
+    for (field, modulus), header in MODULUS_HEADERS.items():
+        given = [] if modulus is None else ["--modulus", modulus]
+        code, out, _ = run(capsys, "verify", "--field", field, *given, "--A", "1",
+                           "--eta", "x", "--prec", "16", "--format", "records")
+        assert code == 0
+        assert ("modulus", header) in records(out)
 
 
 # ---- usage ------------------------------------------------------------------------

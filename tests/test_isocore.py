@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import char3iso
+from char3iso import isocore, kronecker
 from char3iso import (
     BadInitial,
     CurveParams,
@@ -42,6 +43,7 @@ from helpers import (
     closed_form_conditions,
     construct_per_root,
     gamma_by_recurrence,
+    psi_by_formula,
     split,
 )
 
@@ -309,6 +311,7 @@ def test_closed_forms_dichotomy_when_b_zero_succeeds(f3, f9):
             seed_series = S(field, terms, 28)
             beta, alpha = seed_series, alpha_from_beta(curve, seed_series)
         psi = compute_psi(curve, alpha, beta)
+        assert psi == psi_by_formula(curve, alpha, beta)  # == compares val, cols and prec
         report = compatibility_check(curve, alpha, beta, psi)
         forms = closed_form_conditions(curve, alpha, beta)
         if report.principal_part_ok:
@@ -425,6 +428,55 @@ def test_construct_makes_few_field_products(monkeypatch, f9, B, kind, seed):
     monkeypatch.setattr(FieldElement, "__rmul__", counted)
     assert construct(curve, source, 8192)
     assert len(calls) < 100
+
+
+@pytest.mark.parametrize("B, kind, seed", [(2, "beta", "x^2/(x^9+x^3-1)"),
+                                           (1, "alpha", "x^7+x^4+x")])
+def test_construct_squares_one_series(monkeypatch, f9, B, kind, seed):
+    # psi and the check of eta share one left side c^2 (X^3+AX+B) (eta')^2,
+    # so the kernel squares (alpha + beta)' once
+    curve = CurveParams(f9, A=1, B=B, c=1)
+    source = getattr(Seed, kind)(parse_rational_function(seed, f9))
+    squares = []
+    real_mul = kronecker._mul_cols
+
+    def counted(field, a, b, n=None):
+        squares.append(a is b)
+        return real_mul(field, a, b, n)
+
+    monkeypatch.setattr(kronecker, "_mul_cols", counted)
+    construct_with_report(curve, source, 8192)
+    assert sum(squares) == 1
+
+
+@pytest.mark.parametrize("field_degree, A, B, kind, seed, prec", [
+    (2, 1, 2, "beta", "x^2/(x^9+x^3-1)", 512),
+    (2, 1, 1, "alpha", "x^7+x^4+x", 512),
+    (1, 2, 0, "beta", "-1/x", 64),
+    (1, 2, 0, "alpha", "x", 64),
+])
+def test_construct_checks_eta_at_least_as_far_as_full_substitution(
+        monkeypatch, field_degree, A, B, kind, seed, prec):
+    # construct checks eta with the left side of alpha + beta; the residual it
+    # reads must vanish to at least the precision that substituting eta in
+    # full (eta' and all) reaches
+    field = FieldParams(field_degree)
+    curve = CurveParams(field, A=A, B=B, c=1)
+    source = getattr(Seed, kind)(parse_rational_function(seed, field))
+    seen = []
+    real_residual = isocore._residual
+
+    def recorded(curve, eta, lhs):
+        seen.append((eta, real_residual(curve, eta, lhs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(isocore, "_residual", recorded)
+    construct(curve, source, prec)
+    eta, residual = seen[-1]
+    monkeypatch.undo()
+    full = verify_functional_equation(curve, eta)
+    assert residual.is_zero and full.ok
+    assert residual.prec >= full.checked_prec >= prec
 
 
 # ---- functional equation and membership ------------------------------------------

@@ -173,6 +173,41 @@ def test_mixed_fields_rejected(f3, f9):
         S(f3, {0: 1}) + S(f9, {0: 1})
 
 
+def test_elements_of_another_field_do_not_enter_a_run(f9):
+    f27 = FieldParams(3)
+    t = f27.gen
+    one_plus_x = S(f9, {0: 1, 1: 1})
+    for make in (lambda: one_plus_x * t, lambda: t * one_plus_x, lambda: one_plus_x + t,
+                 lambda: one_plus_x - t, lambda: Polynomial(f9, [t, 1]),
+                 lambda: LaurentSeries.monomial(f9, 2, t * t),
+                 lambda: LaurentSeries.from_coeffs(f9, 0, [1, t])):
+        with pytest.raises(MixedFields):
+            make()
+    # an equal field built apart is the same field
+    u = FieldParams(2).gen
+    assert one_plus_x * u == S(f9, {0: f9.gen, 1: f9.gen})
+    assert LaurentSeries.monomial(f9, 2, u) == S(f9, {2: f9.gen})
+
+
+def test_division_by_one_coefficient_scales_without_the_kernel(monkeypatch, f9):
+    c = f9.element((2, 1))
+    operands = [LaurentSeries.from_coeffs(f9, -3, [c, 0, 1, c, 2], 7),
+                LaurentSeries.from_coeffs(f9, 2, [1, c, 0, c]), LaurentSeries.zero(f9, 5)]
+    divisors = [LaurentSeries.monomial(f9, -2, c), LaurentSeries.monomial(f9, 4, c, prec=6),
+                LaurentSeries.constant(f9, 1), LaurentSeries.monomial(f9, 1, 2, prec=3)]
+    monkeypatch.setattr(kronecker, "_mul_cols", None)
+    monkeypatch.setattr(kronecker, "_inverse_cols", None)
+    for s in operands:
+        for d in divisors:
+            inv = d.coefficient(d.val).inverse()
+            for cap in (None, 4):
+                prec = min(s.prec - d.val, d.prec - 2 * d.val + _vbound(s),
+                           INF if cap is None else cap)
+                want = (LaurentSeries(f9, s.val - d.val, [a * inv for a in s.coeffs], prec)
+                        if s.coeffs else LaurentSeries.zero(f9, prec))
+                assert s.divide(d, prec=cap) == want  # == compares prec too
+
+
 def test_truncate_never_gains_precision(f3):
     s = S(f3, {0: 1}, 5)
     assert s.truncate(9).prec == 5
