@@ -35,7 +35,9 @@ from .exprparse import parse_field_element, parse_rational_function
 from .gf3field import DEFAULT_MODULI, FieldParams
 from .isocore import (CurveParams, Seed, construct, construct_with_report,
                       verify_functional_equation)
-from .ratrec import Polynomial, RationalFunction, derive_map_pair, pade
+from .ratrec import (RationalFunction, coefficients, degree, derive_map_pair, pade,
+                     poly_text)
+from .series import LaurentSeries
 
 PREC_MIN, PREC_MAX = 16, 8192
 TEXT_TERMS_SHOWN = 10
@@ -144,14 +146,15 @@ def _parse_modulus(text):
     """A polynomial in t over F3, as coefficients low to high."""
     prime = FieldParams(1)
     rf = parse_rational_function(text.replace("t", "x"), prime)
-    if rf.den != Polynomial.one(prime):
+    if degree(rf.den) != 0:
         raise ParseError(0, "modulus must be a polynomial")
-    return [c.coeffs[0] for c in rf.num.coeffs]
+    return [c.coeffs[0] for c in coefficients(rf.num)]
 
 
 def _modulus_text(field):
     """The field's modulus as a polynomial in t, the inverse of _parse_modulus."""
-    return str(Polynomial(FieldParams(1), field.modulus)).replace("x", "t")
+    modulus = LaurentSeries.from_coeffs(FieldParams(1), 0, field.modulus)
+    return poly_text(modulus).replace("x", "t")
 
 
 def _job_from_args(args):
@@ -177,7 +180,7 @@ def _seed_from_args(args, field):
         return Seed.beta(parse_rational_function(args.seed_beta, field))
     coeffs = [parse_field_element(part.strip(), field)
               for part in args.seed_coeffs.split(",")]
-    poly = Polynomial(field, coeffs)
+    poly = LaurentSeries.from_coeffs(field, 0, coeffs)
     return Seed.alpha(poly) if args.seed_kind == "alpha" else Seed.beta(poly)
 
 
@@ -213,10 +216,14 @@ def _solution_rows(endo, pair):
     return {"gamma0": str(endo.gamma0), "rational": str(fx), "y_factor": str(fy)}
 
 
-def _print_construct_records(job, seed, report, endos, out):
+def _emit_construct_head(out, job, seed):
     _emit_header(out, job, "construct")
     out(f"seed_kind={seed.kind}")
     out(f"seed={seed.source}")
+
+
+def _print_construct_records(job, seed, report, endos, out):
+    _emit_construct_head(out, job, seed)
     out(f"status={'ok' if endos else 'incompatible'}")
     out(f"psi0={report.psi0}")
     out(f"principal_part_ok={str(report.principal_part_ok).lower()}")
@@ -264,10 +271,13 @@ def cmd_construct(args):
     try:
         report, endos = construct_with_report(job.curve, seed, job.prec)
     except IncompatibleSeed as exc:
-        if exc.report is not None and job.fmt == "records":
-            _print_construct_records(job, seed, exc.report, [], out)
-        else:
+        if job.fmt != "records":
             out(f"incompatible seed: {exc}")
+        elif exc.report is not None:
+            _print_construct_records(job, seed, exc.report, [], out)
+        else:  # no psi was assembled, so there is no report to print
+            _emit_construct_head(out, job, seed)
+            out(f"status=incompatible\nreason={exc}\nnum_solutions=0")
         return 2
     if job.fmt == "records":
         _print_construct_records(job, seed, report, endos, out)
@@ -289,7 +299,7 @@ def cmd_verify(args):
     else:
         coeffs = [parse_field_element(p.strip(), field)
                   for p in args.eta_coeffs.split(",")]
-        eta_rf = RationalFunction.from_polynomial(Polynomial(field, coeffs))
+        eta_rf = RationalFunction.from_polynomial(LaurentSeries.from_coeffs(field, 0, coeffs))
     eta_text = str(eta_rf)
     eta = eta_rf.expand(job.prec)
     out = print

@@ -25,7 +25,7 @@ from __future__ import annotations
 import operator
 
 from .errors import Char3Error, GeneratorUnavailable, ParseError, ZeroDenominator
-from .ratrec import Polynomial, RationalFunction
+from .ratrec import RationalFunction, degree
 
 # The highest degree a value in x may reach, and the deepest parentheses may
 # nest: the descent recurses once per level, so Python's stack bounds it.
@@ -180,7 +180,7 @@ def _evaluate(steps, field, rational):
 def _degrees(value):
     """(deg num, deg den) of a rational function; (0, 0) for a constant."""
     if isinstance(value, RationalFunction):
-        return value.num.degree(), value.den.degree()
+        return degree(value.num), degree(value.den)
     return 0, 0
 
 
@@ -222,6 +222,6 @@ def parse_rational_function(text, field):
 def parse_polynomial(text, field):
     """Like parse_rational_function but requires denominator one."""
     rf = parse_rational_function(text, field)
-    if rf.den != Polynomial.one(field):
+    if degree(rf.den) != 0:
         raise ParseError(0, "expected a polynomial, found a quotient")
     return rf.num

@@ -38,7 +38,7 @@ from .errors import (
     VerificationFailed,
 )
 from .gf3field import FieldElement, FieldParams, solve_additive_cubic
-from .ratrec import Polynomial, RationalFunction
+from .ratrec import RationalFunction
 from .series import INF, LaurentSeries, in_residue_class
 
 # Extra working coefficients: psi assembly and the squared difference
@@ -88,8 +88,8 @@ class Seed:
     """Starting datum for the pipeline: either the alpha or the beta part.
 
     The series data is kept as an exact rational function so it can be
-    expanded to any working precision; a plain polynomial seed is the
-    rational function with denominator one.
+    expanded to any working precision; a polynomial seed, an exact power
+    series, is the rational function with denominator one.
     """
 
     kind: str  # "alpha" or "beta"
@@ -131,9 +131,10 @@ class Seed:
 def _as_rational(source):
     if isinstance(source, RationalFunction):
         return source
-    if isinstance(source, Polynomial):
+    if (isinstance(source, LaurentSeries) and source.prec == INF
+            and (source.val is None or source.val >= 0)):  # an exact polynomial
         return RationalFunction.from_polynomial(source)
-    raise SeedError("seed source must be a RationalFunction or Polynomial")
+    raise SeedError("seed source must be a RationalFunction or an exact power series")
 
 
 @dataclass(frozen=True)

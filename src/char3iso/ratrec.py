@@ -1,18 +1,20 @@
-"""Exact polynomials and rational functions over GF(3^k), plus the
-rational reconstruction (Pade approximation) of series prefixes.
+"""Rational functions over GF(3^k), and the rational reconstruction (Pade
+approximation) of series prefixes.
 
-A Polynomial is an exact LaurentSeries (prec INF, val >= 0): its run stays
-in the kernel's byte columns, so sums, products, division and the Euclid
-loops of pade and poly_gcd make no FieldElement. A product is one series
-product: a constant or monomial factor scales the other run through its
-matrix over F3 (LaurentSeries._scaled; the k elements that build that
-matrix are the only ones made), and monic and RationalFunction multiply
-by the inverse leading coefficient that way. The coefficients are
-unpacked once per polynomial, and only where they are read (eval, str).
+A polynomial is an exact LaurentSeries (prec INF, val >= 0) read as a run
+from degree 0; there is no polynomial class. Its run stays in the kernel's
+byte columns, so sums, products, division and the Euclid loops of pade and
+poly_gcd make no FieldElement; a constant or monomial factor scales the
+other run through its matrix over F3 (LaurentSeries._scaled). What only
+polynomials need is a function here: degree, leading, coefficients,
+poly_divmod, poly_gcd and poly_text. A RationalFunction holds two such
+series and unpacks their coefficients once, on its first eval.
 
 Reconstruction runs the extended Euclidean scheme on the prefix and then
-certifies the candidate by re-expanding it and comparing every known
-coefficient; an imperfect match yields None rather than a guess.
+checks the candidate by re-expanding it and comparing every known
+coefficient; an imperfect match yields None rather than a guess. A match
+is agreement to the series' precision, not a proof that the form solves
+anything.
 """
 
 from __future__ import annotations
@@ -23,211 +25,95 @@ from .gf3field import FieldElement
 from .series import INF, LaurentSeries, _series
 
 
-class Polynomial:
-    """Polynomial over GF(3^k): the exact series `series`, read as a run
-    from degree 0. The zero polynomial has degree -1."""
+def degree(p):
+    """Degree of the polynomial p; -1 for zero."""
+    return -1 if p.val is None else p.val + len(p.cols[0]) - 1
 
-    __slots__ = ("series", "_coeffs")
 
-    def __init__(self, field, coeffs=()):
-        run = [field.from_int(c) if isinstance(c, int) else c for c in coeffs]
-        object.__setattr__(self, "series", LaurentSeries(field, 0, run, INF))
-        object.__setattr__(self, "_coeffs", None)
+def leading(p):
+    """The coefficient of p at its degree."""
+    if p.is_zero:
+        raise ValueError("zero polynomial has no leading coefficient")
+    return p.coefficient(degree(p))
 
-    @classmethod
-    def _of(cls, series):
-        p = object.__new__(cls)
-        object.__setattr__(p, "series", series)
-        object.__setattr__(p, "_coeffs", None)
-        return p
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+def coefficients(p):
+    """The coefficients of p from degree 0 up, as FieldElements."""
+    return () if p.is_zero else (p.field.zero,) * p.val + p.coeffs
 
-    @classmethod
-    def zero(cls, field):
-        return cls._of(LaurentSeries.zero(field))
 
-    @classmethod
-    def one(cls, field):
-        return cls._of(LaurentSeries.monomial(field, 0, field.one))
-
-    @classmethod
-    def x(cls, field):
-        return cls._of(LaurentSeries.monomial(field, 1, field.one))
-
-    @property
-    def field(self):
-        return self.series.field
-
-    @property
-    def coeffs(self):
-        """The coefficients from degree 0 up as FieldElements, unpacked on
-        first use and kept."""
-        if self._coeffs is None:
-            s = self.series
-            run = () if s.val is None else (s.field.zero,) * s.val + s.coeffs
-            object.__setattr__(self, "_coeffs", run)
-        return self._coeffs
-
-    @property
-    def is_zero(self):
-        return self.series.val is None
-
-    def __bool__(self):
-        return self.series.val is not None
-
-    def degree(self):
-        s = self.series
-        return -1 if s.val is None else s.val + len(s.cols[0]) - 1
-
-    def leading(self):
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        digits = bytes([c[-1] for c in self.series.cols])
-        return FieldElement._from_packed(self.field, int.from_bytes(digits, "little"))
-
-    def is_monic(self):
-        return not self.is_zero and self.leading() == 1
-
-    def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            if other.field != self.field:
-                raise MixedFields("polynomials over different fields")
-            return other
-        if isinstance(other, (FieldElement, int)):
-            return Polynomial._of(LaurentSeries.constant(self.field, other))
-        return None
-
-    def _add(self, other, subtract):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Polynomial._of(self.series._add(other.series, subtract))
-
-    def __add__(self, other):
-        return self._add(other, False)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._add(other, True)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return Polynomial._of(-self.series)
-
-    def __mul__(self, other):
-        if isinstance(other, (FieldElement, int)):  # the series scales by it
-            product = self.series * other
-        else:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-            product = self.series * other.series
-            if product is other.series:  # 1 times other
-                return other
-        return self if product is self.series else Polynomial._of(product)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result, base = None, self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return Polynomial.one(self.field) if result is None else result
-
-    def __divmod__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        if self.degree() < other.degree():
-            return Polynomial.zero(field), self
-        # the runs padded from degree 0, so that both are aligned at the top
-        a, b = ([bytes(p.series.val) + c for c in p.series.cols] for p in (self, other))
-        return tuple(Polynomial._of(_series(field, 0, cols, INF))
-                     for cols in kronecker._divmod_cols(field, a, b))
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def monic(self):
-        return self if self.is_zero else self * self.leading().inverse()
-
-    def derivative(self):
-        return Polynomial._of(self.series.derivative())
-
-    def eval(self, x):
-        coeffs = self.coeffs
-        if not coeffs:
-            return self.field.zero
-        acc = coeffs[-1]
-        for c in coeffs[-2::-1]:
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other):
-        if isinstance(other, (FieldElement, int)):
-            other = self._coerce(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.series == other.series
-
-    def __hash__(self):
-        return hash(self.series)
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero:
-                continue
-            cs = str(c)
-            if i == 0:
-                parts.append(f"({cs})" if "+" in cs else cs)
-                continue
-            xs = "x" if i == 1 else f"x^{i}"
-            if cs == "1":
-                parts.append(xs)
-            elif "+" in cs or "*" in cs:
-                parts.append(f"({cs})*{xs}")
-            else:
-                parts.append(f"{cs}*{xs}")
-        return "+".join(parts)
-
-    def __repr__(self):
-        return f"<poly {self}>"
+def poly_divmod(a, b):
+    """Quotient and remainder of the polynomial a by b."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    field = a.field
+    if degree(a) < degree(b):
+        return LaurentSeries.zero(field), a
+    # the runs padded from degree 0, so that both are aligned at the top
+    cols_a, cols_b = ([bytes(p.val) + c for c in p.cols] for p in (a, b))
+    return tuple(_series(field, 0, cols, INF)
+                 for cols in kronecker._divmod_cols(field, cols_a, cols_b))
 
 
 def poly_gcd(a, b):
     """Monic greatest common divisor; 1 once a remainder is a nonzero constant."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials")
-    while b.degree() > 0:
-        a, b = b, a % b
-    return a.monic() if b.is_zero else Polynomial.one(b.field)
+    while degree(b) > 0:
+        a, b = b, poly_divmod(a, b)[1]
+    return a * leading(a).inverse() if b.is_zero else _one(b.field)
+
+
+def poly_text(p):
+    """p highest degree first, as in "x^2+(1+t)*x+2"; "0" for zero."""
+    parts = []
+    for i, c in reversed(list(p.nonzero_terms())):
+        cs = str(c)
+        if i == 0:
+            parts.append(f"({cs})" if "+" in cs else cs)
+            continue
+        xs = "x" if i == 1 else f"x^{i}"
+        if cs == "1":
+            parts.append(xs)
+        elif "+" in cs or "*" in cs:
+            parts.append(f"({cs})*{xs}")
+        else:
+            parts.append(f"{cs}*{xs}")
+    return "+".join(parts) or "0"
+
+
+def _one(field):
+    return LaurentSeries.monomial(field, 0)
+
+
+def _power(p, n):
+    """p^n for n >= 0, by repeated squaring."""
+    result = _one(p.field)
+    while n:
+        if n & 1:
+            result = result * p
+        n >>= 1
+        if n:
+            p = p * p
+    return result
+
+
+def _horner(coeffs, x):
+    """The polynomial with these coefficients, from degree 0 (at least
+    one), at x."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
 
 
 class RationalFunction:
-    """Quotient of polynomials kept in lowest terms with a monic denominator."""
+    """Quotient of polynomials kept in lowest terms with a monic denominator.
 
-    __slots__ = ("num", "den")
+    num and den are exact series with val >= 0. Their coefficients are
+    unpacked for Horner's rule on the first eval and kept."""
+
+    __slots__ = ("num", "den", "_runs")
 
     def __init__(self, num, den):
         if den.is_zero:
@@ -235,26 +121,26 @@ class RationalFunction:
         if num.field != den.field:
             raise MixedFields("numerator and denominator over different fields")
         if num.is_zero:
-            den = Polynomial.one(num.field)
+            den = _one(num.field)
         else:
-            if den.degree() > 0:
+            if degree(den) > 0:
                 g = poly_gcd(num, den)
-                if g.degree() > 0:
-                    num = num // g
-                    den = den // g
-            lead_inv = den.leading().inverse()
+                if degree(g) > 0:  # exact divisions, which raise on a remainder
+                    num, den = num.divide(g), den.divide(g)
+            lead_inv = leading(den).inverse()
             num, den = num * lead_inv, den * lead_inv
+        self._set(num, den)
+
+    def _set(self, num, den):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_runs", None)
 
     @classmethod
     def _lowest_terms(cls, num, den):
         """num/den from a pair already coprime with den monic."""
-        if num.is_zero:
-            den = Polynomial.one(num.field)
         rf = object.__new__(cls)
-        object.__setattr__(rf, "num", num)
-        object.__setattr__(rf, "den", den)
+        rf._set(num, _one(num.field) if num.is_zero else den)
         return rf
 
     def __setattr__(self, name, value):
@@ -262,15 +148,15 @@ class RationalFunction:
 
     @classmethod
     def from_polynomial(cls, p):
-        return cls(p, Polynomial.one(p.field))
+        return cls(p, _one(p.field))
 
     @classmethod
     def constant(cls, field, value):
-        return cls(Polynomial(field, (value,)), Polynomial.one(field))
+        return cls(LaurentSeries.constant(field, value), _one(field))
 
     @classmethod
     def x(cls, field):
-        return cls(Polynomial.x(field), Polynomial.one(field))
+        return cls(LaurentSeries.monomial(field, 1), _one(field))
 
     @property
     def field(self):
@@ -285,8 +171,6 @@ class RationalFunction:
             if other.field != self.field:
                 raise MixedFields("rational functions over different fields")
             return other
-        if isinstance(other, Polynomial):
-            return RationalFunction.from_polynomial(other)
         if isinstance(other, (FieldElement, int)):
             return RationalFunction.constant(self.field, other)
         return None
@@ -295,9 +179,9 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.den.degree() == 0 or self.den.degree() == 0:
+        if degree(other.den) == 0 or degree(self.den) == 0:
             # P/Q + p = (P + pQ)/Q, and gcd(P + pQ, Q) = gcd(P, Q) = 1
-            frac, poly = (self, other) if other.den.degree() == 0 else (other, self)
+            frac, poly = (self, other) if degree(other.den) == 0 else (other, self)
             return RationalFunction._lowest_terms(frac.num + poly.num * frac.den, frac.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
@@ -345,8 +229,8 @@ class RationalFunction:
         if n < 0:
             if self.is_zero:
                 raise ZeroDenominator("negative power of zero")
-            return RationalFunction(self.den ** (-n), self.num ** (-n))
-        return RationalFunction(self.num ** n, self.den ** n)
+            return RationalFunction(_power(self.den, -n), _power(self.num, -n))
+        return RationalFunction(_power(self.num, n), _power(self.den, n))
 
     def derivative(self):
         return RationalFunction(
@@ -356,14 +240,18 @@ class RationalFunction:
 
     def eval(self, x):
         """Value at x, or None at a pole."""
-        d = self.den.eval(x)
+        if self._runs is None:
+            num = coefficients(self.num) or (self.field.zero,)
+            object.__setattr__(self, "_runs", (num, coefficients(self.den)))
+        num, den = self._runs
+        d = _horner(den, x)
         if d.is_zero:
             return None
-        return self.num.eval(x) / d
+        return _horner(num, x) / d
 
     def expand(self, prec):
         """Laurent expansion at X = 0 to absolute precision prec."""
-        return self.num.series.divide(self.den.series, prec=prec)
+        return self.num.divide(self.den, prec=prec)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -375,9 +263,9 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __str__(self):
-        if self.den.degree() == 0:  # the denominator is monic
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+        if degree(self.den) == 0:  # the denominator is monic
+            return poly_text(self.num)
+        return f"({poly_text(self.num)})/({poly_text(self.den)})"
 
     def __repr__(self):
         return f"<ratfun {self}>"
@@ -387,7 +275,7 @@ def pade(series, deg_num_max, deg_den_max):
     """Rational function matching the series to full precision, or None.
 
     Requires prec(series) >= deg_num_max + deg_den_max + 2 so that the
-    match is certified on strictly more coefficients than the candidate
+    match is checked on strictly more coefficients than the candidate
     has degrees of freedom. A simple pole (valuation -1) is cleared by
     one shift and restored afterwards; deeper poles are rejected.
     """
@@ -414,14 +302,11 @@ def pade(series, deg_num_max, deg_den_max):
     if t.prec != INF:
         order = min(order, int(t.prec))
     head = t.truncate(order)  # t.val >= 0
-    prefix = Polynomial._of(_series(field, head.val, head.cols, INF))
-
-    r_prev = Polynomial._of(LaurentSeries.monomial(field, order, field.one))
-    r_cur = prefix
-    u_prev = Polynomial.zero(field)
-    u_cur = Polynomial.one(field)
-    while r_cur.degree() > dn:
-        q, rem = divmod(r_prev, r_cur)
+    r_prev = LaurentSeries.monomial(field, order)
+    r_cur = _series(field, head.val, head.cols, INF)
+    u_prev, u_cur = LaurentSeries.zero(field), _one(field)
+    while degree(r_cur) > dn:
+        q, rem = poly_divmod(r_prev, r_cur)
         r_prev, r_cur = r_cur, rem
         u_prev, u_cur = u_cur, u_prev - q * u_cur
     if u_cur.is_zero:
@@ -431,8 +316,8 @@ def pade(series, deg_num_max, deg_den_max):
                       + deg_num_max + deg_den_max + 2)
     else:
         check_prec = series.prec
-    num, den = r_cur.series, u_cur.series
-    if not r_cur.is_zero:
+    num, den = r_cur, u_cur
+    if not num.is_zero:
         # Strip the common power of X; if X still divides u, the reduced
         # form has a pole at 0 that the series does not have.
         s = min(num.val, den.val)
@@ -440,7 +325,7 @@ def pade(series, deg_num_max, deg_den_max):
         if den.val != 0:
             return None
     else:
-        den = LaurentSeries.monomial(field, 0, field.one)
+        den = _one(field)
     # Euclid keeps deg u = order - deg r_prev <= dd, so r/u meets both degree
     # bounds as it stands. It is the same function as its reduced form, so
     # it is certified first and reduced by a gcd only once it has passed.
@@ -448,7 +333,7 @@ def pade(series, deg_num_max, deg_den_max):
         den = den.shift(1)
     if not num.divide(den, prec=check_prec).agrees_with(series.truncate(check_prec)):
         return None
-    return RationalFunction(Polynomial._of(num), Polynomial._of(den))
+    return RationalFunction(num, den)
 
 
 def derive_map_pair(curve, eta_rat):

@@ -5,7 +5,8 @@ int lists mod 3) so they cannot share a bug with the library code paths
 they are checking. The schoolbook run oracles, and the Euclid and Pade
 loops built on them, work on lists of FieldElements (runs, lowest degree
 first) with FieldElement arithmetic, which is itself checked against
-oracle_mul; they share no code with Polynomial or the kernel.
+oracle_mul; they share no code with the polynomial functions of ratrec
+or with the kernel.
 """
 
 import itertools
@@ -31,7 +32,6 @@ from char3iso.isocore import (
     compute_psi,
     solve_gamma,
 )
-from char3iso.ratrec import Polynomial
 from char3iso.series import INF
 
 
@@ -53,7 +53,7 @@ def random_polynomial(rng, field, max_deg=5, nonzero=False):
             else:
                 coeffs.append(field.element(
                     [rng.randrange(3) for _ in range(field.degree)]))
-        p = Polynomial(field, coeffs)
+        p = LaurentSeries.from_coeffs(field, 0, coeffs)
         if not (nonzero and p.is_zero):
             return p
 
@@ -63,7 +63,7 @@ def random_rational(rng, field, max_deg=5):
     num = random_polynomial(rng, field, max_deg, nonzero=True)
     while True:
         den = random_polynomial(rng, field, max_deg, nonzero=True)
-        if not den.eval(field.zero).is_zero:
+        if not den.coefficient(0).is_zero:
             return RationalFunction(num, den)
 
 

@@ -28,7 +28,6 @@ from char3iso import (
 from char3iso.curve import apply_map, enumerate_points, on_curve, p_add
 from char3iso.gf3field import solve_additive_cubic
 from char3iso.isocore import beta_from_alpha, compatibility_check, compute_psi, solve_gamma
-from char3iso.ratrec import Polynomial
 
 from helpers import (
     check_cubic_membership,
@@ -235,7 +234,7 @@ def test_criterion_7f_solution_multiplicity():
         for e, v in terms.items():
             coeffs[e] = v
         seed = Seed.alpha(RationalFunction.from_polynomial(
-            Polynomial(field, coeffs)))
+            LaurentSeries.from_coeffs(field, 0, coeffs)))
         try:
             report, sols = construct_with_report(curve, seed, 16)
         except IncompatibleSeed:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -147,6 +148,23 @@ def test_construct_incompatible_seed_exits_2(capsys):
     code, _, _ = run(capsys, "construct", "--field", "3^1", "--A", "1",
                      "--B", "2", "--seed-beta", "1/x")
     assert code == 2
+
+
+def test_construct_records_without_a_report_are_records(capsys):
+    # the partner of a beta seed fails before psi exists, so there is no
+    # report: records mode still prints only key=value lines
+    argv = ["construct", "--A", "1", "--B", "1", "--seed-beta", "1/x"]
+    code, out, _ = run(capsys, *argv, "--format", "records")
+    assert code == 2
+    assert all(re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*=.*", line) for line in out.splitlines())
+    pairs = dict(records(out))
+    assert pairs["command"] == "construct" and pairs["seed_kind"] == "beta"
+    assert pairs["seed"] == "(1)/(x)" and pairs["status"] == "incompatible"
+    assert pairs["reason"] == "beta seed leaves a term below X^1; no alpha part exists"
+    assert pairs["num_solutions"] == "0"
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out == f"incompatible seed: {pairs['reason']}\n"
 
 
 def test_construct_bad_precision_exits_3(capsys):

@@ -296,6 +296,27 @@ def test_check_map_samples_pairs_on_large_field():
     assert report.pairs_checked == 1000
 
 
+def test_check_map_unpacks_each_polynomial_once(monkeypatch):
+    # eval keeps the coefficients it unpacks for Horner's rule, so the
+    # doubling map at GF(3^5) unpacks each of its four polynomials at most
+    # once however many points it maps
+    from char3iso import kronecker
+
+    field = FieldParams(5)
+    curve = CurveParams(field, A=1, B=2, c=1)
+    fx = parse_rational_function("(x^4+x^2+2*x+1)/(x^3+x+2)", field)
+    fy = parse_rational_function(
+        "(2*x^6+x^4+2*x^3+2*x^2+2*x)/(x^6+2*x^4+x^3+x^2+x+1)", field)
+    unpacked = []
+    elements = kronecker._elements
+    monkeypatch.setattr(kronecker, "_elements",
+                        lambda f, cols: unpacked.append(cols) or elements(f, cols))
+    report = check_map(curve, fx, fy)
+    assert report.all_on_curve and len(report.points) == 244
+    polys = [fx.num.cols, fx.den.cols, fy.num.cols, fy.den.cols]
+    assert len(unpacked) <= 4 and all(unpacked.count(cols) == 1 for cols in polys)
+
+
 def test_enumeration_cap():
     big = FieldParams(11, (2, 0, 1) + (0,) * 8 + (1,))  # t^11 + t^2 + 2
     curve = CurveParams(big, A=1, B=1, c=1)
@@ -308,8 +329,7 @@ def test_reconstructed_solutions_map_points_onto_curve(f3, f9):
     # to every rational point must land back on the curve
     import random
 
-    from char3iso import IncompatibleSeed, RationalFunction, Seed
-    from char3iso.ratrec import Polynomial
+    from char3iso import IncompatibleSeed, LaurentSeries, RationalFunction, Seed
     from char3iso import construct, pade
 
     rng = random.Random(91125)
@@ -322,7 +342,7 @@ def test_reconstructed_solutions_map_points_onto_curve(f3, f9):
                             c=rng.choice(nonzero))
         coeffs = [0, rng.randrange(3), 0, 0, rng.randrange(3)]
         seed = Seed.alpha(RationalFunction.from_polynomial(
-            Polynomial(field, coeffs)))
+            LaurentSeries.from_coeffs(field, 0, coeffs)))
         try:
             sols = construct(curve, seed, 24)
         except IncompatibleSeed:

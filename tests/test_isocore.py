@@ -116,6 +116,28 @@ def test_zero_seed_is_valid(f3):
     assert Seed.beta(parse_rational_function("0", f3)).expand(32).is_zero
 
 
+def test_seed_takes_an_exact_polynomial_series(f3):
+    poly = LaurentSeries.from_coeffs(f3, 0, [0, 1, 0, 0, 2])
+    alpha = Seed.alpha(poly)
+    assert alpha.source == parse_rational_function("2*x^4+x", f3)
+    assert alpha.expand(32) == poly.truncate(32)
+    beta = Seed.beta(LaurentSeries.monomial(f3, 2))
+    assert beta.source == parse_rational_function("x^2", f3)
+    assert Seed.alpha(LaurentSeries.zero(f3)).expand(32).is_zero
+
+
+@pytest.mark.parametrize("source", [
+    lambda f: LaurentSeries.from_coeffs(f, 0, [0, 1], prec=20),  # finite precision
+    lambda f: LaurentSeries.monomial(f, -1, 2),                   # negative valuation
+    lambda f: LaurentSeries.zero(f, 20),
+    lambda f: [0, 1],
+])
+def test_seed_refuses_what_is_not_an_exact_polynomial(f3, source):
+    for make in (Seed.alpha, Seed.beta):
+        with pytest.raises(SeedError):
+            make(source(f3))
+
+
 # ---- the linear relation between alpha and beta -------------------------------
 
 
@@ -660,12 +682,11 @@ def test_construct_random_seeds_all_verified(f3, f9):
 
 def _poly_rational(field, terms):
     from char3iso import RationalFunction
-    from char3iso.ratrec import Polynomial
     size = max(terms) + 1 if terms else 1
     coeffs = [0] * size
     for e, v in terms.items():
         coeffs[e] = v
-    return RationalFunction.from_polynomial(Polynomial(field, coeffs))
+    return RationalFunction.from_polynomial(LaurentSeries.from_coeffs(field, 0, coeffs))
 
 
 # ---- one solve per seed: translates against the per-root pipeline ------------------

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from char3iso import FieldElement, FieldParams, LaurentSeries, ZeroDivisor, kronecker
-from char3iso.ratrec import Polynomial
+from char3iso.ratrec import degree, poly_divmod
 
 from helpers import pack, schoolbook_divmod, schoolbook_inverse, schoolbook_mul, trim, unpack
 
@@ -61,7 +61,8 @@ def test_mul_matches_schoolbook(field):
         density = rng.choice((1.0, 0.3))
         a, b = _run(rng, field, la, density), _run(rng, field, lb, density)
         if not a or not b:  # the kernel takes nonempty runs; an empty one is the zero polynomial
-            assert (Polynomial(field, a) * Polynomial(field, b)).is_zero
+            assert (LaurentSeries.from_coeffs(field, 0, a)
+                    * LaurentSeries.from_coeffs(field, 0, b)).is_zero
             continue
         assert kronecker._columns(a) == pack(field, a)
         assert kronecker._elements(field, pack(field, a)) == a
@@ -114,11 +115,13 @@ def test_inverse_needs_a_unit_constant_term(f9):
 
 def test_divmod_by_zero(f9):
     # the kernel's divisor has a nonzero last coefficient because a
-    # Polynomial is stored without trailing zeros; zero itself is refused
+    # polynomial, an exact series, is stored without trailing zeros; zero
+    # itself is refused
+    zero, x = LaurentSeries.zero(f9), LaurentSeries.monomial(f9, 1)
     with pytest.raises(ZeroDivisionError):
-        divmod(Polynomial.one(f9), Polynomial.zero(f9))
-    one = Polynomial(f9, [f9.one, f9.zero])
-    assert one.degree() == 0 and divmod(Polynomial.x(f9), one) == (Polynomial.x(f9), 0)
+        poly_divmod(LaurentSeries.constant(f9, 1), zero)
+    one = LaurentSeries.from_coeffs(f9, 0, [f9.one, f9.zero])
+    assert degree(one) == 0 and poly_divmod(x, one) == (x, zero)
 
 
 def test_fold_keeps_bytes_below_256_in_large_degrees():

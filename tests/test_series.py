@@ -12,7 +12,6 @@ from char3iso import (
     ZeroDivisor,
 )
 from char3iso import kronecker
-from char3iso.ratrec import Polynomial
 from char3iso.series import INF, in_residue_class
 
 from helpers import (
@@ -178,7 +177,7 @@ def test_elements_of_another_field_do_not_enter_a_run(f9):
     t = f27.gen
     one_plus_x = S(f9, {0: 1, 1: 1})
     for make in (lambda: one_plus_x * t, lambda: t * one_plus_x, lambda: one_plus_x + t,
-                 lambda: one_plus_x - t, lambda: Polynomial(f9, [t, 1]),
+                 lambda: one_plus_x - t, lambda: LaurentSeries.from_coeffs(f9, 0, [t, 1]),
                  lambda: LaurentSeries.monomial(f9, 2, t * t),
                  lambda: LaurentSeries.from_coeffs(f9, 0, [1, t])):
         with pytest.raises(MixedFields):
@@ -300,7 +299,8 @@ def test_homogeneity_matches_derivative_characterization(f3, f9):
 def _expand(num, den, prec):
     """The expansion of num/den, given as runs, to absolute precision prec."""
     field = den[0].field
-    return RationalFunction(Polynomial(field, num), Polynomial(field, den)).expand(prec)
+    return RationalFunction(LaurentSeries.from_coeffs(field, 0, num),
+                            LaurentSeries.from_coeffs(field, 0, den)).expand(prec)
 
 
 def test_expand_geometric(f3):
