@@ -5,14 +5,24 @@ multiplication by a scalar.
 Serves as an oracle independent of the series pipeline: whatever the
 construction produces can be applied to every rational point and compared
 against the chord-tangent group law directly.
+
+The group law on Points of FieldElements (p_add, p_double, ...) is the
+reference. Enumeration, check_map and identify_scalar, whose work grows
+with q, run the same formulas on Zech's logarithms (Huber, IEEE Trans. IT
+36, 1990): an element is the int i with element = g^i, None for zero, and
+a point a pair of them, None for infinity. Points are made for the report.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from dataclasses import dataclass
 
-from .errors import FieldTooLarge, PointNotOnCurve
+from .errors import FieldTooLarge, MixedFields, PointNotOnCurve
+from .gf3field import _from_packed, _reduce
+from .ratrec import coefficients
 
 ENUMERATION_MAX_ORDER = 3 ** 10
 
@@ -39,10 +49,8 @@ class Point:
 
 
 def on_curve(curve, point):
-    if point.is_infinity:
-        return True
     x, y = point.x, point.y
-    return y * y == (x * x + curve.A) * x + curve.B
+    return point.is_infinity or y * y == (x * x + curve.A) * x + curve.B
 
 
 def _require_on_curve(curve, point):
@@ -52,77 +60,39 @@ def _require_on_curve(curve, point):
 
 def p_neg(curve, point):
     _require_on_curve(curve, point)
-    if point.is_infinity:
-        return point
-    return Point(point.x, -point.y)
+    return point if point.is_infinity else Point(point.x, -point.y)
 
 
 def p_double(curve, point):
-    """Tangent doubling of a point checked to be on the curve."""
+    """Tangent doubling; in characteristic three the slope is -A/y
+    because the 3x^2 term of the derivative vanishes."""
     _require_on_curve(curve, point)
-    return _double(curve, point)
+    if point.is_infinity or point.y.is_zero:
+        return Point.infinity()
+    lam = -curve.A / point.y
+    x3 = lam * lam + point.x  # lambda^2 - 2x = lambda^2 + x mod 3
+    return Point(x3, lam * (point.x - x3) - point.y)
 
 
 def p_add(curve, p, q):
     """Chord-tangent addition of points checked to be on the curve."""
     _require_on_curve(curve, p)
     _require_on_curve(curve, q)
-    return _add(curve, p, q)
-
-
-def _double(curve, point):
-    """Tangent doubling; in characteristic three the slope is -A/y
-    because the 3x^2 term of the derivative vanishes."""
-    if point.is_infinity or point.y.is_zero:
-        return Point.infinity()
-    lam = -curve.A / point.y
-    x3 = lam * lam + point.x  # lambda^2 - 2x = lambda^2 + x mod 3
-    y3 = lam * (point.x - x3) - point.y
-    return Point(x3, y3)
-
-
-def _add(curve, p, q):
-    """Chord-tangent addition of points the caller knows are on the curve."""
-    if p.is_infinity:
-        return q
-    if q.is_infinity:
-        return p
+    if p.is_infinity or q.is_infinity:
+        return q if p.is_infinity else p
     if p.x == q.x:
-        if p.y == -q.y:
-            return Point.infinity()
-        return _double(curve, p)
+        return Point.infinity() if p.y == -q.y else p_double(curve, p)
     lam = (q.y - p.y) / (q.x - p.x)
     x3 = lam * lam - p.x - q.x
-    y3 = lam * (p.x - x3) - p.y
-    return Point(x3, y3)
+    return Point(x3, lam * (p.x - x3) - p.y)
 
 
 def enumerate_points(curve):
-    """Every rational point: infinity first, then affine points in
-    ascending (x, y) coefficient order.
-
-    One table maps each square to its smaller root, built from q
-    squarings in ascending order, so every x costs a lookup. The work
-    grows with q, so the field's log tables are built first and every
-    product and inverse on these points is a table lookup."""
-    field = curve.field
-    if field.order > ENUMERATION_MAX_ORDER:
-        raise FieldTooLarge(
-            f"field order {field.order} exceeds {ENUMERATION_MAX_ORDER}"
-        )
-    field.build_log_tables()
-    roots = {}
-    for y in field.elements():
-        roots.setdefault(y * y, y)
-    points = [Point.infinity()]
-    for x in field.elements():
-        root = roots.get((x * x + curve.A) * x + curve.B)
-        if root is None:
-            continue
-        points.append(Point(x, root))
-        if not root.is_zero:
-            points.append(Point(x, -root))
-    return points
+    """Every rational point: infinity first, then affine points with x in
+    field.elements() order and, for each x, the root that comes first in
+    that order before its negative."""
+    logs, cubic = _log_curve(curve)
+    return list(_points(curve.field, logs, _enumerate(logs, cubic)))
 
 
 def apply_map(curve, fx, fy_factor, point):
@@ -134,29 +104,10 @@ def apply_map(curve, fx, fy_factor, point):
     """
     if point.is_infinity:
         return point
-    image_x = fx.eval(point.x)
-    if image_x is None:
-        return Point.infinity()
-    factor = fy_factor.eval(point.x)
-    if factor is None:
+    image_x, factor = fx.eval(point.x), fy_factor.eval(point.x)
+    if image_x is None or factor is None:
         return Point.infinity()
     return Point(image_x, point.y * factor)
-
-
-def _map_points(fx, fy_factor, points):
-    """apply_map on each point in enumeration order, where (x, y) and
-    (x, -y) are adjacent and share x: fx and fy_factor are evaluated
-    once per x."""
-    x = factor = None
-    for p in points:
-        if p.is_infinity:
-            yield p
-            continue
-        if p.x is not x:
-            x = p.x
-            image_x = fx.eval(x)
-            factor = None if image_x is None else fy_factor.eval(x)
-        yield Point.infinity() if factor is None else Point(image_x, p.y * factor)
 
 
 @dataclass(frozen=True)
@@ -177,33 +128,34 @@ def check_map(curve, fx, fy_factor):
 
     Checks that each image lies on the curve and that the map commutes
     with addition; pairs are exhaustive for fields of at most 81 elements
-    and 1000 seeded-random pairs above that. The points are enumerated,
-    checked on the curve and mapped once: p + q is itself a rational
-    point, so its image is read from the same table, and the sums go
-    through the unchecked group law because every operand is a point or
-    an image already checked.
+    and 1000 seeded-random pairs above that. On logs, the points are
+    enumerated, checked on the curve and mapped once; the image of p + q
+    is read by its enumeration index, and no sum is checked again, as
+    every operand is a point or an image already checked.
     """
-    points = tuple(enumerate_points(curve))
+    field = curve.field
+    if not fx.field == fy_factor.field == field:
+        raise MixedFields("the map and the curve are over different fields")
+    logs, cubic = _log_curve(curve)
+    points = _enumerate(logs, cubic)
     for p in points:
-        _require_on_curve(curve, p)
-    images = tuple(_map_points(fx, fy_factor, points))
-    off = tuple(p for p, image in zip(points, images) if not on_curve(curve, image))
+        if not _on_curve(logs, cubic, p):
+            raise PointNotOnCurve(f"{_points(field, logs, [p])[0]!r} fails the curve equation")
+    images = _map_points(logs, fx, fy_factor, points)
+    report = _points(field, logs, points), _points(field, logs, images)
+    off = tuple(p for p, image in zip(report[0], images) if not _on_curve(logs, cubic, image))
     if off:
-        return MapCheckReport(False, off, False, 0, points, images)
-    if curve.field.order <= 81:
-        pairs = [(p, q) for p in points for q in points]
+        return MapCheckReport(False, off, False, 0, *report)
+    n = len(points)
+    if field.order <= 81:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
     else:
         rng = random.Random(0)
-        pairs = [(rng.choice(points), rng.choice(points)) for _ in range(1000)]
-    image_of = dict(zip(points, images))
-    hom_ok = True
-    for p, q in pairs:
-        lhs = image_of[_add(curve, p, q)]
-        rhs = _add(curve, image_of[p], image_of[q])
-        if lhs != rhs:
-            hom_ok = False
-            break
-    return MapCheckReport(True, (), hom_ok, len(pairs), points, images)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(1000)]
+    index = {p: i for i, p in enumerate(points)}
+    hom_ok = all(images[index[_add(logs, cubic, points[i], points[j])]]
+                 == _add(logs, cubic, images[i], images[j]) for i, j in pairs)
+    return MapCheckReport(True, (), hom_ok, len(pairs), *report)
 
 
 def identify_scalar(curve, report, max_m):
@@ -212,13 +164,146 @@ def identify_scalar(curve, report, max_m):
 
     N = #E(F_q) kills every rational point, so m and m - N act alike and
     the smallest match, if any, is at most N: the search stops there.
-    The multiples go through the unchecked group law: every operand is an
-    enumerated point check_map has checked, or a sum of such points."""
-    points, images = report.points, report.images
-    multiples = list(points)  # m = 1
+    The report goes back to logs, and the multiples, sums of points
+    check_map has checked, are not checked again."""
+    logs, cubic = _log_curve(curve)
+    points, images = (_log_points(logs, run) for run in (report.points, report.images))
+    multiples = points  # m = 1
     for m in range(1, min(max_m, len(points)) + 1):
         if m > 1:
-            multiples = [_add(curve, acc, p) for acc, p in zip(multiples, points)]
-        if all(img == acc for img, acc in zip(images, multiples)):
+            multiples = [_add(logs, cubic, acc, p) for acc, p in zip(multiples, points)]
+        if multiples == images:
             return m
     return None
+
+
+# ---- the group law on logs ---------------------------------------------------
+
+@functools.lru_cache(maxsize=1)  # the tables of one field at a time
+class _Logs:
+    """Zech's logarithm tables of a field on packed ints. With g the first
+    primitive element in field.elements() order and n = q - 1, exp[i] =
+    g^i, log maps each nonzero element back, and zech[d] = log(1 + g^d),
+    None where 1 + g^d = 0. For a = g^i and b = g^j, exponents mod n:
+
+        a * b = g^(i + j)      a + b = g^(i + zech[j - i])      -a = g^(i + n/2)
+
+    A negative index wraps around zech. xs lists each element's log in
+    field.elements() order.
+    """
+
+    def __init__(self, field):
+        n, k = field.order - 1, field.degree
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+        g = next(g for g in field.elements() if g and all(g ** (n // p) != 1 for p in primes))
+        # e * g is the sum of e's digits times the g * t^j, reduced once
+        g_shifts = [(g * _from_packed(field, 1 << 8 * j)).packed for j in range(k)]
+        self.exp, e = [], 1
+        for _ in range(n):
+            self.exp.append(e)
+            e = _reduce(sum(map(operator.mul, e.to_bytes(k, "little"), g_shifts)), k)
+        self.n, self.log = n, {packed: i for i, packed in enumerate(self.exp)}
+        # 1 + a adds 1 to the t^0 digit of a, its low byte
+        self.zech = [self.log.get(p - 2 if p & 255 == 2 else p + 1) for p in self.exp]
+        self.xs = [self.log.get(e.packed) for e in field.elements()]
+        # a root comes before its negative in field.elements() order iff its
+        # lowest nonzero digit is 1, the low bit of that digit's byte
+        self.low_bits = int.from_bytes(b"\1" * k, "little")
+
+    def add(self, a, b):
+        if a is None or b is None:
+            return b if a is None else a
+        z = self.zech[b - a]
+        return None if z is None else (a + z) % self.n
+
+    def neg(self, a):
+        return None if a is None else (a + self.n // 2) % self.n
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        return None if a is None or b is None else (a + b) % self.n
+
+    def div(self, a, b):
+        if b is None:
+            raise ZeroDivisionError("division by zero")
+        return None if a is None else (a - b) % self.n
+
+
+def _log_curve(curve):
+    """The field's tables and the logs of x^3 + A x + B, highest degree first."""
+    if curve.field.order > ENUMERATION_MAX_ORDER:
+        raise FieldTooLarge(f"field order {curve.field.order} exceeds {ENUMERATION_MAX_ORDER}")
+    logs = _Logs(curve.field)
+    return logs, (0, None, logs.log[curve.A.packed], logs.log.get(curve.B.packed))
+
+
+def _log_points(logs, points):
+    get = logs.log.get
+    return [None if p.is_infinity else (get(p.x.packed), get(p.y.packed)) for p in points]
+
+
+def _points(field, logs, points):
+    elements = dict(enumerate(_from_packed(field, packed) for packed in logs.exp))
+    elements[None] = field.zero
+    return tuple(Point.infinity() if p is None else Point(elements[p[0]], elements[p[1]])
+                 for p in points)
+
+
+def _horner(logs, coeffs, x):
+    """The polynomial with these coefficients, highest degree first, at x."""
+    acc = None
+    for c in coeffs:
+        acc = logs.add(logs.mul(acc, x), c)
+    return acc
+
+
+def _on_curve(logs, cubic, p):
+    return p is None or logs.mul(p[1], p[1]) == _horner(logs, cubic, p[0])
+
+
+def _enumerate(logs, cubic):
+    """The rational points in enumerate_points order: x^3 + A x + B = g^l
+    is a square iff l is even, with the roots g^(l/2) and its negative."""
+    points = [None]
+    for x in logs.xs:
+        rhs = _horner(logs, cubic, x)
+        if rhs is None:
+            points.append((x, None))
+        elif not rhs & 1:
+            root = logs.exp[rhs // 2]
+            y = rhs // 2 if root & -root & logs.low_bits else logs.neg(rhs // 2)
+            points += [(x, y), (x, logs.neg(y))]
+    return points
+
+
+def _add(logs, cubic, p, q):
+    """p_add and p_double in one: the slope is the chord's, or -A/y for
+    the tangent, and x3 = lambda^2 - x1 - x2 either way."""
+    if p is None or q is None:
+        return q if p is None else p
+    (x1, y1), (x2, y2) = p, q
+    if x1 != x2:
+        lam = logs.div(logs.sub(y2, y1), logs.sub(x2, x1))
+    elif y1 == logs.neg(y2):  # q = -p, or p = q of order 2
+        return None
+    else:
+        lam = logs.div(logs.neg(cubic[2]), y1)
+    x3 = logs.sub(logs.mul(lam, lam), logs.add(x1, x2))
+    return x3, logs.sub(logs.mul(lam, logs.sub(x1, x3)), y1)
+
+
+def _map_points(logs, fx, fy_factor, points):
+    """The image of each point of _enumerate, a pole mapping to infinity:
+    each polynomial goes to logs once and is evaluated once per x."""
+    polys = [[logs.log.get(c.packed) for c in reversed(coefficients(p))]
+             for p in (fx.num, fx.den, fy_factor.num, fy_factor.den)]
+    values, images = {}, [None]
+    for x, y in points[1:]:
+        if x not in values:
+            values[x] = [_horner(logs, p, x) for p in polys]
+        x_num, x_den, y_num, y_den = values[x]
+        images.append(None if x_den is None or y_den is None else
+                      (logs.div(x_num, x_den), logs.mul(y, logs.div(y_num, y_den))))
+    return images

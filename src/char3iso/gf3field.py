@@ -6,8 +6,6 @@ polynomial. Everything is exact and immutable; operations are pure.
 An element packs its k digits one per byte into a Python int (the t^j digit
 is byte j). Since 256 = 1 (mod 3), each operation is a few big-int steps and
 one bytes.translate that reduces every byte mod 3, with no loop over digits.
-A field whose points are enumerated switches to log tables instead
-(FieldParams.build_log_tables), where each operation is a few lookups.
 """
 
 from __future__ import annotations
@@ -42,12 +40,10 @@ DEFAULT_MODULI = {
 class FieldParams:
     """GF(3^k) given by extension degree and a monic irreducible modulus.
 
-    Immutable after construction, apart from the tables it caches for
-    arithmetic; equality is on (degree, modulus) so any two instances of
-    the same field interoperate.
+    Immutable: it caches only values derived from the modulus. Equality
+    is on (degree, modulus) so any two instances of the same field
+    interoperate.
     """
-
-    _log = _exp = _zech = None  # until build_log_tables
 
     def __init__(self, degree, modulus=None):
         if degree < 1:
@@ -92,37 +88,6 @@ class FieldParams:
             proper_divisor = d < degree and degree % d == 0
             if (d == degree and gap) or (proper_divisor and not (gap and gap.inverse())):
                 raise ValueError("modulus is reducible over F3")
-
-    def build_log_tables(self):
-        """Switch field arithmetic to Zech's logarithm method (Lidl and
-        Niederreiter, Finite Fields; Huber, "Some comments on Zech's
-        logarithms", IEEE Trans. IT 36, 1990). With g a primitive element
-        and n = q - 1, _exp[i] = g^i for 0 <= i < 2n, _log maps the packed
-        int of each nonzero element to its logarithm, and _zech[d] =
-        log(1 + g^d) for 0 <= d < 2n, None where 1 + g^d = 0. For nonzero
-        a = g^i and b = g^j:
-
-            a * b = _exp[i + j]         1 / a = _exp[n - i]
-            a + b = _exp[i + _zech[j - i]]      -a = _exp[i + n/2]
-
-        (-1 = g^(n/2), and a negative index wraps around a list of 2n).
-
-        The tables take 2(q - 1) packed operations and memory in q, so only
-        point enumeration, whose own work grows with q, builds them.
-        """
-        if self._log is not None:
-            return
-        n = self.order - 1
-        primes = _prime_factors(n)
-        g = next(g for g in self.elements()
-                 if g and all(g ** (n // p) != 1 for p in primes))
-        exp = [self.one]
-        for _ in range(n - 1):
-            exp.append(exp[-1] * g)
-        log = {e.packed: i for i, e in enumerate(exp)}
-        zech = [log.get((e + 1).packed) for e in exp]
-        self._exp, self._zech = exp + exp, zech + zech
-        self._log = log  # last: its presence switches the arithmetic
 
     @functools.cached_property
     def _tables(self):
@@ -214,15 +179,6 @@ class FieldElement:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        log = field._log
-        if log is not None:
-            if not self.packed:
-                return other
-            if not other.packed:
-                return self
-            i = log[self.packed]
-            z = field._zech[log[other.packed] - i]
-            return field.zero if z is None else field._exp[i + z]
         return _from_packed(field, _reduce(self.packed + other.packed, field.degree))
 
     __radd__ = __add__
@@ -233,16 +189,6 @@ class FieldElement:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        log = field._log
-        if log is not None:
-            if not other.packed:
-                return self
-            j = log[other.packed] + field.order // 2  # log(-b)
-            if not self.packed:
-                return field._exp[j]
-            i = log[self.packed]
-            z = field._zech[j - i]
-            return field.zero if z is None else field._exp[i + z]
         # -b = 2b (mod 3)
         return _from_packed(field, _reduce(self.packed + 2 * other.packed, field.degree))
 
@@ -250,10 +196,7 @@ class FieldElement:
         return (-self) + other
 
     def __neg__(self):
-        field = self.field
-        if field._log is not None and self.packed:
-            return field._exp[field._log[self.packed] + field.order // 2]
-        return _from_packed(field, _reduce(2 * self.packed, field.degree))
+        return _from_packed(self.field, _reduce(2 * self.packed, self.field.degree))
 
     def __mul__(self, other):
         field = self.field
@@ -261,11 +204,6 @@ class FieldElement:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        log = field._log
-        if log is not None:
-            if self.packed and other.packed:
-                return field._exp[log[self.packed] + log[other.packed]]
-            return field.zero
         k = field.degree
         width, high = field._tables
         if width == 1:
@@ -299,10 +237,7 @@ class FieldElement:
     def inverse(self):
         if not self.packed:
             raise ZeroDivisionError("inverse of zero field element")
-        field = self.field
-        if field._log is not None:
-            return field._exp[field.order - 1 - field._log[self.packed]]
-        return _from_packed(field, _inverse_packed(field, self.packed))
+        return _from_packed(self.field, _inverse_packed(self.field, self.packed))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -369,18 +304,6 @@ def _inverse_packed(field, packed):
             s_prev = _reduce(s_prev + (c * s << shift), n)
         r_prev, r, s_prev, s = r, r_prev, s, s_prev
     return _reduce(r * s, n)
-
-
-def _prime_factors(n):
-    """The distinct primes dividing n, by trial division."""
-    primes, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return primes + [n] if n > 1 else primes
 
 
 def _spread(packed, k, width):

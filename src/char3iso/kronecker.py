@@ -14,10 +14,10 @@ negates and concatenates columns without per-coefficient Python work.
 
 Every inverse and every division, however short, takes Newton's iteration;
 it bottoms out at the packed inverse of the constant term, so the kernel
-makes no FieldElement. LaurentSeries keeps its run in column form, and
-so does a polynomial, which is an exact series; both call the column
-functions directly, and there is no entry point on element runs. _columns and _elements convert where a
-series is built from, or hands out, FieldElements.
+makes no FieldElement. LaurentSeries keeps its run in column form, and so
+does a polynomial, which is an exact series; both call the column functions
+directly, and there is no entry point on element runs. _columns and
+_elements convert where a series is built from, or hands out, FieldElements.
 """
 
 from __future__ import annotations

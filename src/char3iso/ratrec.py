@@ -8,7 +8,7 @@ poly_gcd make no FieldElement; a constant or monomial factor scales the
 other run through its matrix over F3 (LaurentSeries._scaled). What only
 polynomials need is a function here: degree, leading, coefficients,
 poly_divmod, poly_gcd and poly_text. A RationalFunction holds two such
-series and unpacks their coefficients once, on its first eval.
+series.
 
 Reconstruction runs the extended Euclidean scheme on the prefix and then
 checks the candidate by re-expanding it and comparing every known
@@ -98,11 +98,10 @@ def _power(p, n):
     return result
 
 
-def _horner(coeffs, x):
-    """The polynomial with these coefficients, from degree 0 (at least
-    one), at x."""
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
+def _horner(p, x):
+    """The polynomial p at x."""
+    acc = p.field.zero
+    for c in reversed(coefficients(p)):
         acc = acc * x + c
     return acc
 
@@ -110,10 +109,9 @@ def _horner(coeffs, x):
 class RationalFunction:
     """Quotient of polynomials kept in lowest terms with a monic denominator.
 
-    num and den are exact series with val >= 0. Their coefficients are
-    unpacked for Horner's rule on the first eval and kept."""
+    num and den are exact series with val >= 0."""
 
-    __slots__ = ("num", "den", "_runs")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den):
         if den.is_zero:
@@ -134,7 +132,6 @@ class RationalFunction:
     def _set(self, num, den):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_runs", None)
 
     @classmethod
     def _lowest_terms(cls, num, den):
@@ -240,14 +237,8 @@ class RationalFunction:
 
     def eval(self, x):
         """Value at x, or None at a pole."""
-        if self._runs is None:
-            num = coefficients(self.num) or (self.field.zero,)
-            object.__setattr__(self, "_runs", (num, coefficients(self.den)))
-        num, den = self._runs
-        d = _horner(den, x)
-        if d.is_zero:
-            return None
-        return _horner(num, x) / d
+        d = _horner(self.den, x)
+        return None if d.is_zero else _horner(self.num, x) / d
 
     def expand(self, prec):
         """Laurent expansion at X = 0 to absolute precision prec."""

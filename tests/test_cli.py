@@ -284,8 +284,8 @@ def test_identify_shift_has_no_scalar(capsys):
 def test_identify_scalar_search_stops_at_the_group_order(capsys, monkeypatch):
     # y^2 = x^3 - x over GF(3) has 4 points, so 4 kills each of them and no
     # scalar above 4 can be the first to match: a search up to 10^8 ends
-    # after a few dozen additions; check_map adds through the same unchecked
-    # group law, so only the additions of the search are counted
+    # after a few dozen additions; check_map adds through the same _add on
+    # logs, so only the additions of the search are counted
     import char3iso.cli as cli
     import char3iso.curve as curve
 
@@ -350,11 +350,24 @@ IDENTIFY_MUL2 = [
 ]
 
 
-@pytest.mark.parametrize("fmt", ["records", "text"])
-def test_identify_mul2_matches_transcript(capsys, fmt):
-    code, out, _ = run(capsys, *IDENTIFY_MUL2, "--format", fmt)
+# Maps with no scalar at GF(3^5), written by the parent of the log layer:
+# the Frobenius, the negated translation by (0, 0), and a map off the curve.
+IDENTIFY_NEGATIVE = {
+    "frobenius": ["--A", "1", "--B", "2", "--fx", "x^3", "--fy-factor", "x^3+x+2"],
+    "translation": ["--A", "2", "--B", "0", "--fx", "2/x", "--fy-factor", "2/x^2"],
+    "offcurve": ["--A", "1", "--B", "2", "--fx", "x+1", "--fy-factor", "1"],
+}
+
+
+@pytest.mark.parametrize("name, argv, fmt", [
+    pytest.param(name, argv, fmt, id=fmt if name == "mul2" else f"{name}-{fmt}")
+    for name, argv in [("mul2", IDENTIFY_MUL2[3:]), *IDENTIFY_NEGATIVE.items()]
+    for fmt in ("records", "text")
+])
+def test_identify_mul2_matches_transcript(capsys, name, argv, fmt):
+    code, out, _ = run(capsys, "identify", "--field", "3^5", *argv, "--format", fmt)
     assert code == 0
-    assert out == (DATA / f"identify_mul2_gf35.{fmt}.txt").read_text()
+    assert out == (DATA / f"identify_{name}_gf35.{fmt}.txt").read_text()
 
 
 def test_identify_mul2_matches_transcript_on_gf38(capsys):
@@ -367,17 +380,17 @@ def test_identify_mul2_matches_transcript_on_gf38(capsys):
 
 
 def test_identify_mul2_checks_each_point_once(capsys, monkeypatch):
-    # check_map puts each enumerated point and each image through on_curve
-    # and adds through the unchecked group law: at most 3 checks a point
+    # check_map puts each enumerated point and each image, as logs, through
+    # the curve check and adds with no further check: at most 3 checks a point
     import char3iso.cli as cli
     import char3iso.curve as curve
 
     checked = []
-    on_curve, check_map = curve.on_curve, curve.check_map
+    on_curve, check_map = curve._on_curve, curve.check_map
 
-    def counted(c, point):
+    def counted(logs, cubic, point):
         checked.append(point)
-        return on_curve(c, point)
+        return on_curve(logs, cubic, point)
 
     def measured(*args):
         start = len(checked)
@@ -387,14 +400,15 @@ def test_identify_mul2_checks_each_point_once(capsys, monkeypatch):
         return report
 
     within, reports = [], []
-    monkeypatch.setattr(curve, "on_curve", counted)
+    monkeypatch.setattr(curve, "_on_curve", counted)
     monkeypatch.setattr(cli, "check_map", measured)
     code, _, _ = run(capsys, *IDENTIFY_MUL2, "--format", "records")
     assert code == 0
     (report,) = reports
     assert len(report.points) == 244
     assert len(within) <= 3 * 244
-    assert set(within) >= set(report.points) | set(report.images)
+    logs = curve._Logs(report.points[1].x.field)
+    assert set(within) >= set(curve._log_points(logs, report.points + report.images))
 
 
 def test_identify_records_schema(capsys):

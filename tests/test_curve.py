@@ -7,6 +7,7 @@ from char3iso import (
     CurveParams,
     FieldParams,
     FieldTooLarge,
+    MixedFields,
     PointNotOnCurve,
     check_map,
     derive_map_pair,
@@ -23,7 +24,7 @@ from char3iso.curve import (
     p_neg,
 )
 
-from helpers import enumerate_points_by_scan, enumerate_points_by_sqrt, scalar_mul
+from helpers import enumerate_points_by_scan, enumerate_points_by_sqrt, random_rational, scalar_mul
 
 
 @pytest.fixture(scope="module")
@@ -90,15 +91,44 @@ def test_public_group_law_checks_every_operand(e_f9, f9):
 
 
 def test_check_map_checks_each_enumerated_point(e_f9, f9, monkeypatch):
-    # check_map adds through the unchecked group law, so a point off the
-    # curve must be caught when it is enumerated
+    # check_map adds on logs with no further check, so a point off the
+    # curve must be caught when it is enumerated: (0, 1) is (None, 0) in logs
     import char3iso.curve as curve
 
-    points = enumerate_points(e_f9) + [Point(f9.zero, f9.one)]
-    monkeypatch.setattr(curve, "enumerate_points", lambda c: list(points))
+    enumerate_logs = curve._enumerate
+    monkeypatch.setattr(curve, "_enumerate",
+                        lambda logs, cubic: enumerate_logs(logs, cubic) + [(None, 0)])
     x = parse_rational_function("x", f9)
     with pytest.raises(PointNotOnCurve):
         check_map(e_f9, x, parse_rational_function("1", f9))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_log_group_law_matches_the_reference_exhaustively(degree):
+    # check_map and identify_scalar add on logs; on every curve with A in
+    # {1, 2} over GF(3) and GF(9) that addition, and doubling as p + p,
+    # agree with p_add and p_double on every pair of points
+    import char3iso.curve as curve
+
+    field = FieldParams(degree)
+    for A, B in itertools.product((1, 2), field.elements()):
+        e = CurveParams(field, A=A, B=B, c=1)
+        logs, cubic = curve._log_curve(e)
+        points = enumerate_points(e)
+        on_logs = curve._log_points(logs, points)
+        for p, lp in zip(points, on_logs):
+            (double,) = curve._log_points(logs, [p_double(e, p)])
+            assert curve._add(logs, cubic, lp, lp) == double
+            for q, lq in zip(points, on_logs):
+                (total,) = curve._log_points(logs, [p_add(e, p, q)])
+                assert curve._add(logs, cubic, lp, lq) == total
+
+
+@pytest.mark.parametrize("fx, fy", [("x", "1"), ("x^3", "x^3+x+2"), ("2", "1")])
+def test_check_map_rejects_a_map_over_another_field(f9, fx, fy):
+    curve = CurveParams(FieldParams(3), A=1, B=2, c=1)
+    with pytest.raises(MixedFields):
+        check_map(curve, parse_rational_function(fx, f9), parse_rational_function(fy, f9))
 
 
 def test_identity_and_inverse(e_f3, e_f9):
@@ -260,6 +290,26 @@ def test_check_map_report_carries_points_and_images(e_f9, f9):
     assert report.images == tuple(apply_map(e_f9, fx, fy, p) for p in report.points)
 
 
+@pytest.mark.parametrize("degree", [3, 4])
+def test_check_map_images_match_apply_map_on_random_maps(degree):
+    # the images check_map evaluates on logs, poles included, against
+    # apply_map on FieldElements
+    rng = random.Random(729 + degree)
+    field = FieldParams(degree)
+    elements = list(field.elements())
+    x = parse_rational_function("x", field)
+    poles = 0
+    for _ in range(4):
+        e = CurveParams(field, A=rng.choice(elements[1:]), B=rng.choice(elements), c=1)
+        kernel_x = rng.choice(enumerate_points(e)[1:]).x
+        fx = random_rational(rng, field, 4) / (x - kernel_x)
+        fy = random_rational(rng, field, 4) / random_rational(rng, field, 3)
+        report = check_map(e, fx, fy)
+        assert report.images == tuple(apply_map(e, fx, fy, p) for p in report.points)
+        poles += sum(image.is_infinity for image in report.images[1:])
+    assert poles
+
+
 @pytest.mark.parametrize("A", [1, 2])
 def test_translation_by_two_torsion_is_no_homomorphism(f3, A):
     # P -> P + T for a rational 2-torsion point T = (x0, 0): the chord
@@ -297,9 +347,9 @@ def test_check_map_samples_pairs_on_large_field():
 
 
 def test_check_map_unpacks_each_polynomial_once(monkeypatch):
-    # eval keeps the coefficients it unpacks for Horner's rule, so the
-    # doubling map at GF(3^5) unpacks each of its four polynomials at most
-    # once however many points it maps
+    # check_map converts each polynomial's coefficients to logs once, so
+    # the doubling map at GF(3^5) unpacks each of its four polynomials at
+    # most once however many points it maps
     from char3iso import kronecker
 
     field = FieldParams(5)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from char3iso import FieldParams, MixedFields
+from char3iso.curve import _Logs
 from char3iso.gf3field import DEFAULT_MODULI, FieldElement, solve_additive_cubic
 
 from helpers import BOUNDARY_MODULI, is_irreducible_trial, oracle_add, oracle_mul, sqrt
@@ -231,38 +232,32 @@ def test_negative_powers(f9):
     assert t ** 0 == f9.one
 
 
-# ---- log tables --------------------------------------------------------------
+# ---- Zech's log tables of curve's log layer ---------------------------------
+# The enumeration and the group law of char3iso.curve run on logs; these
+# check the layer's tables and operations against packed arithmetic.
 
-def tabled(degree, modulus=None):
-    field = FieldParams(degree, modulus)
-    field.build_log_tables()
-    return field
-
-
-def check_tables_against_packed(a, b, plain):
-    """Every table operation on a and b, elements of a field with log
-    tables, against the packed arithmetic of plain, an equal field
-    without them."""
-    field, n = a.field, a.field.order - 1
-    pa, pb = plain.element(a.coeffs), plain.element(b.coeffs)
-    cases = [(a * b, pa * pb), (a + b, pa + pb), (a - b, pa - pb), (-a, -pa),
-             (a.frobenius(), pa.frobenius()), (a * pb, pa * pb), (a - pb, pa - pb)]
-    cases += [(a ** e, pa ** e) for e in (0, 1, 2, 3, n - 1, n, n + 1, 3 * n + 5)]
+def check_logs_against_packed(logs, a, b):
+    """Every operation of the log layer on the logs of a and b against
+    FieldElement arithmetic; zero is None in the layer."""
+    n = a.field.order - 1
+    la, lb = logs.log.get(a.packed), logs.log.get(b.packed)
+    cases = [(logs.mul(la, lb), a * b), (logs.add(la, lb), a + b),
+             (logs.sub(la, lb), a - b), (logs.neg(la), -a)]
     if b:
-        cases += [(a / b, pa / pb), (b.inverse(), pb.inverse()), (b ** -1, pb ** -1),
-                  (b ** -2, pb ** -2)]
+        cases.append((logs.div(la, lb), a / b))
+        cases += [(lb * e % n, b ** e) for e in (0, 1, 2, 3, n - 1, n, n + 1, 3 * n + 5, -1, -2)]
     for got, want in cases:
-        assert got.field is field and got.packed == want.packed, (a, b)
+        assert got == logs.log.get(want.packed), (a, b)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_log_tables_match_packed_arithmetic_exhaustive(degree):
-    field, plain = tabled(degree), FieldParams(degree)
-    assert plain._log is None
+    field = FieldParams(degree)
+    logs = _Logs(field)
     elems = list(field.elements())
     for a in elems:
         for b in elems:
-            check_tables_against_packed(a, b, plain)
+            check_logs_against_packed(logs, a, b)
 
 
 @pytest.mark.parametrize("field", [FieldParams(k) for k in range(5, 11)] + [
@@ -271,60 +266,44 @@ def test_log_tables_match_packed_arithmetic_exhaustive(degree):
     FieldParams(7, (2, 2, 2, 2, 2, 1, 1, 1)),
 ], ids=lambda field: f"3^{field.degree}:{''.join(map(str, field.modulus))}")
 def test_log_tables_match_packed_arithmetic_sampled(field):
-    plain = FieldParams(field.degree, field.modulus)
-    field.build_log_tables()
+    logs = _Logs(field)
     rng = random.Random(field.order)
     elems = [field.element(tuple(rng.randrange(3) for _ in range(field.degree)))
              for _ in range(200)] + [field.zero, field.one, -field.one]
     for _ in range(300):
-        check_tables_against_packed(rng.choice(elems), rng.choice(elems), plain)
+        check_logs_against_packed(logs, rng.choice(elems), rng.choice(elems))
 
 
 @pytest.mark.parametrize("degree", [1, 2, 5])
 def test_antilog_list_is_a_permutation_of_the_units(degree):
-    field = tabled(degree)
+    field = FieldParams(degree)
+    logs = _Logs(field)
     n = field.order - 1
-    powers = [e.packed for e in field._exp]
-    assert len(powers) == 2 * n and powers[n:] == powers[:n]
-    assert sorted(powers[:n]) == sorted(e.packed for e in field.elements() if e)
-    assert all(field._log[p] == i for i, p in enumerate(powers[:n]))
-    exp_before = field._exp
-    field.build_log_tables()  # a second call keeps the tables
-    assert field._exp is exp_before
+    assert len(logs.exp) == n
+    assert sorted(logs.exp) == sorted(e.packed for e in field.elements() if e)
+    assert all(logs.log[p] == i for i, p in enumerate(logs.exp))
+    assert logs.xs == [logs.log.get(e.packed) for e in field.elements()]
+    for d, power in enumerate(logs.exp):
+        one_plus = field.element(power.to_bytes(degree, "little")) + 1
+        assert logs.zech[d] == logs.log.get(one_plus.packed)
+    assert _Logs(FieldParams(degree)) is logs  # an equal field keeps the tables
 
 
 def test_log_tables_zero_operands():
-    field = tabled(3)
-    a = field.gen + 1
-    for z in (field.zero, 0):
-        assert a * z == field.zero and z * a == field.zero
-        assert a + z == a and a - z == a and (z - a) == -a
-    assert field.zero * field.zero == field.zero and -field.zero == field.zero
-    assert a - a == field.zero and a + (-a) == field.zero
-    assert field.zero ** 0 == field.one and field.zero ** 3 == field.zero
+    field = FieldParams(3)
+    logs = _Logs(field)
+    a = logs.log[(field.gen + 1).packed]
+    assert logs.mul(a, None) is None and logs.mul(None, a) is None
+    assert logs.mul(None, None) is None and logs.neg(None) is None
+    assert logs.add(a, None) == a and logs.add(None, a) == a
+    assert logs.sub(a, None) == a and logs.sub(None, a) == logs.neg(a)
+    assert logs.add(None, None) is None and logs.sub(None, None) is None
+    assert logs.sub(a, a) is None and logs.add(a, logs.neg(a)) is None
+    assert logs.div(None, a) is None
     with pytest.raises(ZeroDivisionError):
-        field.zero.inverse()
+        logs.div(a, None)
     with pytest.raises(ZeroDivisionError):
-        a / field.zero
-    with pytest.raises(ZeroDivisionError):
-        field.zero ** -1
-
-
-def test_log_tables_leave_equality_and_hash_alone():
-    field, plain = tabled(4), FieldParams(4)
-    assert field == plain and hash(field) == hash(plain)
-    for a in field.elements():
-        b = plain.element(a.coeffs)
-        assert a == b and hash(a) == hash(b)
-
-
-def test_construct_builds_no_log_tables():
-    from char3iso import CurveParams, Seed, construct, parse_rational_function
-    field = FieldParams(2)
-    curve = CurveParams(field, A=1, B=2, c=1)
-    seed = Seed.beta(parse_rational_function("x^2/(x^9+x^3-1)", field))
-    assert len(construct(curve, seed, 64)) == 3
-    assert field._log is None and field._exp is None
+        logs.div(None, None)
 
 
 # ---- additive cubic solver -------------------------------------------------
