@@ -31,7 +31,7 @@ from .errors import (
     VerificationFailed,
     ZeroDenominator,
 )
-from .exprparse import parse_field_element, parse_rational_function
+from .exprparse import _is_uint, parse_field_element, parse_rational_function
 from .gf3field import DEFAULT_MODULI, FieldParams
 from .isocore import (CurveParams, Seed, construct, construct_with_report,
                       verify_functional_equation)
@@ -61,17 +61,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p, need_curve=True):
+def _integer(text):
+    """ASCII digits after an optional minus sign: int() also takes '6_4', '+64', ' 64', '٦٤'."""
+    if not _is_uint(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+def _add_common(p):
     p.add_argument("--field", default="3^1", metavar="3^K",
                    help="field order as 3^k (default 3^1)")
     p.add_argument("--modulus", default=None, metavar="TEXT",
                    help="monic irreducible modulus in t (default: built-in table)")
-    if need_curve:
-        p.add_argument("--A", required=True, metavar="TEXT", help="curve coefficient A")
-        p.add_argument("--B", default="0", metavar="TEXT", help="curve coefficient B")
-        p.add_argument("--c", default="1", metavar="TEXT",
-                       help="scale constant of the y-coordinate map")
-    p.add_argument("--prec", type=int, default=64, metavar="N",
+    p.add_argument("--A", required=True, metavar="TEXT", help="curve coefficient A")
+    p.add_argument("--B", default="0", metavar="TEXT", help="curve coefficient B")
+    p.add_argument("--c", default="1", metavar="TEXT",
+                   help="scale constant of the y-coordinate map")
+    p.add_argument("--prec", type=_integer, default=64, metavar="N",
                    help=f"working precision in [{PREC_MIN}, {PREC_MAX}]")
     p.add_argument("--format", choices=("text", "records"), default="text",
                    help="human text or machine key=value records")
@@ -109,12 +115,12 @@ def build_parser():
                    help="x-coordinate map as a rational function")
     p.add_argument("--fy-factor", required=True, metavar="TEXT",
                    help="multiplier of y in the second coordinate")
-    p.add_argument("--max-scalar", type=int, default=10, metavar="M",
+    p.add_argument("--max-scalar", type=_integer, default=10, metavar="M",
                    help="largest scalar to try (default 10)")
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("example", help="reproduce a bundled worked example")
-    p.add_argument("n", type=int, choices=(1, 2, 3, 4), help="example number")
+    p.add_argument("n", type=_integer, choices=(1, 2, 3, 4), help="example number")
     p.add_argument("--format", choices=("text", "records"), default="text")
     p.set_defaults(func=cmd_example)
 
@@ -127,12 +133,9 @@ def _parse_field(args):
     text = args.field.strip()
     if not text.startswith("3^"):
         raise ParseError(0, "field must be written as 3^k")
-    try:
-        k = int(text[2:])
-    except ValueError:
-        raise ParseError(2, "field degree must be an integer") from None
+    k = int(text[2:]) if _is_uint(text[2:]) else 0
     if k < 1:
-        raise ParseError(2, "field degree must be positive")
+        raise ParseError(2, "field degree must be a positive integer")
     if args.modulus is None and k not in DEFAULT_MODULI:
         raise ParseError(0, f"no default modulus for degree {k}; pass --modulus")
     modulus = None if args.modulus is None else _parse_modulus(args.modulus)
@@ -178,10 +181,14 @@ def _seed_from_args(args, field):
         return Seed.alpha(parse_rational_function(args.seed_alpha, field))
     if args.seed_beta is not None:
         return Seed.beta(parse_rational_function(args.seed_beta, field))
-    coeffs = [parse_field_element(part.strip(), field)
-              for part in args.seed_coeffs.split(",")]
-    poly = LaurentSeries.from_coeffs(field, 0, coeffs)
+    poly = _coeffs_polynomial(args.seed_coeffs, field)
     return Seed.alpha(poly) if args.seed_kind == "alpha" else Seed.beta(poly)
+
+
+def _coeffs_polynomial(text, field):
+    """The polynomial of a comma-separated coefficient list, constant term first."""
+    coeffs = [parse_field_element(part.strip(), field) for part in text.split(",")]
+    return LaurentSeries.from_coeffs(field, 0, coeffs)
 
 
 def _emit_header(out, job, command):
@@ -297,9 +304,7 @@ def cmd_verify(args):
     if args.eta is not None:
         eta_rf = parse_rational_function(args.eta, field)
     else:
-        coeffs = [parse_field_element(p.strip(), field)
-                  for p in args.eta_coeffs.split(",")]
-        eta_rf = RationalFunction.from_polynomial(LaurentSeries.from_coeffs(field, 0, coeffs))
+        eta_rf = RationalFunction.from_polynomial(_coeffs_polynomial(args.eta_coeffs, field))
     eta_text = str(eta_rf)
     eta = eta_rf.expand(job.prec)
     out = print
@@ -337,9 +342,7 @@ def cmd_identify(args):
     fx = parse_rational_function(args.fx, job.field)
     fy = parse_rational_function(args.fy_factor, job.field)
     report = check_map(job.curve, fx, fy)
-    scalar = None
-    if report.all_on_curve:
-        scalar = identify_scalar(job.curve, report, args.max_scalar)
+    scalar = identify_scalar(job.curve, report, args.max_scalar)
     out = print
     if job.fmt == "records":
         _emit_header(out, job, "identify")
@@ -356,7 +359,7 @@ def cmd_identify(args):
             f"({report.pairs_checked} pairs)")
         if scalar is not None:
             out(f"scalar: {scalar}")
-        elif report.all_on_curve and report.homomorphism_ok:
+        elif report.homomorphism_ok:
             out("scalar: none (no multiplication map matches pointwise)")
         else:
             out("scalar: none")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import random
 from dataclasses import dataclass
 
 from .errors import FieldTooLarge, MixedFields, PointNotOnCurve
@@ -113,7 +112,8 @@ def apply_map(curve, fx, fy_factor, point):
 @dataclass(frozen=True)
 class MapCheckReport:
     """Pointwise diagnostics of a coordinate map over the rational points,
-    with the points in enumeration order and the image of each."""
+    with the points in enumeration order and the image of each; generators
+    indexes points, empty unless the homomorphism test passed."""
 
     all_on_curve: bool
     off_curve_points: tuple
@@ -121,18 +121,18 @@ class MapCheckReport:
     pairs_checked: int
     points: tuple
     images: tuple
+    generators: tuple = ()
 
 
 def check_map(curve, fx, fy_factor):
-    """Verify a coordinate map pointwise over every rational point.
-
-    Checks that each image lies on the curve and that the map commutes
-    with addition; pairs are exhaustive for fields of at most 81 elements
-    and 1000 seeded-random pairs above that. On logs, the points are
-    enumerated, checked on the curve and mapped once; the image of p + q
-    is read by its enumeration index, and no sum is checked again, as
-    every operand is a point or an image already checked.
-    """
+    """Verify a coordinate map f over every rational point, exactly: each
+    image lies on the curve, and f commutes with addition. For each
+    generator g, taken greedily in enumeration order, the walk goes through
+    the cosets H, H + g, H + 2g, ... of the span H of the earlier ones back
+    into H, checking f(x + g) = f(x) + f(g) at each step; by induction that
+    covers every pair of E(F_q) ~ Z/n1 x Z/n2 (Washington, Thm 4.1) in fewer
+    than 2 #E pairs, #E if it is cyclic. On logs, the image of x + g is read
+    by its index, and no sum is checked again: every operand was checked."""
     field = curve.field
     if not fx.field == fy_factor.field == field:
         raise MixedFields("the map and the curve are over different fields")
@@ -146,34 +146,41 @@ def check_map(curve, fx, fy_factor):
     off = tuple(p for p, image in zip(report[0], images) if not _on_curve(logs, cubic, image))
     if off:
         return MapCheckReport(False, off, False, 0, *report)
-    n = len(points)
-    if field.order <= 81:
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-    else:
-        rng = random.Random(0)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(1000)]
     index = {p: i for i, p in enumerate(points)}
-    hom_ok = all(images[index[_add(logs, cubic, points[i], points[j])]]
-                 == _add(logs, cubic, images[i], images[j]) for i, j in pairs)
-    return MapCheckReport(True, (), hom_ok, len(pairs), *report)
+    span, generators, pairs = {0: None}, [], 0  # a dict keeps the walk's order
+    for g in range(1, len(points)):
+        if g in span:
+            continue
+        generators.append(g)
+        for x in list(span):  # x, x + g, x + 2g, ... is back in H only at x + rg
+            while True:
+                pairs += 1
+                s = index[_add(logs, cubic, points[x], points[g])]
+                if images[s] != _add(logs, cubic, images[x], images[g]):
+                    return MapCheckReport(True, (), False, pairs, *report)
+                if s in span:
+                    break
+                span[s] = None
+                x = s
+    return MapCheckReport(True, (), True, pairs, *report, tuple(generators))
 
 
 def identify_scalar(curve, report, max_m):
-    """Smallest m in [1, max_m] acting like the map of a check_map report
-    on every rational point, or None. Meaningful once check_map has passed.
-
-    N = #E(F_q) kills every rational point, so m and m - N act alike and
-    the smallest match, if any, is at most N: the search stops there.
-    The report goes back to logs, and the multiples, sums of points
-    check_map has checked, are not checked again."""
+    """Smallest m in [1, max_m] with [m] equal to the map of a check_map
+    report on every rational point, or None; always None unless the report
+    passed the homomorphism test. A homomorphism is [m] iff it is [m] on the
+    generators, so only they go back to logs. N = #E kills every point, so
+    the search stops at N: at most |generators| * min(max_m, N) additions."""
+    if not report.homomorphism_ok:
+        return None
     logs, cubic = _log_curve(curve)
-    points, images = (_log_points(logs, run) for run in (report.points, report.images))
-    multiples = points  # m = 1
-    for m in range(1, min(max_m, len(points)) + 1):
-        if m > 1:
-            multiples = [_add(logs, cubic, acc, p) for acc, p in zip(multiples, points)]
+    gens, images = (_log_points(logs, [run[i] for i in report.generators])
+                    for run in (report.points, report.images))
+    multiples = gens
+    for m in range(1, min(max_m, len(report.points)) + 1):
         if multiples == images:
             return m
+        multiples = [_add(logs, cubic, acc, g) for acc, g in zip(multiples, gens)]
     return None
 
 

@@ -641,3 +641,30 @@ def closed_form_conditions(curve, alpha, beta):
         pole_cross_ok=pole_cross.is_zero,
         branch=branch,
     )
+
+
+# ---- the homomorphism test on every pair ------------------------------------
+
+def addition_table(add, points):
+    """table[i][j] is the index of add(points[i], points[j]) in points,
+    which lists the identity first."""
+    index = {p: i for i, p in enumerate(points)}
+    return [[index[add(p, q)] for q in points] for p in points]
+
+
+def homomorphism_on_all_pairs(table, images):
+    """Whether the map i -> images[i] on the indices of an addition table
+    commutes with addition on every pair: the exhaustive test that
+    check_map's walk over the cosets of a generating set must agree with."""
+    n = len(table)
+    return all(images[table[i][j]] == table[images[i]][images[j]]
+               for i in range(n) for j in range(n))
+
+
+def span(table, generators):
+    """The indices of the subgroup the generators span, by closure."""
+    spanned, frontier = {0}, [0]
+    while frontier:
+        frontier = {table[p][g] for p in frontier for g in generators} - spanned
+        spanned |= frontier
+    return spanned

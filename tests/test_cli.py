@@ -92,6 +92,31 @@ def test_unicode_digits_are_not_integer_literals(capsys, flag, text, offset):
     assert err == f"parse error: at offset {offset}: unexpected character {text[offset]!r}\n"
 
 
+@pytest.mark.parametrize("field", ["3^1_0", "3^\u0665", "3^+5", "3^ 5", "3^-1", "3^0", "3^"])
+def test_field_degree_is_a_positive_integer_in_ascii_digits(capsys, field):
+    # int() reads '1_0' as 10, the Arabic-Indic five as 5, '+5' and ' 5' as 5
+    code, out, err = run(capsys, "construct", "--field", field, "--A", "1", "--seed-alpha", "x")
+    assert (code, out) == (3, "")
+    assert err == "parse error: at offset 2: field degree must be a positive integer\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--A", "1", "--seed-alpha", "x", "--prec", "\u0666\u0664"],
+    ["construct", "--A", "1", "--seed-alpha", "x", "--prec", "6_4"],
+    ["construct", "--A", "1", "--seed-alpha", "x", "--prec", "+64"],
+    ["identify", "--A", "1", "--fx", "x", "--fy-factor", "1", "--max-scalar", "1_0"],
+    ["example", "\u0661"],
+], ids=["prec-arabic-indic", "prec-underscore", "prec-plus", "max-scalar-underscore",
+        "example-arabic-indic"])
+def test_integer_arguments_are_ascii_digits(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"invalid int value: {argv[-1]!r}\n")
+
+
 # 5,000 digits: more than int() reads from a string, and 2 (mod 3) and 7 (mod 8)
 LONG = "1" * 5000
 
@@ -310,6 +335,35 @@ def test_identify_scalar_search_stops_at_the_group_order(capsys, monkeypatch):
     assert out.endswith("scalar: none (no multiplication map matches pointwise)\n")
 
 
+def test_identify_scalar_adds_on_the_generators_only(capsys, monkeypatch):
+    # the Frobenius of GF(3^5) acts on the cyclic group of 244 points as
+    # [217]: with --max-scalar 1000000 the search adds only the multiples
+    # of the generators, at most |S| * #E times, not a multiple of each point
+    import char3iso.cli as cli
+    import char3iso.curve as curve
+
+    add, identify_scalar = curve._add, cli.identify_scalar
+    calls, reports = [], []
+
+    def counted(*args):
+        calls.append(args)
+        return add(*args)
+
+    def search(curve_params, report, max_m):
+        reports.append(report)
+        monkeypatch.setattr(curve, "_add", counted)
+        return identify_scalar(curve_params, report, max_m)
+
+    monkeypatch.setattr(cli, "identify_scalar", search)
+    code, out, _ = run(capsys, "identify", "--field", "3^5", *IDENTIFY_NEGATIVE["frobenius"],
+                       "--max-scalar", "1000000")
+    assert code == 0
+    (report,) = reports
+    assert report.homomorphism_ok and len(report.points) == 244
+    assert 0 < len(calls) <= len(report.generators) * len(report.points)
+    assert out.endswith("scalar: 217\n")
+
+
 def test_identify_translation_by_two_torsion(capsys):
     # P -> P + (0, 0) on y^2 = x^3 - x: fx = (x^3 - x)/x^2 - x = -1/x and
     # fy = (0 - fx)/x = 1/x^2; every image is on the curve, but a
@@ -352,6 +406,8 @@ IDENTIFY_MUL2 = [
 
 # Maps with no scalar at GF(3^5), written by the parent of the log layer:
 # the Frobenius, the negated translation by (0, 0), and a map off the curve.
+# In the text transcripts only the "(N pairs)" line has changed since: the
+# exact walk compares 244, 244 and 4 pairs where the sample counted 1000.
 IDENTIFY_NEGATIVE = {
     "frobenius": ["--A", "1", "--B", "2", "--fx", "x^3", "--fy-factor", "x^3+x+2"],
     "translation": ["--A", "2", "--B", "0", "--fx", "2/x", "--fy-factor", "2/x^2"],

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -24,7 +25,15 @@ from char3iso.curve import (
     p_neg,
 )
 
-from helpers import enumerate_points_by_scan, enumerate_points_by_sqrt, random_rational, scalar_mul
+from helpers import (
+    addition_table,
+    enumerate_points_by_scan,
+    enumerate_points_by_sqrt,
+    homomorphism_on_all_pairs,
+    random_rational,
+    scalar_mul,
+    span,
+)
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +250,10 @@ def test_degree_four_map_lands_on_curve(e_f9, f9):
     report = check_map(e_f9, fx, fy)
     assert report.all_on_curve
     assert report.homomorphism_ok
-    assert report.pairs_checked == 16 * 16
+    # the points form Z/4 x Z/4: the walk compares |<g1>| = 4 pairs for
+    # the first generator and |<g1, g2>| = 16 for the second
+    assert report.generators == (1, 3)
+    assert report.pairs_checked == 4 + 16
 
 
 def test_identify_identity(e_f9, f9):
@@ -333,17 +345,129 @@ def test_translation_by_two_torsion_is_no_homomorphism(f3, A):
         assert identify_scalar(curve, report, 10) is None
 
 
-def test_check_map_samples_pairs_on_large_field():
-    # fields beyond 81 elements switch from exhaustive pairs to 1000
-    # seeded-random pairs
+def _log_addition_table(e, points):
+    # the log group law, which test_log_group_law_matches_the_reference_exhaustively
+    # pins to p_add; the reference itself is too slow for every pair of
+    # every curve over GF(27)
+    import char3iso.curve as curve
+
+    logs, cubic = curve._log_curve(e)
+    return addition_table(functools.partial(curve._add, logs, cubic),
+                          curve._log_points(logs, points))
+
+
+@pytest.mark.parametrize("B, pairs", [(1, 4 + 244), (2, 244)])
+def test_check_map_walks_the_spans_of_greedy_generators(B, pairs):
+    # over GF(3^5) each generator is the first point outside the span of
+    # the earlier ones, and its walk compares as many pairs as the span it
+    # completes has points; y^2 = x^3 + x + 2 is cyclic, so 244 in all
     field = FieldParams(5)
-    curve = CurveParams(field, A=1, B=1, c=1)
-    fx = parse_rational_function("x", field)
-    fy = parse_rational_function("1", field)
-    report = check_map(curve, fx, fy)
-    assert report.all_on_curve
-    assert report.homomorphism_ok
-    assert report.pairs_checked == 1000
+    e = CurveParams(field, A=1, B=B, c=1)
+    report = check_map(e, parse_rational_function("x", field), parse_rational_function("1", field))
+    table = _log_addition_table(e, report.points)
+    assert report.homomorphism_ok and len(report.points) == 244
+    spans = [span(table, report.generators[:k]) for k in range(len(report.generators) + 1)]
+    for g, before in zip(report.generators, spans):
+        assert g == min(set(range(244)) - before)
+    assert spans[-1] == set(range(244))
+    assert report.pairs_checked == sum(map(len, spans[1:])) == pairs
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_check_map_agrees_with_all_pairs(degree):
+    # on every curve: the identity, negation and the automorphisms
+    # x -> x + r with r^2 = -A are homomorphisms; P -> P + T for a rational
+    # 2-torsion point T, with infinity fixed, is one only on a group of two
+    field = FieldParams(degree)
+    elements = list(field.elements())
+    x, one = (parse_rational_function(text, field) for text in ("x", "1"))
+    verdicts = []
+    for A, B in itertools.product(elements[1:], elements):
+        e = CurveParams(field, A=A, B=B, c=1)
+        points = enumerate_points(e)
+        index = {p: i for i, p in enumerate(points)}
+        table = _log_addition_table(e, points)
+        maps = [(x, one), (x, -one)] + [(x + r, one) for r in elements if r and r * r == -A]
+        for t in points[1:]:
+            if t.y.is_zero:
+                fx = (x * x * x + A * x + B) / ((x - t.x) * (x - t.x)) - x - t.x
+                maps.append((fx, (t.x - fx) / (x - t.x)))
+        for fx, fy in maps:
+            report = check_map(e, fx, fy)
+            assert report.all_on_curve
+            expected = homomorphism_on_all_pairs(table, [index[p] for p in report.images])
+            assert report.homomorphism_ok == expected
+            if expected:
+                assert span(table, report.generators) == set(range(len(points)))
+                assert report.pairs_checked < 2 * len(points)
+            verdicts.append(expected)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_check_map_agrees_with_all_pairs_where_only_a_closing_step_fails(degree, monkeypatch):
+    # images sent to random points on greedy generators and extended by
+    # f(h + jg) = f(h) + j f(g) over each coset walk: every step that leaves
+    # H holds by construction, so only a step back into H, x + rg with
+    # rg in H but r f(g) != f(rg), can fail, and the test must take it
+    import char3iso.curve as curve
+
+    rng = random.Random(6561 + degree)
+    field = FieldParams(degree)
+    elements = list(field.elements())
+    x, one = (parse_rational_function(text, field) for text in ("x", "1"))
+    verdicts = []
+    for A, B in itertools.product(elements[1:], elements):
+        e = CurveParams(field, A=A, B=B, c=1)
+        points = enumerate_points(e)
+        table, n = _log_addition_table(e, points), len(points)
+        generators = []
+        for i in range(n):
+            if i not in span(table, generators):
+                generators.append(i)
+        f = {0: 0}
+        for g, target in zip(generators, rng.choices(range(n), k=len(generators))):
+            for h in list(f):
+                y, image = h, f[h]
+                while table[y][g] not in f:
+                    y, image = table[y][g], table[image][target]
+                    f[y] = image
+        images = [f[i] for i in range(n)]
+        logs = curve._log_points(curve._Logs(field), points)
+        monkeypatch.setattr(curve, "_map_points", lambda *args: [logs[i] for i in images])
+        report = check_map(e, x, one)
+        assert report.homomorphism_ok == homomorphism_on_all_pairs(table, images)
+        verdicts.append(report.homomorphism_ok)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("degree", [2, 5])
+def test_doctored_image_off_the_generators_is_no_homomorphism(degree, monkeypatch):
+    # images equal to [m]p for the doubling map's m on the generators, and
+    # on every other point but one, which maps to another point of the
+    # curve: the walk finds the pair, and the scalar search, which reads
+    # only the generators, gives no m
+    import char3iso.curve as curve
+
+    field = FieldParams(degree)
+    e = CurveParams(field, A=1, B=2, c=1)
+    fx, fy = derive_map_pair(e, parse_rational_function("(x^4+x^2+2*x+1)/(x^3+x+2)", field))
+    report = check_map(e, fx, fy)
+    assert report.homomorphism_ok and identify_scalar(e, report, len(report.points))
+    doctored = max(set(range(1, len(report.points))) - set(report.generators))
+    map_points = curve._map_points
+
+    def doctor(logs, *args):
+        images = map_points(logs, *args)
+        images[doctored] = next(p for p in images if p != images[doctored])
+        return images
+
+    monkeypatch.setattr(curve, "_map_points", doctor)
+    bad = check_map(e, fx, fy)
+    assert bad.points == report.points
+    assert [i for i, (a, b) in enumerate(zip(bad.images, report.images)) if a != b] == [doctored]
+    assert bad.all_on_curve and not bad.homomorphism_ok and bad.generators == ()
+    assert identify_scalar(e, bad, len(bad.points)) is None
 
 
 def test_check_map_unpacks_each_polynomial_once(monkeypatch):
