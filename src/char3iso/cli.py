@@ -16,6 +16,7 @@ solution block per admissible constant term.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -83,6 +84,7 @@ def _add_common(p):
                    help="human text or machine key=value records")
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="char3iso",
                      description="Formal endomorphisms of y^2 = x^3 + A x + B "
@@ -238,11 +240,12 @@ def _print_construct_records(job, seed, report, endos, out):
     out(f"alpha1={report.alpha1}")
     out(f"num_solutions={len(endos)}")
     _, maps = _rational_forms(job.curve, job.prec, endos)
+    names = job.field._names
     for i, (endo, pair) in enumerate(zip(endos, maps)):
         rows = _solution_rows(endo, pair)
         out(f"solution={i}")
         out(f"gamma0={rows['gamma0']}")
-        out(f"eta_coeffs={' '.join(f'{e}:{c}' for e, c in endo.eta.nonzero_terms()) or '0'}")
+        out(f"eta_coeffs={' '.join([f'{e}:{names[p]}' for e, p in endo.eta._terms()]) or '0'}")
         out(f"certified_prec={endo.prec}")
         out(f"rational={rows['rational']}")
         out(f"y_factor={rows['y_factor']}")

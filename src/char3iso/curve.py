@@ -16,6 +16,7 @@ a point a pair of them, None for infinity. Points are made for the report.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -212,7 +213,8 @@ class _Logs:
         self.n, self.log = n, {packed: i for i, packed in enumerate(self.exp)}
         # 1 + a adds 1 to the t^0 digit of a, its low byte
         self.zech = [self.log.get(p - 2 if p & 255 == 2 else p + 1) for p in self.exp]
-        self.xs = [self.log.get(e.packed) for e in field.elements()]
+        digits = map(bytes, itertools.product(range(3), repeat=k))  # field.elements() order
+        self.xs = list(map(self.log.get, map(int.from_bytes, digits, itertools.repeat("little"))))
         # a root comes before its negative in field.elements() order iff its
         # lowest nonzero digit is 1, the low bit of that digit's byte
         self.low_bits = int.from_bytes(b"\1" * k, "little")

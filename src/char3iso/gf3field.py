@@ -74,6 +74,7 @@ class FieldParams:
                 cur = [(x + lead * h) % 3 for x, h in zip(cur, high[0])]
             high.append(tuple(cur))
         self._high_powers = tuple(high)
+        self._names = _Names()  # FieldElement.__str__: at most q strings, made as printed
         self.zero = FieldElement._from_packed(self, 0)
         self.one = FieldElement._from_packed(self, 1)
         self.gen = FieldElement._from_packed(self, 256) if degree >= 2 else None
@@ -271,12 +272,19 @@ class FieldElement:
         return hash(self.packed)
 
     def __str__(self):
-        terms = [str(c) if i == 0 else ("" if c == 1 else f"{c}*") + ("t" if i == 1 else f"t^{i}")
-                 for i, c in enumerate(self.coeffs) if c]
-        return "+".join(terms) or "0"
+        return self.field._names[self.packed]
 
     def __repr__(self):
         return f"<GF(3^{self.field.degree}): {self}>"
+
+
+class _Names(dict):
+    """Packed element -> its text, as "1+2*t^2", formatted on first lookup."""
+    def __missing__(self, packed):
+        text = self[packed] = "+".join(
+            str(c) if i == 0 else ("" if c == 1 else f"{c}*") + ("t" if i == 1 else f"t^{i}")
+            for i, c in enumerate(packed.to_bytes(packed.bit_length(), "little")) if c) or "0"
+        return text
 
 
 def _reduce(value, n):

@@ -16,8 +16,8 @@ Every inverse and every division, however short, takes Newton's iteration;
 it bottoms out at the packed inverse of the constant term, so the kernel
 makes no FieldElement. LaurentSeries keeps its run in column form, and so
 does a polynomial, which is an exact series; both call the column functions
-directly, and there is no entry point on element runs. _columns and
-_elements convert where a series is built from, or hands out, FieldElements.
+directly, and there is no entry point on element runs. _columns builds a
+run from FieldElements; _packed and _elements read it back as packed ints or elements.
 """
 
 from __future__ import annotations
@@ -40,14 +40,16 @@ def _columns(run):
     return [digits[j::k] for j in range(k)]
 
 
-def _elements(field, cols):
+def _packed(cols):
     k, n = len(cols), len(cols[0])
     if k <= 8:  # one little-endian 8-byte word per coefficient: struct reads them all
-        packed = struct.unpack(f"<{n}Q", _interleave(cols, 8, 1))
-    else:
-        digits = _interleave(cols, k, 1)
-        packed = [int.from_bytes(digits[i:i + k], "little") for i in range(0, n * k, k)]
-    return list(map(FieldElement._from_packed, [field] * n, packed))
+        return struct.unpack(f"<{n}Q", _interleave(cols, 8, 1))
+    digits = _interleave(cols, k, 1)
+    return [int.from_bytes(digits[i:i + k], "little") for i in range(0, n * k, k)]
+
+
+def _elements(field, cols):
+    return list(map(FieldElement._from_packed, [field] * len(cols[0]), _packed(cols)))
 
 
 def _sub_cols(a, b):

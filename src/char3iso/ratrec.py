@@ -66,9 +66,9 @@ def poly_gcd(a, b):
 
 def poly_text(p):
     """p highest degree first, as in "x^2+(1+t)*x+2"; "0" for zero."""
-    parts = []
-    for i, c in reversed(list(p.nonzero_terms())):
-        cs = str(c)
+    parts, names = [], p.field._names
+    for i, packed in reversed(list(p._terms())):
+        cs = names[packed]
         if i == 0:
             parts.append(f"({cs})" if "+" in cs else cs)
             continue

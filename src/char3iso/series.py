@@ -141,10 +141,12 @@ class LaurentSeries:
         return FieldElement._from_packed(self.field, int.from_bytes(digits, "little"))
 
     def nonzero_terms(self):
-        """Known nonzero (exponent, coefficient) pairs, ascending."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield self.val + i, c
+        """Known nonzero (exponent, coefficient) pairs, ascending, made lazily."""
+        return ((e, FieldElement._from_packed(self.field, p)) for e, p in self._terms())
+
+    def _terms(self):
+        """Known nonzero (exponent, packed coefficient) pairs, ascending."""
+        return ((e, p) for e, p in enumerate(kronecker._packed(self.cols), self.val or 0) if p)
 
     # ---- arithmetic ----------------------------------------------------
 
@@ -333,9 +335,9 @@ class LaurentSeries:
         return self.truncate(p) == other.truncate(p)
 
     def __str__(self):
-        parts = []
-        for e, c in self.nonzero_terms():
-            cs = str(c)
+        parts, names = [], self.field._names
+        for e, p in self._terms():
+            cs = names[p]
             if ("+" in cs or "*" in cs) and e != 0:
                 cs = f"({cs})"
             if e == 0:
@@ -343,10 +345,8 @@ class LaurentSeries:
             else:
                 xs = "x" if e == 1 else f"x^{e}"
                 parts.append(xs if cs == "1" else f"{cs}*{xs}")
-        body = " + ".join(parts) if parts else "0"
-        if self.prec == INF:
-            return body
-        return f"{body} + O(x^{self.prec})"
+        body = " + ".join(parts) or "0"
+        return body if self.prec == INF else f"{body} + O(x^{self.prec})"
 
     def __repr__(self):
         return f"<series {self}>"

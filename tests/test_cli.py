@@ -1,14 +1,17 @@
+import hashlib
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import char3iso
-from char3iso.cli import main
-from char3iso.gf3field import DEFAULT_MODULI
+from char3iso import gf3field
+from char3iso.cli import build_parser, main
+from char3iso.gf3field import DEFAULT_MODULI, FieldElement
 
 DATA = Path(__file__).parent / "data"
 
@@ -29,6 +32,13 @@ def records(text):
 
 def record_keys(text):
     return {k for k, _ in records(text)}
+
+
+def _cli_env():
+    """The environment of a child interpreter that imports this char3iso."""
+    src = str(Path(char3iso.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 # ---- construct ---------------------------------------------------------------
@@ -529,6 +539,78 @@ def test_construct_prec_2048_text_transcript(capsys):
     assert out == (DATA / "construct_mul2_prec2048.text.txt").read_text()
 
 
+# Written by the printer that made a FieldElement and its text for every
+# coefficient of eta before the preview took the first eleven terms.
+def test_construct_nonrational_prec_2048_text_transcript(capsys):
+    code, out, _ = run(capsys, "construct", "--field", "3^2", "--A=1", "--c=1",
+                       *SEEDS_2048["nonrational"], "--prec", "2048")
+    assert code == 0
+    assert "no rational form within degree 1022" in out
+    assert out == (DATA / "construct_nonrational_prec2048.text.txt").read_text()
+
+
+# The sha256 of the doubling-map records at --prec 8192 that CI pins.
+PREC_8192_DIGEST = "871f86b86433d48ea0086634a7468d4cddfdf5b6c2e77c032ba81efb61462586"
+
+
+def test_eta_rows_format_each_field_value_once(capsys, monkeypatch):
+    # the 15,000-odd eta_coeffs= terms at --prec 8192 take at most q = 9
+    # distinct values: each field's name table formats each value once, and
+    # the rows are written from packed ints with no FieldElement per term
+    formatted, made = [], []
+    missing, from_packed = gf3field._Names.__missing__, FieldElement._from_packed
+
+    def format_once(table, packed):
+        formatted.append((table, packed))  # keeps the table alive, so ids stay distinct
+        return missing(table, packed)
+
+    def counting(field, packed):
+        made.append(packed)
+        return from_packed(field, packed)
+
+    monkeypatch.setattr(gf3field._Names, "__missing__", format_once)
+    monkeypatch.setattr(FieldElement, "_from_packed", staticmethod(counting))
+    monkeypatch.setattr(gf3field, "_from_packed", counting)
+    code, out, _ = run(capsys, "construct", "--field", "3^2", "--A=1", "--c=1",
+                       *SEEDS_2048["mul2"], "--prec", "8192", "--format", "records")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PREC_8192_DIGEST
+    terms = sum(len(line.split()) for line in out.splitlines() if line.startswith("eta_coeffs="))
+    assert terms > 15_000 and len(made) < terms // 10
+    per_table = Counter(id(table) for table, _ in formatted)
+    assert len({(id(table), packed) for table, packed in formatted}) == len(formatted)
+    assert max(per_table.values()) <= 9
+
+
+# ---- one parser per process --------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+RUNS_IN_TURN = [
+    ["construct", "--field", "3^2", "--A=1", *SEEDS_2048["mul2"], "--prec", "32",
+     "--format", "records"],
+    ["construct", "--field", "3^2", "--A=1", *SEEDS_2048["mul2"], "--format", "records"],
+    ["identify", "--field", "3^2", "--A", "1", "--B", "2",
+     "--fx", "(x^4+x^2+2*x+1)/(x^3+x+2)",
+     "--fy-factor=(2*x^6+x^4+2*x^3+2*x^2+2*x)/(x^6+2*x^4+x^3+x^2+x+1)"],
+    ["example", "4"],
+]
+
+
+def test_commands_run_in_one_process_as_each_runs_alone(capsys):
+    # the parser is shared: no default or func of one call may reach the next
+    in_turn = [run(capsys, *argv) for argv in RUNS_IN_TURN]
+    assert "prec=32" in in_turn[0][1].splitlines()
+    assert "prec=64" in in_turn[1][1].splitlines()
+    alone = [subprocess.run([sys.executable, "-m", "char3iso.cli", *argv], env=_cli_env(),
+                            capture_output=True, text=True, timeout=120)
+             for argv in RUNS_IN_TURN]
+    assert in_turn == [(p.returncode, p.stdout, p.stderr) for p in alone]
+
+
 # The modulus= header lines the hand-written formatter printed, one per
 # degree of the default table, and one for a modulus given on the command line.
 MODULUS_HEADERS = {
@@ -611,13 +693,10 @@ def test_unknown_command_exits_3(capsys):
 def test_closed_stdout_exits_141_without_a_traceback():
     # At --prec 8192 the records output (about 100 kB) outgrows a pipe's
     # buffer, so the command is still writing when the reader goes away.
-    src = str(Path(char3iso.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "char3iso.cli", "construct", "--field", "3^2", "--A=1",
          *SEEDS_2048["mul2"], "--prec", "8192", "--format", "records"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
     try:
         assert proc.stdout.readline() == b"command=construct\n"
         proc.stdout.close()

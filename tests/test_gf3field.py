@@ -233,6 +233,23 @@ def test_negative_powers(f9):
 
 
 # ---- Zech's log tables of curve's log layer ---------------------------------
+@pytest.mark.parametrize("field", [FieldParams(k) for k in (1, 2, 3)] + [
+    FieldParams(11, (1, 0, 2) + (0,) * 8 + (1,)),  # t^11 + 2 t^2 + 1
+], ids=lambda field: f"3^{field.degree}")
+def test_element_text_is_formatted_once_per_value(field):
+    # each field keeps one table of texts, filled as values are printed
+    rng = random.Random(field.order)
+    elems = (list(field.elements()) if field.order <= 27 else
+             [field.element([rng.randrange(3) for _ in range(11)]) for _ in range(50)])
+    for e in elems:
+        terms = [(str(c) if i == 0 else ("" if c == 1 else f"{c}*") + f"t^{i}".removesuffix("^1"))
+                 for i, c in enumerate(e.coeffs) if c]
+        assert str(e) == ("+".join(terms) or "0")
+        assert str(FieldElement._from_packed(field, e.packed)) is str(e)
+    assert set(field._names) == {e.packed for e in elems}
+    assert not FieldParams(field.degree, field.modulus)._names
+
+
 # The enumeration and the group law of char3iso.curve run on logs; these
 # check the layer's tables and operations against packed arithmetic.
 

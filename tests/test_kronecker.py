@@ -66,6 +66,7 @@ def test_mul_matches_schoolbook(field):
             continue
         assert kronecker._columns(a) == pack(field, a)
         assert kronecker._elements(field, pack(field, a)) == a
+        assert list(kronecker._packed(pack(field, a))) == [c.packed for c in a]
         full = la + lb - 1
         product = schoolbook_mul(a, b) + [field.zero] * 7  # the kernel pads past full
         for n in {1, full // 2, full - 1, full, full + 7} - {0}:

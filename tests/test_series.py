@@ -1,8 +1,10 @@
 import random
+from itertools import islice
 
 import pytest
 
 from char3iso import (
+    FieldElement,
     FieldParams,
     LaurentSeries,
     MixedFields,
@@ -11,7 +13,7 @@ from char3iso import (
     ZeroDenominator,
     ZeroDivisor,
 )
-from char3iso import kronecker
+from char3iso import gf3field, kronecker
 from char3iso.series import INF, in_residue_class
 
 from helpers import (
@@ -322,6 +324,30 @@ def test_expand_matches_independent_oracle(f3):
     assert {e: c.coeffs[0] for e, c in s.nonzero_terms()} == expected
     assert dict(s.nonzero_terms())[2] == f3.from_int(2)
     assert dict(s.nonzero_terms())[11] == f3.one
+
+
+@pytest.mark.parametrize("degree", [2, 9])
+def test_nonzero_terms_make_elements_as_they_are_reached(monkeypatch, degree):
+    field = FieldParams(degree)
+    rng = random.Random(degree)
+    run = [field.element([rng.randrange(3) for _ in range(degree)]) if rng.random() < 0.7
+           else field.zero for _ in range(8192)]
+    s = LaurentSeries.from_coeffs(field, -1, [field.one] + run)
+    expected = [(e, c) for e, c in enumerate(s.coeffs, s.val) if c]
+    assert list(s.nonzero_terms()) == expected
+    assert list(s._terms()) == [(e, c.packed) for e, c in expected]
+    made = []
+    from_packed = FieldElement._from_packed
+
+    def counting(field, packed):
+        made.append(packed)
+        return from_packed(field, packed)
+
+    monkeypatch.setattr(FieldElement, "_from_packed", staticmethod(counting))
+    monkeypatch.setattr(gf3field, "_from_packed", counting)
+    assert list(islice(s.nonzero_terms(), 11)) == expected[:11]
+    assert len(made) <= 11
+    assert list(LaurentSeries.zero(field, 5).nonzero_terms()) == []
 
 
 def test_expand_remultiplication_identity(f3, f9):
