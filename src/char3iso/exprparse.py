@@ -25,7 +25,8 @@ from __future__ import annotations
 import operator
 
 from .errors import Char3Error, GeneratorUnavailable, ParseError, ZeroDenominator
-from .ratrec import RationalFunction, degree
+from .ratrec import RationalFunction, _power as _poly_power, degree
+from .series import LaurentSeries
 
 # The highest degree a value in x may reach, and the deepest parentheses may
 # nest: the descent recurses once per level, so Python's stack bounds it.
@@ -137,6 +138,10 @@ def _evaluate(steps, field, rational):
     """Run the postfix steps to a field constant or, when `rational`, a
     rational function in x.
 
+    A value is a field constant, a polynomial in x (an exact series) or a
+    RationalFunction. Only a quotient with x in it, or an operation on one,
+    makes a RationalFunction, so a gcd runs only there.
+
     An error is kept on the stack as a value, so the one raised is the one
     met first in a walk that evaluates left before right and checks a
     constant's division before its operands."""
@@ -156,13 +161,15 @@ def _evaluate(steps, field, rational):
             elif _reach(token, left, right) > MAX_POWER_DEGREE:
                 value = ParseError(pos, f"value of degree above {MAX_POWER_DEGREE}")
             else:
+                if token == "/" or RationalFunction in (type(left), type(right)):
+                    left, right = _rational(left), _rational(right)
                 value = _BINARY[token](left, right)
         elif token == "neg" or token[0] == "^":
             value = stack.pop()
             if not isinstance(value, Char3Error):
                 value = -value if token == "neg" else _power(value, token[1:], pos, field)
         elif token == "x":
-            value = (RationalFunction.x(field) if rational else
+            value = (LaurentSeries.monomial(field, 1) if rational else
                      ParseError(pos, "'x' is not allowed in a field constant"))
         elif token == "t":
             value = field.gen if field.degree >= 2 else GeneratorUnavailable(
@@ -172,15 +179,23 @@ def _evaluate(steps, field, rational):
         stack.append(value)
     if isinstance(stack[0], Char3Error):
         raise stack[0]
-    if rational and not isinstance(stack[0], RationalFunction):
+    if rational and not isinstance(stack[0], (RationalFunction, LaurentSeries)):
         return RationalFunction.constant(field, stack[0])
-    return stack[0]
+    return _rational(stack[0])
+
+
+def _rational(value):
+    """A polynomial as a RationalFunction; anything else as it is."""
+    return RationalFunction.from_polynomial(value) if isinstance(value, LaurentSeries) else value
 
 
 def _degrees(value):
-    """(deg num, deg den) of a rational function; (0, 0) for a constant."""
+    """(deg num, deg den) of a rational function or polynomial; (0, 0) for
+    a constant."""
     if isinstance(value, RationalFunction):
         return degree(value.num), degree(value.den)
+    if isinstance(value, LaurentSeries):
+        return degree(value), 0
     return 0, 0
 
 
@@ -203,10 +218,14 @@ def _power(base, digits, pos, field):
         m, r = field.order - 1, 0
         for i in range(0, len(e), 500):
             r = (r * 10 ** len(e[i:i + 500]) + int(e[i:i + 500])) % m
-        return base ** (r or m)
+        return _pow(base, r or m)
     if len(e) > len(str(MAX_POWER_DEGREE)) or degree * int(e) > MAX_POWER_DEGREE:
         return ParseError(pos, f"power of degree above {MAX_POWER_DEGREE}")
-    return base ** int(e)
+    return _pow(base, int(e))
+
+
+def _pow(base, n):
+    return _poly_power(base, n) if isinstance(base, LaurentSeries) else base ** n
 
 
 def parse_field_element(text, field):

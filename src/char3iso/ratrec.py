@@ -10,11 +10,12 @@ polynomials need is a function here: degree, leading, coefficients,
 poly_divmod, poly_gcd and poly_text. A RationalFunction holds two such
 series.
 
-Reconstruction runs the extended Euclidean scheme on the prefix and then
-checks the candidate by re-expanding it and comparing every known
-coefficient; an imperfect match yields None rather than a guess. A match
-is agreement to the series' precision, not a proof that the form solves
-anything.
+Reconstruction runs Euclid on X^order and the prefix keeping only the
+remainders, recovers the denominator from the last one by one series
+division, and checks the candidate by one product: den * series must equal
+num on every known coefficient; an imperfect match yields None rather than
+a guess. A match is agreement to the series' precision, not a proof that
+the form solves anything.
 """
 
 from __future__ import annotations
@@ -87,7 +88,9 @@ def _one(field):
 
 
 def _power(p, n):
-    """p^n for n >= 0, by repeated squaring."""
+    """p^n for n >= 0, by repeated squaring; c X^k to the n is c^n X^(kn)."""
+    if len(p.cols[0]) == 1:
+        return LaurentSeries.monomial(p.field, p.val * n, p.coefficient(p.val) ** n)
     result = _one(p.field)
     while n:
         if n & 1:
@@ -269,6 +272,10 @@ def pade(series, deg_num_max, deg_den_max):
     match is checked on strictly more coefficients than the candidate
     has degrees of freedom. A simple pole (valuation -1) is cleared by
     one shift and restored afterwards; deeper poles are rejected.
+
+    Euclid keeps remainders only; the last, r, gives the denominator u by
+    one division, and r/u is certified by one product, den * series = num,
+    before a gcd reduces it.
     """
     if deg_num_max < 0 or deg_den_max < 0:
         raise ValueError("degree bounds must be nonnegative")
@@ -295,34 +302,23 @@ def pade(series, deg_num_max, deg_den_max):
     head = t.truncate(order)  # t.val >= 0
     r_prev = LaurentSeries.monomial(field, order)
     r_cur = _series(field, head.val, head.cols, INF)
-    u_prev, u_cur = LaurentSeries.zero(field), _one(field)
     while degree(r_cur) > dn:
-        q, rem = poly_divmod(r_prev, r_cur)
-        r_prev, r_cur = r_cur, rem
-        u_prev, u_cur = u_cur, u_prev - q * u_cur
-    if u_cur.is_zero:
+        r_prev, r_cur = r_cur, poly_divmod(r_prev, r_cur)[1]
+    if r_cur.is_zero:  # the candidate would be 0, and the series is not
         return None
-    if series.prec == INF:
-        check_prec = (series.val + len(series.cols[0])
-                      + deg_num_max + deg_den_max + 2)
-    else:
-        check_prec = series.prec
-    num, den = r_cur, u_cur
-    if not num.is_zero:
-        # Strip the common power of X; if X still divides u, the reduced
-        # form has a pole at 0 that the series does not have.
-        s = min(num.val, den.val)
-        num, den = num.shift(-s), den.shift(-s)
-        if den.val != 0:
-            return None
-    else:
-        den = _one(field)
-    # Euclid keeps deg u = order - deg r_prev <= dd, so r/u meets both degree
-    # bounds as it stands. It is the same function as its reduced form, so
-    # it is certified first and reduced by a gcd only once it has passed.
+    # Euclid keeps r = u * head (mod X^order) with deg u = order - deg r_prev,
+    # below order - val(head), so u is that many coefficients of r / head.
+    # Then val(u) = val(r) - val(head): X^val(u) cancels, leaving u(0) != 0.
+    u = r_cur.divide(head, prec=order - degree(r_prev) + 1)
+    num, den = r_cur.shift(-u.val), _series(field, 0, u.cols, INF)
+    # r/u meets both degree bounds as it stands and is the same function as
+    # its reduced form. Below check_prec + val(den), den * series reaches
+    # every known coefficient: with a simple pole den = X u.
     if shifted:
         den = den.shift(1)
-    if not num.divide(den, prec=check_prec).agrees_with(series.truncate(check_prec)):
+    check_prec = (series.prec if series.prec != INF else
+                  series.val + len(series.cols[0]) + deg_num_max + deg_den_max + 2)
+    if not (den * series.truncate(check_prec)).agrees_with(num):
         return None
     return RationalFunction(num, den)
 

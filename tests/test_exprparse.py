@@ -141,6 +141,73 @@ def test_rational_reduces_to_lowest_terms(f3):
     assert rf == parse_rational_function("x+1", f3)
 
 
+def _random_expression(rng, field, depth):
+    """(text, value) of a random expression in x, the value built by
+    RationalFunction arithmetic at every step, each step in lowest terms."""
+    if depth == 0 or rng.random() < 0.2:
+        leaf = rng.choice(("x", "x^n", "c", "t" if field.degree >= 2 else "c"))
+        if leaf == "x":
+            return "x", RationalFunction.x(field)
+        if leaf == "x^n":
+            n = rng.randrange(5)
+            return f"x^{n}", RationalFunction.x(field) ** n
+        if leaf == "t":
+            return "t", RationalFunction.constant(field, field.gen)
+        n = rng.randrange(12)
+        return str(n), RationalFunction.constant(field, n)
+    op = rng.choice("++-**//^n")
+    text, value = _random_expression(rng, field, depth - 1)
+    if op == "^":
+        n = rng.randrange(5)
+        return f"({text})^{n}", value ** n
+    if op == "n":
+        return f"-({text})", -value
+    text2, value2 = _random_expression(rng, field, depth - 1)
+    if op == "/" and value2.is_zero:
+        op = "*"
+    result = {"+": value + value2, "-": value - value2}.get(op) if op in "+-" else (
+        value * value2 if op == "*" else value / value2)
+    return f"({text}){op}({text2})", result
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_parse_matches_rational_function_arithmetic(k):
+    # polynomial intermediates stay exact series: the parsed value must be
+    # the reduced RationalFunction that quotient arithmetic builds
+    field = __import__("char3iso").FieldParams(k)
+    rng = random.Random(f"parse-oracle:{k}")
+    quotients = 0
+    for _ in range(150):
+        text, want = _random_expression(rng, field, rng.randint(2, 6))
+        got = parse_rational_function(text, field)
+        assert got == want and str(got) == str(want), text
+        quotients += degree(want.den) > 0
+    assert 20 < quotients < 130, quotients
+
+
+@pytest.mark.parametrize("text, error, offset", [
+    ("(2*x^3)^3", ParseError, 7),           # a one-term power, over the cap
+    ("(x^2+1)^4", ParseError, 7),           # a polynomial power, over the cap
+    ("x^6/(x+1)*(x+2)", ParseError, 9),      # a quotient times a polynomial
+    ("(x^3+1)*x^4/(x+1)", ParseError, 7),   # a polynomial product, before the '/'
+    ("x^5+1/x^2", ParseError, 3),           # a polynomial plus a quotient
+    ("1/(x^2-x*x)", ZeroDenominator, 1),
+    ("(x+t)/(t-t)", ZeroDenominator, 5),
+    ("(x+1)/(x-x)^2", ZeroDenominator, 5),
+])
+def test_degree_cap_and_zero_denominator_on_polynomial_values(f9, monkeypatch,
+                                                              text, error, offset):
+    monkeypatch.setattr(exprparse, "MAX_POWER_DEGREE", 6)
+    with pytest.raises(error) as err:
+        parse_rational_function(text, f9)
+    assert type(err.value) is error
+    if error is ZeroDenominator:
+        assert str(err.value) == f"zero denominator at offset {offset}"
+    else:
+        assert err.value.offset == offset
+        assert str(err.value).endswith("degree above 6")
+
+
 def test_polynomial_rejects_quotient(f3):
     with pytest.raises(ParseError):
         parse_polynomial("1/x", f3)

@@ -279,6 +279,52 @@ def test_pade_simple_pole(f3):
     assert rf.den.coefficient(0).is_zero
 
 
+def test_pade_simple_pole_checks_the_last_known_coefficient(f9):
+    # den = X u, so den * series reaches the series' last known coefficient
+    # only at X^(prec + 1): the check must compare below prec + val(den).
+    rf = parse_rational_function("(t*x^2+1)/(x^3+x^2+2*x)", f9)
+    s = rf.expand(20)
+    assert s.val == -1 and s.prec == 20
+    assert pade(s, 3, 3) == rf
+    for c in (1, f9.gen):
+        assert pade(s + LaurentSeries.monomial(f9, 19, c, prec=20), 3, 3) is None
+        assert pade(s + LaurentSeries.monomial(f9, 18, c, prec=20), 3, 3) is None
+
+
+def test_pade_series_divisible_by_x(f3, f9):
+    # head = X^v h with v >= 1: the denominator comes from dividing by a
+    # prefix whose low coefficients vanish
+    for field, text, v in ((f3, "x^2*(1+x)/(1+x+2*x^3)", 2),
+                           (f9, "(t*x^3+x^5)/(1+t*x^2)", 3),
+                           (f9, "x^4/(1+x)^3", 4)):
+        rf = parse_rational_function(text, field)
+        s = rf.expand(40)
+        assert s.val == v
+        assert pade(s, 6, 4) == rf
+        assert pade(s.shift(1), 7, 4) == rf * RationalFunction.x(field)
+        assert pade(s, v - 1, 4) is None  # too few numerator degrees for X^v
+
+
+def test_pade_euclid_ending_at_a_zero_remainder(monkeypatch, f3, f9):
+    # every remainder of X^order and X^v h is a multiple of X^v; when v is
+    # above the numerator bound, Euclid runs down to a zero remainder
+    remainders = []
+    real = ratrec.poly_divmod
+    monkeypatch.setattr(ratrec, "poly_divmod",
+                        lambda a, b: remainders.append(real(a, b)[1]) or real(a, b))
+    for series, dn, dd in ((parse_rational_function("x^5/(1-x)", f3).expand(20), 2, 8),
+                           (parse_rational_function("x^3", f9).num, 1, 3),
+                           (parse_rational_function("t*x^4/(1+x^2)", f9).expand(30), 3, 5)):
+        remainders.clear()
+        assert pade(series, dn, dd) is None
+        assert remainders and remainders[-1].is_zero
+        assert pade_normalising_first(series, dn, dd) is None
+    remainders.clear()
+    # a prefix that is zero below order: Euclid does not start
+    assert pade(LaurentSeries.monomial(f3, 20, prec=30), 2, 2) is None
+    assert remainders == []
+
+
 def test_pade_insufficient_precision(f3):
     s = parse_rational_function("1/(1-x)", f3).expand(7)
     with pytest.raises(InsufficientPrecision):
@@ -297,9 +343,10 @@ def test_pade_agrees_with_normalising_first(f3, f9):
     # Shifted, perturbed and pole-carrying expansions under random degree
     # bounds: certifying before the gcd must not change a single answer.
     rng = random.Random(7012)
+    fields = (f3, f9, FieldParams(3))
     found = 0
-    for _ in range(400):
-        field = f9 if rng.random() < 0.5 else f3
+    for _ in range(600):
+        field = rng.choice(fields)
         series = random_rational(rng, field, 4).expand(rng.randint(12, 30))
         series = series.shift(rng.choice((-1, 0, 1, 2, 3)))
         if rng.random() < 0.3:
