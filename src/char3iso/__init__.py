@@ -36,7 +36,7 @@ from .isocore import (
     construct_with_report,
     verify_functional_equation,
 )
-from .curve import MapCheckReport, check_map, identify_scalar
+from .curve import MapCheckReport, check_map
 from .exprparse import parse_rational_function
 
 __all__ = [
@@ -48,8 +48,7 @@ __all__ = [
     "FieldElement", "FieldParams", "LaurentSeries", "RationalFunction",
     "derive_map_pair", "pade", "CompatReport", "CurveParams", "FormalEndomorphism",
     "FunctionalEquationReport", "Seed", "construct", "construct_with_report",
-    "verify_functional_equation", "MapCheckReport", "check_map", "identify_scalar",
-    "parse_rational_function",
+    "verify_functional_equation", "MapCheckReport", "check_map", "parse_rational_function",
 ]
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from itertools import islice
 
-from .curve import check_map, identify_scalar
+from .curve import check_map
 from .errors import (
     FieldTooLarge,
     IncompatibleSeed,
@@ -344,19 +344,19 @@ def cmd_identify(args):
         raise ParseError(0, "max-scalar must be at least 1")
     fx = parse_rational_function(args.fx, job.field)
     fy = parse_rational_function(args.fy_factor, job.field)
-    report = check_map(job.curve, fx, fy)
-    scalar = identify_scalar(job.curve, report, args.max_scalar)
+    report = check_map(job.curve, fx, fy, args.max_scalar)
+    scalar = report.scalar
     out = print
     if job.fmt == "records":
         _emit_header(out, job, "identify")
         out(f"fx={fx}")
         out(f"fy_factor={fy}")
-        out(f"points={len(report.points)}")
+        out(f"points={report.point_count}")
         out(f"all_on_curve={str(report.all_on_curve).lower()}")
         out(f"homomorphism={str(report.homomorphism_ok).lower()}")
         out(f"scalar={scalar if scalar is not None else 'none'}")
     else:
-        out(f"map (x, y) -> ({fx}, y * ({fy})) on {len(report.points)} points")
+        out(f"map (x, y) -> ({fx}, y * ({fy})) on {report.point_count} points")
         out(f"all images on curve: {report.all_on_curve}")
         out(f"homomorphism on rational points: {report.homomorphism_ok} "
             f"({report.pairs_checked} pairs)")
@@ -439,12 +439,12 @@ def cmd_example(args):
             if pair is None:
                 continue
             fx, fy = pair
-            report = check_map(curve, fx, fy)
+            report = check_map(curve, fx, fy, 10)
             checks.append(report.all_on_curve)
             show([f"map_{i}_y_factor={fy}",
                   f"map_{i}_pointwise_on_curve={str(report.all_on_curve).lower()}"],
                  [f"  map #{i}: (x, y) -> ({fx}, y * ({fy})); images on curve for all "
-                  f"{len(report.points)} points: {report.all_on_curve}"])
+                  f"{report.point_count} points: {report.all_on_curve}"])
     if "etas" in ex:
         match = got == ex["etas"]
         checks.append(match)
@@ -455,7 +455,7 @@ def cmd_example(args):
         pair = next((p for e, p in zip(endos, maps) if str(e.gamma0) == gamma0), None)
         rational = scalar = None
         if pair is not None:
-            rational, scalar = pair[0], identify_scalar(curve, check_map(curve, *pair), 10)
+            rational, scalar = pair[0], check_map(curve, *pair, 10).scalar
         match = rational is not None and str(rational) == expected
         checks.append(match and scalar == ex["scalar"])
         show([f"expected_rational={expected}", f"rational_match={str(match).lower()}",

@@ -1,28 +1,30 @@
 """Elliptic-curve group law over small GF(3^k): point arithmetic,
-exhaustive enumeration, and pointwise identification of a rational map as
-multiplication by a scalar.
+exhaustive enumeration, and a pointwise check of a rational map that also
+identifies it as multiplication by a scalar.
 
 Serves as an oracle independent of the series pipeline: whatever the
 construction produces can be applied to every rational point and compared
 against the chord-tangent group law directly.
 
 The group law on Points of FieldElements (p_add, p_double, ...) is the
-reference. Enumeration, check_map and identify_scalar, whose work grows
-with q, run the same formulas on Zech's logarithms (Huber, IEEE Trans. IT
-36, 1990): an element is the int i with element = g^i, None for zero, and
-a point a pair of them, None for infinity. Points are made for the report.
+reference. Enumeration and check_map, whose work grows with q, run the
+same formulas on Zech's logarithms (Huber, IEEE Trans. IT 36, 1990): an
+element is the int i with element = g^i, None for zero, and a point a pair
+of them, None for infinity. check_map makes Points only for the points
+whose image is off the curve.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 
+from . import kronecker
 from .errors import FieldTooLarge, MixedFields, PointNotOnCurve
-from .gf3field import _from_packed, _reduce
+from .gf3field import _from_packed
 from .ratrec import coefficients
+from .series import LaurentSeries
 
 ENUMERATION_MAX_ORDER = 3 ** 10
 
@@ -112,28 +114,35 @@ def apply_map(curve, fx, fy_factor, point):
 
 @dataclass(frozen=True)
 class MapCheckReport:
-    """Pointwise diagnostics of a coordinate map over the rational points,
-    with the points in enumeration order and the image of each; generators
-    indexes points, empty unless the homomorphism test passed."""
+    """Pointwise diagnostics of a coordinate map over the rational points:
+    the points whose image is off the curve, the homomorphism test, and
+    for a homomorphism the generators (indices in enumerate_points order,
+    empty unless the test passed) and the scalar it was identified as."""
 
     all_on_curve: bool
     off_curve_points: tuple
     homomorphism_ok: bool
     pairs_checked: int
-    points: tuple
-    images: tuple
+    point_count: int
     generators: tuple = ()
+    scalar: int | None = None
 
 
-def check_map(curve, fx, fy_factor):
-    """Verify a coordinate map f over every rational point, exactly: each
-    image lies on the curve, and f commutes with addition. For each
-    generator g, taken greedily in enumeration order, the walk goes through
-    the cosets H, H + g, H + 2g, ... of the span H of the earlier ones back
-    into H, checking f(x + g) = f(x) + f(g) at each step; by induction that
-    covers every pair of E(F_q) ~ Z/n1 x Z/n2 (Washington, Thm 4.1) in fewer
-    than 2 #E pairs, #E if it is cyclic. On logs, the image of x + g is read
-    by its index, and no sum is checked again: every operand was checked."""
+def check_map(curve, fx, fy_factor, max_scalar):
+    """Verify a coordinate map f over every rational point, exactly, and
+    identify it as a multiplication map. Each image must lie on the curve,
+    and f must commute with addition: for each generator g, taken greedily
+    in enumeration order, the walk goes through the cosets H, H + g,
+    H + 2g, ... of the span H of the earlier ones back into H, checking
+    f(x + g) = f(x) + f(g) at each step; by induction that covers every
+    pair of E(F_q) ~ Z/n1 x Z/n2 (Washington, Thm 4.1) in fewer than 2 #E
+    pairs, #E if it is cyclic. On logs, the image of x + g is read by its
+    index, and no sum is checked again: every operand was checked.
+
+    A homomorphism is [m] iff it is [m] on the generators, so the scalar
+    is the smallest m in [1, max_scalar] with [m]g = f(g) on each of them,
+    or None. N = #E kills every point, so the search stops at N: at most
+    |generators| * min(max_scalar, N) additions."""
     field = curve.field
     if not fx.field == fy_factor.field == field:
         raise MixedFields("the map and the curve are over different fields")
@@ -143,10 +152,9 @@ def check_map(curve, fx, fy_factor):
         if not _on_curve(logs, cubic, p):
             raise PointNotOnCurve(f"{_points(field, logs, [p])[0]!r} fails the curve equation")
     images = _map_points(logs, fx, fy_factor, points)
-    report = _points(field, logs, points), _points(field, logs, images)
-    off = tuple(p for p, image in zip(report[0], images) if not _on_curve(logs, cubic, image))
+    off = [p for p, image in zip(points, images) if not _on_curve(logs, cubic, image)]
     if off:
-        return MapCheckReport(False, off, False, 0, *report)
+        return MapCheckReport(False, _points(field, logs, off), False, 0, len(points))
     index = {p: i for i, p in enumerate(points)}
     span, generators, pairs = {0: None}, [], 0  # a dict keeps the walk's order
     for g in range(1, len(points)):
@@ -158,31 +166,19 @@ def check_map(curve, fx, fy_factor):
                 pairs += 1
                 s = index[_add(logs, cubic, points[x], points[g])]
                 if images[s] != _add(logs, cubic, images[x], images[g]):
-                    return MapCheckReport(True, (), False, pairs, *report)
+                    return MapCheckReport(True, (), False, pairs, len(points))
                 if s in span:
                     break
                 span[s] = None
                 x = s
-    return MapCheckReport(True, (), True, pairs, *report, tuple(generators))
-
-
-def identify_scalar(curve, report, max_m):
-    """Smallest m in [1, max_m] with [m] equal to the map of a check_map
-    report on every rational point, or None; always None unless the report
-    passed the homomorphism test. A homomorphism is [m] iff it is [m] on the
-    generators, so only they go back to logs. N = #E kills every point, so
-    the search stops at N: at most |generators| * min(max_m, N) additions."""
-    if not report.homomorphism_ok:
-        return None
-    logs, cubic = _log_curve(curve)
-    gens, images = (_log_points(logs, [run[i] for i in report.generators])
-                    for run in (report.points, report.images))
-    multiples = gens
-    for m in range(1, min(max_m, len(report.points)) + 1):
-        if multiples == images:
-            return m
+    gens, targets = ([run[g] for g in generators] for run in (points, images))
+    multiples, scalar = gens, None
+    for m in range(1, min(max_scalar, len(points)) + 1):
+        if multiples == targets:
+            scalar = m
+            break
         multiples = [_add(logs, cubic, acc, g) for acc, g in zip(multiples, gens)]
-    return None
+    return MapCheckReport(True, (), True, pairs, len(points), tuple(generators), scalar)
 
 
 # ---- the group law on logs ---------------------------------------------------
@@ -204,12 +200,11 @@ class _Logs:
         n, k = field.order - 1, field.degree
         primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
         g = next(g for g in field.elements() if g and all(g ** (n // p) != 1 for p in primes))
-        # e * g is the sum of e's digits times the g * t^j, reduced once
-        g_shifts = [(g * _from_packed(field, 1 << 8 * j)).packed for j in range(k)]
-        self.exp, e = [], 1
-        for _ in range(n):
-            self.exp.append(e)
-            e = _reduce(sum(map(operator.mul, e.to_bytes(k, "little"), g_shifts)), k)
+        # the run 1, g, ..., g^(m-1) doubles to 2m terms as run + g^m X^m run
+        run, gm, m = LaurentSeries.constant(field, 1), g, 1
+        while m < n:
+            run, gm, m = run + (run * gm).shift(m), gm * gm, 2 * m
+        self.exp = list(kronecker._packed(run.truncate(n).cols))
         self.n, self.log = n, {packed: i for i, packed in enumerate(self.exp)}
         # 1 + a adds 1 to the t^0 digit of a, its low byte
         self.zech = [self.log.get(p - 2 if p & 255 == 2 else p + 1) for p in self.exp]
@@ -248,16 +243,11 @@ def _log_curve(curve):
     return logs, (0, None, logs.log[curve.A.packed], logs.log.get(curve.B.packed))
 
 
-def _log_points(logs, points):
-    get = logs.log.get
-    return [None if p.is_infinity else (get(p.x.packed), get(p.y.packed)) for p in points]
-
-
 def _points(field, logs, points):
-    elements = dict(enumerate(_from_packed(field, packed) for packed in logs.exp))
-    elements[None] = field.zero
-    return tuple(Point.infinity() if p is None else Point(elements[p[0]], elements[p[1]])
-                 for p in points)
+    def element(i):
+        return field.zero if i is None else _from_packed(field, logs.exp[i])
+
+    return tuple(Point.infinity() if p is None else Point(*map(element, p)) for p in points)
 
 
 def _horner(logs, coeffs, x):

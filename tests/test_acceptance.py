@@ -20,7 +20,6 @@ from char3iso import (
     construct,
     construct_with_report,
     derive_map_pair,
-    identify_scalar,
     pade,
     parse_rational_function,
     verify_functional_equation,
@@ -91,7 +90,7 @@ def test_criterion_3_gf9_degree_four_map():
     rat = pade(sol.eta, 6, 6)
     ok = ok and rat == parse_rational_function("(x^4+x^2+2*x+1)/(x^3+x+2)", F9)
     fx, fy = derive_map_pair(curve, rat)
-    ok = ok and identify_scalar(curve, check_map(curve, fx, fy), 10) == 2
+    ok = ok and check_map(curve, fx, fy, 10).scalar == 2
     gamma_part = split(sol.eta).gamma
     expected = parse_rational_function("(x^6+x^3+1)/(x^9+x^3+2)", F9).expand(128)
     ok = ok and gamma_part == expected

@@ -316,32 +316,42 @@ def test_identify_shift_has_no_scalar(capsys):
     assert "homomorphism on rational points: True" in out
 
 
-def test_identify_scalar_search_stops_at_the_group_order(capsys, monkeypatch):
-    # y^2 = x^3 - x over GF(3) has 4 points, so 4 kills each of them and no
-    # scalar above 4 can be the first to match: a search up to 10^8 ends
-    # after a few dozen additions; check_map adds through the same _add on
-    # logs, so only the additions of the search are counted
+def _identify_counting_additions(capsys, monkeypatch, *argv):
+    # runs identify with curve._add counted; the walk adds twice for each
+    # pair it compares, a sum of points and a sum of images, so every
+    # addition past 2 * pairs_checked is the scalar search's
     import char3iso.cli as cli
     import char3iso.curve as curve
 
-    add, identify_scalar = curve._add, cli.identify_scalar
-    calls = []
+    add, check_map = curve._add, cli.check_map
+    calls, reports = [], []
 
     def counted(*args):
         calls.append(args)
         assert len(calls) <= 1000, "the scalar search ran past the group order"
         return add(*args)
 
-    def search(*args):
-        monkeypatch.setattr(curve, "_add", counted)
-        return identify_scalar(*args)
+    def reported(*args):
+        reports.append(check_map(*args))
+        return reports[-1]
 
-    monkeypatch.setattr(cli, "identify_scalar", search)
-    code, out, _ = run(capsys, "identify", "--A", "2", "--B", "0",
-                       "--fx", "x+1", "--fy-factor", "1",
-                       "--max-scalar", "100000000")
+    monkeypatch.setattr(curve, "_add", counted)
+    monkeypatch.setattr(cli, "check_map", reported)
+    code, out, _ = run(capsys, "identify", *argv)
+    (report,) = reports
+    return code, out, report, len(calls) - 2 * report.pairs_checked
+
+
+def test_identify_scalar_search_stops_at_the_group_order(capsys, monkeypatch):
+    # y^2 = x^3 - x over GF(3) has 4 points, so 4 kills each of them and no
+    # scalar above 4 can be the first to match: a search up to 10^8 ends
+    # after a few dozen additions
+    code, out, report, search = _identify_counting_additions(
+        capsys, monkeypatch, "--A", "2", "--B", "0", "--fx", "x+1", "--fy-factor", "1",
+        "--max-scalar", "100000000")
     assert code == 0
-    assert calls, "identify_scalar no longer adds through curve._add"
+    assert report.homomorphism_ok and report.point_count == 4
+    assert 0 < search <= len(report.generators) * report.point_count
     assert out.endswith("scalar: none (no multiplication map matches pointwise)\n")
 
 
@@ -349,28 +359,12 @@ def test_identify_scalar_adds_on_the_generators_only(capsys, monkeypatch):
     # the Frobenius of GF(3^5) acts on the cyclic group of 244 points as
     # [217]: with --max-scalar 1000000 the search adds only the multiples
     # of the generators, at most |S| * #E times, not a multiple of each point
-    import char3iso.cli as cli
-    import char3iso.curve as curve
-
-    add, identify_scalar = curve._add, cli.identify_scalar
-    calls, reports = [], []
-
-    def counted(*args):
-        calls.append(args)
-        return add(*args)
-
-    def search(curve_params, report, max_m):
-        reports.append(report)
-        monkeypatch.setattr(curve, "_add", counted)
-        return identify_scalar(curve_params, report, max_m)
-
-    monkeypatch.setattr(cli, "identify_scalar", search)
-    code, out, _ = run(capsys, "identify", "--field", "3^5", *IDENTIFY_NEGATIVE["frobenius"],
-                       "--max-scalar", "1000000")
+    code, out, report, search = _identify_counting_additions(
+        capsys, monkeypatch, "--field", "3^5", *IDENTIFY_NEGATIVE["frobenius"],
+        "--max-scalar", "1000000")
     assert code == 0
-    (report,) = reports
-    assert report.homomorphism_ok and len(report.points) == 244
-    assert 0 < len(calls) <= len(report.generators) * len(report.points)
+    assert report.homomorphism_ok and report.point_count == 244
+    assert 0 < search <= len(report.generators) * report.point_count
     assert out.endswith("scalar: 217\n")
 
 
@@ -462,19 +456,20 @@ def test_identify_mul2_checks_each_point_once(capsys, monkeypatch):
         start = len(checked)
         report = check_map(*args)
         within.extend(checked[start:])
-        reports.append(report)
+        calls.append((args, report))
         return report
 
-    within, reports = [], []
+    within, calls = [], []
     monkeypatch.setattr(curve, "_on_curve", counted)
     monkeypatch.setattr(cli, "check_map", measured)
     code, _, _ = run(capsys, *IDENTIFY_MUL2, "--format", "records")
     assert code == 0
-    (report,) = reports
-    assert len(report.points) == 244
+    [((e, fx, fy, _), report)] = calls
+    assert report.point_count == 244
     assert len(within) <= 3 * 244
-    logs = curve._Logs(report.points[1].x.field)
-    assert set(within) >= set(curve._log_points(logs, report.points + report.images))
+    logs, cubic = curve._log_curve(e)
+    points = curve._enumerate(logs, cubic)
+    assert set(within) >= set(points + curve._map_points(logs, fx, fy, points))
 
 
 def test_identify_records_schema(capsys):

@@ -12,7 +12,6 @@ from char3iso import (
     PointNotOnCurve,
     check_map,
     derive_map_pair,
-    identify_scalar,
     parse_rational_function,
 )
 from char3iso.curve import (
@@ -109,14 +108,14 @@ def test_check_map_checks_each_enumerated_point(e_f9, f9, monkeypatch):
                         lambda logs, cubic: enumerate_logs(logs, cubic) + [(None, 0)])
     x = parse_rational_function("x", f9)
     with pytest.raises(PointNotOnCurve):
-        check_map(e_f9, x, parse_rational_function("1", f9))
+        check_map(e_f9, x, parse_rational_function("1", f9), 10)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_log_group_law_matches_the_reference_exhaustively(degree):
-    # check_map and identify_scalar add on logs; on every curve with A in
-    # {1, 2} over GF(3) and GF(9) that addition, and doubling as p + p,
-    # agree with p_add and p_double on every pair of points
+    # check_map adds on logs; on every curve with A in {1, 2} over GF(3)
+    # and GF(9) that addition, and doubling as p + p, agree with p_add and
+    # p_double on every pair of points
     import char3iso.curve as curve
 
     field = FieldParams(degree)
@@ -124,12 +123,12 @@ def test_log_group_law_matches_the_reference_exhaustively(degree):
         e = CurveParams(field, A=A, B=B, c=1)
         logs, cubic = curve._log_curve(e)
         points = enumerate_points(e)
-        on_logs = curve._log_points(logs, points)
+        on_logs = _log_points(logs, points)
         for p, lp in zip(points, on_logs):
-            (double,) = curve._log_points(logs, [p_double(e, p)])
+            (double,) = _log_points(logs, [p_double(e, p)])
             assert curve._add(logs, cubic, lp, lp) == double
             for q, lq in zip(points, on_logs):
-                (total,) = curve._log_points(logs, [p_add(e, p, q)])
+                (total,) = _log_points(logs, [p_add(e, p, q)])
                 assert curve._add(logs, cubic, lp, lq) == total
 
 
@@ -137,7 +136,7 @@ def test_log_group_law_matches_the_reference_exhaustively(degree):
 def test_check_map_rejects_a_map_over_another_field(f9, fx, fy):
     curve = CurveParams(FieldParams(3), A=1, B=2, c=1)
     with pytest.raises(MixedFields):
-        check_map(curve, parse_rational_function(fx, f9), parse_rational_function(fy, f9))
+        check_map(curve, parse_rational_function(fx, f9), parse_rational_function(fy, f9), 10)
 
 
 def test_identity_and_inverse(e_f3, e_f9):
@@ -247,7 +246,7 @@ def test_apply_inverse_x_map(e_f3, f3):
 def test_degree_four_map_lands_on_curve(e_f9, f9):
     eta = parse_rational_function("(x^4+x^2+2*x+1)/(x^3+x+2)", f9)
     fx, fy = derive_map_pair(e_f9, eta)
-    report = check_map(e_f9, fx, fy)
+    report = check_map(e_f9, fx, fy, 10)
     assert report.all_on_curve
     assert report.homomorphism_ok
     # the points form Z/4 x Z/4: the walk compares |<g1>| = 4 pairs for
@@ -259,7 +258,7 @@ def test_degree_four_map_lands_on_curve(e_f9, f9):
 def test_identify_identity(e_f9, f9):
     fx = parse_rational_function("x", f9)
     fy = parse_rational_function("1", f9)
-    assert identify_scalar(e_f9, check_map(e_f9, fx, fy), 10) == 1
+    assert check_map(e_f9, fx, fy, 10).scalar == 1
 
 
 def test_identify_degree_four_map_both_signs(e_f9, f9):
@@ -267,17 +266,17 @@ def test_identify_degree_four_map_both_signs(e_f9, f9):
     # its negative act identically on them: both identify as 2
     eta = parse_rational_function("(x^4+x^2+2*x+1)/(x^3+x+2)", f9)
     fx, fy = derive_map_pair(e_f9, eta)
-    assert identify_scalar(e_f9, check_map(e_f9, fx, fy), 10) == 2
-    assert identify_scalar(e_f9, check_map(e_f9, fx, -fy), 10) == 2
+    assert check_map(e_f9, fx, fy, 10).scalar == 2
+    assert check_map(e_f9, fx, -fy, 10).scalar == 2
 
 
 def test_x_shift_has_no_scalar(e_f3, f3):
     fx = parse_rational_function("x+1", f3)
     fy = parse_rational_function("1", f3)
-    report = check_map(e_f3, fx, fy)
+    report = check_map(e_f3, fx, fy, 10)
     assert report.all_on_curve
     assert report.homomorphism_ok  # permutes the rational 2-torsion
-    assert identify_scalar(e_f3, report, 10) is None
+    assert report.scalar is None
 
 
 def test_zero_map_identifies_as_the_group_order(f3):
@@ -287,19 +286,69 @@ def test_zero_map_identifies_as_the_group_order(f3):
     curve = CurveParams(f3, A=1, B=0, c=1)
     fx = parse_rational_function("1/(x^2+x)", f3)
     fy = parse_rational_function("1", f3)
-    report = check_map(curve, fx, fy)
-    assert len(report.points) == 4
+    report = check_map(curve, fx, fy, 10)
+    assert report.point_count == 4
     assert report.all_on_curve and report.homomorphism_ok
-    assert identify_scalar(curve, report, 10) == 4
-    assert identify_scalar(curve, report, 3) is None
+    assert report.scalar == 4
+    assert check_map(curve, fx, fy, 3).scalar is None
 
 
-def test_check_map_report_carries_points_and_images(e_f9, f9):
+def _reference_scalar(e, fx, fy):
+    # the smallest m >= 1 with [m]P = f(P) on every point, by p_add
+    points = enumerate_points(e)
+    images = [apply_map(e, fx, fy, p) for p in points]
+    multiples = points
+    for m in range(1, len(points) + 1):
+        if multiples == images:
+            return m
+        multiples = [p_add(e, acc, p) for acc, p in zip(multiples, points)]
+    return None
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_check_map_scalar_agrees_with_the_reference_group_law(degree):
+    # on every curve with A != 0 over GF(3) and GF(9): the identity, negation,
+    # and [2] and [-2], whose x-part is x + A^2/(x^3 + Ax + B) and whose
+    # y-factors are fx'/2 = 2 fx' and fx'/(-2) = fx'
+    field = FieldParams(degree)
+    elements = list(field.elements())
+    x, one = (parse_rational_function(text, field) for text in ("x", "1"))
+    scalars = set()
+    for A, B in itertools.product(elements[1:], elements):
+        e = CurveParams(field, A=A, B=B, c=1)
+        n = len(enumerate_points(e))
+        double = x + A * A / (x * x * x + A * x + B)
+        maps = [(x, one), (x, -one), (double, 2 * double.derivative()),
+                (double, double.derivative())]
+        for fx, fy in maps:
+            expected = _reference_scalar(e, fx, fy)
+            assert expected is not None
+            assert check_map(e, fx, fy, n).scalar == expected
+            scalars.add(expected)
+    assert {1, 2} <= scalars and len(scalars) > 4
+
+
+def _log_points(logs, points):
+    # Points of FieldElements as logs, read through the log dict itself
+    get = logs.log.get
+    return [None if p.is_infinity else (get(p.x.packed), get(p.y.packed)) for p in points]
+
+
+def _log_images(e, fx, fy):
+    # the images check_map compares, evaluated on logs, as Points
+    import char3iso.curve as curve
+
+    logs, cubic = curve._log_curve(e)
+    images = curve._map_points(logs, fx, fy, curve._enumerate(logs, cubic))
+    return curve._points(e.field, logs, images)
+
+
+def test_check_map_images_match_apply_map(e_f9, f9):
     eta = parse_rational_function("(x^4+x^2+2*x+1)/(x^3+x+2)", f9)
     fx, fy = derive_map_pair(e_f9, eta)
-    report = check_map(e_f9, fx, fy)
-    assert report.points == tuple(enumerate_points(e_f9))
-    assert report.images == tuple(apply_map(e_f9, fx, fy, p) for p in report.points)
+    points = enumerate_points(e_f9)
+    assert _log_images(e_f9, fx, fy) == tuple(apply_map(e_f9, fx, fy, p) for p in points)
+    assert check_map(e_f9, fx, fy, 10).point_count == len(points)
 
 
 @pytest.mark.parametrize("degree", [3, 4])
@@ -316,9 +365,15 @@ def test_check_map_images_match_apply_map_on_random_maps(degree):
         kernel_x = rng.choice(enumerate_points(e)[1:]).x
         fx = random_rational(rng, field, 4) / (x - kernel_x)
         fy = random_rational(rng, field, 4) / random_rational(rng, field, 3)
-        report = check_map(e, fx, fy)
-        assert report.images == tuple(apply_map(e, fx, fy, p) for p in report.points)
-        poles += sum(image.is_infinity for image in report.images[1:])
+        points = enumerate_points(e)
+        images = _log_images(e, fx, fy)
+        assert images == tuple(apply_map(e, fx, fy, p) for p in points)
+        poles += sum(image.is_infinity for image in images[1:])
+        # only the points whose image is off the curve are reported
+        off = tuple(p for p, image in zip(points, images) if not on_curve(e, image))
+        report = check_map(e, fx, fy, 10)
+        assert report.point_count == len(points)
+        assert report.off_curve_points == off and report.all_on_curve == (not off)
     assert poles
 
 
@@ -336,13 +391,13 @@ def test_translation_by_two_torsion_is_no_homomorphism(f3, A):
     for t in torsion:
         fx = (x * x * x + curve.A * x + curve.B) / ((x - t.x) * (x - t.x)) - x - t.x
         fy = (t.x - fx) / (x - t.x)
-        report = check_map(curve, fx, fy)
-        for p, image in zip(report.points, report.images):
+        for p in enumerate_points(curve):
             if not p.is_infinity and p != t:
-                assert image == p_add(curve, p, t)
+                assert apply_map(curve, fx, fy, p) == p_add(curve, p, t)
+        report = check_map(curve, fx, fy, 10)
         assert report.all_on_curve
         assert not report.homomorphism_ok
-        assert identify_scalar(curve, report, 10) is None
+        assert report.scalar is None
 
 
 def _log_addition_table(e, points):
@@ -352,8 +407,7 @@ def _log_addition_table(e, points):
     import char3iso.curve as curve
 
     logs, cubic = curve._log_curve(e)
-    return addition_table(functools.partial(curve._add, logs, cubic),
-                          curve._log_points(logs, points))
+    return addition_table(functools.partial(curve._add, logs, cubic), _log_points(logs, points))
 
 
 @pytest.mark.parametrize("B, pairs", [(1, 4 + 244), (2, 244)])
@@ -363,9 +417,10 @@ def test_check_map_walks_the_spans_of_greedy_generators(B, pairs):
     # completes has points; y^2 = x^3 + x + 2 is cyclic, so 244 in all
     field = FieldParams(5)
     e = CurveParams(field, A=1, B=B, c=1)
-    report = check_map(e, parse_rational_function("x", field), parse_rational_function("1", field))
-    table = _log_addition_table(e, report.points)
-    assert report.homomorphism_ok and len(report.points) == 244
+    x, one = (parse_rational_function(text, field) for text in ("x", "1"))
+    report = check_map(e, x, one, 10)
+    table = _log_addition_table(e, enumerate_points(e))
+    assert report.homomorphism_ok and report.point_count == 244
     spans = [span(table, report.generators[:k]) for k in range(len(report.generators) + 1)]
     for g, before in zip(report.generators, spans):
         assert g == min(set(range(244)) - before)
@@ -393,9 +448,10 @@ def test_check_map_agrees_with_all_pairs(degree):
                 fx = (x * x * x + A * x + B) / ((x - t.x) * (x - t.x)) - x - t.x
                 maps.append((fx, (t.x - fx) / (x - t.x)))
         for fx, fy in maps:
-            report = check_map(e, fx, fy)
+            report = check_map(e, fx, fy, 10)
             assert report.all_on_curve
-            expected = homomorphism_on_all_pairs(table, [index[p] for p in report.images])
+            images = [index[apply_map(e, fx, fy, p)] for p in points]
+            expected = homomorphism_on_all_pairs(table, images)
             assert report.homomorphism_ok == expected
             if expected:
                 assert span(table, report.generators) == set(range(len(points)))
@@ -433,9 +489,9 @@ def test_check_map_agrees_with_all_pairs_where_only_a_closing_step_fails(degree,
                     y, image = table[y][g], table[image][target]
                     f[y] = image
         images = [f[i] for i in range(n)]
-        logs = curve._log_points(curve._Logs(field), points)
+        logs = _log_points(curve._Logs(field), points)
         monkeypatch.setattr(curve, "_map_points", lambda *args: [logs[i] for i in images])
-        report = check_map(e, x, one)
+        report = check_map(e, x, one, 10)
         assert report.homomorphism_ok == homomorphism_on_all_pairs(table, images)
         verdicts.append(report.homomorphism_ok)
     assert True in verdicts and False in verdicts
@@ -445,29 +501,23 @@ def test_check_map_agrees_with_all_pairs_where_only_a_closing_step_fails(degree,
 def test_doctored_image_off_the_generators_is_no_homomorphism(degree, monkeypatch):
     # images equal to [m]p for the doubling map's m on the generators, and
     # on every other point but one, which maps to another point of the
-    # curve: the walk finds the pair, and the scalar search, which reads
-    # only the generators, gives no m
+    # curve: the walk finds the pair, so no scalar is searched for
     import char3iso.curve as curve
 
     field = FieldParams(degree)
     e = CurveParams(field, A=1, B=2, c=1)
     fx, fy = derive_map_pair(e, parse_rational_function("(x^4+x^2+2*x+1)/(x^3+x+2)", field))
-    report = check_map(e, fx, fy)
-    assert report.homomorphism_ok and identify_scalar(e, report, len(report.points))
-    doctored = max(set(range(1, len(report.points))) - set(report.generators))
-    map_points = curve._map_points
-
-    def doctor(logs, *args):
-        images = map_points(logs, *args)
-        images[doctored] = next(p for p in images if p != images[doctored])
-        return images
-
-    monkeypatch.setattr(curve, "_map_points", doctor)
-    bad = check_map(e, fx, fy)
-    assert bad.points == report.points
-    assert [i for i, (a, b) in enumerate(zip(bad.images, report.images)) if a != b] == [doctored]
+    points = enumerate_points(e)
+    report = check_map(e, fx, fy, len(points))
+    assert report.homomorphism_ok and report.scalar
+    doctored = max(set(range(1, len(points))) - set(report.generators))
+    images = _log_points(curve._Logs(field), [apply_map(e, fx, fy, p) for p in points])
+    images[doctored] = next(p for p in images if p != images[doctored])
+    monkeypatch.setattr(curve, "_map_points", lambda *args: images)
+    bad = check_map(e, fx, fy, len(points))
+    assert bad.point_count == len(points)
     assert bad.all_on_curve and not bad.homomorphism_ok and bad.generators == ()
-    assert identify_scalar(e, bad, len(bad.points)) is None
+    assert bad.scalar is None
 
 
 def test_check_map_unpacks_each_polynomial_once(monkeypatch):
@@ -485,8 +535,8 @@ def test_check_map_unpacks_each_polynomial_once(monkeypatch):
     elements = kronecker._elements
     monkeypatch.setattr(kronecker, "_elements",
                         lambda f, cols: unpacked.append(cols) or elements(f, cols))
-    report = check_map(curve, fx, fy)
-    assert report.all_on_curve and len(report.points) == 244
+    report = check_map(curve, fx, fy, 10)
+    assert report.all_on_curve and report.point_count == 244
     polys = [fx.num.cols, fx.den.cols, fy.num.cols, fy.den.cols]
     assert len(unpacked) <= 4 and all(unpacked.count(cols) == 1 for cols in polys)
 
