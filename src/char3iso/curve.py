@@ -10,8 +10,10 @@ The group law on Points of FieldElements (p_add, p_double, ...) is the
 reference. Enumeration and check_map, whose work grows with q, run the
 same formulas on Zech's logarithms (Huber, IEEE Trans. IT 36, 1990): an
 element is the int i with element = g^i, None for zero, and a point a pair
-of them, None for infinity. check_map makes Points only for the points
-whose image is off the curve.
+of them, None for infinity. The field operations are int arithmetic on
+the tables of _Logs, written out in _horner and _add with no call per
+operation. check_map makes Points only for the points whose image is off
+the curve.
 """
 
 from __future__ import annotations
@@ -185,15 +187,17 @@ def check_map(curve, fx, fy_factor, max_scalar):
 
 @functools.lru_cache(maxsize=1)  # the tables of one field at a time
 class _Logs:
-    """Zech's logarithm tables of a field on packed ints. With g the first
-    primitive element in field.elements() order and n = q - 1, exp[i] =
-    g^i, log maps each nonzero element back, and zech[d] = log(1 + g^d),
-    None where 1 + g^d = 0. For a = g^i and b = g^j, exponents mod n:
+    """Zech's logarithm tables of a field on packed ints; the arithmetic is
+    written out where it runs. With g the first primitive element in
+    field.elements() order and n = q - 1, exp[i] = g^i, log maps each
+    nonzero element back, and zech[d] = log(1 + g^d), None where
+    1 + g^d = 0. Zero is None. For a = g^i and b = g^j, exponents mod n:
 
         a * b = g^(i + j)      a + b = g^(i + zech[j - i])      -a = g^(i + n/2)
 
-    A negative index wraps around zech. xs lists each element's log in
-    field.elements() order.
+    Every log is reduced into [0, n) before it indexes zech, so j - i lies
+    in (-n, n) and a negative index wraps around zech to j - i + n. xs
+    lists each element's log in field.elements() order.
     """
 
     def __init__(self, field):
@@ -214,26 +218,6 @@ class _Logs:
         # lowest nonzero digit is 1, the low bit of that digit's byte
         self.low_bits = int.from_bytes(b"\1" * k, "little")
 
-    def add(self, a, b):
-        if a is None or b is None:
-            return b if a is None else a
-        z = self.zech[b - a]
-        return None if z is None else (a + z) % self.n
-
-    def neg(self, a):
-        return None if a is None else (a + self.n // 2) % self.n
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        return None if a is None or b is None else (a + b) % self.n
-
-    def div(self, a, b):
-        if b is None:
-            raise ZeroDivisionError("division by zero")
-        return None if a is None else (a - b) % self.n
-
 
 def _log_curve(curve):
     """The field's tables and the logs of x^3 + A x + B, highest degree first."""
@@ -251,46 +235,94 @@ def _points(field, logs, points):
 
 
 def _horner(logs, coeffs, x):
-    """The polynomial with these coefficients, highest degree first, at x."""
-    acc = None
+    """The polynomial with these coefficients, highest degree first, at x:
+    acc * x + c in turn, and the constant term at once when x is zero."""
+    if x is None:
+        return coeffs[-1] if coeffs else None
+    n, zech, acc = logs.n, logs.zech, None
     for c in coeffs:
-        acc = logs.add(logs.mul(acc, x), c)
+        if acc is None:
+            acc = c
+        else:
+            acc = (acc + x) % n
+            if c is not None:
+                z = zech[c - acc]
+                acc = None if z is None else (acc + z) % n
     return acc
 
 
 def _on_curve(logs, cubic, p):
-    return p is None or logs.mul(p[1], p[1]) == _horner(logs, cubic, p[0])
+    return p is None or (None if p[1] is None else 2 * p[1] % logs.n) == _horner(logs, cubic, p[0])
 
 
 def _enumerate(logs, cubic):
     """The rational points in enumerate_points order: x^3 + A x + B = g^l
     is a square iff l is even, with the roots g^(l/2) and its negative."""
-    points = [None]
+    n, exp, low_bits, points = logs.n, logs.exp, logs.low_bits, [None]
+    h = n >> 1  # -1 = g^h, and l/2 < h
     for x in logs.xs:
         rhs = _horner(logs, cubic, x)
         if rhs is None:
             points.append((x, None))
         elif not rhs & 1:
-            root = logs.exp[rhs // 2]
-            y = rhs // 2 if root & -root & logs.low_bits else logs.neg(rhs // 2)
-            points += [(x, y), (x, logs.neg(y))]
+            y = rhs >> 1
+            if not exp[y] & -exp[y] & low_bits:
+                y += h
+            points += [(x, y), (x, (y + h) % n)]
     return points
 
 
 def _add(logs, cubic, p, q):
     """p_add and p_double in one: the slope is the chord's, or -A/y for
-    the tangent, and x3 = lambda^2 - x1 - x2 either way."""
+    the tangent, and x3 = lambda^2 - x1 - x2 either way. Each sum of two
+    nonzero elements is i + zech[j - i] and each negation i + n/2, on
+    logs reduced into [0, n), with no call per operation."""
     if p is None or q is None:
         return q if p is None else p
     (x1, y1), (x2, y2) = p, q
-    if x1 != x2:
-        lam = logs.div(logs.sub(y2, y1), logs.sub(x2, x1))
-    elif y1 == logs.neg(y2):  # q = -p, or p = q of order 2
+    n, zech = logs.n, logs.zech
+    h = n >> 1
+    ny1 = None if y1 is None else (y1 + h) % n
+    if x1 != x2:  # lam = (y2 - y1) / (x2 - x1), and x2 - x1 is not zero
+        if x1 is None or x2 is None:
+            dx = x2 if x1 is None else (x1 + h) % n
+        else:
+            dx = x2 + zech[(x1 + h) % n - x2]
+        if y1 is None or y2 is None:
+            dy = y2 if y1 is None else ny1
+        else:
+            z = zech[ny1 - y2]
+            dy = None if z is None else y2 + z
+        lam = None if dy is None else (dy - dx) % n
+    elif y2 == ny1:  # q = -p, or p = q of order 2
         return None
     else:
-        lam = logs.div(logs.neg(cubic[2]), y1)
-    x3 = logs.sub(logs.mul(lam, lam), logs.add(x1, x2))
-    return x3, logs.sub(logs.mul(lam, logs.sub(x1, x3)), y1)
+        lam = (cubic[2] + h - y1) % n
+    # s = -(x1 + x2), so x3 = lam^2 + s
+    if x1 is None or x2 is None:
+        s = None if x1 is x2 else ((x2 if x1 is None else x1) + h) % n
+    else:
+        z = zech[x2 - x1]
+        s = None if z is None else (x1 + z + h) % n
+    if lam is None:  # a horizontal chord: y3 = -y1
+        return s, ny1
+    x3 = 2 * lam % n
+    if s is not None:
+        z = zech[s - x3]
+        x3 = None if z is None else (x3 + z) % n
+    # y3 = lam (x1 - x3) - y1
+    if x3 is None or x1 is None:
+        d = x1 if x3 is None else (x3 + h) % n
+    else:
+        z = zech[(x3 + h) % n - x1]
+        d = None if z is None else x1 + z
+    if d is None:
+        return x3, ny1
+    t = (lam + d) % n
+    if ny1 is None:
+        return x3, t
+    z = zech[ny1 - t]
+    return x3, None if z is None else (t + z) % n
 
 
 def _map_points(logs, fx, fy_factor, points):
@@ -298,11 +330,12 @@ def _map_points(logs, fx, fy_factor, points):
     each polynomial goes to logs once and is evaluated once per x."""
     polys = [[logs.log.get(c.packed) for c in reversed(coefficients(p))]
              for p in (fx.num, fx.den, fy_factor.num, fy_factor.den)]
-    values, images = {}, [None]
+    n, values, images = logs.n, {}, [None]
     for x, y in points[1:]:
         if x not in values:
             values[x] = [_horner(logs, p, x) for p in polys]
         x_num, x_den, y_num, y_den = values[x]
-        images.append(None if x_den is None or y_den is None else
-                      (logs.div(x_num, x_den), logs.mul(y, logs.div(y_num, y_den))))
+        images.append(None if x_den is None or y_den is None else (
+            None if x_num is None else (x_num - x_den) % n,
+            None if y is None or y_num is None else (y + y_num - y_den) % n))
     return images

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from char3iso import FieldParams, MixedFields
-from char3iso.curve import _Logs
+from char3iso.curve import _horner, _Logs
 from char3iso.gf3field import DEFAULT_MODULI, FieldElement, solve_additive_cubic
 
 from helpers import BOUNDARY_MODULI, is_irreducible_trial, oracle_add, oracle_mul, sqrt
@@ -250,18 +250,22 @@ def test_element_text_is_formatted_once_per_value(field):
     assert not FieldParams(field.degree, field.modulus)._names
 
 
-# The enumeration and the group law of char3iso.curve run on logs; these
-# check the layer's tables and operations against packed arithmetic.
+# The enumeration and the group law of char3iso.curve run on logs, with the
+# arithmetic written out in _horner and _add; these check the layer's tables,
+# and the products and sums of _horner, against packed arithmetic.
 
 def check_logs_against_packed(logs, a, b):
-    """Every operation of the log layer on the logs of a and b against
-    FieldElement arithmetic; zero is None in the layer."""
+    """Products, sums, differences and negation of the logs of a and b, as
+    _horner evaluations of polynomials with those logs as coefficients,
+    against FieldElement arithmetic; zero is None in the layer, 1 is g^0
+    and -1 is g^(n/2)."""
     n = a.field.order - 1
     la, lb = logs.log.get(a.packed), logs.log.get(b.packed)
-    cases = [(logs.mul(la, lb), a * b), (logs.add(la, lb), a + b),
-             (logs.sub(la, lb), a - b), (logs.neg(la), -a)]
+    cases = [(_horner(logs, (la, None), lb), a * b), (_horner(logs, (0, lb), la), a + b),
+             (_horner(logs, (n // 2, la), lb), a - b), (_horner(logs, (n // 2, None), la), -a),
+             (_horner(logs, (la, lb, la), lb), (a * b + b) * b + a)]
     if b:
-        cases.append((logs.div(la, lb), a / b))
+        cases.append((None if la is None else (la - lb) % n, a / b))
         cases += [(lb * e % n, b ** e) for e in (0, 1, 2, 3, n - 1, n, n + 1, 3 * n + 5, -1, -2)]
     for got, want in cases:
         assert got == logs.log.get(want.packed), (a, b)
@@ -307,20 +311,19 @@ def test_antilog_list_is_a_permutation_of_the_units(degree):
 
 
 def test_log_tables_zero_operands():
+    # zero is None: a zero x gives the constant term at once, a zero
+    # coefficient adds nothing, and a sum that cancels is zero
     field = FieldParams(3)
     logs = _Logs(field)
-    a = logs.log[(field.gen + 1).packed]
-    assert logs.mul(a, None) is None and logs.mul(None, a) is None
-    assert logs.mul(None, None) is None and logs.neg(None) is None
-    assert logs.add(a, None) == a and logs.add(None, a) == a
-    assert logs.sub(a, None) == a and logs.sub(None, a) == logs.neg(a)
-    assert logs.add(None, None) is None and logs.sub(None, None) is None
-    assert logs.sub(a, a) is None and logs.add(a, logs.neg(a)) is None
-    assert logs.div(None, a) is None
-    with pytest.raises(ZeroDivisionError):
-        logs.div(a, None)
-    with pytest.raises(ZeroDivisionError):
-        logs.div(None, None)
+    e = field.gen + 1
+    a = logs.log[e.packed]
+    neg_a = (a + logs.n // 2) % logs.n
+    assert _horner(logs, (a, None), None) is None and _horner(logs, (a, a), None) == a
+    assert _horner(logs, (None, a), a) == a and _horner(logs, (0, None), a) == a
+    assert _horner(logs, (None, None), a) is None and _horner(logs, (None, None), None) is None
+    assert _horner(logs, (), a) is None and _horner(logs, (), None) is None
+    assert _horner(logs, (0, neg_a), a) is None and _horner(logs, (neg_a, a), 0) is None
+    assert _horner(logs, (0, None, neg_a), a) == logs.log[(e * e - e).packed]
 
 
 # ---- additive cubic solver -------------------------------------------------
