@@ -3,7 +3,9 @@ separable formal endomorphisms of elliptic curves y^2 = x^3 + A x + B
 over finite fields of characteristic three.
 
 The package exports the pipeline, the types its calls return and the
-exception classes; everything else is imported from its submodule."""
+exception classes; everything else is imported from its submodule.
+check_map and MapCheckReport are exported lazily (PEP 562): only their
+first access imports curve, which construct and verify never load."""
 
 from .errors import (
     BadInitial,
@@ -36,7 +38,6 @@ from .isocore import (
     construct_with_report,
     verify_functional_equation,
 )
-from .curve import MapCheckReport, check_map
 from .exprparse import parse_rational_function
 
 __all__ = [
@@ -52,3 +53,10 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in ("MapCheckReport", "check_map"):
+        from . import curve
+        return getattr(curve, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

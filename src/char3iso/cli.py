@@ -19,10 +19,8 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from itertools import islice
 
-from .curve import check_map
 from .errors import (
     FieldTooLarge,
     IncompatibleSeed,
@@ -38,20 +36,23 @@ from .isocore import (CurveParams, Seed, construct, construct_with_report,
                       verify_functional_equation)
 from .ratrec import (RationalFunction, coefficients, degree, derive_map_pair, pade,
                      poly_text)
+from .record import Record
 from .series import LaurentSeries
 
 PREC_MIN, PREC_MAX = 16, 8192
 TEXT_TERMS_SHOWN = 10
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(Record):
     """A fully parsed command invocation."""
 
-    field: FieldParams
-    curve: CurveParams
-    prec: int
-    fmt: str
+    __slots__ = ("field", "curve", "prec", "fmt")
+
+
+def check_map(*args):
+    """curve.check_map, imported on the first call: construct and verify never load curve."""
+    from .curve import check_map
+    return check_map(*args)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,7 +136,10 @@ def _parse_field(args):
     text = args.field.strip()
     if not text.startswith("3^"):
         raise ParseError(0, "field must be written as 3^k")
-    k = int(text[2:]) if _is_uint(text[2:]) else 0
+    try:
+        k = int(text[2:]) if _is_uint(text[2:]) else 0
+    except ValueError:  # int() refuses over 4,300 digits
+        raise ParseError(2, "field degree is too large") from None
     if k < 1:
         raise ParseError(2, "field degree must be a positive integer")
     if args.modulus is None and k not in DEFAULT_MODULI:

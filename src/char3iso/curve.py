@@ -20,23 +20,22 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import kronecker
 from .errors import FieldTooLarge, MixedFields, PointNotOnCurve
 from .gf3field import _from_packed
 from .ratrec import coefficients
+from .record import Record
 from .series import LaurentSeries
 
 ENUMERATION_MAX_ORDER = 3 ** 10
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """A point of the curve: affine (x, y) or the point at infinity."""
 
-    x: object = None
-    y: object = None
+    __slots__ = ("x", "y")
+    _defaults = {"x": None, "y": None}
 
     @classmethod
     def infinity(cls):
@@ -114,20 +113,15 @@ def apply_map(curve, fx, fy_factor, point):
     return Point(image_x, point.y * factor)
 
 
-@dataclass(frozen=True)
-class MapCheckReport:
+class MapCheckReport(Record):
     """Pointwise diagnostics of a coordinate map over the rational points:
     the points whose image is off the curve, the homomorphism test, and
     for a homomorphism the generators (indices in enumerate_points order,
     empty unless the test passed) and the scalar it was identified as."""
 
-    all_on_curve: bool
-    off_curve_points: tuple
-    homomorphism_ok: bool
-    pairs_checked: int
-    point_count: int
-    generators: tuple = ()
-    scalar: int | None = None
+    __slots__ = ("all_on_curve", "off_curve_points", "homomorphism_ok", "pairs_checked",
+                 "point_count", "generators", "scalar")
+    _defaults = {"generators": (), "scalar": None}
 
 
 def check_map(curve, fx, fy_factor, max_scalar):

@@ -26,8 +26,6 @@ admissible constant term: the first, verified, and its kernel translates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     BadInitial,
     IncompatibleSeed,
@@ -37,8 +35,9 @@ from .errors import (
     SeedError,
     VerificationFailed,
 )
-from .gf3field import FieldElement, FieldParams, solve_additive_cubic
+from .gf3field import solve_additive_cubic
 from .ratrec import RationalFunction
+from .record import Record
 from .series import INF, LaurentSeries, in_residue_class
 
 # Extra working coefficients: psi assembly and the squared difference
@@ -48,18 +47,14 @@ from .series import INF, LaurentSeries, in_residue_class
 GUARD_PRECISION = 8
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class CurveParams(Record):
     """y^2 = x^3 + A x + B with the scale constant c of the y-coordinate map.
 
     A = 0 is rejected (the curve is singular in characteristic three, where
     x^3 + B is a cube), as is c = 0 (the maps built here are separable).
     """
 
-    field: FieldParams
-    A: FieldElement
-    B: FieldElement
-    c: FieldElement
+    __slots__ = ("field", "A", "B", "c")  # A, B and c FieldElements or ints
 
     def __post_init__(self):
         for name in ("A", "B", "c"):
@@ -83,8 +78,7 @@ class CurveParams:
         return f"CurveParams(GF(3^{self.field.degree}), A={self.A}, B={self.B}, c={self.c})"
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(Record):
     """Starting datum for the pipeline: either the alpha or the beta part.
 
     The series data is kept as an exact rational function so it can be
@@ -92,8 +86,7 @@ class Seed:
     series, is the rational function with denominator one.
     """
 
-    kind: str  # "alpha" or "beta"
-    source: RationalFunction
+    __slots__ = ("kind", "source")  # "alpha" or "beta", a RationalFunction
 
     def __post_init__(self):
         if self.kind not in ("alpha", "beta"):
@@ -137,8 +130,7 @@ def _as_rational(source):
     raise SeedError("seed source must be a RationalFunction or an exact power series")
 
 
-@dataclass(frozen=True)
-class CompatReport:
+class CompatReport(Record):
     """Diagnostics gathered while checking whether a seed admits solutions.
 
     principal_part_ok requires psi to have no coefficients at negative
@@ -148,25 +140,17 @@ class CompatReport:
     in alpha.
     """
 
-    psi0: FieldElement
-    principal_part_ok: bool
-    gamma0_roots: tuple
-    beta_minus1: FieldElement
-    alpha1: FieldElement
+    __slots__ = ("psi0", "principal_part_ok", "gamma0_roots", "beta_minus1", "alpha1")
 
 
-@dataclass(frozen=True)
-class FormalEndomorphism:
+class FormalEndomorphism(Record):
     """A constructed solution: the x-part eta with its derivation data.
 
     Satisfies c^2 (X^3+AX+B) (eta')^2 = eta^3 + A eta + B to the carried
     precision; the y-part of the full map is c * y * eta'(x).
     """
 
-    curve: CurveParams
-    eta: LaurentSeries
-    gamma0: FieldElement
-    prec: int
+    __slots__ = ("curve", "eta", "gamma0", "prec")
 
     def __repr__(self):
         return f"<endomorphism gamma0={self.gamma0} eta={self.eta}>"
@@ -283,12 +267,9 @@ def solve_gamma(A, psi, gamma0, prec):
     return gamma
 
 
-@dataclass(frozen=True)
-class FunctionalEquationReport:
-    ok: bool
-    checked_prec: object  # int or INF
-    first_bad_exponent: int | None
-    first_bad_coefficient: FieldElement | None
+class FunctionalEquationReport(Record):
+    # checked_prec is an int or INF; the first bad term is None when ok
+    __slots__ = ("ok", "checked_prec", "first_bad_exponent", "first_bad_coefficient")
 
 
 def verify_functional_equation(curve, eta, prec=None):

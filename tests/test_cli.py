@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -108,6 +109,16 @@ def test_field_degree_is_a_positive_integer_in_ascii_digits(capsys, field):
     code, out, err = run(capsys, "construct", "--field", field, "--A", "1", "--seed-alpha", "x")
     assert (code, out) == (3, "")
     assert err == "parse error: at offset 2: field degree must be a positive integer\n"
+
+
+def test_field_degree_past_the_int_digit_limit_is_a_parse_error():
+    # int() refuses a string of over 4,300 digits with a ValueError
+    argv = ["construct", "--field", "3^" + "1" * 5000, "--A", "1", "--seed-alpha", "x"]
+    proc = subprocess.run([sys.executable, "-m", "char3iso.cli", *argv], env=_cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "parse error: at offset 2: field degree is too large\n"
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -701,3 +712,45 @@ def test_closed_stdout_exits_141_without_a_traceback():
         proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+EXPORTS = [
+    "BadInitial", "Char3Error", "CompatReport", "CurveParams", "FieldElement", "FieldParams",
+    "FieldTooLarge", "FormalEndomorphism", "FunctionalEquationReport", "GeneratorUnavailable",
+    "IncompatibleSeed", "InsufficientPrecision", "InvalidCurveParameters", "LaurentSeries",
+    "MapCheckReport", "MixedFields", "NonRegularPsi", "ParseError", "PointNotOnCurve",
+    "PrecisionError", "RationalFunction", "Seed", "SeedError", "VerificationFailed",
+    "ZeroDenominator", "ZeroDivisor", "check_map", "construct", "construct_with_report",
+    "derive_map_pair", "pade", "parse_rational_function", "verify_functional_equation",
+]
+
+STARTUP_SCRIPT = """
+import json, sys
+from char3iso import cli
+codes = [cli.main(["construct", "--A", "1", "--B", "2", "--seed-alpha", "x"]),
+         cli.main(["verify", "--A", "1", "--B", "2", "--eta", "x"])]
+after_construct = sorted({"dataclasses", "char3iso.curve"} & set(sys.modules))
+codes.append(cli.main(["identify", "--A", "1", "--B", "2", "--fx", "x", "--fy-factor", "1"]))
+after_identify = "char3iso.curve" in sys.modules
+import char3iso
+from char3iso import MapCheckReport, check_map
+star = {}
+exec("from char3iso import *", star)
+print(json.dumps([codes, after_construct, after_identify, sorted(char3iso.__all__),
+                  sorted(set(char3iso.__all__) - set(star)),
+                  [check_map.__module__, MapCheckReport.__module__]]))
+"""
+
+
+def test_startup_loads_only_what_the_command_runs():
+    # construct and verify never enumerate points, so a fresh process that
+    # runs them loads neither dataclasses nor curve; identify loads curve
+    proc = subprocess.run([sys.executable, "-O", "-c", STARTUP_SCRIPT], env=_cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, after_construct, after_identify, exports, missing, modules = \
+        json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert after_construct == [] and after_identify
+    assert exports == EXPORTS and missing == []
+    assert modules == ["char3iso.curve", "char3iso.curve"]

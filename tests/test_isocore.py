@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import random
 import subprocess
@@ -26,14 +25,17 @@ from char3iso import (
 )
 from char3iso.gf3field import solve_additive_cubic
 from char3iso.isocore import (
+    CompatReport,
+    FormalEndomorphism,
+    FunctionalEquationReport,
     alpha_from_beta,
     beta_from_alpha,
     compatibility_check,
     compute_psi,
     solve_gamma,
 )
-from char3iso.cli import _EXAMPLES, _example_job, _rational_forms
-from char3iso.curve import Point
+from char3iso.cli import _EXAMPLES, JobSpec, _example_job, _rational_forms
+from char3iso.curve import MapCheckReport, Point, check_map
 from char3iso.gf3field import FieldElement, FieldParams
 from char3iso.ratrec import derive_map_pair, pade
 from char3iso.series import INF, in_residue_class
@@ -83,14 +85,23 @@ def test_zero_scale_rejected(f3):
 def test_records_are_frozen_and_equal_values_hash_equal(f9):
     def records():
         curve = CurveParams(f9, A=1, B=2, c=1)
-        endo = construct(curve, Seed.beta(parse_rational_function("x^2/(x^9+x^3-1)", f9)), 16)[0]
-        return Point(f9.gen, f9.one), curve, endo
+        seed = Seed.beta(parse_rational_function("x^2/(x^9+x^3-1)", f9))
+        report, endos = construct_with_report(curve, seed, 16)
+        one = parse_rational_function("1", f9)
+        return (Point(f9.gen, f9.one), curve, seed, report, endos[0],
+                verify_functional_equation(curve, endos[0].eta),
+                check_map(curve, parse_rational_function("x", f9), one, 10),
+                JobSpec(f9, curve, 16, "records"))
 
+    kinds = set()
     for a, b in zip(records(), records()):
+        kinds.add(type(a))
         assert a is not b and a == b and hash(a) == hash(b)
-        for name in [f.name for f in dataclasses.fields(a)] + ["extra"]:
+        for name in type(a).__slots__ + ("extra",):
             with pytest.raises(AttributeError):
                 setattr(a, name, None)
+    assert kinds == {Point, CurveParams, Seed, CompatReport, FormalEndomorphism,
+                     FunctionalEquationReport, MapCheckReport, JobSpec}
 
 
 def test_alpha_seed_wrong_residue(f3):
