@@ -153,6 +153,8 @@ def _parse_field(args):
 
 def _parse_modulus(text):
     """A polynomial in t over F3, as coefficients low to high."""
+    if "x" in text:  # read as t below, so refuse it before the swap
+        raise ParseError(text.index("x"), "'x' is not allowed in a modulus, a polynomial in t")
     prime = FieldParams(1)
     rf = parse_rational_function(text.replace("t", "x"), prime)
     if degree(rf.den) != 0:
@@ -192,8 +194,15 @@ def _seed_from_args(args, field):
 
 
 def _coeffs_polynomial(text, field):
-    """The polynomial of a comma-separated coefficient list, constant term first."""
-    coeffs = [parse_field_element(part.strip(), field) for part in text.split(",")]
+    """The polynomial of a comma-separated coefficient list, constant term
+    first; an error's offset counts from the start of the whole list."""
+    coeffs, start = [], 0
+    for part in text.split(","):
+        try:
+            coeffs.append(parse_field_element(part.strip(), field))
+        except ParseError as exc:
+            raise exc.shifted(start + len(part) - len(part.lstrip())) from None
+        start += len(part) + 1
     return LaurentSeries.from_coeffs(field, 0, coeffs)
 
 

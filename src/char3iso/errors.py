@@ -69,6 +69,12 @@ class ParseError(Char3Error):
     def __init__(self, offset, message):
         super().__init__(f"at offset {offset}: {message}")
         self.offset = offset
+        self.message = message
+
+    def shifted(self, by):
+        """The same error at `by` characters further on, for a text that
+        was parsed as a piece of a longer one."""
+        return type(self)(self.offset + by, self.message)
 
 
 class GeneratorUnavailable(ParseError):

@@ -5,10 +5,13 @@ A polynomial is an exact LaurentSeries (prec INF, val >= 0) read as a run
 from degree 0; there is no polynomial class. Its run stays in the kernel's
 byte columns, so sums, products, division and the Euclid loops of pade and
 poly_gcd make no FieldElement; a constant or monomial factor scales the
-other run through its matrix over F3 (LaurentSeries._scaled). What only
-polynomials need is a function here: degree, leading, coefficients,
-poly_divmod, poly_gcd and poly_text. A RationalFunction holds two such
-series.
+other run through its matrix over F3 (LaurentSeries._scaled), which the
+field instance keeps once made. What only polynomials need is a function
+here: degree, leading, coefficients, poly_divmod, poly_gcd and poly_text.
+A RationalFunction holds two such series. A polynomial or a constant
+becomes one over the denominator 1 with no gcd and no inverse, as 1 is
+monic and coprime to anything, and a power of a monomial raises only its
+coefficient, and not at all when that is 1.
 
 Reconstruction runs Euclid on X^order and the prefix keeping only the
 remainders, recovers the denominator from the last one by one series
@@ -90,7 +93,8 @@ def _one(field):
 def _power(p, n):
     """p^n for n >= 0, by repeated squaring; c X^k to the n is c^n X^(kn)."""
     if len(p.cols[0]) == 1:
-        return LaurentSeries.monomial(p.field, p.val * n, p.coefficient(p.val) ** n)
+        c = p.coefficient(p.val)
+        return LaurentSeries.monomial(p.field, p.val * n, c if c == 1 else c ** n)
     result = _one(p.field)
     while n:
         if n & 1:
@@ -148,15 +152,15 @@ class RationalFunction:
 
     @classmethod
     def from_polynomial(cls, p):
-        return cls(p, _one(p.field))
+        return cls._lowest_terms(p, _one(p.field))
 
     @classmethod
     def constant(cls, field, value):
-        return cls(LaurentSeries.constant(field, value), _one(field))
+        return cls._lowest_terms(LaurentSeries.constant(field, value), _one(field))
 
     @classmethod
     def x(cls, field):
-        return cls(LaurentSeries.monomial(field, 1), _one(field))
+        return cls._lowest_terms(LaurentSeries.monomial(field, 1), _one(field))
 
     @property
     def field(self):

@@ -23,7 +23,7 @@ import math
 
 from . import kronecker
 from .errors import MixedFields, PrecisionError, ZeroDivisor
-from .gf3field import _MOD3, FieldElement, _reduce
+from .gf3field import _MOD3, FieldElement, _from_packed, _reduce
 
 INF = math.inf
 
@@ -40,35 +40,21 @@ class LaurentSeries:
     columns, column j the t^j digit of each coefficient, so arithmetic is a
     few big-int or bytes operations per column. A product with a
     one-coefficient run c X^n scales the other run by c's matrix over F3
-    (_scaled) instead of a kernel product. FieldElements are made only
-    where coefficients are handed out (coeffs, coefficient, nonzero_terms).
+    (_scaled) instead of a kernel product; the field instance keeps each
+    matrix it has made (at most q), and a one-coefficient run is scaled by
+    one field product instead. A nonzero monomial below its precision is
+    stored as its one-byte columns, with no cut or strip. FieldElements are
+    made only where coefficients are handed out (coeffs, coefficient,
+    nonzero_terms).
     """
 
     __slots__ = ("field", "val", "cols", "prec")
 
-    def __init__(self, field, val, coeffs, prec):
+    def __new__(cls, field, val, coeffs, prec):
         coeffs = tuple(coeffs)
         for c in coeffs:
             _packed(field, c)
-        self._store(field, val, kronecker._columns(coeffs) if coeffs else (), prec)
-
-    def _store(self, field, val, cols, prec):
-        if prec != INF and not isinstance(prec, int):
-            raise TypeError("prec must be an int or INF")
-        # drop anything at or beyond prec, then strip zero padding
-        end = len(cols[0]) if cols else 0
-        if prec != INF and val is not None:
-            end = max(0, min(end, prec - val))
-        mask = _mask([c[:end] for c in cols])
-        if mask:
-            start, stop = ((mask & -mask).bit_length() - 1) // 8, (mask.bit_length() + 7) // 8
-            val, cols = val + start, tuple(bytes(c[start:stop]) for c in cols)
-        else:
-            val, cols = None, (b"",) * field.degree
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "prec", prec)
+        return _series(field, val, kronecker._columns(coeffs) if coeffs else (), prec)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
@@ -85,10 +71,8 @@ class LaurentSeries:
 
     @classmethod
     def monomial(cls, field, exponent, coeff=1, prec=INF):
-        if isinstance(coeff, int):
-            coeff = field.from_int(coeff)
-        digits = _packed(field, coeff).to_bytes(field.degree, "little")
-        return _series(field, exponent, [digits[j:j + 1] for j in range(field.degree)], prec)
+        packed = coeff % 3 if isinstance(coeff, int) else _packed(field, coeff)
+        return _monomial(field, exponent, packed, prec)
 
     @classmethod
     def from_terms(cls, field, terms, prec=INF):
@@ -152,7 +136,7 @@ class LaurentSeries:
 
     def _coerce(self, other):
         if isinstance(other, LaurentSeries):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise MixedFields("series over different fields")
             return other
         if isinstance(other, (FieldElement, int)):
@@ -167,15 +151,14 @@ class LaurentSeries:
             return NotImplemented
         prec = min(self.prec, other.prec)
         present = [s for s in (self, other) if s.val is not None]
-        lo = min((s.val for s in present), default=0)
-        hi = min(max((s.val + len(s.cols[0]) for s in present), default=0), prec)
+        lo = min([s.val for s in present], default=0)
+        hi = min(max([s.val + len(s.cols[0]) for s in present], default=0), prec)
         if hi <= lo:
             return LaurentSeries.zero(self.field, prec)
-        factor = 2 if subtract else 1  # -d = 2d (mod 3); a byte sums to at most 6
-        cols = [(_aligned(x, self.val, lo, hi) + factor * _aligned(y, other.val, lo, hi))
-                .to_bytes(hi - lo, "little").translate(_MOD3)
-                for x, y in zip(self.cols, other.cols)]
-        return _series(self.field, lo, cols, prec)
+        n, factor = hi - lo, 2 if subtract else 1  # -d = 2d (mod 3); a byte sums to at most 6
+        cols = [(x + factor * y).to_bytes(n, "little").translate(_MOD3)
+                for x, y in zip(_aligned(self, lo, hi), _aligned(other, lo, hi))]
+        return _stripped(self.field, lo, cols, prec)  # the sum lies below prec
 
     def __add__(self, other):
         return self._add(other, False)
@@ -218,19 +201,21 @@ class LaurentSeries:
 
     def _scaled(self, packed, shift, prec):
         """self times c X^shift cut at prec, c the nonzero constant packed as
-        `packed`: c's k x k matrix over F3 (column j the digits of c t^j)
-        maps the columns, with no kernel product; times 1 is self."""
+        `packed`: c's k x k matrix over F3 (column j the digits of c t^j,
+        kept on the field) maps the columns, with no kernel product; a
+        one-coefficient run takes one field product; times 1 is self."""
         if packed == 1 and shift == 0 and prec == self.prec:
             return self
         field, cols = self.field, self.cols
+        val = None if self.val is None else self.val + shift
+        if len(cols[0]) == 1:  # c d X^val: one field product
+            d = int.from_bytes(b"".join(cols), "little")
+            if packed != 1:
+                d = (_from_packed(field, packed) * _from_packed(field, d)).packed
+            return _monomial(field, val, d, prec)
         if packed != 1:
-            c = FieldElement._from_packed(field, packed)
-            images = [c.coeffs]
-            for _ in range(field.degree - 1):
-                c = c * field.gen
-                images.append(c.coeffs)
-            cols = _f3_linear(tuple(zip(*images)), cols)
-        return _series(field, None if self.val is None else self.val + shift, cols, prec)
+            cols = _f3_linear(_scaling(field, packed), cols)
+        return _series(field, val, cols, prec)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -388,9 +373,61 @@ def _packed(field, element):
 
 def _series(field, val, cols, prec):
     """Series from a run in column form, cut at prec and stripped."""
-    s = object.__new__(LaurentSeries)
-    s._store(field, val, cols, prec)
+    if prec != INF and not isinstance(prec, int):
+        raise TypeError("prec must be an int or INF")
+    if cols and val is not None and len(cols[0]) > prec - val:
+        cols = [c[:max(0, prec - val)] for c in cols]
+    return _stripped(field, val, cols, prec)
+
+
+def _stripped(field, val, cols, prec):
+    """Series from a run in column form that lies below prec, stripped of
+    its zero padding."""
+    mask = _mask(cols)
+    if mask:
+        start, stop = ((mask & -mask).bit_length() - 1) // 8, (mask.bit_length() + 7) // 8
+        val, cols = val + start, tuple([bytes(c[start:stop]) for c in cols])
+    else:
+        val, cols = None, (b"",) * field.degree
+    return _made(field, val, cols, prec)
+
+
+def _made(field, val, cols, prec):
+    """Series with exactly these fields: a stripped run of bytes columns
+    in a tuple, below an int or infinite prec."""
+    s = _new_series(LaurentSeries)
+    _set_field(s, field)
+    _set_val(s, val)
+    _set_cols(s, cols)
+    _set_prec(s, prec)
     return s
+
+
+def _monomial(field, exponent, packed, prec):
+    """c X^exponent cut at prec, c the constant packed as `packed`. A
+    nonzero term below an int or infinite prec is already a stripped run,
+    so its one-byte columns are stored as they are; anything else (zero,
+    cut off, or a prec of the wrong type) takes _series."""
+    digits = packed.to_bytes(field.degree, "little")
+    cols = tuple([digits[j:j + 1] for j in range(field.degree)])
+    if packed and (prec == INF or isinstance(prec, int) and exponent < prec):
+        return _made(field, exponent, cols, prec)
+    return _series(field, exponent, cols, prec)
+
+
+def _scaling(field, packed):
+    """The matrix over F3 of multiplication by the constant packed as
+    `packed`, by rows: entry (i, j) is the t^i digit of c t^j. Kept on the
+    field instance, so each of its at most q constants is worked out once."""
+    rows = field._scalings.get(packed)
+    if rows is None:
+        c = _from_packed(field, packed)
+        images = [c.coeffs]
+        for _ in range(field.degree - 1):
+            c = c * field.gen
+            images.append(c.coeffs)
+        rows = field._scalings[packed] = tuple(zip(*images))
+    return rows
 
 
 def _mask(cols):
@@ -401,6 +438,16 @@ def _mask(cols):
     return mask
 
 
-def _aligned(col, val, lo, hi):
-    """A column's digits as an int whose byte i is exponent lo + i, cut at hi."""
-    return int.from_bytes(col[:max(0, hi - val)], "little") << 8 * (val - lo) if col else 0
+def _aligned(s, lo, hi):
+    """The columns of s as ints whose byte i is exponent lo + i, cut at hi."""
+    if s.val is None:
+        return (0,) * len(s.cols)
+    end, shift = max(0, hi - s.val), 8 * (s.val - lo)
+    return [int.from_bytes(c[:end], "little") << shift for c in s.cols]
+
+
+_new_series = object.__new__
+_set_field = LaurentSeries.field.__set__
+_set_val = LaurentSeries.val.__set__
+_set_cols = LaurentSeries.cols.__set__
+_set_prec = LaurentSeries.prec.__set__

@@ -89,6 +89,22 @@ def test_construct_parse_error_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, text, offset, message", [
+    (["construct", "--seed-coeffs"], "1,2, 3x", 6, "unexpected 'x'"),
+    (["construct", "--seed-coeffs"], "1,\t t", 4, "'t' needs a field extension of degree >= 2"),
+    (["verify", "--eta-coeffs"], "0,1,t*", 6, "expected a value, found 'end of input'"),
+    (["verify", "--eta-coeffs"], " 1 ,  2/1", 7, "division is not allowed in a field constant"),
+])
+def test_coefficient_list_errors_count_from_the_start_of_the_list(capsys, argv, text, offset,
+                                                                   message):
+    field = "3^1" if "\t" in text else "3^2"
+    code, out, err = run(capsys, argv[0], "--field", field, "--A", "1", "--B", "2",
+                         argv[1], text)
+    assert code == 3
+    assert out == ""
+    assert err == f"parse error: at offset {offset}: {message}\n"
+
+
 @pytest.mark.parametrize("flag, text, offset", [
     ("--A", "\u00b2", 0),          # superscript two: isdigit, but int() rejects it
     ("--seed-alpha", "x^\u00b2", 2),
@@ -665,6 +681,17 @@ def test_non_monic_modulus_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "parse error" in err and "monic" in err
+
+
+@pytest.mark.parametrize("modulus, offset", [("x^2+1", 0), ("t^2+t*x", 6)])
+def test_x_in_the_modulus_is_a_parse_error(capsys, modulus, offset):
+    # the modulus is a polynomial in t: an x is not read as t
+    code, out, err = run(capsys, "construct", "--field", "3^2", "--modulus", modulus,
+                         "--A", "1", "--seed-alpha", "x")
+    assert code == 3
+    assert out == ""
+    assert err == (f"parse error: at offset {offset}: "
+                   "'x' is not allowed in a modulus, a polynomial in t\n")
 
 
 def test_failed_self_check_exits_1(capsys, monkeypatch):

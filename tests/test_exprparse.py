@@ -1,14 +1,18 @@
+import argparse
 import random
+from pathlib import Path
 
 import pytest
 
 from char3iso import (
+    FieldParams,
     GeneratorUnavailable,
     ParseError,
     ZeroDenominator,
     parse_rational_function,
 )
-from char3iso import exprparse, kronecker
+from char3iso import exprparse, kronecker, ratrec
+from char3iso.cli import _parse_field
 from char3iso.exprparse import parse_field_element, parse_polynomial
 from char3iso.ratrec import RationalFunction, degree
 from char3iso.series import LaurentSeries
@@ -208,6 +212,21 @@ def test_degree_cap_and_zero_denominator_on_polynomial_values(f9, monkeypatch,
         assert str(err.value).endswith("degree above 6")
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_only_a_quotient_runs_a_gcd(monkeypatch, k):
+    field = FieldParams(k)
+    calls = []
+    real_gcd = ratrec.poly_gcd
+    monkeypatch.setattr(ratrec, "poly_gcd", lambda a, b: calls.append(1) or real_gcd(a, b))
+    for text in ("2*x^6+x^4+2*x^3+2*x^2+2*x", "(x+1)^5*(x-1)-x^3", "-x", "2", "(1+2)*x^0",
+                 "x^4+x^2+2*x+1" if k == 1 else "t*x^2-(t+1)^2*x+t^7"):
+        parse_rational_function(text, field)
+        parse_polynomial(text, field)
+    assert calls == []
+    parse_rational_function("(x^4+x^2+2*x+1)/(x^3+x+2)", field)
+    assert calls
+
+
 def test_polynomial_rejects_quotient(f3):
     with pytest.raises(ParseError):
         parse_polynomial("1/x", f3)
@@ -317,3 +336,19 @@ def test_rational_print_parse_round_trip(f3, f9):
 def test_rational_with_pole_round_trip(f3):
     rf = parse_rational_function("(2*x+2)/x", f3)
     assert parse_rational_function(str(rf), f3) == rf
+
+
+RECORDS = sorted(Path(__file__).parent.glob("data/*.records.txt"))
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda path: path.name)
+def test_record_forms_print_back_as_read(path):
+    # identify reads a printed form back, so parsing must keep its text
+    pairs = [line.partition("=")[::2] for line in path.read_text().splitlines()]
+    records = dict(pairs)
+    field = _parse_field(argparse.Namespace(field=records["field"], modulus=records["modulus"]))
+    forms = [text for key, text in pairs
+             if key in ("rational", "y_factor", "fx", "fy_factor", "eta") and text != "none"]
+    assert forms or records.get("rational") == "none"
+    for text in forms:
+        assert str(parse_rational_function(text, field)) == text

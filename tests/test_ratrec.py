@@ -386,6 +386,42 @@ def test_adding_a_polynomial_keeps_lowest_terms_without_a_gcd(monkeypatch, f9):
         assert rf + p == want and p + rf == want
 
 
+# GF(3^1) .. GF(3^5), and GF(9) once more under a second modulus, t^2 + t + 2
+SMALL_FIELDS = [FieldParams(k) for k in range(1, 6)] + [FieldParams(2, (2, 1, 1))]
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=lambda field: str(field.modulus))
+def test_polynomials_and_constants_skip_the_reduction_against_one(monkeypatch, field):
+    rng = random.Random(f"from_polynomial:{field.modulus}")
+    one = LaurentSeries.constant(field, 1)
+    polys = [random_polynomial(rng, field, 6) for _ in range(40)] + [LaurentSeries.zero(field)]
+    want = [RationalFunction(p, one) for p in polys]
+    constants = list(field.elements())[:20] + [0, 1, 2, 5]
+    want_constants = [RationalFunction(LaurentSeries.constant(field, c), one) for c in constants]
+    want_x = RationalFunction(LaurentSeries.monomial(field, 1), one)
+    monkeypatch.setattr(ratrec, "poly_gcd", None)
+    monkeypatch.setattr(FieldElement, "inverse", None)
+    for p, rf in zip(polys, want):
+        got = RationalFunction.from_polynomial(p)
+        assert got == rf and got.num is p
+    for c, rf in zip(constants, want_constants):
+        assert RationalFunction.constant(field, c) == rf
+    assert RationalFunction.x(field) == want_x
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=lambda field: str(field.modulus))
+def test_powers_of_a_monomial_match_repeated_products(field):
+    rng = random.Random(f"power:{field.modulus}")
+    for _ in range(30):
+        c = field.element([rng.randrange(3) for _ in range(field.degree)]) or field.one
+        c = rng.choice((c, field.one, -field.one))
+        m = LaurentSeries.monomial(field, rng.randint(0, 3), c)
+        power = field.one
+        for n in range(8):
+            assert ratrec._power(m, n) == LaurentSeries.from_terms(field, {m.val * n: power})
+            power = power * c
+
+
 def test_pade_zero_series(f3):
     z = LaurentSeries.zero(f3, 32)
     assert pade(z, 2, 2) == RationalFunction.constant(f3, 0)

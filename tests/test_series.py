@@ -474,6 +474,73 @@ def test_column_ops_match_element_loops(field):
         assert padded == a and hash(padded) == hash(a) and _same_coeffs(padded, a)
 
 
+# GF(3^1) .. GF(3^5), and GF(9) once more under a second modulus, t^2 + t + 2
+SCALING_FIELDS = [FieldParams(k) for k in range(1, 6)] + [FieldParams(2, (2, 1, 1))]
+
+
+def _field_id(field):
+    return f"3^{field.degree}:" + "".join(map(str, field.modulus))
+
+
+@pytest.mark.parametrize("field", SCALING_FIELDS, ids=_field_id)
+def test_monomial_matches_from_terms(field):
+    rng = random.Random(f"monomial:{_field_id(field)}")
+    cases = [(0, field.zero, INF), (3, field.one, 3), (4, field.gen or 2, 3),
+             (-2, 2, INF), (-5, field.one, -6), (-1, field.zero, 4)]
+    for _ in range(200):
+        exponent = rng.randint(-6, 6)
+        coeff = rng.choice((rng.randint(-4, 4), _element(rng, field, 0.7)))
+        prec = rng.choice((INF, exponent, exponent + rng.randint(-3, 6)))
+        cases.append((exponent, coeff, prec))
+    for exponent, coeff, prec in cases:
+        got = LaurentSeries.monomial(field, exponent, coeff, prec)
+        want = LaurentSeries.from_terms(field, {exponent: coeff}, prec)
+        assert got == want and type(got.cols) is tuple, (exponent, coeff, prec)
+    # a nonzero term below a prec that is not an int still fails the type check
+    with pytest.raises(TypeError):
+        LaurentSeries.monomial(field, 0, 1, 2.5)
+
+
+@pytest.mark.parametrize("field", SCALING_FIELDS, ids=_field_id)
+def test_scaling_by_every_constant_matches_elementwise_products(field):
+    rng = random.Random(f"scaling:{_field_id(field)}")
+    one_term = LaurentSeries(field, rng.randint(-4, 4), [_element(rng, field, 1.0) or field.one],
+                             rng.choice((INF, 7)))
+    inner = [_element(rng, field, 0.7) for _ in range(6)]
+    many_terms = LaurentSeries(field, rng.randint(-4, 4), [field.one, *inner, -field.one], INF)
+    for s in (one_term, many_terms, LaurentSeries.zero(field, 5)):
+        for c in field.elements():
+            want = (LaurentSeries(field, s.val or 0, [x * c for x in s.coeffs], s.prec) if c
+                    else LaurentSeries.zero(field))
+            assert s * c == want and c * s == want
+            # c X^2 shifts as it scales, and cuts at the product's precision
+            monomial = LaurentSeries.monomial(field, 2, c, prec=9)
+            prec = min(s.prec + _vbound(monomial), 9 + _vbound(s))
+            run = [x * c for x in s.coeffs]
+            assert s * monomial == LaurentSeries(field, (s.val or 0) + 2, run, prec)
+            assert monomial * s == s * monomial
+            if c:
+                assert s.divide(LaurentSeries.constant(field, c)) == s * c.inverse()
+
+
+def test_scaling_matrices_are_kept_per_field():
+    # the generator is packed as 256 in both fields, but t^2 = 2 in one
+    # and t^2 = 2t + 1 in the other
+    plain, other = FieldParams(2), FieldParams(2, (2, 1, 1))
+    assert plain._scalings == {} and other._scalings == {}
+    for field in (plain, other):
+        s = LaurentSeries(field, 0, [field.one, field.gen], INF)
+        assert s * field.gen == LaurentSeries(field, 0, [field.gen, field.gen * field.gen], INF)
+    assert set(plain._scalings) == set(other._scalings) == {256}
+    assert plain._scalings[256] == ((0, 2), (1, 0))
+    assert other._scalings[256] == ((0, 1), (1, 2))
+    # a second product reuses the matrix, and a fresh field starts empty
+    matrix = plain._scalings[256]
+    LaurentSeries(plain, 3, [plain.gen, plain.one, plain.gen], 8) * plain.gen
+    assert plain._scalings[256] is matrix
+    assert FieldParams(2)._scalings == {}
+
+
 @pytest.mark.parametrize("degree", sorted(BOUNDARY_MODULI))
 def test_cube_at_the_byte_slot_boundary(degree):
     field = FieldParams(degree, tuple(map(int, BOUNDARY_MODULI[degree])))
