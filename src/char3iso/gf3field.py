@@ -75,7 +75,6 @@ class FieldParams:
             high.append(tuple(cur))
         self._high_powers = tuple(high)
         self._names = _Names()  # FieldElement.__str__: at most q strings, made as printed
-        self._scalings = {}  # LaurentSeries._scaled: at most q matrices, made as used
         self.zero = FieldElement._from_packed(self, 0)
         self.one = FieldElement._from_packed(self, 1)
         self.gen = FieldElement._from_packed(self, 256) if degree >= 2 else None

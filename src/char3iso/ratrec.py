@@ -5,13 +5,13 @@ A polynomial is an exact LaurentSeries (prec INF, val >= 0) read as a run
 from degree 0; there is no polynomial class. Its run stays in the kernel's
 byte columns, so sums, products, division and the Euclid loops of pade and
 poly_gcd make no FieldElement; a constant or monomial factor scales the
-other run through its matrix over F3 (LaurentSeries._scaled), which the
-field instance keeps once made. What only polynomials need is a function
-here: degree, leading, coefficients, poly_divmod, poly_gcd and poly_text.
-A RationalFunction holds two such series. A polynomial or a constant
-becomes one over the denominator 1 with no gcd and no inverse, as 1 is
-monic and coprime to anything, and a power of a monomial raises only its
-coefficient, and not at all when that is 1.
+other run through its matrix over F3 (LaurentSeries._scaled), and a
+one-term run by one field product. What only polynomials need is a
+function here: degree, leading, coefficients, poly_divmod, poly_gcd and
+poly_text. A RationalFunction holds two such series. A polynomial or a
+constant becomes one over the denominator 1 with no gcd and no inverse, as
+1 is monic and coprime to anything, and a power of a monomial raises only
+its coefficient, and not at all when that is 1.
 
 Reconstruction runs Euclid on X^order and the prefix keeping only the
 remainders, recovers the denominator from the last one by one series

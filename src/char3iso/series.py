@@ -23,7 +23,7 @@ import math
 
 from . import kronecker
 from .errors import MixedFields, PrecisionError, ZeroDivisor
-from .gf3field import _MOD3, FieldElement, _from_packed, _reduce
+from .gf3field import _MOD3, FieldElement, _reduce
 
 INF = math.inf
 
@@ -40,12 +40,10 @@ class LaurentSeries:
     columns, column j the t^j digit of each coefficient, so arithmetic is a
     few big-int or bytes operations per column. A product with a
     one-coefficient run c X^n scales the other run by c's matrix over F3
-    (_scaled) instead of a kernel product; the field instance keeps each
-    matrix it has made (at most q), and a one-coefficient run is scaled by
-    one field product instead. A nonzero monomial below its precision is
-    stored as its one-byte columns, with no cut or strip. FieldElements are
-    made only where coefficients are handed out (coeffs, coefficient,
-    nonzero_terms).
+    (_scaled) instead of a kernel product, and a one-coefficient run by one
+    field product. A nonzero monomial below its precision is stored as its
+    one-byte columns, with no cut or strip. FieldElements are made only
+    where coefficients are handed out (coeffs, coefficient, nonzero_terms).
     """
 
     __slots__ = ("field", "val", "cols", "prec")
@@ -136,7 +134,7 @@ class LaurentSeries:
 
     def _coerce(self, other):
         if isinstance(other, LaurentSeries):
-            if other.field is not self.field and other.field != self.field:
+            if other.field != self.field:
                 raise MixedFields("series over different fields")
             return other
         if isinstance(other, (FieldElement, int)):
@@ -151,8 +149,8 @@ class LaurentSeries:
             return NotImplemented
         prec = min(self.prec, other.prec)
         present = [s for s in (self, other) if s.val is not None]
-        lo = min([s.val for s in present], default=0)
-        hi = min(max([s.val + len(s.cols[0]) for s in present], default=0), prec)
+        lo = min((s.val for s in present), default=0)
+        hi = min(max((s.val + len(s.cols[0]) for s in present), default=0), prec)
         if hi <= lo:
             return LaurentSeries.zero(self.field, prec)
         n, factor = hi - lo, 2 if subtract else 1  # -d = 2d (mod 3); a byte sums to at most 6
@@ -201,9 +199,9 @@ class LaurentSeries:
 
     def _scaled(self, packed, shift, prec):
         """self times c X^shift cut at prec, c the nonzero constant packed as
-        `packed`: c's k x k matrix over F3 (column j the digits of c t^j,
-        kept on the field) maps the columns, with no kernel product; a
-        one-coefficient run takes one field product; times 1 is self."""
+        `packed`: c's k x k matrix over F3 (column j the digits of c t^j)
+        maps the columns, with no kernel product; a one-coefficient run
+        takes one field product; times 1 is self."""
         if packed == 1 and shift == 0 and prec == self.prec:
             return self
         field, cols = self.field, self.cols
@@ -211,10 +209,16 @@ class LaurentSeries:
         if len(cols[0]) == 1:  # c d X^val: one field product
             d = int.from_bytes(b"".join(cols), "little")
             if packed != 1:
-                d = (_from_packed(field, packed) * _from_packed(field, d)).packed
+                d = (FieldElement._from_packed(field, packed)
+                     * FieldElement._from_packed(field, d)).packed
             return _monomial(field, val, d, prec)
         if packed != 1:
-            cols = _f3_linear(_scaling(field, packed), cols)
+            c = FieldElement._from_packed(field, packed)
+            images = [c.coeffs]
+            for _ in range(field.degree - 1):
+                c = c * field.gen
+                images.append(c.coeffs)
+            cols = _f3_linear(tuple(zip(*images)), cols)
         return _series(field, val, cols, prec)
 
     def __truediv__(self, other):
@@ -386,7 +390,7 @@ def _stripped(field, val, cols, prec):
     mask = _mask(cols)
     if mask:
         start, stop = ((mask & -mask).bit_length() - 1) // 8, (mask.bit_length() + 7) // 8
-        val, cols = val + start, tuple([bytes(c[start:stop]) for c in cols])
+        val, cols = val + start, tuple(bytes(c[start:stop]) for c in cols)
     else:
         val, cols = None, (b"",) * field.degree
     return _made(field, val, cols, prec)
@@ -409,25 +413,10 @@ def _monomial(field, exponent, packed, prec):
     so its one-byte columns are stored as they are; anything else (zero,
     cut off, or a prec of the wrong type) takes _series."""
     digits = packed.to_bytes(field.degree, "little")
-    cols = tuple([digits[j:j + 1] for j in range(field.degree)])
+    cols = tuple(digits[j:j + 1] for j in range(field.degree))
     if packed and (prec == INF or isinstance(prec, int) and exponent < prec):
         return _made(field, exponent, cols, prec)
     return _series(field, exponent, cols, prec)
-
-
-def _scaling(field, packed):
-    """The matrix over F3 of multiplication by the constant packed as
-    `packed`, by rows: entry (i, j) is the t^i digit of c t^j. Kept on the
-    field instance, so each of its at most q constants is worked out once."""
-    rows = field._scalings.get(packed)
-    if rows is None:
-        c = _from_packed(field, packed)
-        images = [c.coeffs]
-        for _ in range(field.degree - 1):
-            c = c * field.gen
-            images.append(c.coeffs)
-        rows = field._scalings[packed] = tuple(zip(*images))
-    return rows
 
 
 def _mask(cols):

@@ -523,22 +523,16 @@ def test_scaling_by_every_constant_matches_elementwise_products(field):
                 assert s.divide(LaurentSeries.constant(field, c)) == s * c.inverse()
 
 
-def test_scaling_matrices_are_kept_per_field():
+def test_one_packed_constant_scales_by_each_fields_own_matrix():
     # the generator is packed as 256 in both fields, but t^2 = 2 in one
-    # and t^2 = 2t + 1 in the other
-    plain, other = FieldParams(2), FieldParams(2, (2, 1, 1))
-    assert plain._scalings == {} and other._scalings == {}
-    for field in (plain, other):
+    # and t^2 = 2t + 1 in the other, so its matrices over F3 differ
+    columns = []
+    for field in (FieldParams(2), FieldParams(2, (2, 1, 1))):
         s = LaurentSeries(field, 0, [field.one, field.gen], INF)
-        assert s * field.gen == LaurentSeries(field, 0, [field.gen, field.gen * field.gen], INF)
-    assert set(plain._scalings) == set(other._scalings) == {256}
-    assert plain._scalings[256] == ((0, 2), (1, 0))
-    assert other._scalings[256] == ((0, 1), (1, 2))
-    # a second product reuses the matrix, and a fresh field starts empty
-    matrix = plain._scalings[256]
-    LaurentSeries(plain, 3, [plain.gen, plain.one, plain.gen], 8) * plain.gen
-    assert plain._scalings[256] is matrix
-    assert FieldParams(2)._scalings == {}
+        product = s * field.gen
+        assert product == LaurentSeries(field, 0, [field.gen, field.gen * field.gen], INF)
+        columns.append(product.cols)
+    assert columns == [(b"\x00\x02", b"\x01\x00"), (b"\x00\x01", b"\x01\x02")]
 
 
 @pytest.mark.parametrize("degree", sorted(BOUNDARY_MODULI))
