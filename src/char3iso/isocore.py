@@ -18,7 +18,7 @@ equation into three tractable pieces:
   * the additive-cubic equation gamma^3 + A gamma = psi, solved as the
     fixed point of gamma <- (psi - gamma^3) / A on whole coefficient
     columns, from a constant term gamma(0) with gamma(0)^3 + A gamma(0) =
-    psi(0) in the base field; each pass triples the valuation of the error.
+    psi(0) in the base field; each pass triples the precision gamma is known to.
 
 construct() runs the whole pipeline once and returns one endomorphism per
 admissible constant term: the first, verified, and its kernel translates.
@@ -240,12 +240,12 @@ def solve_gamma(A, psi, gamma0, prec):
 
     gamma is the fixed point of gamma <- (psi - gamma^3) / A, iterated from
     the constant gamma0 (a root of t^3 + A t = psi(0)) on whole columns:
-    one cube, one subtraction and one scaling per pass. If gamma solves the
-    equation, an approximation gamma + e goes to gamma - e^3 / A (the cube is
-    additive in characteristic three), so the error's valuation, at least 3
-    at the start, triples on each pass; passes stop once it reaches the
-    precision. The result is substituted back into gamma^3 + A gamma and
-    compared with psi before returning.
+    one cube, one subtraction and one scaling per pass. gamma lies in
+    K[[X^3]], so gamma0 is gamma known mod X^3; a gamma known mod X^m has
+    its cube known mod X^3m, so each pass triples the precision (the cube's
+    precision rule) and computes only the coefficients it determines, until
+    psi's precision is reached. The result is substituted back into
+    gamma^3 + A gamma and compared with psi before returning.
     """
     if not (in_residue_class(psi, 0) and (psi.is_zero or psi.val >= 0)):
         raise NonRegularPsi(
@@ -257,11 +257,9 @@ def solve_gamma(A, psi, gamma0, prec):
     if psi.prec == INF:
         raise ValueError("gamma needs a finite precision")
     a_inv = A.inverse()
-    gamma = LaurentSeries.constant(A.field, gamma0, psi.prec)
-    error_val = 3
-    while error_val < psi.prec:
+    gamma = LaurentSeries.constant(A.field, gamma0, min(3, psi.prec))
+    while gamma.prec < psi.prec:
         gamma = (psi - gamma.cube()) * a_inv
-        error_val *= 3
     _require((gamma.cube() + gamma * A).agrees_with(psi),
              "gamma fixed point failed substitution check")
     return gamma

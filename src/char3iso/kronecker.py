@@ -1,5 +1,5 @@
-"""Products, power-series inverses and polynomial division of dense
-coefficient runs over GF(3^k), by Kronecker substitution.
+"""Products (by Kronecker substitution), cubes, power-series inverses and
+polynomial division of dense coefficient runs over GF(3^k).
 
 A run is k columns of bytes, lowest degree first: column j holds the t^j
 digit of every coefficient. A product packs each run into one Python int:
@@ -9,22 +9,24 @@ the integer product carries into the next. CPython's big-int product
 (Karatsuba) then does the whole convolution. Since 256 = 1 (mod 3), a
 slot's value mod 3 is the sum of its bytes mod 3, so unpacking is bytes
 slicing and translation; the slots for t^k .. t^(2k-2) are folded back with
-the field's table of high powers of t. A Newton step packs, unpacks,
-negates and concatenates columns without per-coefficient Python work.
+the field's table of high powers of t. The cube is the Frobenius, an
+F3-linear map of the digit columns (_cube_cols), with no product at all.
 
-Every inverse and every division, however short, takes Newton's iteration;
-it bottoms out at the packed inverse of the constant term, so the kernel
-makes no FieldElement. LaurentSeries keeps its run in column form, and so
-does a polynomial, which is an exact series; both call the column functions
-directly, and there is no entry point on element runs. _columns builds a
-run from FieldElements; _packed and _elements read it back as packed ints or elements.
+Every inverse and every division, however short, takes the identity
+1/b = b^2 (1/b)^3 of characteristic 3: one squaring of b, then one product
+per tripling of the precision, from the packed inverse of the constant term
+cubed by the column map, so the kernel makes no FieldElement. LaurentSeries
+keeps its run in column form, and so does a polynomial, which is an exact
+series; both call the column functions directly, and there is no entry
+point on element runs. _columns builds a run from FieldElements; _packed
+and _elements read it back as packed ints or elements.
 """
 
 from __future__ import annotations
 
 import struct
 
-from .gf3field import _MOD3, FieldElement, _inverse_packed
+from .gf3field import _MOD3, FieldElement, _inverse_packed, _reduce
 
 _NEG = bytes((-v) % 3 for v in range(256))
 
@@ -96,19 +98,55 @@ def _mul_cols(field, a, b, n):
 
 
 def _inverse_cols(field, b, n):
-    """Columns of the first n coefficients of 1/b, by Newton's iteration
-    g <- g - x^m g e, where b g = 1 + x^m e mod x^n and g is exact mod x^m."""
-    if n == 1:
-        lead = int.from_bytes(bytes([c[0] for c in b]), "little")
-        if not lead:
-            raise ZeroDivisionError("power series inverse needs a nonzero constant term")
-        digits = _inverse_packed(field, lead).to_bytes(field.degree, "little")
-        return [digits[j:j + 1] for j in range(field.degree)]
-    m = (n + 1) // 2
-    g = _inverse_cols(field, b, m)
-    e = [c[m:] for c in _mul_cols(field, [c[:n] for c in b], g, n)]
-    correction = _mul_cols(field, g, e, n - m)
-    return [x + y.translate(_NEG) for x, y in zip(g, correction)]
+    """Columns of the first n coefficients of 1/b, by the Frobenius:
+    1/b = b^2 (1/b)^3, and 1/b known to ceil(m/3) coefficients has its cube
+    exact to m, so each level from the packed inverse of the constant term
+    up is one product of b^2 with a cube."""
+    lead = int.from_bytes(bytes([c[0] for c in b]), "little")
+    if not lead:
+        raise ZeroDivisionError("power series inverse needs a nonzero constant term")
+    digits = _inverse_packed(field, lead).to_bytes(field.degree, "little")
+    g = [digits[j:j + 1] for j in range(field.degree)]
+    sizes = []
+    while n > 1:
+        sizes.append(n)
+        n = (n + 2) // 3
+    if sizes:
+        # b^2 as long as it is, not padded to n, so a short divisor keeps every level lopsided
+        b = [c[:sizes[0]] for c in b]
+        square = _mul_cols(field, b, b, min(sizes[0], 2 * len(b[0]) - 1))
+        for m in reversed(sizes):
+            g = _mul_cols(field, [c[:m] for c in square], _cube_cols(field, g, m), m)
+    return g
+
+
+def _cube_cols(field, cols, n):
+    """Columns of the first n coefficients (n at most 3 times the run's
+    length) of the run cubed: the Frobenius matrix maps the digits, and
+    each image column spreads to every third exponent."""
+    out = []
+    for col in _f3_linear(field._frobenius, [c[:(n + 2) // 3] for c in cols]):
+        buf = bytearray(n)
+        buf[::3] = col
+        out.append(buf)
+    return out
+
+
+def _f3_linear(rows, cols):
+    """The columns of a run after the F3-linear map with matrix `rows`
+    (entry (i, j) is the t^i digit of the image of t^j) is applied to
+    every coefficient: row i sums the column ints it weights."""
+    n = len(cols[0])
+    digits = [int.from_bytes(c, "little") for c in cols]
+    out = []
+    for row in rows:
+        acc = 0
+        for j, (m, d) in enumerate(zip(row, digits)):
+            acc += m * d
+            if j % 63 == 62:  # 2 + 63 terms of at most 4 stay below 256
+                acc = _reduce(acc, n)
+        out.append(acc.to_bytes(n, "little").translate(_MOD3))
+    return out
 
 
 def _divmod_cols(field, a, b):

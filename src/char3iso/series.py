@@ -23,7 +23,7 @@ import math
 
 from . import kronecker
 from .errors import MixedFields, PrecisionError, ZeroDivisor
-from .gf3field import _MOD3, FieldElement, _reduce
+from .gf3field import _MOD3, FieldElement
 
 INF = math.inf
 
@@ -218,7 +218,7 @@ class LaurentSeries:
             for _ in range(field.degree - 1):
                 c = c * field.gen
                 images.append(c.coeffs)
-            cols = _f3_linear(tuple(zip(*images)), cols)
+            cols = kronecker._f3_linear(tuple(zip(*images)), cols)
         return _series(field, val, cols, prec)
 
     def __truediv__(self, other):
@@ -298,11 +298,7 @@ class LaurentSeries:
         """
         if self.is_zero:
             return LaurentSeries.zero(self.field, 3 * self.prec)
-        cols = []
-        for col in _f3_linear(self.field._frobenius, self.cols):
-            buf = bytearray(3 * len(col) - 2)
-            buf[::3] = col
-            cols.append(buf)
+        cols = kronecker._cube_cols(self.field, self.cols, 3 * len(self.cols[0]) - 2)
         return _series(self.field, 3 * self.val, cols, 3 * self.prec)
 
     # ---- comparisons and display ----------------------------------------
@@ -349,23 +345,6 @@ def in_residue_class(s, residue):
     at = (residue - s.val) % 3
     support[at::3] = bytes(len(support[at::3]))
     return support.count(0) == len(support)
-
-
-def _f3_linear(rows, cols):
-    """The columns of a run after the F3-linear map with matrix `rows`
-    (entry (i, j) is the t^i digit of the image of t^j) is applied to
-    every coefficient: row i sums the column ints it weights."""
-    n = len(cols[0])
-    digits = [int.from_bytes(c, "little") for c in cols]
-    out = []
-    for row in rows:
-        acc = 0
-        for j, (m, d) in enumerate(zip(row, digits)):
-            acc += m * d
-            if j % 63 == 62:  # 2 + 63 terms of at most 4 stay below 256
-                acc = _reduce(acc, n)
-        out.append(acc.to_bytes(n, "little").translate(_MOD3))
-    return out
 
 
 def _packed(field, element):

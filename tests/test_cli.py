@@ -552,6 +552,16 @@ def test_construct_prec_2048_matches_schoolbook_transcript(capsys, name):
     assert out == (DATA / f"construct_{name}_prec2048.records.txt").read_text()
 
 
+# The same seeds over GF(3^7), written while inverses still took Newton's
+# iteration: the Frobenius and the fold act on seven digit columns.
+@pytest.mark.parametrize("name", SEEDS_2048)
+def test_construct_gf37_prec_2048_matches_transcript(capsys, name):
+    code, out, _ = run(capsys, "construct", "--field", "3^7", "--A=1", "--c=1",
+                       *SEEDS_2048[name], "--prec", "2048", "--format", "records")
+    assert code == 0
+    assert out == (DATA / f"construct_{name}_gf37_prec2048.records.txt").read_text()
+
+
 # Written by the printer that formatted eta_coeffs= and certified_prec= for
 # the text output too, where neither is shown.
 def test_construct_prec_2048_text_transcript(capsys):

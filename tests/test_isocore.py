@@ -400,6 +400,23 @@ def test_gamma_needs_a_finite_precision(f3):
         solve_gamma(f3.one, LaurentSeries.monomial(f3, 3), f3.zero, INF)
 
 
+def test_gamma_passes_cube_only_what_they_know(monkeypatch, f3):
+    # gamma0 is gamma mod X^3, and a pass turns gamma mod X^m into gamma mod
+    # X^3m: the passes cube series known to 3, 9, 27, 81, and the
+    # substitution check cubes the result at psi's precision
+    cubed = []
+    real_cube = LaurentSeries.cube
+
+    def recorded(s):
+        cubed.append(s.prec)
+        return real_cube(s)
+
+    monkeypatch.setattr(LaurentSeries, "cube", recorded)
+    g = solve_gamma(f3.one, LaurentSeries.monomial(f3, 3), f3.zero, 200)
+    assert cubed == [3, 9, 27, 81, 200]
+    assert {e: c.coeffs[0] for e, c in g.nonzero_terms()} == {3: 1, 9: 2, 27: 1, 81: 2}
+
+
 def test_gamma_substitution_round_trip_random(f3, f9):
     rng = random.Random(50033)
     for _ in range(200):
@@ -467,17 +484,26 @@ def test_construct_makes_few_field_products(monkeypatch, f9, B, kind, seed):
                                            (1, "alpha", "x^7+x^4+x")])
 def test_construct_squares_one_series(monkeypatch, f9, B, kind, seed):
     # psi and the check of eta share one left side c^2 (X^3+AX+B) (eta')^2,
-    # so the kernel squares (alpha + beta)' once
+    # so the kernel squares (alpha + beta)' once; an inverse squares its
+    # divisor (1/b = b^2 (1/b)^3), and those squarings are not counted
     curve = CurveParams(f9, A=1, B=B, c=1)
     source = getattr(Seed, kind)(parse_rational_function(seed, f9))
-    squares = []
-    real_mul = kronecker._mul_cols
+    squares, inverting = [], []
+    real_mul, real_inverse = kronecker._mul_cols, kronecker._inverse_cols
 
     def counted(field, a, b, n=None):
-        squares.append(a is b)
+        squares.append(a is b and not inverting)
         return real_mul(field, a, b, n)
 
+    def inverse(field, b, n):
+        inverting.append(n)
+        try:
+            return real_inverse(field, b, n)
+        finally:
+            inverting.pop()
+
     monkeypatch.setattr(kronecker, "_mul_cols", counted)
+    monkeypatch.setattr(kronecker, "_inverse_cols", inverse)
     construct_with_report(curve, source, 8192)
     assert sum(squares) == 1
 

@@ -1,6 +1,6 @@
 """The Kronecker-substituted coefficient kernel against the schoolbook
-oracle in helpers, from runs short enough for the coefficient loop at
-the bottom of Newton's iteration to runs of hundreds of coefficients.
+oracle in helpers, from one-coefficient runs to runs of hundreds of
+coefficients, and inverses on both sides of each tripling of precision.
 The kernel works on columns; pack and unpack in helpers convert runs of
 FieldElements without going through the kernel's own _columns/_elements."""
 
@@ -18,6 +18,9 @@ FIELDS = [FieldParams(k) for k in range(1, 6)] + [
     FieldParams(7, (2, 2, 2, 2, 2, 1, 1, 1)),
 ]
 LENGTHS = (0, 1, 2, 3, 4, 5, 8, 15, 16, 17, 33, 64, 100, 300)
+# an inverse to n coefficients cubes one to ceil(n/3): precisions on both
+# sides of 3^j
+TRIPLING = (8, 9, 10, 26, 27, 28, 81, 82, 243, 244)
 
 
 def _field_id(field):
@@ -80,9 +83,16 @@ def test_inverse_matches_schoolbook(field):
     rng = random.Random(f"inverse:{field.degree}")
     for lb in LENGTHS[1:]:
         b = [_unit(rng, field)] + _run(rng, field, lb - 1, rng.choice((1.0, 0.3)))
-        for n in sorted({1, 2, 3, 4, 5, 16, 17, lb - 1, lb, lb + 9, 300}):
+        for n in sorted({1, 2, 3, 4, 5, 16, 17, lb - 1, lb, lb + 9, 300, *TRIPLING}):
             if n < 1 or n * lb > 10000:
                 continue
+            inverse = unpack(field, kronecker._inverse_cols(field, pack(field, b), n))
+            assert inverse == schoolbook_inverse(b, n), (lb, n)
+    # sparse short divisors, like a seed's denominator or c^2 (X^3 + B):
+    # b^2 is shorter than n, and its top coefficient is nonzero
+    for lb in (2, 4, 7, 10):
+        b = [_unit(rng, field)] + _run(rng, field, lb - 2, 0.3) + [_unit(rng, field)]
+        for n in TRIPLING + (300,):
             inverse = unpack(field, kronecker._inverse_cols(field, pack(field, b), n))
             assert inverse == schoolbook_inverse(b, n), (lb, n)
 

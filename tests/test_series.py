@@ -541,6 +541,8 @@ def test_cube_at_the_byte_slot_boundary(degree):
     twos = field.element((2,) * degree)
     s = LaurentSeries(field, -1, [twos, field.gen, field.zero, twos], 40)
     assert s.cube() == elementwise_cube(s)
+    # the inverse cubes its partial inverses through the same Frobenius matrix
+    assert s.inverse() == LaurentSeries(field, 1, schoolbook_inverse(list(s.coeffs), 41), 42)
     # a scaled digit also sums k products of at most 2*2, through the constant's matrix
     for factor in (twos, field.gen):
         assert s * factor == LaurentSeries(field, -1, [x * factor for x in s.coeffs], 40)
