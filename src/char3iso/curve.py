@@ -1,19 +1,19 @@
-"""Elliptic-curve group law over small GF(3^k): point arithmetic,
-exhaustive enumeration, and a pointwise check of a rational map that also
-identifies it as multiplication by a scalar.
+"""Elliptic-curve group law over small GF(3^k): exhaustive enumeration
+and a pointwise check of a rational map that also identifies it as
+multiplication by a scalar.
 
 Serves as an oracle independent of the series pipeline: whatever the
 construction produces can be applied to every rational point and compared
 against the chord-tangent group law directly.
 
-The group law on Points of FieldElements (p_add, p_double, ...) is the
-reference. Enumeration and check_map, whose work grows with q, run the
-same formulas on Zech's logarithms (Huber, IEEE Trans. IT 36, 1990): an
-element is the int i with element = g^i, None for zero, and a point a pair
-of them, None for infinity. The field operations are int arithmetic on
-the tables of _Logs, written out in _horner and _add with no call per
-operation. check_map makes Points only for the points whose image is off
-the curve.
+Enumeration and check_map, whose work grows with q, run the group law on
+Zech's logarithms (Huber, IEEE Trans. IT 36, 1990): an element is the int
+i with element = g^i, None for zero, and a point a pair of them, None for
+infinity. The field operations are int arithmetic on the tables of
+_Logs, written out in _horner and _add with no call per operation.
+check_map makes Points only for the points whose image is off the curve.
+The chord-tangent law on Points of FieldElements, which the tests compare
+this one against, lives in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -51,72 +51,10 @@ class Point(Record):
         return f"Point({self.x}, {self.y})"
 
 
-def on_curve(curve, point):
-    x, y = point.x, point.y
-    return point.is_infinity or y * y == (x * x + curve.A) * x + curve.B
-
-
-def _require_on_curve(curve, point):
-    if not on_curve(curve, point):
-        raise PointNotOnCurve(f"{point!r} fails the curve equation")
-
-
-def p_neg(curve, point):
-    _require_on_curve(curve, point)
-    return point if point.is_infinity else Point(point.x, -point.y)
-
-
-def p_double(curve, point):
-    """Tangent doubling; in characteristic three the slope is -A/y
-    because the 3x^2 term of the derivative vanishes."""
-    _require_on_curve(curve, point)
-    if point.is_infinity or point.y.is_zero:
-        return Point.infinity()
-    lam = -curve.A / point.y
-    x3 = lam * lam + point.x  # lambda^2 - 2x = lambda^2 + x mod 3
-    return Point(x3, lam * (point.x - x3) - point.y)
-
-
-def p_add(curve, p, q):
-    """Chord-tangent addition of points checked to be on the curve."""
-    _require_on_curve(curve, p)
-    _require_on_curve(curve, q)
-    if p.is_infinity or q.is_infinity:
-        return q if p.is_infinity else p
-    if p.x == q.x:
-        return Point.infinity() if p.y == -q.y else p_double(curve, p)
-    lam = (q.y - p.y) / (q.x - p.x)
-    x3 = lam * lam - p.x - q.x
-    return Point(x3, lam * (p.x - x3) - p.y)
-
-
-def enumerate_points(curve):
-    """Every rational point: infinity first, then affine points with x in
-    field.elements() order and, for each x, the root that comes first in
-    that order before its negative."""
-    logs, cubic = _log_curve(curve)
-    return list(_points(curve.field, logs, _enumerate(logs, cubic)))
-
-
-def apply_map(curve, fx, fy_factor, point):
-    """Apply (x, y) -> (fx(x), y * fy_factor(x)) to a point.
-
-    A pole of either coordinate function marks a kernel point and maps to
-    infinity; infinity maps to infinity. The caller decides whether the
-    image has to lie on the curve.
-    """
-    if point.is_infinity:
-        return point
-    image_x, factor = fx.eval(point.x), fy_factor.eval(point.x)
-    if image_x is None or factor is None:
-        return Point.infinity()
-    return Point(image_x, point.y * factor)
-
-
 class MapCheckReport(Record):
     """Pointwise diagnostics of a coordinate map over the rational points:
     the points whose image is off the curve, the homomorphism test, and
-    for a homomorphism the generators (indices in enumerate_points order,
+    for a homomorphism the generators (indices in enumeration order,
     empty unless the test passed) and the scalar it was identified as."""
 
     __slots__ = ("all_on_curve", "off_curve_points", "homomorphism_ok", "pairs_checked",
@@ -250,8 +188,10 @@ def _on_curve(logs, cubic, p):
 
 
 def _enumerate(logs, cubic):
-    """The rational points in enumerate_points order: x^3 + A x + B = g^l
-    is a square iff l is even, with the roots g^(l/2) and its negative."""
+    """The rational points: infinity first, then affine points with x in
+    field.elements() order and, for each x, the root that comes first in
+    that order before its negative. x^3 + A x + B = g^l is a square iff l
+    is even, with the roots g^(l/2) and its negative."""
     n, exp, low_bits, points = logs.n, logs.exp, logs.low_bits, [None]
     h = n >> 1  # -1 = g^h, and l/2 < h
     for x in logs.xs:
@@ -267,10 +207,11 @@ def _enumerate(logs, cubic):
 
 
 def _add(logs, cubic, p, q):
-    """p_add and p_double in one: the slope is the chord's, or -A/y for
-    the tangent, and x3 = lambda^2 - x1 - x2 either way. Each sum of two
-    nonzero elements is i + zech[j - i] and each negation i + n/2, on
-    logs reduced into [0, n), with no call per operation."""
+    """Chord-tangent addition, doubling included: the slope is the chord's,
+    or -A/y for the tangent (the 3x^2 of the derivative vanishes in
+    characteristic three), and x3 = lambda^2 - x1 - x2 either way. Each
+    sum of two nonzero elements is i + zech[j - i] and each negation
+    i + n/2, on logs reduced into [0, n), with no call per operation."""
     if p is None or q is None:
         return q if p is None else p
     (x1, y1), (x2, y2) = p, q

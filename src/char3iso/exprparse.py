@@ -236,11 +236,3 @@ def parse_field_element(text, field):
 def parse_rational_function(text, field):
     """Evaluate a polynomial or quotient expression in x, in lowest terms."""
     return _evaluate(_Parser(text).parse(), field, rational=True)
-
-
-def parse_polynomial(text, field):
-    """Like parse_rational_function but requires denominator one."""
-    rf = parse_rational_function(text, field)
-    if degree(rf.den) != 0:
-        raise ParseError(0, "expected a polynomial, found a quotient")
-    return rf.num

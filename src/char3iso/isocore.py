@@ -200,24 +200,11 @@ def _residual(curve, eta, lhs):
     return lhs - eta.cube() - eta * curve.A - curve.B
 
 
-def compute_psi(curve, alpha, beta):
-    """The series whose regularity gates the existence of the gamma part:
-    the residual of alpha + beta in the defining equation, that is
-
-    psi = c^2 (X^3+AX+B) ((alpha-beta)/X)^2
-          - alpha^3 - beta^3 - A alpha - A beta - B.
-
-    When the linear relation holds and B != 0 this lies in K[[X]] with all
-    exponents divisible by three; for B = 0 it may carry a principal part
-    down to X^-3, which compatibility_check then inspects.
-    """
-    ab = alpha + beta
-    return _residual(curve, ab, _lhs(curve, ab))
-
-
 def compatibility_check(curve, alpha, beta, psi):
-    """Inspect psi = compute_psi(curve, alpha, beta) and report whether
-    gamma can exist.
+    """Inspect psi, the residual of alpha + beta in the defining equation,
+    and report whether gamma can exist. When the linear relation holds and
+    B != 0, psi lies in K[[X]] with all exponents divisible by three; for
+    B = 0 it may carry a principal part down to X^-3.
 
     The check is generic: every known coefficient of psi at a negative
     exponent or at an exponent not divisible by three must vanish, and

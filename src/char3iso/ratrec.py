@@ -258,6 +258,9 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant equals its FieldElement and int, so it hashes like them
+        if degree(self.den) == 0 and degree(self.num) <= 0:
+            return hash(self.num.coefficient(0))
         return hash((self.num, self.den))
 
     def __str__(self):

@@ -103,10 +103,6 @@ class LaurentSeries:
         """True when every known coefficient vanishes (zero to precision)."""
         return self.val is None
 
-    @property
-    def is_exactly_zero(self):
-        return self.val is None and self.prec == INF
-
     def _vbound(self):
         """Valuation, or its best lower bound (prec) for a zero series."""
         return self.prec if self.val is None else self.val
@@ -260,10 +256,6 @@ class LaurentSeries:
         inv = kronecker._inverse_cols(field, [c[:n] for c in other.cols], n)
         q = kronecker._mul_cols(field, [c[:n] for c in self.cols], inv, n)
         return _series(field, qval, q, target)
-
-    def inverse(self, prec=None):
-        one = LaurentSeries.constant(self.field, 1)
-        return one.divide(self, prec=prec)
 
     def shift(self, n):
         """Multiply by X^n (n may be negative)."""

@@ -6,7 +6,10 @@ they are checking. The schoolbook run oracles, and the Euclid and Pade
 loops built on them, work on lists of FieldElements (runs, lowest degree
 first) with FieldElement arithmetic, which is itself checked against
 oracle_mul; they share no code with the polynomial functions of ratrec
-or with the kernel.
+or with the kernel. The chord-tangent law on Points of FieldElements
+(on_curve, p_add, ...) is the reference for the group law on Zech
+logarithms that char3iso.curve runs; compute_psi and parse_polynomial
+are thin test entry points over the calls the library makes.
 """
 
 import itertools
@@ -18,20 +21,24 @@ from char3iso import (
     FieldElement,
     IncompatibleSeed,
     LaurentSeries,
+    ParseError,
     PointNotOnCurve,
     PrecisionError,
     RationalFunction,
+    parse_rational_function,
     verify_functional_equation,
 )
-from char3iso.curve import Point, on_curve, p_add, p_double, p_neg
+from char3iso.curve import Point, _enumerate, _log_curve, _points
 from char3iso.isocore import (
     GUARD_PRECISION,
+    _lhs,
+    _residual,
     alpha_from_beta,
     beta_from_alpha,
     compatibility_check,
-    compute_psi,
     solve_gamma,
 )
+from char3iso.ratrec import degree
 from char3iso.series import INF
 
 
@@ -362,6 +369,73 @@ def is_irreducible_trial(poly):
     return True
 
 
+# ---- the reference group law on Points of FieldElements --------------------
+# The chord-tangent law written with FieldElement arithmetic, the oracle
+# that the log layer of char3iso.curve (_add, _enumerate, check_map) is
+# compared against.
+
+def on_curve(curve, point):
+    x, y = point.x, point.y
+    return point.is_infinity or y * y == (x * x + curve.A) * x + curve.B
+
+
+def _require_on_curve(curve, point):
+    if not on_curve(curve, point):
+        raise PointNotOnCurve(f"{point!r} fails the curve equation")
+
+
+def p_neg(curve, point):
+    _require_on_curve(curve, point)
+    return point if point.is_infinity else Point(point.x, -point.y)
+
+
+def p_double(curve, point):
+    """Tangent doubling; in characteristic three the slope is -A/y
+    because the 3x^2 term of the derivative vanishes."""
+    _require_on_curve(curve, point)
+    if point.is_infinity or point.y.is_zero:
+        return Point.infinity()
+    lam = -curve.A / point.y
+    x3 = lam * lam + point.x  # lambda^2 - 2x = lambda^2 + x mod 3
+    return Point(x3, lam * (point.x - x3) - point.y)
+
+
+def p_add(curve, p, q):
+    """Chord-tangent addition of points checked to be on the curve."""
+    _require_on_curve(curve, p)
+    _require_on_curve(curve, q)
+    if p.is_infinity or q.is_infinity:
+        return q if p.is_infinity else p
+    if p.x == q.x:
+        return Point.infinity() if p.y == -q.y else p_double(curve, p)
+    lam = (q.y - p.y) / (q.x - p.x)
+    x3 = lam * lam - p.x - q.x
+    return Point(x3, lam * (p.x - x3) - p.y)
+
+
+def enumerate_points(curve):
+    """The library's enumeration as Points: infinity first, then affine
+    points with x in field.elements() order and, for each x, the root that
+    comes first in that order before its negative."""
+    logs, cubic = _log_curve(curve)
+    return list(_points(curve.field, logs, _enumerate(logs, cubic)))
+
+
+def apply_map(curve, fx, fy_factor, point):
+    """Apply (x, y) -> (fx(x), y * fy_factor(x)) to a point.
+
+    A pole of either coordinate function marks a kernel point and maps to
+    infinity; infinity maps to infinity. The caller decides whether the
+    image has to lie on the curve.
+    """
+    if point.is_infinity:
+        return point
+    image_x, factor = fx.eval(point.x), fy_factor.eval(point.x)
+    if image_x is None or factor is None:
+        return Point.infinity()
+    return Point(image_x, point.y * factor)
+
+
 # ---- square roots and point enumeration by Tonelli-Shanks ----------------
 
 def sqrt(a):
@@ -431,8 +505,7 @@ def enumerate_points_by_scan(curve):
 
 def scalar_mul(curve, m, point):
     """m * P by double-and-add; negative m through the inverse point."""
-    if not on_curve(curve, point):
-        raise PointNotOnCurve(f"{point!r} fails the curve equation")
+    _require_on_curve(curve, point)
     if m < 0:
         return scalar_mul(curve, -m, p_neg(curve, point))
     acc = Point.infinity()
@@ -519,6 +592,27 @@ def construct_per_root(curve, seed, prec):
         assert check_cubic_membership(curve, alpha, beta, gamma).ok
         out.append((gamma0, eta.truncate(prec)))
     return out
+
+
+def compute_psi(curve, alpha, beta):
+    """psi, the residual of alpha + beta in the defining equation, by the
+    calls construct_with_report makes:
+
+    psi = c^2 (X^3+AX+B) ((alpha-beta)/X)^2
+          - alpha^3 - beta^3 - A alpha - A beta - B.
+    """
+    ab = alpha + beta
+    return _residual(curve, ab, _lhs(curve, ab))
+
+
+# ---- polynomials from text ------------------------------------------------
+
+def parse_polynomial(text, field):
+    """Like parse_rational_function but requires denominator one."""
+    rf = parse_rational_function(text, field)
+    if degree(rf.den) != 0:
+        raise ParseError(0, "expected a polynomial, found a quotient")
+    return rf.num
 
 
 # ---- exponent-residue splitting, two ways ---------------------------------

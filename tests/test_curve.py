@@ -14,21 +14,19 @@ from char3iso import (
     derive_map_pair,
     parse_rational_function,
 )
-from char3iso.curve import (
-    Point,
+from char3iso.curve import Point
+
+from helpers import (
+    addition_table,
     apply_map,
     enumerate_points,
+    enumerate_points_by_scan,
+    enumerate_points_by_sqrt,
+    homomorphism_on_all_pairs,
     on_curve,
     p_add,
     p_double,
     p_neg,
-)
-
-from helpers import (
-    addition_table,
-    enumerate_points_by_scan,
-    enumerate_points_by_sqrt,
-    homomorphism_on_all_pairs,
     random_rational,
     scalar_mul,
     span,

@@ -13,11 +13,11 @@ from char3iso import (
 )
 from char3iso import exprparse, kronecker, ratrec
 from char3iso.cli import _parse_field
-from char3iso.exprparse import parse_field_element, parse_polynomial
+from char3iso.exprparse import parse_field_element
 from char3iso.ratrec import RationalFunction, degree
 from char3iso.series import LaurentSeries
 
-from helpers import random_rational
+from helpers import parse_polynomial, random_rational
 
 
 # ---- field constants ------------------------------------------------------

@@ -31,7 +31,6 @@ from char3iso.isocore import (
     alpha_from_beta,
     beta_from_alpha,
     compatibility_check,
-    compute_psi,
     solve_gamma,
 )
 from char3iso.cli import _EXAMPLES, JobSpec, _example_job, _rational_forms
@@ -43,6 +42,7 @@ from char3iso.series import INF, in_residue_class
 from helpers import (
     check_cubic_membership,
     closed_form_conditions,
+    compute_psi,
     construct_per_root,
     gamma_by_recurrence,
     psi_by_formula,

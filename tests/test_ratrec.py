@@ -15,12 +15,12 @@ from char3iso import (
     parse_rational_function,
 )
 from char3iso import FieldElement, FieldParams, gf3field, kronecker, ratrec
-from char3iso.exprparse import parse_polynomial
 from char3iso.isocore import solve_gamma
 from char3iso.ratrec import coefficients, degree, leading, poly_divmod, poly_gcd, poly_text
 
 from helpers import (
     pade_normalising_first,
+    parse_polynomial,
     poly_extended_euclid,
     random_polynomial,
     random_rational,
@@ -221,6 +221,14 @@ def test_rational_canonical_form(f3):
     rf = RationalFunction(parse_polynomial("2*x^2-2", f3), parse_polynomial("2*x-2", f3))
     assert rf == RationalFunction.from_polynomial(parse_polynomial("x+1", f3))
     assert leading(rf.den) == 1
+
+
+def test_constant_rational_hashes_like_the_value_it_equals(f9):
+    # equal objects must hash alike, so a set or dict key treats them as one
+    for value in [*f9.elements(), 0, 1, 2]:
+        r = RationalFunction.constant(f9, value)
+        assert r == value and hash(r) == hash(value)
+        assert len({r, value}) == 1
 
 
 def test_rational_zero_denominator(f3):

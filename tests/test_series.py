@@ -66,14 +66,14 @@ def test_add_precision_is_min(f3):
 
 
 def test_geometric_inverse(f3):
-    inv = S(f3, {0: 1, 1: 2}, 8).inverse()
+    inv = LaurentSeries.constant(f3, 1).divide(S(f3, {0: 1, 1: 2}, 8))
     assert inv == S(f3, {e: 1 for e in range(8)}, 8)
 
 
 def test_inverse_of_cube_plus_two(f3):
     # long-division oracle value; re-multiplication is the identity check
     s = S(f3, {0: 2, 3: 1})
-    inv = s.inverse(prec=12)
+    inv = LaurentSeries.constant(f3, 1).divide(s, prec=12)
     assert inv == S(f3, {0: 2, 3: 2, 6: 2, 9: 2}, 12)
     assert (s * inv).truncate(12) == S(f3, {0: 1}, 12)
 
@@ -96,7 +96,7 @@ def test_division_by_zero_series(f3):
     with pytest.raises(ZeroDivisor):
         S(f3, {0: 1}) / LaurentSeries.zero(f3, 10)
     with pytest.raises(ZeroDivisor):
-        LaurentSeries.zero(f3, 10).inverse()
+        LaurentSeries.constant(f3, 1).divide(LaurentSeries.zero(f3, 10))
 
 
 def test_cube_goldens(f3):
@@ -156,8 +156,9 @@ def test_one_coefficient_factors_scale_without_the_kernel(monkeypatch, f9):
 
 def test_zero_series_semantics(f3):
     z = LaurentSeries.zero(f3, 10)
-    assert z.is_zero and not z.is_exactly_zero
-    assert LaurentSeries.zero(f3).is_exactly_zero
+    assert z.is_zero and z.prec != INF
+    exact = LaurentSeries.zero(f3)
+    assert exact.is_zero and exact.prec == INF
     assert (z * LaurentSeries.monomial(f3, 2)).prec == 12
     assert z.cube().prec == 30
 
@@ -394,7 +395,7 @@ def test_deep_negative_valuations(f3):
     assert s.cube() == S(f3, {-18: 1, -12: 2}, -3)
     # -6 = 0 and -4 = 2 mod 3, so only the x^-4 term survives as 2*2*x^-5
     assert s.derivative() == S(f3, {-5: 1}, -2)
-    inv = s.inverse()
+    inv = LaurentSeries.constant(f3, 1).divide(s)
     assert inv.val == 6
     assert (inv * s).agrees_with(LaurentSeries.constant(f3, 1))
 
@@ -542,7 +543,8 @@ def test_cube_at_the_byte_slot_boundary(degree):
     s = LaurentSeries(field, -1, [twos, field.gen, field.zero, twos], 40)
     assert s.cube() == elementwise_cube(s)
     # the inverse cubes its partial inverses through the same Frobenius matrix
-    assert s.inverse() == LaurentSeries(field, 1, schoolbook_inverse(list(s.coeffs), 41), 42)
+    inverse = LaurentSeries.constant(field, 1).divide(s)
+    assert inverse == LaurentSeries(field, 1, schoolbook_inverse(list(s.coeffs), 41), 42)
     # a scaled digit also sums k products of at most 2*2, through the constant's matrix
     for factor in (twos, field.gen):
         assert s * factor == LaurentSeries(field, -1, [x * factor for x in s.coeffs], 40)
