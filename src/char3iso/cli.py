@@ -254,11 +254,17 @@ def _print_construct_records(job, seed, report, endos, out):
     out(f"num_solutions={len(endos)}")
     _, maps = _rational_forms(job.curve, job.prec, endos)
     names = job.field._names
+    if endos:  # the solutions are eta + kappa for constants kappa: they differ only at X^0
+        terms = list(endos[0].eta._terms())
+        below = " ".join([f"{e}:{names[p]}" for e, p in terms if e < 0])
+        above = " ".join([f"{e}:{names[p]}" for e, p in terms if e > 0])
     for i, (endo, pair) in enumerate(zip(endos, maps)):
         rows = _solution_rows(endo, pair)
+        at0 = endo.eta.coefficient(0).packed
+        eta_text = " ".join(filter(None, (below, f"0:{names[at0]}" if at0 else "", above))) or "0"
         out(f"solution={i}")
         out(f"gamma0={rows['gamma0']}")
-        out(f"eta_coeffs={' '.join([f'{e}:{names[p]}' for e, p in endo.eta._terms()]) or '0'}")
+        out(f"eta_coeffs={eta_text}")
         out(f"certified_prec={endo.prec}")
         out(f"rational={rows['rational']}")
         out(f"y_factor={rows['y_factor']}")

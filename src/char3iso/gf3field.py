@@ -100,7 +100,8 @@ class FieldParams:
     @functools.cached_property
     def _frobenius(self):
         """The cube map a -> a^3 as a matrix over F3 on the digits, by rows:
-        entry (i, j) is the t^i digit of (t^j)^3. For kronecker._cube_cols."""
+        entry (i, j) is the t^i digit of (t^j)^3. For kronecker._cube_cols and
+        kronecker._cube_packed."""
         return tuple(zip(*(_from_packed(self, 1 << 8 * j).frobenius().coeffs
                            for j in range(self.degree))))
 

@@ -12,10 +12,16 @@ slicing and translation; the slots for t^k .. t^(2k-2) are folded back with
 the field's table of high powers of t. The cube is the Frobenius, an
 F3-linear map of the digit columns (_cube_cols), with no product at all.
 
-Every inverse and every division, however short, takes the identity
+An inverse whose divisor is a series in X^3 (every nonzero coefficient
+at an index = 0 mod 3, as gamma and c^2 (X^3 + B) and most of Pade's
+divisors are) is that of the decimated run in X, spread back to every
+third index: 1/b(X^3) = (1/b)(X^3), so a divisor in X^9 recurses. Every
+other inverse, however short, takes the identity
 1/b = b^2 (1/b)^3 of characteristic 3: one squaring of b, then one product
 per tripling of the precision, from the packed inverse of the constant term
-cubed by the column map, so the kernel makes no FieldElement. LaurentSeries
+cubed as one packed Frobenius image, so the kernel makes no FieldElement.
+The path depends only on the divisor's support, and a division is a
+product with an inverse. LaurentSeries
 keeps its run in column form, and so does a polynomial, which is an exact
 series; both call the column functions directly, and there is no entry
 point on element runs. _columns builds a run from FieldElements; _packed
@@ -25,6 +31,7 @@ and _elements read it back as packed ints or elements.
 from __future__ import annotations
 
 import struct
+from operator import mul
 
 from .gf3field import _MOD3, FieldElement, _inverse_packed, _reduce
 
@@ -98,38 +105,84 @@ def _mul_cols(field, a, b, n):
 
 
 def _inverse_cols(field, b, n):
-    """Columns of the first n coefficients of 1/b, by the Frobenius:
-    1/b = b^2 (1/b)^3, and 1/b known to ceil(m/3) coefficients has its cube
-    exact to m, so each level from the packed inverse of the constant term
-    up is one product of b^2 with a cube."""
+    """Columns of the first n coefficients of 1/b. A divisor whose nonzero
+    coefficients all sit at indices = 0 (mod 3) is b0(X^3), and 1/b0(X^3) =
+    (1/b0)(X^3): b0 is inverted to ceil(n/3) coefficients, so a divisor in
+    X^9 recurses, and spread to every third index. Any other divisor takes
+    the Frobenius: 1/b = b^2 (1/b)^3, and 1/b known to ceil(m/3)
+    coefficients has its cube exact to m, so each level is one product of
+    b^2 with a cube, the first with g0^3 for g0 the packed inverse of the
+    constant term, cubed as one packed image."""
+    if n > 1 and _in_class(b, 0):
+        return _spread(_inverse_cols(field, [c[::3] for c in b], (n + 2) // 3), n)
     lead = int.from_bytes(bytes([c[0] for c in b]), "little")
     if not lead:
         raise ZeroDivisionError("power series inverse needs a nonzero constant term")
-    digits = _inverse_packed(field, lead).to_bytes(field.degree, "little")
-    g = [digits[j:j + 1] for j in range(field.degree)]
+    g0 = _inverse_packed(field, lead)
+    if n <= 1:
+        return _digit_cols(g0, field.degree)
     sizes = []
     while n > 1:
         sizes.append(n)
         n = (n + 2) // 3
-    if sizes:
-        # b^2 as long as it is, not padded to n, so a short divisor keeps every level lopsided
-        b = [c[:sizes[0]] for c in b]
-        square = _mul_cols(field, b, b, min(sizes[0], 2 * len(b[0]) - 1))
-        for m in reversed(sizes):
-            g = _mul_cols(field, [c[:m] for c in square], _cube_cols(field, g, m), m)
+    # b^2 as long as it is, not padded to n, so a short divisor keeps every level lopsided
+    b = [c[:sizes[0]] for c in b]
+    square = _mul_cols(field, b, b, min(sizes[0], 2 * len(b[0]) - 1))
+    levels = reversed(sizes)
+    m = next(levels)
+    cube = _digit_cols(_cube_packed(field, g0), field.degree)
+    g = _mul_cols(field, [c[:m] for c in square], cube, m)
+    for m in levels:
+        g = _mul_cols(field, [c[:m] for c in square], _cube_cols(field, g, m), m)
     return g
+
+
+def _digit_cols(packed, k):
+    """The one-coefficient run of a packed element."""
+    digits = packed.to_bytes(k, "little")
+    return [digits[j:j + 1] for j in range(k)]
+
+
+def _cube_packed(field, packed):
+    """The packed cube of a packed element: the Frobenius matrix applied to
+    its digits, with no FieldElement."""
+    digits = packed.to_bytes(field.degree, "little")
+    return int.from_bytes(bytes([sum(map(mul, row, digits)) % 3 for row in field._frobenius]),
+                          "little")
 
 
 def _cube_cols(field, cols, n):
     """Columns of the first n coefficients (n at most 3 times the run's
     length) of the run cubed: the Frobenius matrix maps the digits, and
     each image column spreads to every third exponent."""
+    return _spread(_f3_linear(field._frobenius, [c[:(n + 2) // 3] for c in cols]), n)
+
+
+def _spread(cols, n):
+    """n-byte columns holding each column's bytes at every third index
+    (ceil(n/3) bytes each), zero between: the run r(X) as r(X^3)."""
     out = []
-    for col in _f3_linear(field._frobenius, [c[:(n + 2) // 3] for c in cols]):
+    for col in cols:
         buf = bytearray(n)
         buf[::3] = col
         out.append(buf)
     return out
+
+
+def _mask(cols):
+    """An int whose byte i is nonzero exactly where coefficient i is."""
+    mask = 0
+    for c in cols:
+        mask |= int.from_bytes(c, "little")
+    return mask
+
+
+def _in_class(cols, at):
+    """True when every nonzero coefficient of the run sits at an index =
+    at (mod 3)."""
+    support = bytearray(_mask(cols).to_bytes(len(cols[0]), "little"))
+    support[at::3] = bytes(len(support[at::3]))
+    return support.count(0) == len(support)
 
 
 def _f3_linear(rows, cols):

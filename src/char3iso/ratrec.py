@@ -105,14 +105,6 @@ def _power(p, n):
     return result
 
 
-def _horner(p, x):
-    """The polynomial p at x."""
-    acc = p.field.zero
-    for c in reversed(coefficients(p)):
-        acc = acc * x + c
-    return acc
-
-
 class RationalFunction:
     """Quotient of polynomials kept in lowest terms with a monic denominator.
 
@@ -242,11 +234,6 @@ class RationalFunction:
             self.den * self.den,
         )
 
-    def eval(self, x):
-        """Value at x, or None at a pole."""
-        d = _horner(self.den, x)
-        return None if d.is_zero else _horner(self.num, x) / d
-
     def expand(self, prec):
         """Laurent expansion at X = 0 to absolute precision prec."""
         return self.num.divide(self.den, prec=prec)
@@ -337,4 +324,5 @@ def derive_map_pair(curve, eta_rat):
     where fy_factor is the curve's scale constant times the derivative of
     eta, reduced to lowest terms.
     """
-    return eta_rat, eta_rat.derivative() * curve.c
+    d = eta_rat.derivative()  # in lowest terms, and scaling by c != 0 keeps it so
+    return eta_rat, RationalFunction._lowest_terms(d.num * curve.c, d.den)

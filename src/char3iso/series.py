@@ -245,7 +245,7 @@ class LaurentSeries:
             return self._scaled(other.coefficient(other.val).inverse().packed, -other.val, target)
         if target == INF:
             q, r = kronecker._divmod_cols(field, self.cols, other.cols)
-            if _mask(r):
+            if kronecker._mask(r):
                 raise ValueError(
                     "division of exact series is inexact; pass prec for a truncation"
                 )
@@ -331,12 +331,7 @@ class LaurentSeries:
 
 def in_residue_class(s, residue):
     """True when every known nonzero coefficient sits at exponent = residue (mod 3)."""
-    if s.is_zero:
-        return True
-    support = bytearray(_mask(s.cols).to_bytes(len(s.cols[0]), "little"))
-    at = (residue - s.val) % 3
-    support[at::3] = bytes(len(support[at::3]))
-    return support.count(0) == len(support)
+    return s.is_zero or kronecker._in_class(s.cols, (residue - s.val) % 3)
 
 
 def _packed(field, element):
@@ -358,7 +353,7 @@ def _series(field, val, cols, prec):
 def _stripped(field, val, cols, prec):
     """Series from a run in column form that lies below prec, stripped of
     its zero padding."""
-    mask = _mask(cols)
+    mask = kronecker._mask(cols)
     if mask:
         start, stop = ((mask & -mask).bit_length() - 1) // 8, (mask.bit_length() + 7) // 8
         val, cols = val + start, tuple(bytes(c[start:stop]) for c in cols)
@@ -388,14 +383,6 @@ def _monomial(field, exponent, packed, prec):
     if packed and (prec == INF or isinstance(prec, int) and exponent < prec):
         return _made(field, exponent, cols, prec)
     return _series(field, exponent, cols, prec)
-
-
-def _mask(cols):
-    """An int whose byte i is nonzero exactly where coefficient i is."""
-    mask = 0
-    for c in cols:
-        mask |= int.from_bytes(c, "little")
-    return mask
 
 
 def _aligned(s, lo, hi):

@@ -8,8 +8,10 @@ first) with FieldElement arithmetic, which is itself checked against
 oracle_mul; they share no code with the polynomial functions of ratrec
 or with the kernel. The chord-tangent law on Points of FieldElements
 (on_curve, p_add, ...) is the reference for the group law on Zech
-logarithms that char3iso.curve runs; compute_psi and parse_polynomial
-are thin test entry points over the calls the library makes.
+logarithms that char3iso.curve runs, and apply_map evaluates a
+RationalFunction at a point by Horner's rule (rational_eval); compute_psi
+and parse_polynomial are thin test entry points over the calls the
+library makes.
 """
 
 import itertools
@@ -38,7 +40,7 @@ from char3iso.isocore import (
     compatibility_check,
     solve_gamma,
 )
-from char3iso.ratrec import degree
+from char3iso.ratrec import coefficients, degree
 from char3iso.series import INF
 
 
@@ -421,6 +423,20 @@ def enumerate_points(curve):
     return list(_points(curve.field, logs, _enumerate(logs, cubic)))
 
 
+def horner(p, x):
+    """The polynomial p at x, by Horner's rule."""
+    acc = p.field.zero
+    for c in reversed(coefficients(p)):
+        acc = acc * x + c
+    return acc
+
+
+def rational_eval(rf, x):
+    """The RationalFunction rf at x, or None at a pole."""
+    d = horner(rf.den, x)
+    return None if d.is_zero else horner(rf.num, x) / d
+
+
 def apply_map(curve, fx, fy_factor, point):
     """Apply (x, y) -> (fx(x), y * fy_factor(x)) to a point.
 
@@ -430,7 +446,7 @@ def apply_map(curve, fx, fy_factor, point):
     """
     if point.is_infinity:
         return point
-    image_x, factor = fx.eval(point.x), fy_factor.eval(point.x)
+    image_x, factor = rational_eval(fx, point.x), rational_eval(fy_factor, point.x)
     if image_x is None or factor is None:
         return Point.infinity()
     return Point(image_x, point.y * factor)

@@ -562,6 +562,16 @@ def test_construct_gf37_prec_2048_matches_transcript(capsys, name):
     assert out == (DATA / f"construct_{name}_gf37_prec2048.records.txt").read_text()
 
 
+# Written while the kernel inverted every divisor at its full length: beta's
+# denominator lies in X^9, so the divisors of the seed expansion and of
+# Pade's Euclid are series in X^3 (and often in X^9).
+def test_construct_x9_denominator_prec_2048_matches_transcript(capsys):
+    code, out, _ = run(capsys, "construct", "--field", "3^2", "--A=1", "--B=2", "--c=1",
+                       "--seed-beta=x^2/(x^27+x^9-1)", "--prec", "2048", "--format", "records")
+    assert code == 0
+    assert out == (DATA / "construct_x9den_prec2048.records.txt").read_text()
+
+
 # Written by the printer that formatted eta_coeffs= and certified_prec= for
 # the text output too, where neither is shown.
 def test_construct_prec_2048_text_transcript(capsys):

@@ -79,7 +79,7 @@ def test_mul_matches_schoolbook(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=_field_id)
-def test_inverse_matches_schoolbook(field):
+def test_inverse_matches_schoolbook(field, monkeypatch):
     rng = random.Random(f"inverse:{field.degree}")
     for lb in LENGTHS[1:]:
         b = [_unit(rng, field)] + _run(rng, field, lb - 1, rng.choice((1.0, 0.3)))
@@ -95,6 +95,42 @@ def test_inverse_matches_schoolbook(field):
         for n in TRIPLING + (300,):
             inverse = unpack(field, kronecker._inverse_cols(field, pack(field, b), n))
             assert inverse == schoolbook_inverse(b, n), (lb, n)
+    # divisors in X^3 and in X^9, dense and sparse, like gamma and Pade's
+    # divisors, are inverted in X^3 (one call per level of the recursion);
+    # one coefficient off the class sends a divisor down the Frobenius
+    # levels, in a single call
+    calls = []
+    inverse_cols = kronecker._inverse_cols
+
+    def counting(field, b, n):
+        calls.append(n)
+        return inverse_cols(field, b, n)
+
+    monkeypatch.setattr(kronecker, "_inverse_cols", counting)
+    for step, lb, density in ((3, 12, 1.0), (3, 30, 0.3), (9, 5, 1.0), (9, 12, 0.3)):
+        b = [field.zero] * ((lb - 1) * step + 1)
+        b[::step] = [_unit(rng, field)] + _run(rng, field, lb - 1, density)
+        divisors = [b]
+        for at in (1, rng.choice([i for i in range(1, len(b)) if i % 3])):
+            divisors.append(list(b))
+            divisors[-1][at] = _unit(rng, field)
+        for divisor in divisors:
+            expected = schoolbook_inverse(divisor, max(TRIPLING))
+            for n in (1, 2, 3, 4) + TRIPLING:
+                run = divisor[:n]  # as callers cut it
+                calls.clear()
+                inverse = unpack(field, kronecker._inverse_cols(field, pack(field, run), n))
+                assert inverse == expected[:n], (step, lb, n)
+                in_class = not any(c for i, c in enumerate(run) if i % 3)
+                assert (len(calls) > 1) == (n > 1 and in_class), (step, lb, n)
+                if divisor is b and step == 9 and n > 3:  # in X^9: in X^3 twice over
+                    assert len(calls) >= 3, (lb, n)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=_field_id)
+def test_cube_packed_is_the_frobenius(field):
+    for c in field.elements():
+        assert kronecker._cube_packed(field, c.packed) == c.frobenius().packed, c
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=_field_id)

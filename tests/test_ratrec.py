@@ -24,6 +24,7 @@ from helpers import (
     poly_extended_euclid,
     random_polynomial,
     random_rational,
+    rational_eval,
     run_sub,
     schoolbook_divmod,
     schoolbook_mul,
@@ -65,7 +66,7 @@ def test_poly_divmod_by_zero(f3):
 def test_poly_eval_horner(f9):
     p = RationalFunction.from_polynomial(parse_polynomial("x^2+t*x+2", f9))
     x = f9.element((1, 1))
-    assert p.eval(x) == x * x + f9.gen * x + f9.from_int(2)
+    assert rational_eval(p, x) == x * x + f9.gen * x + f9.from_int(2)
 
 
 def test_poly_text_and_coefficients(f9):
@@ -154,7 +155,7 @@ def test_polynomial_ops_match_element_runs(field):
         value = field.zero
         for i, c in enumerate(a):
             value = value + c * x ** i
-        assert RationalFunction.from_polynomial(pa).eval(x) == value
+        assert rational_eval(RationalFunction.from_polynomial(pa), x) == value
 
 
 def test_pade_and_gcd_make_few_field_elements(monkeypatch, f9):
@@ -238,8 +239,8 @@ def test_rational_zero_denominator(f3):
 
 def test_rational_eval_pole(f3):
     rf = parse_rational_function("1/x", f3)
-    assert rf.eval(f3.zero) is None
-    assert rf.eval(f3.from_int(2)) == f3.from_int(2)
+    assert rational_eval(rf, f3.zero) is None
+    assert rational_eval(rf, f3.from_int(2)) == f3.from_int(2)
 
 
 def test_rational_derivative_matches_series(f3, f9):
