@@ -1,5 +1,5 @@
 """Products (by Kronecker substitution), cubes, power-series inverses and
-polynomial division of dense coefficient runs over GF(3^k).
+polynomial remainders of dense coefficient runs over GF(3^k).
 
 A run is k columns of bytes, lowest degree first: column j holds the t^j
 digit of every coefficient. A product packs each run into one Python int:
@@ -9,23 +9,22 @@ the integer product carries into the next. CPython's big-int product
 (Karatsuba) then does the whole convolution. Since 256 = 1 (mod 3), a
 slot's value mod 3 is the sum of its bytes mod 3, so unpacking is bytes
 slicing and translation; the slots for t^k .. t^(2k-2) are folded back with
-the field's table of high powers of t. The cube is the Frobenius, an
-F3-linear map of the digit columns (_cube_cols), with no product at all.
+the field's table of high powers of t. The cube (the Frobenius) and a
+scaling by a constant are F3-linear maps of the digit columns, by a matrix.
 
-An inverse whose divisor is a series in X^3 (every nonzero coefficient
-at an index = 0 mod 3, as gamma and c^2 (X^3 + B) and most of Pade's
-divisors are) is that of the decimated run in X, spread back to every
-third index: 1/b(X^3) = (1/b)(X^3), so a divisor in X^9 recurses. Every
-other inverse, however short, takes the identity
+An inverse whose divisor is a series in X^3 (as gamma and c^2 (X^3 + B)
+are) is that of the decimated run, spread back to every third index:
+1/b(X^3) = (1/b)(X^3), so a divisor in X^9 recurses. Any other takes
 1/b = b^2 (1/b)^3 of characteristic 3: one squaring of b, then one product
-per tripling of the precision, from the packed inverse of the constant term
-cubed as one packed Frobenius image, so the kernel makes no FieldElement.
-The path depends only on the divisor's support, and a division is a
-product with an inverse. LaurentSeries
-keeps its run in column form, and so does a polynomial, which is an exact
-series; both call the column functions directly, and there is no entry
-point on element runs. _columns builds a run from FieldElements; _packed
-and _elements read it back as packed ints or elements.
+per tripling of the precision from the packed inverse of the constant
+term, cubed as one packed image, so the kernel makes no FieldElement. A
+series quotient is a product with an inverse. A remainder, all that the
+Euclid loops need, is classical division from the top keeping no
+quotient: one scaled subtraction per nonzero quotient term (_rem_cols).
+LaurentSeries keeps its run in column form, and so does a polynomial, an
+exact series; both call the column functions directly, and there is no
+entry point on element runs. _columns builds a run from FieldElements;
+_packed and _elements read it back as packed ints or elements.
 """
 
 from __future__ import annotations
@@ -59,11 +58,6 @@ def _packed(cols):
 
 def _elements(field, cols):
     return list(map(FieldElement._from_packed, [field] * len(cols[0]), _packed(cols)))
-
-
-def _sub_cols(a, b):
-    return [(int.from_bytes(x, "little") + int.from_bytes(y.translate(_NEG), "little"))
-            .to_bytes(len(x), "little").translate(_MOD3) for x, y in zip(a, b)]
 
 
 def _interleave(cols, stride, width):
@@ -155,7 +149,8 @@ def _cube_cols(field, cols, n):
     """Columns of the first n coefficients (n at most 3 times the run's
     length) of the run cubed: the Frobenius matrix maps the digits, and
     each image column spreads to every third exponent."""
-    return _spread(_f3_linear(field._frobenius, [c[:(n + 2) // 3] for c in cols]), n)
+    m = (n + 2) // 3
+    return _spread(_f3_linear(field._frobenius, _ints(c[:m] for c in cols), m), n)
 
 
 def _spread(cols, n):
@@ -185,31 +180,62 @@ def _in_class(cols, at):
     return support.count(0) == len(support)
 
 
-def _f3_linear(rows, cols):
-    """The columns of a run after the F3-linear map with matrix `rows`
-    (entry (i, j) is the t^i digit of the image of t^j) is applied to
-    every coefficient: row i sums the column ints it weights."""
-    n = len(cols[0])
-    digits = [int.from_bytes(c, "little") for c in cols]
+def _f3_linear(rows, digits, n, base=None):
+    """The n-byte columns of a run (column ints) after the F3-linear map with
+    matrix `rows` (entry (i, j) the t^i digit of the image of t^j) is applied
+    to every coefficient, plus the run `base` when given."""
     out = []
-    for row in rows:
-        acc = 0
+    for i, row in enumerate(rows):
+        acc = 0 if base is None else base[i]
         for j, (m, d) in enumerate(zip(row, digits)):
-            acc += m * d
+            if m:
+                acc += d if m == 1 else d << 1
             if j % 63 == 62:  # 2 + 63 terms of at most 4 stay below 256
                 acc = _reduce(acc, n)
         out.append(acc.to_bytes(n, "little").translate(_MOD3))
     return out
 
 
-def _divmod_cols(field, a, b):
-    """Columns of the quotient and remainder of a by b as polynomials
-    (b's last coefficient nonzero); the remainder keeps len(b) - 1
-    coefficients, trailing zeros included."""
-    qn, lb = len(a[0]) - len(b[0]) + 1, len(b[0])
-    if qn <= 0:
-        return [b""] * len(a), a
-    # the reversed quotient is the low product of reversed a and 1/reversed b
-    rev_inv = _inverse_cols(field, [c[::-1][:qn] for c in b], qn)
-    q = [c[::-1] for c in _mul_cols(field, [c[::-1][:qn] for c in a], rev_inv, qn)]
-    return q, _sub_cols([c[:lb - 1] for c in a], _mul_cols(field, b, q, lb - 1))
+def _ints(cols):
+    return [int.from_bytes(c, "little") for c in cols]
+
+
+def _scale_matrix(field, packed):
+    """The matrix over F3 of multiplication by the packed element c, by rows
+    (entry (i, j) the t^i digit of c t^j): each column times t is the next."""
+    k, fold = field.degree, field._tables[1][0]
+    top, columns = 8 * (k - 1), [packed.to_bytes(k, "little")]
+    for _ in range(k - 1):
+        high = packed >> top
+        packed = _reduce(((packed - (high << top)) << 8) + high * fold, k)
+        columns.append(packed.to_bytes(k, "little"))
+    return tuple(zip(*columns))
+
+
+def _rem_cols(field, a, b):
+    """Columns of a mod b as polynomials, min(len(a), deg b) bytes long. The
+    term m X^s cancelling a's top at d, m = -lead(a)/lead(b), adds b scaled
+    by m's matrix into the window a[s:d], s = d - deg b, and a ends at d. The
+    next top is the window's, so zero quotient terms cost nothing; below an
+    all-zero window, d = s - 1, a zero top scales b by 0 to read the next."""
+    lb, d = _length(b) - 1, _length(a) - 1
+    if lb < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead = int.from_bytes(bytes([c[lb] for c in b]), "little")
+    rows = _scale_matrix(field, _inverse_packed(field, _reduce(2 * lead, field.degree)))
+    a, b, matrices = [bytearray(c) for c in a], _ints(c[:lb] for c in b), {}
+    while d >= lb > 0:  # by a constant the remainder is zero
+        s, top = d - lb, bytes([c[d] for c in a])
+        if top not in matrices:  # m's matrix, made once for each top met
+            m = int.from_bytes(bytes([sum(map(mul, row, top)) % 3 for row in rows]), "little")
+            matrices[top] = _scale_matrix(field, m)
+        windows = _f3_linear(matrices[top], b, lb, _ints(c[s:d] for c in a))
+        for c, w in zip(a, windows):
+            c[s:d] = w
+        d = s + _length(windows) - 1
+    return [c[:lb] for c in a]
+
+
+def _length(cols):
+    """The run's length without its trailing zero coefficients."""
+    return max([len(c.rstrip(b"\0")) for c in cols])

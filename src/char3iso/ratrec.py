@@ -7,8 +7,8 @@ byte columns, so sums, products, division and the Euclid loops of pade and
 poly_gcd make no FieldElement; a constant or monomial factor scales the
 other run through its matrix over F3 (LaurentSeries._scaled), and a
 one-term run by one field product. What only polynomials need is a
-function here: degree, leading, coefficients, poly_divmod, poly_gcd and
-poly_text. A RationalFunction holds two such series. A polynomial or a
+function here: degree, leading, coefficients, poly_gcd and poly_text. A
+RationalFunction holds two such series. A polynomial or a
 constant becomes one over the denominator 1 with no gcd and no inverse, as
 1 is monic and coprime to anything, and a power of a monomial raises only
 its coefficient, and not at all when that is 1.
@@ -46,17 +46,12 @@ def coefficients(p):
     return () if p.is_zero else (p.field.zero,) * p.val + p.coeffs
 
 
-def poly_divmod(a, b):
-    """Quotient and remainder of the polynomial a by b."""
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    field = a.field
+def _rem(a, b):
+    """The polynomial a mod b, on both runs padded from degree 0."""
     if degree(a) < degree(b):
-        return LaurentSeries.zero(field), a
-    # the runs padded from degree 0, so that both are aligned at the top
-    cols_a, cols_b = ([bytes(p.val) + c for c in p.cols] for p in (a, b))
-    return tuple(_series(field, 0, cols, INF)
-                 for cols in kronecker._divmod_cols(field, cols_a, cols_b))
+        return a
+    cols = kronecker._rem_cols(a.field, *([bytes(p.val or 0) + c for c in p.cols] for p in (a, b)))
+    return _series(a.field, 0, cols, INF)
 
 
 def poly_gcd(a, b):
@@ -64,7 +59,7 @@ def poly_gcd(a, b):
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials")
     while degree(b) > 0:
-        a, b = b, poly_divmod(a, b)[1]
+        a, b = b, _rem(a, b)
     return a * leading(a).inverse() if b.is_zero else _one(b.field)
 
 
@@ -297,7 +292,7 @@ def pade(series, deg_num_max, deg_den_max):
     r_prev = LaurentSeries.monomial(field, order)
     r_cur = _series(field, head.val, head.cols, INF)
     while degree(r_cur) > dn:
-        r_prev, r_cur = r_cur, poly_divmod(r_prev, r_cur)[1]
+        r_prev, r_cur = r_cur, _rem(r_prev, r_cur)
     if r_cur.is_zero:  # the candidate would be 0, and the series is not
         return None
     # Euclid keeps r = u * head (mod X^order) with deg u = order - deg r_prev,

@@ -209,12 +209,8 @@ class LaurentSeries:
                      * FieldElement._from_packed(field, d)).packed
             return _monomial(field, val, d, prec)
         if packed != 1:
-            c = FieldElement._from_packed(field, packed)
-            images = [c.coeffs]
-            for _ in range(field.degree - 1):
-                c = c * field.gen
-                images.append(c.coeffs)
-            cols = kronecker._f3_linear(tuple(zip(*images)), cols)
+            cols = kronecker._f3_linear(kronecker._scale_matrix(field, packed),
+                                        kronecker._ints(cols), len(cols[0]))
         return _series(field, val, cols, prec)
 
     def __truediv__(self, other):
@@ -243,19 +239,17 @@ class LaurentSeries:
         field, qval = self.field, self.val - other.val
         if len(other.cols[0]) == 1:  # by c X^n: scale by 1/c, as a product scales by c
             return self._scaled(other.coefficient(other.val).inverse().packed, -other.val, target)
-        if target == INF:
-            q, r = kronecker._divmod_cols(field, self.cols, other.cols)
-            if kronecker._mask(r):
-                raise ValueError(
-                    "division of exact series is inexact; pass prec for a truncation"
-                )
-            return _series(field, qval, q, INF)
-        n = target - qval
+        exact = target == INF  # then the quotient has len(self) - len(other) + 1 terms
+        n = len(self.cols[0]) - len(other.cols[0]) + 1 if exact else target - qval
         if n <= 0:
-            return LaurentSeries.zero(field, target)
-        inv = kronecker._inverse_cols(field, [c[:n] for c in other.cols], n)
-        q = kronecker._mul_cols(field, [c[:n] for c in self.cols], inv, n)
-        return _series(field, qval, q, target)
+            q = LaurentSeries.zero(field, target)
+        else:
+            inv = kronecker._inverse_cols(field, [c[:n] for c in other.cols], n)
+            q = kronecker._mul_cols(field, [c[:n] for c in self.cols], inv, n)
+            q = _series(field, qval, q, target)
+        if exact and q * other != self:  # one product checks an exact quotient
+            raise ValueError("division of exact series is inexact; pass prec for a truncation")
+        return q
 
     def shift(self, n):
         """Multiply by X^n (n may be negative)."""

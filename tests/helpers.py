@@ -9,9 +9,9 @@ oracle_mul; they share no code with the polynomial functions of ratrec
 or with the kernel. The chord-tangent law on Points of FieldElements
 (on_curve, p_add, ...) is the reference for the group law on Zech
 logarithms that char3iso.curve runs, and apply_map evaluates a
-RationalFunction at a point by Horner's rule (rational_eval); compute_psi
-and parse_polynomial are thin test entry points over the calls the
-library makes.
+RationalFunction at a point by Horner's rule (rational_eval); compute_psi,
+parse_polynomial and poly_divmod are thin test entry points over the calls
+the library makes.
 """
 
 import itertools
@@ -40,7 +40,7 @@ from char3iso.isocore import (
     compatibility_check,
     solve_gamma,
 )
-from char3iso.ratrec import coefficients, degree
+from char3iso.ratrec import _rem, coefficients, degree
 from char3iso.series import INF
 
 
@@ -629,6 +629,14 @@ def parse_polynomial(text, field):
     if degree(rf.den) != 0:
         raise ParseError(0, "expected a polynomial, found a quotient")
     return rf.num
+
+
+def poly_divmod(a, b):
+    """Quotient and remainder of the polynomial a by b, by the calls the
+    library makes: the Euclid's remainder, then the exact series division
+    of a - r by b, which checks itself by one product."""
+    r = _rem(a, b)
+    return (a - r).divide(b), r
 
 
 # ---- exponent-residue splitting, two ways ---------------------------------

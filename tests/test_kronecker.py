@@ -8,8 +8,7 @@ import random
 
 import pytest
 
-from char3iso import FieldElement, FieldParams, LaurentSeries, ZeroDivisor, kronecker
-from char3iso.ratrec import degree, poly_divmod
+from char3iso import FieldElement, FieldParams, LaurentSeries, ZeroDivisor, kronecker, ratrec
 
 from helpers import pack, schoolbook_divmod, schoolbook_inverse, schoolbook_mul, trim, unpack
 
@@ -128,29 +127,82 @@ def test_inverse_matches_schoolbook(field, monkeypatch):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=_field_id)
+def test_scale_matrix_multiplies_by_the_element(field):
+    rng = random.Random(f"scale:{field.degree}")
+    powers = [field.element([int(i == j) for i in range(field.degree)])
+              for j in range(field.degree)]
+    elements = list(field.elements()) if field.degree <= 3 else [
+        _unit(rng, field) for _ in range(60)]
+    for c in elements:
+        rows = kronecker._scale_matrix(field, c.packed)
+        assert [tuple(row[j] for row in rows) for j in range(field.degree)] == [
+            (c * t).coeffs for t in powers], c
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=_field_id)
 def test_cube_packed_is_the_frobenius(field):
     for c in field.elements():
         assert kronecker._cube_packed(field, c.packed) == c.frobenius().packed, c
 
 
+def _sparse_quotients(rng, field):
+    """(a, b) with a = q b + r for quotients q of one to three nonzero terms,
+    short and long, and r of every length below deg b, zero included."""
+    for lq in (1, 2, 40, 300):
+        for lb in (1, 2, 5, 33):
+            q = [field.zero] * lq
+            for at in {lq - 1, *(rng.randrange(lq) for _ in range(rng.randint(0, 2)))}:
+                q[at] = _unit(rng, field)
+            b = _run(rng, field, lb - 1, rng.choice((1.0, 0.3))) + [_unit(rng, field)]
+            r = _run(rng, field, rng.randrange(lb), 0.5)
+            a = schoolbook_mul(q, b)
+            yield [x + (r[i] if i < len(r) else field.zero) for i, x in enumerate(a)], b
+
+
+def _low_trimmed(run):
+    """The run from its first nonzero coefficient, and that coefficient's index."""
+    v = next((i for i, c in enumerate(run) if not c.is_zero), len(run))
+    return run[v:], v
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=_field_id)
 def test_divmod_matches_schoolbook(field):
+    # the Euclid's remainder, and exact and inexact series division, both
+    # against long division from the top
     rng = random.Random(f"divmod:{field.degree}")
-    for la, lb in _pairs(rng):
+    cases = []
+    for la, lb in _pairs(rng) + [(1000, 2), (1000, 3)]:  # with a long quotient by a short divisor
         if lb == 0:
             continue
-        a = _run(rng, field, la, rng.choice((1.0, 0.3)))
+        a = _run(rng, field, la, rng.choice((1.0, 0.3)))  # la = 0: a is zero; la < lb: a is r
         b = _run(rng, field, lb - 1, rng.choice((1.0, 0.3))) + [_unit(rng, field)]
         if lb > 1 and rng.random() < 0.5:
             b[0] = field.zero  # divisors with a zero constant term
-        q, r = (unpack(field, cols)
-                for cols in kronecker._divmod_cols(field, pack(field, a), pack(field, b)))
+        cases.append((a, b))
+    cases += _sparse_quotients(rng, field)
+    for a, b in cases:
+        la, lb = len(a), len(b)
         q_ref, r_ref = schoolbook_divmod(a, b)
-        assert (q, trim(r)) == (q_ref, r_ref), (la, lb)
+        r = unpack(field, kronecker._rem_cols(field, pack(field, a), pack(field, b)))
+        assert trim(r) == r_ref, (la, lb)
         assert len(r) == min(la, lb - 1)  # the remainder's run is not trimmed
-        back = schoolbook_mul(b, q) + [field.zero] * la
-        back = [x + (r[i] if i < len(r) else field.zero) for i, x in enumerate(back[:la])]
-        assert back == a, (la, lb)
+        # a series division is exact when the runs from their lowest nonzero
+        # coefficients divide, and then it is their quotient times X^(va - vb)
+        (a_low, va), (b_low, vb) = _low_trimmed(a), _low_trimmed(b)
+        if not a_low:
+            continue
+        sa = LaurentSeries.from_coeffs(field, va, a_low)
+        sb = LaurentSeries.from_coeffs(field, vb, b_low)
+        q_low, r_low = schoolbook_divmod(a_low, b_low)
+        if r_low:
+            with pytest.raises(ValueError):
+                sa.divide(sb)
+        else:
+            assert sa.divide(sb) == LaurentSeries.from_coeffs(field, va - vb, q_low), (la, lb)
+        if q_ref:  # and an exact quotient of nonzero q b by b
+            product = LaurentSeries.from_coeffs(field, 0, schoolbook_mul(q_ref, b))
+            assert product.divide(LaurentSeries.from_coeffs(field, 0, b)) == \
+                LaurentSeries.from_coeffs(field, 0, q_ref), (la, lb)
 
 
 def test_inverse_needs_a_unit_constant_term(f9):
@@ -161,14 +213,20 @@ def test_inverse_needs_a_unit_constant_term(f9):
 
 
 def test_divmod_by_zero(f9):
-    # the kernel's divisor has a nonzero last coefficient because a
-    # polynomial, an exact series, is stored without trailing zeros; zero
-    # itself is refused
-    zero, x = LaurentSeries.zero(f9), LaurentSeries.monomial(f9, 1)
+    # the kernel reads a divisor's degree from its mask, so a run stored
+    # with trailing zeros divides as the polynomial it holds; zero itself
+    # is refused, and so is the zero polynomial by the Euclid's remainder
+    x, zero, one = (pack(f9, run) for run in ([f9.zero, f9.one], [f9.zero] * 2, [f9.one]))
+    for divisor in (zero, [b""] * 2):
+        with pytest.raises(ZeroDivisionError):
+            kronecker._rem_cols(f9, one, divisor)
     with pytest.raises(ZeroDivisionError):
-        poly_divmod(LaurentSeries.constant(f9, 1), zero)
-    one = LaurentSeries.from_coeffs(f9, 0, [f9.one, f9.zero])
-    assert degree(one) == 0 and poly_divmod(x, one) == (x, zero)
+        ratrec._rem(LaurentSeries.constant(f9, 1), LaurentSeries.zero(f9))
+    stored = pack(f9, [f9.one, f9.zero])  # 1 with a trailing zero
+    assert kronecker._rem_cols(f9, x, stored) == [b""] * 2
+    x_plus_one = pack(f9, [f9.one, f9.one, f9.zero, f9.zero])
+    square = pack(f9, [f9.zero, f9.zero, f9.one])
+    assert unpack(f9, kronecker._rem_cols(f9, square, x_plus_one)) == [f9.one]
 
 
 def test_fold_keeps_bytes_below_256_in_large_degrees():

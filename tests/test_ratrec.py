@@ -16,11 +16,12 @@ from char3iso import (
 )
 from char3iso import FieldElement, FieldParams, gf3field, kronecker, ratrec
 from char3iso.isocore import solve_gamma
-from char3iso.ratrec import coefficients, degree, leading, poly_divmod, poly_gcd, poly_text
+from char3iso.ratrec import coefficients, degree, leading, poly_gcd, poly_text
 
 from helpers import (
     pade_normalising_first,
     parse_polynomial,
+    poly_divmod,
     poly_extended_euclid,
     random_polynomial,
     random_rational,
@@ -187,6 +188,33 @@ def test_pade_and_gcd_make_few_field_elements(monkeypatch, f9):
     assert count(poly_gcd, a, b) < degree(b)
 
 
+def test_pade_euclid_makes_no_kernel_product_or_inverse(monkeypatch, f9):
+    # Pade's Euclid takes its remainders by eliminating leading terms: the
+    # one kernel inverse left is the denominator's division, and the only
+    # products outside an inverse are that division's and the certification's
+    seed = Seed.alpha(parse_rational_function("x^7+x^4+x", f9))
+    eta = construct(CurveParams(f9, A=1, B=1, c=1), seed, 512)[0].eta
+    inverses, products, depth = [], [], []
+    mul_cols, inverse_cols = kronecker._mul_cols, kronecker._inverse_cols
+
+    def counting_mul(*args):
+        products.append(len(depth))
+        return mul_cols(*args)
+
+    def counting_inverse(*args):
+        inverses.append(len(depth))
+        depth.append(1)
+        try:
+            return inverse_cols(*args)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(kronecker, "_mul_cols", counting_mul)
+    monkeypatch.setattr(kronecker, "_inverse_cols", counting_inverse)
+    assert pade(eta, 254, 254) is None
+    assert (inverses.count(0), products.count(0)) == (1, 2)
+
+
 def test_gcd_goldens(f3):
     a = parse_polynomial("x^2-1", f3)
     b = parse_polynomial("x-1", f3)
@@ -318,9 +346,8 @@ def test_pade_euclid_ending_at_a_zero_remainder(monkeypatch, f3, f9):
     # every remainder of X^order and X^v h is a multiple of X^v; when v is
     # above the numerator bound, Euclid runs down to a zero remainder
     remainders = []
-    real = ratrec.poly_divmod
-    monkeypatch.setattr(ratrec, "poly_divmod",
-                        lambda a, b: remainders.append(real(a, b)[1]) or real(a, b))
+    real = ratrec._rem
+    monkeypatch.setattr(ratrec, "_rem", lambda a, b: remainders.append(real(a, b)) or real(a, b))
     for series, dn, dd in ((parse_rational_function("x^5/(1-x)", f3).expand(20), 2, 8),
                            (parse_rational_function("x^3", f9).num, 1, 3),
                            (parse_rational_function("t*x^4/(1+x^2)", f9).expand(30), 3, 5)):
