@@ -1,5 +1,5 @@
 """Products (by Kronecker substitution), cubes, power-series inverses and
-polynomial remainders of dense coefficient runs over GF(3^k).
+the Euclid of dense coefficient runs over GF(3^k).
 
 A run is k columns of bytes, lowest degree first: column j holds the t^j
 digit of every coefficient. A product packs each run into one Python int:
@@ -18,9 +18,10 @@ are) is that of the decimated run, spread back to every third index:
 1/b = b^2 (1/b)^3 of characteristic 3: one squaring of b, then one product
 per tripling of the precision from the packed inverse of the constant
 term, cubed as one packed image, so the kernel makes no FieldElement. A
-series quotient is a product with an inverse. A remainder, all that the
-Euclid loops need, is classical division from the top keeping no
-quotient: one scaled subtraction per nonzero quotient term (_rem_cols).
+series quotient is a product with an inverse. The Euclid of pade and
+poly_gcd (_euclid) divides from the top keeping no quotient: one scaled
+subtraction of the divisor's run per nonzero quotient term, and a run may
+carry its cofactor above the remainder, updated by the same subtraction.
 LaurentSeries keeps its run in column form, and so does a polynomial, an
 exact series; both call the column functions directly, and there is no
 entry point on element runs. _columns builds a run from FieldElements;
@@ -212,28 +213,42 @@ def _scale_matrix(field, packed):
     return tuple(zip(*columns))
 
 
-def _rem_cols(field, a, b):
-    """Columns of a mod b as polynomials, min(len(a), deg b) bytes long. The
-    term m X^s cancelling a's top at d, m = -lead(a)/lead(b), adds b scaled
-    by m's matrix into the window a[s:d], s = d - deg b, and a ends at d. The
-    next top is the window's, so zero quotient terms cost nothing; below an
-    all-zero window, d = s - 1, a zero top scales b by 0 to read the next."""
-    lb, d = _length(b) - 1, _length(a) - 1
-    if lb < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = int.from_bytes(bytes([c[lb] for c in b]), "little")
-    rows = _scale_matrix(field, _inverse_packed(field, _reduce(2 * lead, field.degree)))
-    a, b, matrices = [bytearray(c) for c in a], _ints(c[:lb] for c in b), {}
-    while d >= lb > 0:  # by a constant the remainder is zero
-        s, top = d - lb, bytes([c[d] for c in a])
-        if top not in matrices:  # m's matrix, made once for each top met
-            m = int.from_bytes(bytes([sum(map(mul, row, top)) % 3 for row in rows]), "little")
-            matrices[top] = _scale_matrix(field, m)
-        windows = _f3_linear(matrices[top], b, lb, _ints(c[s:d] for c in a))
-        for c, w in zip(a, windows):
-            c[s:d] = w
-        d = s + _length(windows) - 1
-    return [c[:lb] for c in a]
+def _euclid(field, a, b, split, stop):
+    """Euclid on two runs of bytearray columns, in place, while the second
+    remainder's degree is above stop; returns the last two runs. Each run
+    holds a remainder below `split` and its cofactor from `split` up, and
+    is long enough for every cofactor the divisions make. The
+    quotient term m X^s cancelling a's top at d, m = -lead(a)/lead(b) and
+    s = d - deg b, adds b's whole run scaled by m's matrix into a's window
+    from s, so the remainder and the cofactor take the same int sum: a
+    keeps r = u * g (mod X^split) for any g that b keeps it for. Tops are
+    read below split only, and zero quotient terms cost nothing. A divisor
+    of degree above stop that is zero raises ZeroDivisionError."""
+    k = field.degree
+    da, db = (_length([c[:split] for c in run]) - 1 for run in (a, b))
+    while db > stop:
+        if db < 0:
+            raise ZeroDivisionError("polynomial division by zero")
+        lu = _length([c[split:] for c in b])  # b's run ends at its cofactor's end, or at db
+        nb = split + lu if lu else db + 1
+        lead = int.from_bytes(bytes([c[db] for c in b]), "little")
+        rows = _scale_matrix(field, _inverse_packed(field, _reduce(2 * lead, k)))
+        digits, matrices, d = _ints(c[:nb] for c in b), {}, da
+        while d >= db:
+            s, top = d - db, bytes([c[d] for c in a])
+            if top not in matrices:  # m's matrix, made once for each top met
+                m = int.from_bytes(bytes([sum(map(mul, row, top)) % 3 for row in rows]), "little")
+                matrices[top] = _scale_matrix(field, m)
+            e = s + nb
+            windows = _f3_linear(matrices[top], digits, nb,
+                                 [int.from_bytes(c[s:e], "little") for c in a])
+            for c, w in zip(a, windows):
+                c[s:e] = w
+            d = s + _length([w[:d - s] for w in windows] if lu else windows) - 1
+            if d < s:  # the window's remainder is zero: the next top lies below it
+                d = _length([c[:s] for c in a]) - 1
+        a, b, da, db = b, a, db, d
+    return a, b
 
 
 def _length(cols):

@@ -13,12 +13,12 @@ constant becomes one over the denominator 1 with no gcd and no inverse, as
 1 is monic and coprime to anything, and a power of a monomial raises only
 its coefficient, and not at all when that is 1.
 
-Reconstruction runs Euclid on X^order and the prefix keeping only the
-remainders, recovers the denominator from the last one by one series
-division, and checks the candidate by one product: den * series must equal
-num on every known coefficient; an imperfect match yields None rather than
-a guess. A match is agreement to the series' precision, not a proof that
-the form solves anything.
+Reconstruction runs the kernel's Euclid on X^order and the prefix, each
+remainder with its cofactor, so the last remainder comes with the
+denominator and no series division is made. The candidate is checked by
+one product: den * series must equal num on every known coefficient; an
+imperfect match yields None rather than a guess. A match is agreement to
+the series' precision, not a proof that the form solves anything.
 """
 
 from __future__ import annotations
@@ -46,20 +46,18 @@ def coefficients(p):
     return () if p.is_zero else (p.field.zero,) * p.val + p.coeffs
 
 
-def _rem(a, b):
-    """The polynomial a mod b, on both runs padded from degree 0."""
-    if degree(a) < degree(b):
-        return a
-    cols = kronecker._rem_cols(a.field, *([bytes(p.val or 0) + c for c in p.cols] for p in (a, b)))
-    return _series(a.field, 0, cols, INF)
+def _padded(p, n):
+    """The columns of the polynomial p from degree 0, as n-byte bytearrays."""
+    return [bytearray(bytes(p.val or 0) + c).ljust(n, b"\0") for c in p.cols]
 
 
 def poly_gcd(a, b):
     """Monic greatest common divisor; 1 once a remainder is a nonzero constant."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials")
-    while degree(b) > 0:
-        a, b = b, _rem(a, b)
+    n = max(degree(a), degree(b)) + 1  # no cofactor: the remainders fill the runs
+    a, b = (_series(a.field, 0, run, INF)
+            for run in kronecker._euclid(a.field, _padded(a, n), _padded(b, n), n, 0))
     return a * leading(a).inverse() if b.is_zero else _one(b.field)
 
 
@@ -262,9 +260,9 @@ def pade(series, deg_num_max, deg_den_max):
     has degrees of freedom. A simple pole (valuation -1) is cleared by
     one shift and restored afterwards; deeper poles are rejected.
 
-    Euclid keeps remainders only; the last, r, gives the denominator u by
-    one division, and r/u is certified by one product, den * series = num,
-    before a gcd reduces it.
+    Euclid carries each remainder's cofactor u in the same subtractions;
+    the last r and its u give r/u with no division, certified by one
+    product, den * series = num, before a gcd reduces it.
     """
     if deg_num_max < 0 or deg_den_max < 0:
         raise ValueError("degree bounds must be nonnegative")
@@ -289,17 +287,19 @@ def pade(series, deg_num_max, deg_den_max):
     if t.prec != INF:
         order = min(order, int(t.prec))
     head = t.truncate(order)  # t.val >= 0
-    r_prev = LaurentSeries.monomial(field, order)
-    r_cur = _series(field, head.val, head.cols, INF)
-    while degree(r_cur) > dn:
-        r_prev, r_cur = r_cur, _rem(r_prev, r_cur)
-    if r_cur.is_zero:  # the candidate would be 0, and the series is not
+    if head.is_zero:  # Euclid would not start, and the candidate would be 0
         return None
-    # Euclid keeps r = u * head (mod X^order) with deg u = order - deg r_prev,
-    # below order - val(head), so u is that many coefficients of r / head.
-    # Then val(u) = val(r) - val(head): X^val(u) cancels, leaving u(0) != 0.
-    u = r_cur.divide(head, prec=order - degree(r_prev) + 1)
-    num, den = r_cur.shift(-u.val), _series(field, 0, u.cols, INF)
+    # Runs of remainder below L and cofactor from L, X^order = 0 * head and head =
+    # 1 * head: Euclid keeps r = u * head (mod X^order), deg u = order - deg r_prev.
+    L = order + 1
+    a, b = (_padded(p, 2 * L) for p in (LaurentSeries.monomial(field, order), head))
+    b[0][L] = 1
+    run = kronecker._euclid(field, a, b, L, dn)[1]
+    r, u = (_series(field, 0, part, INF) for part in ([c[:L] for c in run], [c[L:] for c in run]))
+    if r.is_zero:  # the candidate would be 0, and the series is not
+        return None
+    # val(r) >= val(u): X^val(u) cancels, leaving u(0) != 0.
+    num, den = r.shift(-u.val), u.shift(-u.val)
     # r/u meets both degree bounds as it stands and is the same function as
     # its reduced form. Below check_prec + val(den), den * series reaches
     # every known coefficient: with a simple pole den = X u.

@@ -10,8 +10,8 @@ or with the kernel. The chord-tangent law on Points of FieldElements
 (on_curve, p_add, ...) is the reference for the group law on Zech
 logarithms that char3iso.curve runs, and apply_map evaluates a
 RationalFunction at a point by Horner's rule (rational_eval); compute_psi,
-parse_polynomial and poly_divmod are thin test entry points over the calls
-the library makes.
+parse_polynomial, poly_rem and poly_divmod are thin test entry points over
+the calls the library makes.
 """
 
 import itertools
@@ -40,8 +40,9 @@ from char3iso.isocore import (
     compatibility_check,
     solve_gamma,
 )
-from char3iso.ratrec import _rem, coefficients, degree
-from char3iso.series import INF
+from char3iso import kronecker
+from char3iso.ratrec import _padded, coefficients, degree
+from char3iso.series import INF, _series
 
 
 def random_series(rng, field, val_lo=-6, val_hi=6, max_len=12, prec_extra=4):
@@ -631,11 +632,20 @@ def parse_polynomial(text, field):
     return rf.num
 
 
+def poly_rem(a, b):
+    """The polynomial a mod b, by one division of the library's Euclid
+    kernel: with no cofactor, it stops once the remainder is below deg b,
+    and a zero b raises ZeroDivisionError."""
+    n = max(degree(a), degree(b)) + 1
+    run = kronecker._euclid(a.field, _padded(a, n), _padded(b, n), n, degree(b) - 1)[1]
+    return _series(a.field, 0, run, INF)
+
+
 def poly_divmod(a, b):
     """Quotient and remainder of the polynomial a by b, by the calls the
-    library makes: the Euclid's remainder, then the exact series division
-    of a - r by b, which checks itself by one product."""
-    r = _rem(a, b)
+    library makes: the Euclid kernel's remainder, then the exact series
+    division of a - r by b, which checks itself by one product."""
+    r = poly_rem(a, b)
     return (a - r).divide(b), r
 
 

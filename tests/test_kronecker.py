@@ -8,9 +8,18 @@ import random
 
 import pytest
 
-from char3iso import FieldElement, FieldParams, LaurentSeries, ZeroDivisor, kronecker, ratrec
+from char3iso import FieldElement, FieldParams, LaurentSeries, ZeroDivisor, kronecker
 
-from helpers import pack, schoolbook_divmod, schoolbook_inverse, schoolbook_mul, trim, unpack
+from helpers import (
+    pack,
+    poly_rem,
+    run_sub,
+    schoolbook_divmod,
+    schoolbook_inverse,
+    schoolbook_mul,
+    trim,
+    unpack,
+)
 
 FIELDS = [FieldParams(k) for k in range(1, 6)] + [
     # a dense degree-7 modulus, so every high power of t folds into many digits
@@ -165,10 +174,28 @@ def _low_trimmed(run):
     return run[v:], v
 
 
+def _divide(field, a, b, ua=(), ub=()):
+    """One division of the Euclid kernel on the runs a and b, carrying the
+    cofactors ua and ub above the remainders: its stop is deg b - 1, so it
+    returns (a mod b, ua - q ub), both trimmed."""
+    split = max(len(a), len(b))
+    n = split + len(ua) + len(a) + len(ub)  # room for q ub
+    runs = []
+    for r, u in ((a, ua), (b, ub)):
+        cols = [bytearray(n) for _ in range(field.degree)]
+        for at, part in ((0, r), (split, u)):
+            for c, p in zip(cols, pack(field, part)):
+                c[at:at + len(p)] = p
+        runs.append(cols)
+    run = kronecker._euclid(field, *runs, split, len(trim(b)) - 2)[1]
+    return tuple(trim(unpack(field, [c[lo:hi] for c in run]))
+                 for lo, hi in ((0, split), (split, n)))
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=_field_id)
 def test_divmod_matches_schoolbook(field):
-    # the Euclid's remainder, and exact and inexact series division, both
-    # against long division from the top
+    # one division of the Euclid kernel, remainder and cofactor, and exact
+    # and inexact series division, all against long division from the top
     rng = random.Random(f"divmod:{field.degree}")
     cases = []
     for la, lb in _pairs(rng) + [(1000, 2), (1000, 3)]:  # with a long quotient by a short divisor
@@ -183,9 +210,10 @@ def test_divmod_matches_schoolbook(field):
     for a, b in cases:
         la, lb = len(a), len(b)
         q_ref, r_ref = schoolbook_divmod(a, b)
-        r = unpack(field, kronecker._rem_cols(field, pack(field, a), pack(field, b)))
-        assert trim(r) == r_ref, (la, lb)
-        assert len(r) == min(la, lb - 1)  # the remainder's run is not trimmed
+        ua, ub = (_run(rng, field, rng.choice((0, 1, lb, la + 1)), 0.5) for _ in "ab")
+        r, u = _divide(field, a, b, ua, ub)
+        assert r == r_ref, (la, lb)
+        assert u == run_sub(ua, schoolbook_mul(q_ref, ub)), (la, lb)
         # a series division is exact when the runs from their lowest nonzero
         # coefficients divide, and then it is their quotient times X^(va - vb)
         (a_low, va), (b_low, vb) = _low_trimmed(a), _low_trimmed(b)
@@ -215,18 +243,15 @@ def test_inverse_needs_a_unit_constant_term(f9):
 def test_divmod_by_zero(f9):
     # the kernel reads a divisor's degree from its mask, so a run stored
     # with trailing zeros divides as the polynomial it holds; zero itself
-    # is refused, and so is the zero polynomial by the Euclid's remainder
-    x, zero, one = (pack(f9, run) for run in ([f9.zero, f9.one], [f9.zero] * 2, [f9.one]))
-    for divisor in (zero, [b""] * 2):
+    # is refused, and so is the zero polynomial by the remainder in helpers
+    zero, one = f9.zero, f9.one
+    for divisor in ([zero] * 2, []):
         with pytest.raises(ZeroDivisionError):
-            kronecker._rem_cols(f9, one, divisor)
+            _divide(f9, [one], divisor)
     with pytest.raises(ZeroDivisionError):
-        ratrec._rem(LaurentSeries.constant(f9, 1), LaurentSeries.zero(f9))
-    stored = pack(f9, [f9.one, f9.zero])  # 1 with a trailing zero
-    assert kronecker._rem_cols(f9, x, stored) == [b""] * 2
-    x_plus_one = pack(f9, [f9.one, f9.one, f9.zero, f9.zero])
-    square = pack(f9, [f9.zero, f9.zero, f9.one])
-    assert unpack(f9, kronecker._rem_cols(f9, square, x_plus_one)) == [f9.one]
+        poly_rem(LaurentSeries.constant(f9, 1), LaurentSeries.zero(f9))
+    assert _divide(f9, [zero, one], [one, zero], [one], [one]) == ([], [one, -one])
+    assert _divide(f9, [zero, zero, one], [one, one, zero, zero]) == ([one], [])
 
 
 def test_fold_keeps_bytes_below_256_in_large_degrees():

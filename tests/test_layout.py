@@ -1,7 +1,8 @@
-"""The library exports only what the pipeline and the CLI use: every public
-module-level function and class of char3iso is referenced somewhere in the
-package outside its own definition. A name only the tests call belongs in
-tests/helpers.py."""
+"""The library keeps only what the pipeline and the CLI use: every
+module-level function and class of char3iso, public or private, is
+referenced somewhere in the package outside its own definition. A name
+only the tests call belongs in tests/helpers.py. Dunder names such as a
+module's __getattr__ are hooks the interpreter calls, and are not scanned."""
 
 import ast
 from pathlib import Path
@@ -15,12 +16,21 @@ def _referenced(node):
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def test_every_public_name_in_the_library_is_used_by_the_library():
+def _unused(private):
+    """Module-level functions and classes, private or public, that no other
+    statement of the package names."""
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert "curve" in modules
     statements = [(stmt, _referenced(stmt)) for tree in modules.values() for stmt in tree.body]
-    unused = [f"{module}.{node.name}" for module, tree in modules.items() for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")
-              and not any(node.name in names for stmt, names in statements if stmt is not node)]
-    assert unused == []
+    return [f"{module}.{node.name}" for module, tree in modules.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") == private and not node.name.startswith("__")
+            and not any(node.name in names for stmt, names in statements if stmt is not node)]
+
+
+def test_every_public_name_in_the_library_is_used_by_the_library():
+    assert _unused(private=False) == []
+
+
+def test_every_private_name_in_the_library_is_used_by_the_library():
+    assert _unused(private=True) == []

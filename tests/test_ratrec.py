@@ -17,6 +17,7 @@ from char3iso import (
 from char3iso import FieldElement, FieldParams, gf3field, kronecker, ratrec
 from char3iso.isocore import solve_gamma
 from char3iso.ratrec import coefficients, degree, leading, poly_gcd, poly_text
+from char3iso.series import INF, _series
 
 from helpers import (
     pade_normalising_first,
@@ -189,9 +190,9 @@ def test_pade_and_gcd_make_few_field_elements(monkeypatch, f9):
 
 
 def test_pade_euclid_makes_no_kernel_product_or_inverse(monkeypatch, f9):
-    # Pade's Euclid takes its remainders by eliminating leading terms: the
-    # one kernel inverse left is the denominator's division, and the only
-    # products outside an inverse are that division's and the certification's
+    # Pade's Euclid takes its remainders by eliminating leading terms and
+    # carries the denominator in the same subtractions: no kernel inverse,
+    # and the one product is the certification's
     seed = Seed.alpha(parse_rational_function("x^7+x^4+x", f9))
     eta = construct(CurveParams(f9, A=1, B=1, c=1), seed, 512)[0].eta
     inverses, products, depth = [], [], []
@@ -212,7 +213,7 @@ def test_pade_euclid_makes_no_kernel_product_or_inverse(monkeypatch, f9):
     monkeypatch.setattr(kronecker, "_mul_cols", counting_mul)
     monkeypatch.setattr(kronecker, "_inverse_cols", counting_inverse)
     assert pade(eta, 254, 254) is None
-    assert (inverses.count(0), products.count(0)) == (1, 2)
+    assert (len(inverses), products.count(0)) == (0, 1)
 
 
 def test_gcd_goldens(f3):
@@ -346,14 +347,20 @@ def test_pade_euclid_ending_at_a_zero_remainder(monkeypatch, f3, f9):
     # every remainder of X^order and X^v h is a multiple of X^v; when v is
     # above the numerator bound, Euclid runs down to a zero remainder
     remainders = []
-    real = ratrec._rem
-    monkeypatch.setattr(ratrec, "_rem", lambda a, b: remainders.append(real(a, b)) or real(a, b))
+    real = kronecker._euclid
+
+    def last_remainder(field, a, b, split, stop):
+        runs = real(field, a, b, split, stop)
+        remainders.append(any(c[:split].strip(b"\0") for c in runs[1]))
+        return runs
+
+    monkeypatch.setattr(kronecker, "_euclid", last_remainder)
     for series, dn, dd in ((parse_rational_function("x^5/(1-x)", f3).expand(20), 2, 8),
                            (parse_rational_function("x^3", f9).num, 1, 3),
                            (parse_rational_function("t*x^4/(1+x^2)", f9).expand(30), 3, 5)):
         remainders.clear()
         assert pade(series, dn, dd) is None
-        assert remainders and remainders[-1].is_zero
+        assert remainders == [False]  # the kernel's last remainder is zero
         assert pade_normalising_first(series, dn, dd) is None
     remainders.clear()
     # a prefix that is zero below order: Euclid does not start
@@ -397,6 +404,46 @@ def test_pade_agrees_with_normalising_first(f3, f9):
                 else (list(coefficients(got.num)), list(coefficients(got.den)))) == want
         found += got is not None
     assert 50 < found < 250, found
+
+
+def test_pade_cofactor_on_long_runs(monkeypatch):
+    # The kernel carries u in each remainder's subtractions. On prefixes of
+    # 200 to 600 terms over GF(3^1..3^7), dense, sparse, divisible by X or
+    # rational, the last two runs hold r = u * head (mod X^order) with
+    # deg u = order - deg r_prev, and pade agrees with the oracle that
+    # divides and normalises on element runs.
+    rng = random.Random(2808)
+    fields = [FieldParams(k) for k in range(1, 8)]
+    calls = []
+    real = kronecker._euclid
+    monkeypatch.setattr(kronecker, "_euclid",
+                        lambda *args: calls.append((args[3], real(*args))) or calls[-1][1])
+    found = 0
+    for case, field in enumerate(fields):
+        order = rng.randint(200, 600)
+        dn = rng.randint(0, order - 1)
+        prec = order + 1 + rng.randint(0, 3)
+        if case % 3 == 0:
+            series = random_rational(rng, field, 6).expand(prec)
+        else:
+            val, density = rng.choice((0, 0, 1, 4)), rng.choice((1.0, 0.1))
+            series = LaurentSeries.from_coeffs(field, val, [
+                field.element([rng.randrange(3) for _ in range(field.degree)])
+                if rng.random() < density else field.zero for _ in range(prec - val)], prec)
+        calls.clear()
+        got = pade(series, dn, order - 1 - dn)
+        want = pade_normalising_first(series, dn, order - 1 - dn)
+        assert (None if got is None
+                else (list(coefficients(got.num)), list(coefficients(got.den)))) == want, case
+        found += got is not None
+        (split, (prev, cur)), = calls[:1]
+        assert split == order + 1
+        r_prev, r, u = (_series(field, 0, [c[lo:hi] for c in run], INF)
+                        for run, lo, hi in ((prev, 0, split), (cur, 0, split), (cur, split, None)))
+        head = series.truncate(order)
+        assert (u * head - r).truncate(order).is_zero, case
+        assert degree(u) == order - degree(r_prev), case
+    assert 0 < found < len(fields), found
 
 
 def test_pade_declines_a_non_rational_series_without_a_gcd(monkeypatch, f9):
