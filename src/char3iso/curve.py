@@ -10,8 +10,10 @@ Enumeration and check_map, whose work grows with q, run the group law on
 Zech's logarithms (Huber, IEEE Trans. IT 36, 1990): an element is the int
 i with element = g^i, None for zero, and a point a pair of them, None for
 infinity. The field operations are int arithmetic on the tables of
-_Logs, written out in _horner and _add with no call per operation.
-check_map makes Points only for the points whose image is off the curve.
+_Logs, written out in _evaluate and _add with no call per operation.
+x^3 + A x + B is evaluated once at every field element; enumeration and
+both curve checks read that table. check_map makes Points only for the
+points whose image is off the curve.
 The chord-tangent law on Points of FieldElements, which the tests compare
 this one against, lives in tests/helpers.py.
 """
@@ -80,13 +82,13 @@ def check_map(curve, fx, fy_factor, max_scalar):
     field = curve.field
     if not fx.field == fy_factor.field == field:
         raise MixedFields("the map and the curve are over different fields")
-    logs, cubic = _log_curve(curve)
+    logs, a, cubic = _log_curve(curve)
     points = _enumerate(logs, cubic)
-    for p in points:
-        if not _on_curve(logs, cubic, p):
-            raise PointNotOnCurve(f"{_points(field, logs, [p])[0]!r} fails the curve equation")
+    bad = _off_curve(logs, cubic, points)
+    if bad:
+        raise PointNotOnCurve(f"{_points(field, logs, [points[bad[0]]])[0]!r} fails the curve equation")
     images = _map_points(logs, fx, fy_factor, points)
-    off = [p for p, image in zip(points, images) if not _on_curve(logs, cubic, image)]
+    off = [points[i] for i in _off_curve(logs, cubic, images)]
     if off:
         return MapCheckReport(False, _points(field, logs, off), False, 0, len(points))
     index = {p: i for i, p in enumerate(points)}
@@ -98,8 +100,8 @@ def check_map(curve, fx, fy_factor, max_scalar):
         for x in list(span):  # x, x + g, x + 2g, ... is back in H only at x + rg
             while True:
                 pairs += 1
-                s = index[_add(logs, cubic, points[x], points[g])]
-                if images[s] != _add(logs, cubic, images[x], images[g]):
+                s = index[_add(logs, a, points[x], points[g])]
+                if images[s] != _add(logs, a, images[x], images[g]):
                     return MapCheckReport(True, (), False, pairs, len(points))
                 if s in span:
                     break
@@ -111,7 +113,7 @@ def check_map(curve, fx, fy_factor, max_scalar):
         if multiples == targets:
             scalar = m
             break
-        multiples = [_add(logs, cubic, acc, g) for acc, g in zip(multiples, gens)]
+        multiples = [_add(logs, a, acc, g) for acc, g in zip(multiples, gens)]
     return MapCheckReport(True, (), True, pairs, len(points), tuple(generators), scalar)
 
 
@@ -152,11 +154,15 @@ class _Logs:
 
 
 def _log_curve(curve):
-    """The field's tables and the logs of x^3 + A x + B, highest degree first."""
+    """The field's tables, the log of A, and the cubic: x^3 + A x + B at
+    every field element, a dict from the log of x (None for zero) in
+    field.elements() order."""
     if curve.field.order > ENUMERATION_MAX_ORDER:
         raise FieldTooLarge(f"field order {curve.field.order} exceeds {ENUMERATION_MAX_ORDER}")
     logs = _Logs(curve.field)
-    return logs, (0, None, logs.log[curve.A.packed], logs.log.get(curve.B.packed))
+    a = logs.log[curve.A.packed]
+    values = _evaluate(logs, (0, None, a, logs.log.get(curve.B.packed)), logs.xs)
+    return logs, a, dict(zip(logs.xs, values))
 
 
 def _points(field, logs, points):
@@ -166,25 +172,26 @@ def _points(field, logs, points):
     return tuple(Point.infinity() if p is None else Point(*map(element, p)) for p in points)
 
 
-def _horner(logs, coeffs, x):
-    """The polynomial with these coefficients, highest degree first, at x:
-    acc * x + c in turn, and the constant term at once when x is zero."""
-    if x is None:
-        return coeffs[-1] if coeffs else None
-    n, zech, acc = logs.n, logs.zech, None
-    for c in coeffs:
-        if acc is None:
-            acc = c
+def _evaluate(logs, coeffs, xs):
+    """The polynomial with these coefficients, highest degree first, at
+    each x of xs: acc * x + c for every x at once, one pass a coefficient.
+    Where acc or x is zero that is c, so a zero x gives the constant term."""
+    n, zech, accs = logs.n, logs.zech, [coeffs[0] if coeffs else None] * len(xs)
+    for c in coeffs[1:]:
+        if c is None:
+            accs = [None if acc is None or x is None else (acc + x) % n for acc, x in zip(accs, xs)]
         else:
-            acc = (acc + x) % n
-            if c is not None:
-                z = zech[c - acc]
-                acc = None if z is None else (acc + z) % n
-    return acc
+            accs = [c if acc is None or x is None else
+                    None if (z := zech[c - (t := (acc + x) % n)]) is None else (t + z) % n
+                    for acc, x in zip(accs, xs)]
+    return accs
 
 
-def _on_curve(logs, cubic, p):
-    return p is None or (None if p[1] is None else 2 * p[1] % logs.n) == _horner(logs, cubic, p[0])
+def _off_curve(logs, cubic, points):
+    """The indices of the points with 2 log y other than the cubic at x."""
+    n = logs.n
+    return [i for i, p in enumerate(points) if p is not None
+            and (None if p[1] is None else 2 * p[1] % n) != cubic[p[0]]]
 
 
 def _enumerate(logs, cubic):
@@ -194,8 +201,7 @@ def _enumerate(logs, cubic):
     is even, with the roots g^(l/2) and its negative."""
     n, exp, low_bits, points = logs.n, logs.exp, logs.low_bits, [None]
     h = n >> 1  # -1 = g^h, and l/2 < h
-    for x in logs.xs:
-        rhs = _horner(logs, cubic, x)
+    for x, rhs in cubic.items():
         if rhs is None:
             points.append((x, None))
         elif not rhs & 1:
@@ -206,7 +212,7 @@ def _enumerate(logs, cubic):
     return points
 
 
-def _add(logs, cubic, p, q):
+def _add(logs, a, p, q):
     """Chord-tangent addition, doubling included: the slope is the chord's,
     or -A/y for the tangent (the 3x^2 of the derivative vanishes in
     characteristic three), and x3 = lambda^2 - x1 - x2 either way. Each
@@ -232,7 +238,7 @@ def _add(logs, cubic, p, q):
     elif y2 == ny1:  # q = -p, or p = q of order 2
         return None
     else:
-        lam = (cubic[2] + h - y1) % n
+        lam = (a + h - y1) % n
     # s = -(x1 + x2), so x3 = lam^2 + s
     if x1 is None or x2 is None:
         s = None if x1 is x2 else ((x2 if x1 is None else x1) + h) % n
@@ -262,13 +268,14 @@ def _add(logs, cubic, p, q):
 
 def _map_points(logs, fx, fy_factor, points):
     """The image of each point of _enumerate, a pole mapping to infinity:
-    each polynomial goes to logs once and is evaluated once per x."""
-    polys = [[logs.log.get(c.packed) for c in reversed(coefficients(p))]
-             for p in (fx.num, fx.den, fy_factor.num, fy_factor.den)]
-    n, values, images = logs.n, {}, [None]
+    each polynomial goes to logs once and is evaluated once over the
+    distinct x's of the points."""
+    xs = list(dict.fromkeys(p[0] for p in points[1:]))
+    values = dict(zip(xs, zip(*(
+        _evaluate(logs, [logs.log.get(c.packed) for c in reversed(coefficients(p))], xs)
+        for p in (fx.num, fx.den, fy_factor.num, fy_factor.den)))))
+    n, images = logs.n, [None]
     for x, y in points[1:]:
-        if x not in values:
-            values[x] = [_horner(logs, p, x) for p in polys]
         x_num, x_den, y_num, y_den = values[x]
         images.append(None if x_den is None or y_den is None else (
             None if x_num is None else (x_num - x_den) % n,

@@ -420,7 +420,7 @@ def enumerate_points(curve):
     """The library's enumeration as Points: infinity first, then affine
     points with x in field.elements() order and, for each x, the root that
     comes first in that order before its negative."""
-    logs, cubic = _log_curve(curve)
+    logs, _, cubic = _log_curve(curve)
     return list(_points(curve.field, logs, _enumerate(logs, cubic)))
 
 

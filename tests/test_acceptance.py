@@ -279,12 +279,12 @@ def test_criterion_8b_group_law_exhaustive():
     ok = True
     for curve in (CurveParams(F3, A=-1, B=0, c=1),
                   CurveParams(F9, A=1, B=2, c=1)):
-        logs, cubic = _log_curve(curve)
+        logs, a, cubic = _log_curve(curve)
         pts = _enumerate(logs, cubic)
         members = set(pts)
 
         def add(p, q):
-            return _add(logs, cubic, p, q)
+            return _add(logs, a, p, q)
 
         for p in pts:
             for q in pts:

@@ -467,17 +467,18 @@ def test_identify_mul2_matches_transcript_on_gf38(capsys):
 
 
 def test_identify_mul2_checks_each_point_once(capsys, monkeypatch):
-    # check_map puts each enumerated point and each image, as logs, through
-    # the curve check and adds with no further check: at most 3 checks a point
+    # check_map puts each enumerated point and then each image, as logs,
+    # through the one curve check and adds with no further check: two
+    # checks a point
     import char3iso.cli as cli
     import char3iso.curve as curve
 
     checked = []
-    on_curve, check_map = curve._on_curve, curve.check_map
+    off_curve, check_map = curve._off_curve, curve.check_map
 
-    def counted(logs, cubic, point):
-        checked.append(point)
-        return on_curve(logs, cubic, point)
+    def counted(logs, cubic, points):
+        checked.extend(points)
+        return off_curve(logs, cubic, points)
 
     def measured(*args):
         start = len(checked)
@@ -487,16 +488,15 @@ def test_identify_mul2_checks_each_point_once(capsys, monkeypatch):
         return report
 
     within, calls = [], []
-    monkeypatch.setattr(curve, "_on_curve", counted)
+    monkeypatch.setattr(curve, "_off_curve", counted)
     monkeypatch.setattr(cli, "check_map", measured)
     code, _, _ = run(capsys, *IDENTIFY_MUL2, "--format", "records")
     assert code == 0
     [((e, fx, fy, _), report)] = calls
     assert report.point_count == 244
-    assert len(within) <= 3 * 244
-    logs, cubic = curve._log_curve(e)
+    logs, _, cubic = curve._log_curve(e)
     points = curve._enumerate(logs, cubic)
-    assert set(within) >= set(points + curve._map_points(logs, fx, fy, points))
+    assert within == points + curve._map_points(logs, fx, fy, points)
 
 
 def test_identify_records_schema(capsys):

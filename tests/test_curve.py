@@ -119,15 +119,15 @@ def test_log_group_law_matches_the_reference_exhaustively(degree):
     field = FieldParams(degree)
     for A, B in itertools.product((1, 2), field.elements()):
         e = CurveParams(field, A=A, B=B, c=1)
-        logs, cubic = curve._log_curve(e)
+        logs, a, _ = curve._log_curve(e)
         points = enumerate_points(e)
         on_logs = _log_points(logs, points)
         for p, lp in zip(points, on_logs):
             (double,) = _log_points(logs, [p_double(e, p)])
-            assert curve._add(logs, cubic, lp, lp) == double
+            assert curve._add(logs, a, lp, lp) == double
             for q, lq in zip(points, on_logs):
                 (total,) = _log_points(logs, [p_add(e, p, q)])
-                assert curve._add(logs, cubic, lp, lq) == total
+                assert curve._add(logs, a, lp, lq) == total
 
 
 @pytest.mark.parametrize("degree", [5, 7])
@@ -148,7 +148,7 @@ def test_log_group_law_matches_the_reference_sampled(degree):
             points = enumerate_points(e)
             if any(getattr(p, coordinate).is_zero for p in points[1:]):
                 break
-        logs, cubic = curve._log_curve(e)
+        logs, a, _ = curve._log_curve(e)
         on_logs = _log_points(logs, points)
         at = range(len(points))
         pairs = [(rng.choice(at), rng.choice(at)) for _ in range(2000)]
@@ -160,7 +160,7 @@ def test_log_group_law_matches_the_reference_sampled(degree):
         for i, j in pairs:
             p, q = points[i], points[j]
             (total,) = _log_points(logs, [p_double(e, p) if i == j else p_add(e, p, q)])
-            assert curve._add(logs, cubic, on_logs[i], on_logs[j]) == total
+            assert curve._add(logs, a, on_logs[i], on_logs[j]) == total
 
 
 @pytest.mark.parametrize("fx, fy", [("x", "1"), ("x^3", "x^3+x+2"), ("2", "1")])
@@ -369,7 +369,7 @@ def _log_images(e, fx, fy):
     # the images check_map compares, evaluated on logs, as Points
     import char3iso.curve as curve
 
-    logs, cubic = curve._log_curve(e)
+    logs, _, cubic = curve._log_curve(e)
     images = curve._map_points(logs, fx, fy, curve._enumerate(logs, cubic))
     return curve._points(e.field, logs, images)
 
@@ -385,27 +385,29 @@ def test_check_map_images_match_apply_map(e_f9, f9):
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
 def test_check_map_images_match_apply_map_on_random_maps(degree):
     # the images check_map evaluates on logs, poles included, against
-    # apply_map on FieldElements
+    # apply_map on FieldElements; fx vanishes at an enumerated x too, which
+    # sends images to x = 0, the zero slot of the cubic's table
     rng = random.Random(729 + degree)
     field = FieldParams(degree)
     elements = list(field.elements())
     x = parse_rational_function("x", field)
-    poles = 0
+    poles = zeros = 0
     for _ in range(4):
         e = CurveParams(field, A=rng.choice(elements[1:]), B=rng.choice(elements), c=1)
-        kernel_x = rng.choice(enumerate_points(e)[1:]).x
-        fx = random_rational(rng, field, 4) / (x - kernel_x)
+        kernel_x, root_x = (rng.choice(enumerate_points(e)[1:]).x for _ in range(2))
+        fx = (x - root_x) * random_rational(rng, field, 3) / (x - kernel_x)
         fy = random_rational(rng, field, 4) / random_rational(rng, field, 3)
         points = enumerate_points(e)
         images = _log_images(e, fx, fy)
         assert images == tuple(apply_map(e, fx, fy, p) for p in points)
         poles += sum(image.is_infinity for image in images[1:])
+        zeros += sum(not image.is_infinity and image.x.is_zero for image in images[1:])
         # only the points whose image is off the curve are reported
         off = tuple(p for p, image in zip(points, images) if not on_curve(e, image))
         report = check_map(e, fx, fy, 10)
         assert report.point_count == len(points)
         assert report.off_curve_points == off and report.all_on_curve == (not off)
-    assert poles
+    assert poles and zeros
 
 
 @pytest.mark.parametrize("A", [1, 2])
@@ -437,8 +439,8 @@ def _log_addition_table(e, points):
     # every curve over GF(27)
     import char3iso.curve as curve
 
-    logs, cubic = curve._log_curve(e)
-    return addition_table(functools.partial(curve._add, logs, cubic), _log_points(logs, points))
+    logs, a, _ = curve._log_curve(e)
+    return addition_table(functools.partial(curve._add, logs, a), _log_points(logs, points))
 
 
 @pytest.mark.parametrize("B, pairs", [(1, 4 + 244), (2, 244)])
@@ -570,6 +572,30 @@ def test_check_map_unpacks_each_polynomial_once(monkeypatch):
     assert report.all_on_curve and report.point_count == 244
     polys = [fx.num.cols, fx.den.cols, fy.num.cols, fy.den.cols]
     assert len(unpacked) <= 4 and all(unpacked.count(cols) == 1 for cols in polys)
+
+
+def test_check_map_evaluates_the_cubic_once_per_field_element(monkeypatch):
+    # the doubling map at GF(3^5): x^3 + A x + B is evaluated once at each
+    # of the 243 field elements, and enumeration and both curve checks read
+    # that table, where a check per point and per image evaluated it about
+    # 730 times; each map polynomial is evaluated once over the distinct x's
+    import char3iso.curve as curve
+    from char3iso.ratrec import coefficients
+
+    field = FieldParams(5)
+    e = CurveParams(field, A=1, B=2, c=1)
+    fx, fy = derive_map_pair(e, parse_rational_function("(x^4+x^2+2*x+1)/(x^3+x+2)", field))
+    logs = curve._Logs(field)
+    cubic = (0, None, logs.log[e.A.packed], logs.log[e.B.packed])
+    distinct = len({p.x for p in enumerate_points(e)[1:]})
+    polys = [tuple(logs.log.get(c.packed) for c in reversed(coefficients(p)))
+             for p in (fx.num, fx.den, fy.num, fy.den)]
+    evaluated, evaluate = [], curve._evaluate
+    monkeypatch.setattr(curve, "_evaluate", lambda logs, coeffs, xs: evaluated.append(
+        (tuple(coeffs), len(xs))) or evaluate(logs, coeffs, xs))
+    report = check_map(e, fx, fy, 10)
+    assert report.homomorphism_ok and report.point_count == 244
+    assert evaluated == [(cubic, 243)] + [(p, distinct) for p in polys]
 
 
 def test_enumeration_cap():

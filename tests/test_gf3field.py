@@ -5,7 +5,7 @@ import random
 import pytest
 
 from char3iso import FieldParams, MixedFields
-from char3iso.curve import _horner, _Logs
+from char3iso.curve import _evaluate, _Logs
 from char3iso.gf3field import DEFAULT_MODULI, FieldElement, solve_additive_cubic
 
 from helpers import BOUNDARY_MODULI, is_irreducible_trial, oracle_add, oracle_mul, sqrt
@@ -251,19 +251,28 @@ def test_element_text_is_formatted_once_per_value(field):
 
 
 # The enumeration and the group law of char3iso.curve run on logs, with the
-# arithmetic written out in _horner and _add; these check the layer's tables,
-# and the products and sums of _horner, against packed arithmetic.
+# arithmetic written out in _evaluate and _add; these check the layer's
+# tables, and the products and sums of _evaluate, against packed arithmetic.
 
 def check_logs_against_packed(logs, a, b):
     """Products, sums, differences and negation of the logs of a and b, as
-    _horner evaluations of polynomials with those logs as coefficients,
-    against FieldElement arithmetic; zero is None in the layer, 1 is g^0
-    and -1 is g^(n/2)."""
-    n = a.field.order - 1
+    _evaluate runs of polynomials with those logs as coefficients over the
+    batch a, b, 0, against Horner's rule in FieldElement arithmetic; zero
+    is None in the layer, 1 is g^0 and -1 is g^(n/2). The batch holds
+    a * b, a + b, a - b, -a and (a * b + b) * b + a among its values."""
+    n, zero, one = a.field.order - 1, a.field.zero, a.field.one
     la, lb = logs.log.get(a.packed), logs.log.get(b.packed)
-    cases = [(_horner(logs, (la, None), lb), a * b), (_horner(logs, (0, lb), la), a + b),
-             (_horner(logs, (n // 2, la), lb), a - b), (_horner(logs, (n // 2, None), la), -a),
-             (_horner(logs, (la, lb, la), lb), (a * b + b) * b + a)]
+    A, B, O, I, M = (la, a), (lb, b), (None, zero), (0, one), (n // 2, -one)
+    for poly in [(A, O), (I, B), (M, A), (M, O), (A, B, A), (I, O, M), (O, O), ()]:
+        coeffs, elements = tuple(zip(*poly)) or ((), ())
+        want = []
+        for x in (a, b, zero):
+            acc = zero
+            for c in elements:
+                acc = acc * x + c
+            want.append(logs.log.get(acc.packed))
+        assert _evaluate(logs, coeffs, [la, lb, None]) == want, (a, b, poly)
+    cases = []
     if b:
         cases.append((None if la is None else (la - lb) % n, a / b))
         cases += [(lb * e % n, b ** e) for e in (0, 1, 2, 3, n - 1, n, n + 1, 3 * n + 5, -1, -2)]
@@ -318,12 +327,18 @@ def test_log_tables_zero_operands():
     e = field.gen + 1
     a = logs.log[e.packed]
     neg_a = (a + logs.n // 2) % logs.n
-    assert _horner(logs, (a, None), None) is None and _horner(logs, (a, a), None) == a
-    assert _horner(logs, (None, a), a) == a and _horner(logs, (0, None), a) == a
-    assert _horner(logs, (None, None), a) is None and _horner(logs, (None, None), None) is None
-    assert _horner(logs, (), a) is None and _horner(logs, (), None) is None
-    assert _horner(logs, (0, neg_a), a) is None and _horner(logs, (neg_a, a), 0) is None
-    assert _horner(logs, (0, None, neg_a), a) == logs.log[(e * e - e).packed]
+
+    def at(coeffs, *xs):
+        return _evaluate(logs, coeffs, list(xs))
+
+    assert at((a, None), None) == [None] and at((a, a), None) == [a]
+    assert at((None, a), a) == [a] and at((0, None), a) == [a]
+    assert at((None, None), a) == [None] and at((None, None), None) == [None]
+    assert at((), a) == [None] and at((), None) == [None] and at((a, a)) == []
+    assert at((0, neg_a), a) == [None] and at((neg_a, a), 0) == [None]
+    assert at((0, None, neg_a), a) == [logs.log[(e * e - e).packed]]
+    # in one batch: the sum that cancels, the constant term at zero, 1 - e
+    assert at((0, neg_a), a, None, 0) == [None, neg_a, logs.log[(1 - e).packed]]
 
 
 # ---- additive cubic solver -------------------------------------------------
