@@ -188,7 +188,8 @@ def _evaluate(logs, coeffs, xs):
 
 
 def _off_curve(logs, cubic, points):
-    """The indices of the points with 2 log y other than the cubic at x."""
+    """The indices of the points off the curve: y^2 = x^3 + A x + B is
+    2 log y against the cubic's table at x, and infinity is on it."""
     n = logs.n
     return [i for i, p in enumerate(points) if p is not None
             and (None if p[1] is None else 2 * p[1] % n) != cubic[p[0]]]
