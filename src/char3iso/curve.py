@@ -12,10 +12,10 @@ i with element = g^i, None for zero, and a point a pair of them, None for
 infinity. The field operations are int arithmetic on the tables of
 _Logs, written out in _evaluate and _add with no call per operation.
 x^3 + A x + B is evaluated once at every field element; enumeration and
-both curve checks read that table. check_map makes Points only for the
-points whose image is off the curve.
-The chord-tangent law on Points of FieldElements, which the tests compare
-this one against, lives in tests/helpers.py.
+both curve checks read that table, and the map's polynomials are read from
+their packed runs, so once the tables exist check_map makes no
+FieldElement. The chord-tangent law on points of FieldElements, which the
+tests compare this one against, lives in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -25,42 +25,20 @@ import itertools
 
 from . import kronecker
 from .errors import FieldTooLarge, MixedFields, PointNotOnCurve
-from .gf3field import _from_packed
-from .ratrec import coefficients
 from .record import Record
 from .series import LaurentSeries
 
 ENUMERATION_MAX_ORDER = 3 ** 10
 
 
-class Point(Record):
-    """A point of the curve: affine (x, y) or the point at infinity."""
-
-    __slots__ = ("x", "y")
-    _defaults = {"x": None, "y": None}
-
-    @classmethod
-    def infinity(cls):
-        return cls(None, None)
-
-    @property
-    def is_infinity(self):
-        return self.x is None
-
-    def __repr__(self):
-        if self.is_infinity:
-            return "Point(infinity)"
-        return f"Point({self.x}, {self.y})"
-
-
 class MapCheckReport(Record):
     """Pointwise diagnostics of a coordinate map over the rational points:
-    the points whose image is off the curve, the homomorphism test, and
-    for a homomorphism the generators (indices in enumeration order,
-    empty unless the test passed) and the scalar it was identified as."""
+    whether every image is on the curve, the homomorphism test, and for a
+    homomorphism the generators (indices in enumeration order, empty
+    unless the test passed) and the scalar it was identified as."""
 
-    __slots__ = ("all_on_curve", "off_curve_points", "homomorphism_ok", "pairs_checked",
-                 "point_count", "generators", "scalar")
+    __slots__ = ("all_on_curve", "homomorphism_ok", "pairs_checked", "point_count",
+                 "generators", "scalar")
     _defaults = {"generators": (), "scalar": None}
 
 
@@ -86,11 +64,11 @@ def check_map(curve, fx, fy_factor, max_scalar):
     points = _enumerate(logs, cubic)
     bad = _off_curve(logs, cubic, points)
     if bad:
-        raise PointNotOnCurve(f"{_points(field, logs, [points[bad[0]]])[0]!r} fails the curve equation")
+        x, y = (field._names[0 if i is None else logs.exp[i]] for i in points[bad[0]])
+        raise PointNotOnCurve(f"Point({x}, {y}) fails the curve equation")
     images = _map_points(logs, fx, fy_factor, points)
-    off = [points[i] for i in _off_curve(logs, cubic, images)]
-    if off:
-        return MapCheckReport(False, _points(field, logs, off), False, 0, len(points))
+    if _off_curve(logs, cubic, images):
+        return MapCheckReport(False, False, 0, len(points))
     index = {p: i for i, p in enumerate(points)}
     span, generators, pairs = {0: None}, [], 0  # a dict keeps the walk's order
     for g in range(1, len(points)):
@@ -102,7 +80,7 @@ def check_map(curve, fx, fy_factor, max_scalar):
                 pairs += 1
                 s = index[_add(logs, a, points[x], points[g])]
                 if images[s] != _add(logs, a, images[x], images[g]):
-                    return MapCheckReport(True, (), False, pairs, len(points))
+                    return MapCheckReport(True, False, pairs, len(points))
                 if s in span:
                     break
                 span[s] = None
@@ -114,7 +92,7 @@ def check_map(curve, fx, fy_factor, max_scalar):
             scalar = m
             break
         multiples = [_add(logs, a, acc, g) for acc, g in zip(multiples, gens)]
-    return MapCheckReport(True, (), True, pairs, len(points), tuple(generators), scalar)
+    return MapCheckReport(True, True, pairs, len(points), tuple(generators), scalar)
 
 
 # ---- the group law on logs ---------------------------------------------------
@@ -163,13 +141,6 @@ def _log_curve(curve):
     a = logs.log[curve.A.packed]
     values = _evaluate(logs, (0, None, a, logs.log.get(curve.B.packed)), logs.xs)
     return logs, a, dict(zip(logs.xs, values))
-
-
-def _points(field, logs, points):
-    def element(i):
-        return field.zero if i is None else _from_packed(field, logs.exp[i])
-
-    return tuple(Point.infinity() if p is None else Point(*map(element, p)) for p in points)
 
 
 def _evaluate(logs, coeffs, xs):
@@ -269,12 +240,12 @@ def _add(logs, a, p, q):
 
 def _map_points(logs, fx, fy_factor, points):
     """The image of each point of _enumerate, a pole mapping to infinity:
-    each polynomial goes to logs once and is evaluated once over the
-    distinct x's of the points."""
-    xs = list(dict.fromkeys(p[0] for p in points[1:]))
-    values = dict(zip(xs, zip(*(
-        _evaluate(logs, [logs.log.get(c.packed) for c in reversed(coefficients(p))], xs)
-        for p in (fx.num, fx.den, fy_factor.num, fy_factor.den)))))
+    each polynomial's packed run goes to logs once, its p.val low zeros
+    None, and is evaluated once over the distinct x's of the points."""
+    xs, log = list(dict.fromkeys(p[0] for p in points[1:])), logs.log.get
+    runs = ([*map(log, reversed(kronecker._packed(p.cols))), *[None] * (p.val or 0)]
+            for p in (fx.num, fx.den, fy_factor.num, fy_factor.den))
+    values = dict(zip(xs, zip(*(_evaluate(logs, run, xs) for run in runs))))
     n, images = logs.n, [None]
     for x, y in points[1:]:
         x_num, x_den, y_num, y_den = values[x]

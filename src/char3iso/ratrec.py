@@ -143,10 +143,6 @@ class RationalFunction:
     def constant(cls, field, value):
         return cls._lowest_terms(LaurentSeries.constant(field, value), _one(field))
 
-    @classmethod
-    def x(cls, field):
-        return cls._lowest_terms(LaurentSeries.monomial(field, 1), _one(field))
-
     @property
     def field(self):
         return self.num.field

@@ -8,7 +8,8 @@ first) with FieldElement arithmetic, which is itself checked against
 oracle_mul; they share no code with the polynomial functions of ratrec
 or with the kernel. The chord-tangent law on Points of FieldElements
 (on_curve, p_add, ...) is the reference for the group law on Zech
-logarithms that char3iso.curve runs, and apply_map evaluates a
+logarithms that char3iso.curve runs, points_from_logs reads that law's
+points back as Points, and apply_map evaluates a
 RationalFunction at a point by Horner's rule (rational_eval); compute_psi,
 parse_polynomial, poly_rem and poly_divmod are thin test entry points over
 the calls the library makes.
@@ -30,7 +31,7 @@ from char3iso import (
     parse_rational_function,
     verify_functional_equation,
 )
-from char3iso.curve import Point, _enumerate, _log_curve, _points
+from char3iso.curve import _enumerate, _log_curve
 from char3iso.isocore import (
     GUARD_PRECISION,
     _lhs,
@@ -41,7 +42,9 @@ from char3iso.isocore import (
     solve_gamma,
 )
 from char3iso import kronecker
+from char3iso.gf3field import _from_packed
 from char3iso.ratrec import _padded, coefficients, degree
+from char3iso.record import Record
 from char3iso.series import INF, _series
 
 
@@ -75,6 +78,11 @@ def random_rational(rng, field, max_deg=5):
         den = random_polynomial(rng, field, max_deg, nonzero=True)
         if not den.coefficient(0).is_zero:
             return RationalFunction(num, den)
+
+
+def rational_x(field):
+    """The RationalFunction x, made with no gcd and no inverse."""
+    return RationalFunction.from_polynomial(LaurentSeries.monomial(field, 1))
 
 
 # Dense irreducible moduli, low coefficient first, found by Rabin's test in
@@ -377,6 +385,35 @@ def is_irreducible_trial(poly):
 # that the log layer of char3iso.curve (_add, _enumerate, check_map) is
 # compared against.
 
+class Point(Record):
+    """A point of the curve: affine (x, y) of FieldElements or the point at infinity."""
+
+    __slots__ = ("x", "y")
+    _defaults = {"x": None, "y": None}
+
+    @classmethod
+    def infinity(cls):
+        return cls(None, None)
+
+    @property
+    def is_infinity(self):
+        return self.x is None
+
+    def __repr__(self):
+        if self.is_infinity:
+            return "Point(infinity)"
+        return f"Point({self.x}, {self.y})"
+
+
+def points_from_logs(field, logs, points):
+    """Points of char3iso.curve's log group law (pairs of logs, None for
+    zero and for infinity) as Points of FieldElements."""
+    def element(i):
+        return field.zero if i is None else _from_packed(field, logs.exp[i])
+
+    return tuple(Point.infinity() if p is None else Point(*map(element, p)) for p in points)
+
+
 def on_curve(curve, point):
     x, y = point.x, point.y
     return point.is_infinity or y * y == (x * x + curve.A) * x + curve.B
@@ -421,7 +458,7 @@ def enumerate_points(curve):
     points with x in field.elements() order and, for each x, the root that
     comes first in that order before its negative."""
     logs, _, cubic = _log_curve(curve)
-    return list(_points(curve.field, logs, _enumerate(logs, cubic)))
+    return list(points_from_logs(curve.field, logs, _enumerate(logs, cubic)))
 
 
 def horner(p, x):

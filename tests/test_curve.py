@@ -8,15 +8,15 @@ from char3iso import (
     CurveParams,
     FieldParams,
     FieldTooLarge,
+    MapCheckReport,
     MixedFields,
     PointNotOnCurve,
     check_map,
     derive_map_pair,
     parse_rational_function,
 )
-from char3iso.curve import Point
-
 from helpers import (
+    Point,
     addition_table,
     apply_map,
     enumerate_points,
@@ -27,6 +27,7 @@ from helpers import (
     p_add,
     p_double,
     p_neg,
+    points_from_logs,
     random_rational,
     scalar_mul,
     span,
@@ -105,8 +106,9 @@ def test_check_map_checks_each_enumerated_point(e_f9, f9, monkeypatch):
     monkeypatch.setattr(curve, "_enumerate",
                         lambda logs, cubic: enumerate_logs(logs, cubic) + [(None, 0)])
     x = parse_rational_function("x", f9)
-    with pytest.raises(PointNotOnCurve):
+    with pytest.raises(PointNotOnCurve) as caught:
         check_map(e_f9, x, parse_rational_function("1", f9), 10)
+    assert str(caught.value) == "Point(0, 1) fails the curve equation"
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -366,20 +368,39 @@ def _log_points(logs, points):
 
 
 def _log_images(e, fx, fy):
-    # the images check_map compares, evaluated on logs, as Points
+    # the images check_map compares, evaluated on logs, with the field's
+    # tables and the cubic they are checked against
     import char3iso.curve as curve
 
     logs, _, cubic = curve._log_curve(e)
-    images = curve._map_points(logs, fx, fy, curve._enumerate(logs, cubic))
-    return curve._points(e.field, logs, images)
+    return logs, cubic, curve._map_points(logs, fx, fy, curve._enumerate(logs, cubic))
 
 
 def test_check_map_images_match_apply_map(e_f9, f9):
     eta = parse_rational_function("(x^4+x^2+2*x+1)/(x^3+x+2)", f9)
     fx, fy = derive_map_pair(e_f9, eta)
     points = enumerate_points(e_f9)
-    assert _log_images(e_f9, fx, fy) == tuple(apply_map(e_f9, fx, fy, p) for p in points)
+    logs, _, images = _log_images(e_f9, fx, fy)
+    assert points_from_logs(f9, logs, images) == tuple(apply_map(e_f9, fx, fy, p) for p in points)
     assert check_map(e_f9, fx, fy, 10).point_count == len(points)
+
+
+def test_check_map_reports_an_off_curve_map_in_ints_and_bools(e_f9, f9):
+    # x -> x + 1 takes x^3 + x + 2 to itself minus 1, so it sends each of
+    # the 15 affine points of y^2 = x^3 + x + 2 over GF(9) off the curve;
+    # the report says so with plain values and holds no point
+    import char3iso.curve as curve
+
+    fx, one = (parse_rational_function(text, f9) for text in ("x+1", "1"))
+    points = enumerate_points(e_f9)
+    off = [i for i, p in enumerate(points) if not on_curve(e_f9, apply_map(e_f9, fx, one, p))]
+    logs, cubic, images = _log_images(e_f9, fx, one)
+    assert curve._off_curve(logs, cubic, images) == off == list(range(1, 16))
+    report = check_map(e_f9, fx, one, 10)
+    assert report == MapCheckReport(False, False, 0, 16)
+    for value in (getattr(report, name) for name in MapCheckReport.__slots__):
+        assert value is None or type(value) in (int, bool) or (
+            type(value) is tuple and all(type(i) is int for i in value)), value
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
@@ -387,6 +408,8 @@ def test_check_map_images_match_apply_map_on_random_maps(degree):
     # the images check_map evaluates on logs, poles included, against
     # apply_map on FieldElements; fx vanishes at an enumerated x too, which
     # sends images to x = 0, the zero slot of the cubic's table
+    import char3iso.curve as curve
+
     rng = random.Random(729 + degree)
     field = FieldParams(degree)
     elements = list(field.elements())
@@ -398,15 +421,16 @@ def test_check_map_images_match_apply_map_on_random_maps(degree):
         fx = (x - root_x) * random_rational(rng, field, 3) / (x - kernel_x)
         fy = random_rational(rng, field, 4) / random_rational(rng, field, 3)
         points = enumerate_points(e)
-        images = _log_images(e, fx, fy)
+        logs, cubic, on_logs = _log_images(e, fx, fy)
+        images = points_from_logs(field, logs, on_logs)
         assert images == tuple(apply_map(e, fx, fy, p) for p in points)
         poles += sum(image.is_infinity for image in images[1:])
         zeros += sum(not image.is_infinity and image.x.is_zero for image in images[1:])
-        # only the points whose image is off the curve are reported
-        off = tuple(p for p, image in zip(points, images) if not on_curve(e, image))
+        # the log check finds exactly the images the reference puts off the curve
+        off = [i for i, image in enumerate(images) if not on_curve(e, image)]
+        assert curve._off_curve(logs, cubic, on_logs) == off
         report = check_map(e, fx, fy, 10)
-        assert report.point_count == len(points)
-        assert report.off_curve_points == off and report.all_on_curve == (not off)
+        assert report.point_count == len(points) and report.all_on_curve == (not off)
     assert poles and zeros
 
 
@@ -554,24 +578,29 @@ def test_doctored_image_off_the_generators_is_no_homomorphism(degree, monkeypatc
 
 
 def test_check_map_unpacks_each_polynomial_once(monkeypatch):
-    # check_map converts each polynomial's coefficients to logs once, so
-    # the doubling map at GF(3^5) unpacks each of its four polynomials at
-    # most once however many points it maps
-    from char3iso import kronecker
+    # check_map converts each polynomial's packed run to logs once, so the
+    # doubling map at GF(3^5) unpacks each of its four polynomials once
+    # however many points it maps; once the field's tables exist, it makes
+    # no FieldElement, neither for the map nor for a point
+    import char3iso.curve as curve
+    from char3iso import FieldElement, gf3field, kronecker
 
     field = FieldParams(5)
-    curve = CurveParams(field, A=1, B=2, c=1)
+    e = CurveParams(field, A=1, B=2, c=1)
     fx = parse_rational_function("(x^4+x^2+2*x+1)/(x^3+x+2)", field)
     fy = parse_rational_function(
         "(2*x^6+x^4+2*x^3+2*x^2+2*x)/(x^6+2*x^4+x^3+x^2+x+1)", field)
-    unpacked = []
-    elements = kronecker._elements
-    monkeypatch.setattr(kronecker, "_elements",
-                        lambda f, cols: unpacked.append(cols) or elements(f, cols))
-    report = check_map(curve, fx, fy, 10)
+    curve._Logs(field)
+    unpacked, made = [], []
+    packed, new, init = kronecker._packed, gf3field._new_element, FieldElement.__init__
+    monkeypatch.setattr(kronecker, "_packed", lambda cols: unpacked.append(cols) or packed(cols))
+    monkeypatch.setattr(gf3field, "_new_element", lambda cls: made.append(cls) or new(cls))
+    monkeypatch.setattr(FieldElement, "__init__",
+                        lambda self, *args: made.append(args) or init(self, *args))
+    report = check_map(e, fx, fy, 10)
     assert report.all_on_curve and report.point_count == 244
-    polys = [fx.num.cols, fx.den.cols, fy.num.cols, fy.den.cols]
-    assert len(unpacked) <= 4 and all(unpacked.count(cols) == 1 for cols in polys)
+    assert unpacked == [fx.num.cols, fx.den.cols, fy.num.cols, fy.den.cols]
+    assert made == []
 
 
 def test_check_map_evaluates_the_cubic_once_per_field_element(monkeypatch):

@@ -17,7 +17,7 @@ from char3iso.exprparse import parse_field_element
 from char3iso.ratrec import RationalFunction, degree
 from char3iso.series import LaurentSeries
 
-from helpers import parse_polynomial, random_rational
+from helpers import parse_polynomial, random_rational, rational_x
 
 
 # ---- field constants ------------------------------------------------------
@@ -151,10 +151,10 @@ def _random_expression(rng, field, depth):
     if depth == 0 or rng.random() < 0.2:
         leaf = rng.choice(("x", "x^n", "c", "t" if field.degree >= 2 else "c"))
         if leaf == "x":
-            return "x", RationalFunction.x(field)
+            return "x", rational_x(field)
         if leaf == "x^n":
             n = rng.randrange(5)
-            return f"x^{n}", RationalFunction.x(field) ** n
+            return f"x^{n}", rational_x(field) ** n
         if leaf == "t":
             return "t", RationalFunction.constant(field, field.gen)
         n = rng.randrange(12)

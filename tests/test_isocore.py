@@ -34,12 +34,13 @@ from char3iso.isocore import (
     solve_gamma,
 )
 from char3iso.cli import _EXAMPLES, JobSpec, _example_job, _rational_forms
-from char3iso.curve import MapCheckReport, Point, check_map
+from char3iso.curve import MapCheckReport, check_map
 from char3iso.gf3field import FieldElement, FieldParams
 from char3iso.ratrec import derive_map_pair, pade
 from char3iso.series import INF, in_residue_class
 
 from helpers import (
+    Point,
     check_cubic_membership,
     closed_form_conditions,
     compute_psi,

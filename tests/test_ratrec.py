@@ -27,6 +27,7 @@ from helpers import (
     random_polynomial,
     random_rational,
     rational_eval,
+    rational_x,
     run_sub,
     schoolbook_divmod,
     schoolbook_mul,
@@ -104,12 +105,12 @@ def test_constant_factors_scale_without_the_kernel(monkeypatch, f9):
     assert products == []
     p = random_polynomial(rng, f9, 6, nonzero=True)
     assert p * 1 is p and _poly(f9, [1]) * p is p
-    RationalFunction.x(f9)
+    rational_x(f9)
     RationalFunction.constant(f9, f9.gen)
     assert products == []
-    RationalFunction.x(f9) * RationalFunction.x(f9)  # a monomial factor scales too
+    rational_x(f9) * rational_x(f9)  # a monomial factor scales too
     assert products == []
-    x_plus_1 = RationalFunction.x(f9) + 1
+    x_plus_1 = rational_x(f9) + 1
     x_plus_1 * x_plus_1
     assert len(products) == 1
 
@@ -339,7 +340,7 @@ def test_pade_series_divisible_by_x(f3, f9):
         s = rf.expand(40)
         assert s.val == v
         assert pade(s, 6, 4) == rf
-        assert pade(s.shift(1), 7, 4) == rf * RationalFunction.x(field)
+        assert pade(s.shift(1), 7, 4) == rf * rational_x(field)
         assert pade(s, v - 1, 4) is None  # too few numerator degrees for X^v
 
 
@@ -489,7 +490,7 @@ def test_polynomials_and_constants_skip_the_reduction_against_one(monkeypatch, f
         assert got == rf and got.num is p
     for c, rf in zip(constants, want_constants):
         assert RationalFunction.constant(field, c) == rf
-    assert RationalFunction.x(field) == want_x
+    assert rational_x(field) == want_x
 
 
 @pytest.mark.parametrize("field", SMALL_FIELDS, ids=lambda field: str(field.modulus))
