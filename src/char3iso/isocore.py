@@ -11,14 +11,21 @@ equation into three tractable pieces:
 
   * a linear relation  c^2 A X alpha + c^2 (X^3 + B) beta = A X^2  that
     determines either of alpha/beta from the other;
-  * a regularity and residue condition on psi, the residual of alpha +
-    beta in the equation (gamma' = 0 and cubing is additive, so eta' =
-    (alpha - beta)/X and psi = c^2 (X^3+AX+B) ((alpha-beta)/X)^2 -
-    alpha^3 - beta^3 - A alpha - A beta - B);
+  * a regularity condition on psi, the residual of alpha + beta in the
+    equation (gamma' = 0 and cubing is additive, so eta' = (alpha -
+    beta)/X): psi must have no pole, and t^3 + A t = psi(0) a root in the
+    field;
   * the additive-cubic equation gamma^3 + A gamma = psi, solved as the
     fixed point of gamma <- (psi - gamma^3) / A on whole coefficient
     columns, from a constant term gamma(0) with gamma(0)^3 + A gamma(0) =
     psi(0) in the base field; each pass triples the precision gamma is known to.
+
+A seed a/s is a s^2 / s^3, over a denominator in K[X^3], so the first two
+pieces are exact: alpha + beta = n/q and psi = N/q^3 for polynomials made
+by unreduced products (no gcd), with q in K[X^3] (see _exact_parts). psi
+lies in K((X^3)), and has no pole exactly when val N >= 3 val q. Only
+gamma needs a series: n/q and psi are expanded to the requested precision
+and no further.
 
 construct() runs the whole pipeline once and returns one endomorphism per
 admissible constant term: the first, verified, and its kernel translates.
@@ -31,20 +38,13 @@ from .errors import (
     IncompatibleSeed,
     InvalidCurveParameters,
     NonRegularPsi,
-    PrecisionError,
     SeedError,
     VerificationFailed,
 )
 from .gf3field import solve_additive_cubic
 from .ratrec import RationalFunction
 from .record import Record
-from .series import INF, LaurentSeries, in_residue_class
-
-# Extra working coefficients: psi assembly and the squared difference
-# quotient shift exponents by a few places, so construct computes with
-# prec + GUARD_PRECISION and truncates, keeping every reported
-# coefficient exact.
-GUARD_PRECISION = 8
+from .series import INF, LaurentSeries, decimated, in_residue_class, spread
 
 
 class CurveParams(Record):
@@ -81,9 +81,10 @@ class CurveParams(Record):
 class Seed(Record):
     """Starting datum for the pipeline: either the alpha or the beta part.
 
-    The series data is kept as an exact rational function so it can be
-    expanded to any working precision; a polynomial seed, an exact power
-    series, is the rational function with denominator one.
+    The series data is kept as an exact rational function, which construct
+    reads as polynomials and expands only as far as it is asked; a
+    polynomial seed, an exact power series, is the rational function with
+    denominator one.
     """
 
     __slots__ = ("kind", "source")  # "alpha" or "beta", a RationalFunction
@@ -100,25 +101,25 @@ class Seed(Record):
     def beta(cls, source):
         return cls("beta", _as_rational(source))
 
-    def expand(self, prec):
-        """Expansion to the given precision, validated for this seed kind.
+    def fraction(self):
+        """The seed a/s as (a s^2, s^3), over a denominator in K[X^3],
+        checked exactly for this seed kind.
 
         alpha seeds live at exponents = 1 (mod 3) with valuation >= 1;
         beta seeds at exponents = 2 (mod 3) with a pole of order at most
-        one. The zero series is a valid seed of either kind.
+        one. The zero series is a valid seed of either kind. As s^3 lies in
+        K[X^3], a/s has the exponent residues of a s^2; its valuation is
+        val a - val s.
         """
-        s = self.source.expand(prec)
-        if self.kind == "alpha":
-            if not in_residue_class(s, 1):
-                raise SeedError("alpha seed has exponents not = 1 (mod 3)")
-            if not s.is_zero and s.val < 1:
-                raise SeedError("alpha seed must have valuation >= 1")
-        else:
-            if not in_residue_class(s, 2):
-                raise SeedError("beta seed has exponents not = 2 (mod 3)")
-            if not s.is_zero and s.val < -1:
-                raise SeedError("beta seed may have a pole of order at most one")
-        return s
+        a, s = self.source.num, self.source.den
+        num = a * (s * s)
+        residue, lowest, low = ((1, 1, "must have valuation >= 1") if self.kind == "alpha"
+                                else (2, -1, "may have a pole of order at most one"))
+        if not in_residue_class(num, residue):
+            raise SeedError(f"{self.kind} seed has exponents not = {residue} (mod 3)")
+        if not a.is_zero and a.val - s.val < lowest:
+            raise SeedError(f"{self.kind} seed {low}")
+        return num, s.cube()
 
 
 def _as_rational(source):
@@ -133,9 +134,9 @@ def _as_rational(source):
 class CompatReport(Record):
     """Diagnostics gathered while checking whether a seed admits solutions.
 
-    principal_part_ok requires psi to have no coefficients at negative
-    exponents nor at exponents not divisible by three; when it holds,
-    gamma0_roots lists every solution of t^3 + A t = psi(0) in the field.
+    principal_part_ok requires psi to have no pole (psi lies in K((X^3))
+    whatever the seed); when it holds, gamma0_roots lists every solution of
+    t^3 + A t = psi(0) in the field.
     beta_minus1 and alpha1 are the coefficients of X^-1 in beta and of X
     in alpha.
     """
@@ -156,39 +157,6 @@ class FormalEndomorphism(Record):
         return f"<endomorphism gamma0={self.gamma0} eta={self.eta}>"
 
 
-def _linear_relation(curve):
-    """(p, q, r) = (c^2 A X, c^2 (X^3 + B), A X^2): p alpha + q beta = r."""
-    c2 = curve.c * curve.c
-    return (LaurentSeries.monomial(curve.field, 1, c2 * curve.A),
-            LaurentSeries.from_terms(curve.field, {0: c2 * curve.B, 3: c2}),
-            LaurentSeries.monomial(curve.field, 2, curve.A))
-
-
-def beta_from_alpha(curve, alpha):
-    """The beta part determined by alpha through the linear relation.
-
-    For B != 0 the divisor is a unit and beta lands in X^2 K[[X]]; for
-    B = 0 the division by X^3 may leave a simple pole.
-    """
-    p, q, r = _linear_relation(curve)
-    beta = (r - p * alpha).divide(q)
-    _require(in_residue_class(beta, 2), "beta left its residue class")
-    return beta
-
-
-def alpha_from_beta(curve, beta):
-    """The alpha part determined by beta (inverse direction of the linear
-    relation). Fails when the numerator is not divisible by X, e.g. for
-    B != 0 with a genuine pole in beta."""
-    p, q, r = _linear_relation(curve)
-    num = r - q * beta
-    if not num.is_zero and num.val < 1:
-        raise IncompatibleSeed("beta seed leaves a term below X^1; no alpha part exists")
-    alpha = num.divide(p)
-    _require(in_residue_class(alpha, 1), "alpha left its residue class")
-    return alpha
-
-
 def _lhs(curve, eta):
     """c^2 (X^3+AX+B) (eta')^2, the left side of the defining equation."""
     d = eta.derivative()
@@ -198,27 +166,6 @@ def _lhs(curve, eta):
 def _residual(curve, eta, lhs):
     """The residual of the defining equation for eta, given its left side."""
     return lhs - eta.cube() - eta * curve.A - curve.B
-
-
-def compatibility_check(curve, alpha, beta, psi):
-    """Inspect psi, the residual of alpha + beta in the defining equation,
-    and report whether gamma can exist. When the linear relation holds and
-    B != 0, psi lies in K[[X]] with all exponents divisible by three; for
-    B = 0 it may carry a principal part down to X^-3.
-
-    The check is generic: every known coefficient of psi at a negative
-    exponent or at an exponent not divisible by three must vanish, and
-    t^3 + A t = psi(0) must have a root in the field. Failure is encoded
-    in the report, not raised.
-    """
-    ok = in_residue_class(psi, 0) and (psi.is_zero or psi.val >= 0)
-    try:
-        psi0 = psi.coefficient(0)
-    except PrecisionError:
-        raise ValueError("psi carries no constant term at this precision") from None
-    roots = solve_additive_cubic(curve.A, psi0) if ok else ()
-    return CompatReport(psi0=psi0, principal_part_ok=ok, gamma0_roots=roots,
-                        beta_minus1=beta.coefficient(-1), alpha1=alpha.coefficient(1))
 
 
 def solve_gamma(A, psi, gamma0, prec):
@@ -275,16 +222,17 @@ def verify_functional_equation(curve, eta, prec=None):
 def construct(curve, seed, prec):
     """Run the full pipeline for a seed and return all solutions.
 
-    Expands the seed at prec + GUARD_PRECISION, determines the partner
-    part through the linear relation, gates on the compatibility report,
-    then solves for gamma from the first admissible constant term and
-    shifts the result by each other root's difference from it. Results are
-    ordered by the constant term's coefficient vector; each one's prec is
-    the precision its eta is known to, which is `prec`.
+    Builds alpha + beta = n/q and psi = N/q^3 exactly from the seed, gates
+    on the compatibility report, then solves for gamma from the first
+    admissible constant term and shifts the result by each other root's
+    difference from it. Results are ordered by the constant term's
+    coefficient vector; each one's prec is the precision its eta is known
+    to, which is `prec`: n/q and psi are expanded to `prec`, and gamma is
+    known as far as psi.
 
-    Raises IncompatibleSeed when psi has a surviving principal part or
-    the additive cubic has no root in the base field, and
-    VerificationFailed when the guard coefficients ran out before `prec`.
+    Raises IncompatibleSeed when a beta seed has no alpha part, when psi
+    has a pole or when the additive cubic has no root in the base field,
+    and VerificationFailed when a self-check fails.
     """
     return construct_with_report(curve, seed, prec)[1]
 
@@ -293,19 +241,18 @@ def construct_with_report(curve, seed, prec):
     """Like construct but also returns the compatibility diagnostics."""
     if prec < 16:
         raise ValueError("prec must be at least 16")
-    wp = prec + GUARD_PRECISION
-    if seed.kind == "alpha":
-        alpha = seed.expand(wp)
-        beta = beta_from_alpha(curve, alpha)
-    else:
-        beta = seed.expand(wp)
-        alpha = alpha_from_beta(curve, beta)
-    # eta = alpha + beta + gamma has the derivative of alpha + beta, so one
-    # left side serves psi and the check of eta, which cubes eta itself.
-    ab = alpha + beta
-    lhs = _lhs(curve, ab)
-    psi = _residual(curve, ab, lhs)
-    report = compatibility_check(curve, alpha, beta, psi)
+    A = curve.A
+    n, q, N = _exact_parts(curve, seed)
+    # psi = N/q^3 with N and q^3 in K[X^3]: P(X^3) = N and Q(X^3) = q^3
+    _require(in_residue_class(N, 0), "psi has exponents not divisible by three")
+    P, Q = decimated(N), decimated(q.cube())
+    psi = spread(P.divide(Q, prec=-(-prec // 3)))
+    ab = n.divide(q, prec=prec)
+    psi0 = psi.coefficient(0)
+    ok = N.is_zero or N.val >= 3 * q.val
+    report = CompatReport(psi0=psi0, principal_part_ok=ok,
+                          gamma0_roots=solve_additive_cubic(A, psi0) if ok else (),
+                          beta_minus1=ab.coefficient(-1), alpha1=ab.coefficient(1))
     if not report.principal_part_ok:
         raise IncompatibleSeed("psi has coefficients off the regular residue-zero grid",
                                report)
@@ -313,25 +260,49 @@ def construct_with_report(curve, seed, prec):
         raise IncompatibleSeed(f"t^3 + A t = {report.psi0} has no root in the base field",
                                report)
     # All roots share the gamma tail (gamma + kappa solves the cubic when
-    # kappa^3 + A kappa = 0), and residual(eta + kappa) = residual(eta) -
-    # (kappa^3 + A kappa): one substitution plus a kernel check per root
+    # kappa^3 + A kappa = 0): one check of gamma against N, q^3 (gamma^3 +
+    # A gamma) = N on every known coefficient, plus a kernel check per root
     # verifies every solution.
     gamma0 = report.gamma0_roots[0]
-    eta = ab + solve_gamma(curve.A, psi, gamma0, wp)
-    _require(_residual(curve, eta, lhs).is_zero,
+    gamma = solve_gamma(A, psi, gamma0, prec)
+    _require((Q * decimated(gamma.cube() + gamma * A)).agrees_with(P),
              "constructed eta fails its defining equation")
-    p, q, r = _linear_relation(curve)
-    _require((p * alpha + q * beta - r).is_zero, "alpha and beta fail the linear relation")
-    _require(eta.prec >= prec,
-             f"guard precision ran out: eta is known to X^{eta.prec}, not X^{prec}")
-    eta = eta.truncate(prec)
+    eta = ab + gamma
     results = []
     for root in report.gamma0_roots:
         kappa = root - gamma0
-        _require((kappa.frobenius() + curve.A * kappa).is_zero,
+        _require((kappa.frobenius() + A * kappa).is_zero,
                  "roots of the additive cubic differ outside its kernel")
         results.append(FormalEndomorphism(curve, eta + kappa, root, eta.prec))
     return report, results
+
+
+def _exact_parts(curve, seed):
+    """(n, q, N) with alpha + beta = n/q and psi = N/q^3, q in K[X^3], from
+    the seed a/s with s in K[X^3] that Seed.fraction gives.
+
+    The linear relation reads p alpha + m beta = A X^2 for p = c^2 A X and
+    m = c^2 (X^3+B). An alpha seed has q = m s, its part m a / q and the
+    partner's (A X^2 s - p a) / q; a beta seed has q = c^2 A X^3 s, its part
+    c^2 A X^3 a / q and the partner's X^2 (A X^2 s - m a) / q, and raises
+    IncompatibleSeed if that would need a term below X^1. q' = 0, so eta' =
+    n'/q and N = q (c^2 (X^3+AX+B) n'^2 - q (A n + B q)) - n^3.
+    """
+    A, B, c2 = curve.A, curve.B, curve.c * curve.c
+    a, s = seed.fraction()
+    p = LaurentSeries.monomial(curve.field, 1, c2 * A)
+    m = LaurentSeries.from_terms(curve.field, {0: c2 * B, 3: c2})
+    if seed.kind == "alpha":
+        q, alpha_q, beta_q = m * s, m * a, s.shift(2) * A - p * a
+    else:
+        rest = s.shift(2) * A - m * a  # alpha = rest / (c^2 A X s)
+        if not rest.is_zero and rest.val - s.val < 1:
+            raise IncompatibleSeed("beta seed leaves a term below X^1; no alpha part exists")
+        q, alpha_q, beta_q = s.shift(3) * (c2 * A), rest.shift(2), a.shift(3) * (c2 * A)
+    _require(p * alpha_q + m * beta_q == q.shift(2) * A, "alpha and beta fail the linear relation")
+    n = alpha_q + beta_q
+    d = n.derivative()
+    return n, q, q * (curve.rhs_series() * (d * d) * c2 - q * (n * A + q * B)) - n.cube()
 
 
 def _require(condition, message):

@@ -328,6 +328,22 @@ def in_residue_class(s, residue):
     return s.is_zero or kronecker._in_class(s.cols, (residue - s.val) % 3)
 
 
+def decimated(s):
+    """The series r with r(X^3) = s, for s in K((X^3)): every third
+    coefficient, known to ceil(prec/3)."""
+    val = None if s.val is None else s.val // 3
+    return _series(s.field, val, [c[::3] for c in s.cols],
+                   s.prec if s.prec == INF else -(-s.prec // 3))
+
+
+def spread(r):
+    """r(X^3), known to three times r's precision."""
+    if r.is_zero:
+        return LaurentSeries.zero(r.field, 3 * r.prec)
+    cols = kronecker._spread(r.cols, 3 * len(r.cols[0]) - 2)
+    return _made(r.field, 3 * r.val, tuple(map(bytes, cols)), 3 * r.prec)
+
+
 def _packed(field, element):
     """The element's packed digits; MixedFields unless it lies in `field`."""
     if element.field is not field and element.field != field:
@@ -348,12 +364,12 @@ def _stripped(field, val, cols, prec):
     """Series from a run in column form that lies below prec, stripped of
     its zero padding."""
     mask = kronecker._mask(cols)
-    if mask:
-        start, stop = ((mask & -mask).bit_length() - 1) // 8, (mask.bit_length() + 7) // 8
-        val, cols = val + start, tuple(bytes(c[start:stop]) for c in cols)
-    else:
-        val, cols = None, (b"",) * field.degree
-    return _made(field, val, cols, prec)
+    if not mask:
+        return _made(field, None, (b"",) * field.degree, prec)
+    start, stop = ((mask & -mask).bit_length() - 1) // 8, (mask.bit_length() + 7) // 8
+    if start == 0 and stop == len(cols[0]):  # already stripped, as a product's run is
+        return _made(field, val, tuple(map(bytes, cols)), prec)
+    return _made(field, val + start, tuple([bytes(c[start:stop]) for c in cols]), prec)
 
 
 def _made(field, val, cols, prec):

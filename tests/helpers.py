@@ -10,9 +10,11 @@ or with the kernel. The chord-tangent law on Points of FieldElements
 (on_curve, p_add, ...) is the reference for the group law on Zech
 logarithms that char3iso.curve runs, points_from_logs reads that law's
 points back as Points, and apply_map evaluates a
-RationalFunction at a point by Horner's rule (rational_eval); compute_psi,
-parse_polynomial, poly_rem and poly_divmod are thin test entry points over
-the calls the library makes.
+RationalFunction at a point by Horner's rule (rational_eval). The series
+pipeline (the partner part by series division, psi as the series residual
+of alpha + beta, construct_per_root) is the oracle for construct's exact
+n/q and N/q^4. parse_polynomial, poly_rem and poly_divmod are thin test
+entry points over the calls the library makes.
 """
 
 import itertools
@@ -32,20 +34,13 @@ from char3iso import (
     verify_functional_equation,
 )
 from char3iso.curve import _enumerate, _log_curve
-from char3iso.isocore import (
-    GUARD_PRECISION,
-    _lhs,
-    _residual,
-    alpha_from_beta,
-    beta_from_alpha,
-    compatibility_check,
-    solve_gamma,
-)
+from char3iso.gf3field import solve_additive_cubic
+from char3iso.isocore import CompatReport, _lhs, _residual, solve_gamma
 from char3iso import kronecker
 from char3iso.gf3field import _from_packed
 from char3iso.ratrec import _padded, coefficients, degree
 from char3iso.record import Record
-from char3iso.series import INF, _series
+from char3iso.series import INF, _series, in_residue_class
 
 
 def random_series(rng, field, val_lo=-6, val_hi=6, max_len=12, prec_extra=4):
@@ -622,18 +617,81 @@ def psi_by_formula(curve, alpha, beta):
             - alpha * curve.A - beta * curve.A - curve.B)
 
 
-def construct_per_root(curve, seed, prec):
-    """The pipeline run separately for every root of t^3 + A t = psi(0):
-    gamma solved from each root, and each eta checked by full substitution
-    and by check_cubic_membership. Returns the (gamma0, eta) pairs, or
-    raises IncompatibleSeed like construct."""
-    wp = prec + GUARD_PRECISION
+# ---- the series pipeline: the oracle for construct's exact n/q and N/q^4 ----
+
+# Extra coefficients for the series pipeline: the squared difference
+# quotient loses a place, so it expands the seed to prec + ORACLE_GUARD.
+ORACLE_GUARD = 8
+
+
+def _linear_relation(curve):
+    """(p, q, r) = (c^2 A X, c^2 (X^3 + B), A X^2): p alpha + q beta = r."""
+    c2 = curve.c * curve.c
+    return (LaurentSeries.monomial(curve.field, 1, c2 * curve.A),
+            LaurentSeries.from_terms(curve.field, {0: c2 * curve.B, 3: c2}),
+            LaurentSeries.monomial(curve.field, 2, curve.A))
+
+
+def beta_from_alpha(curve, alpha):
+    """The beta part determined by alpha through the linear relation, by a
+    series division. For B != 0 the divisor is a unit and beta lands in
+    X^2 K[[X]]; for B = 0 the division by X^3 may leave a simple pole.
+    """
+    p, q, r = _linear_relation(curve)
+    beta = (r - p * alpha).divide(q)
+    assert in_residue_class(beta, 2), "beta left its residue class"
+    return beta
+
+
+def alpha_from_beta(curve, beta):
+    """The alpha part determined by beta (inverse direction of the linear
+    relation). Fails when the numerator is not divisible by X, e.g. for
+    B != 0 with a genuine pole in beta."""
+    p, q, r = _linear_relation(curve)
+    num = r - q * beta
+    if not num.is_zero and num.val < 1:
+        raise IncompatibleSeed("beta seed leaves a term below X^1; no alpha part exists")
+    alpha = num.divide(p)
+    assert in_residue_class(alpha, 1), "alpha left its residue class"
+    return alpha
+
+
+def compatibility_check(curve, alpha, beta, psi):
+    """Inspect the series psi, the residual of alpha + beta in the defining
+    equation, and report whether gamma can exist: every known coefficient
+    of psi at a negative exponent or at an exponent not divisible by three
+    must vanish, and t^3 + A t = psi(0) must have a root in the field.
+    Failure is encoded in the report, not raised.
+    """
+    ok = in_residue_class(psi, 0) and (psi.is_zero or psi.val >= 0)
+    try:
+        psi0 = psi.coefficient(0)
+    except PrecisionError:
+        raise ValueError("psi carries no constant term at this precision") from None
+    roots = solve_additive_cubic(curve.A, psi0) if ok else ()
+    return CompatReport(psi0=psi0, principal_part_ok=ok, gamma0_roots=roots,
+                        beta_minus1=beta.coefficient(-1), alpha1=alpha.coefficient(1))
+
+
+def seed_parts(curve, seed, prec):
+    """The seed expanded to prec and its partner part by series division,
+    as (alpha, beta)."""
+    seed.fraction()  # the seed's own checks, which raise SeedError
+    series = seed.source.expand(prec)
     if seed.kind == "alpha":
-        alpha = seed.expand(wp)
-        beta = beta_from_alpha(curve, alpha)
-    else:
-        beta = seed.expand(wp)
-        alpha = alpha_from_beta(curve, beta)
+        return series, beta_from_alpha(curve, series)
+    return alpha_from_beta(curve, series), series
+
+
+def construct_per_root(curve, seed, prec):
+    """The series pipeline run separately for every root of t^3 + A t =
+    psi(0): the seed expanded with guard coefficients, its partner by
+    series division, psi by the series residual of alpha + beta, gamma
+    solved from each root, and each eta checked by full substitution and
+    by check_cubic_membership. Returns the (gamma0, eta) pairs, or raises
+    IncompatibleSeed like construct."""
+    wp = prec + ORACLE_GUARD
+    alpha, beta = seed_parts(curve, seed, wp)
     psi = compute_psi(curve, alpha, beta)
     report = compatibility_check(curve, alpha, beta, psi)
     if not (report.principal_part_ok and report.gamma0_roots):
@@ -644,13 +702,14 @@ def construct_per_root(curve, seed, prec):
         eta = alpha + beta + gamma
         assert verify_functional_equation(curve, eta).ok
         assert check_cubic_membership(curve, alpha, beta, gamma).ok
+        assert eta.prec >= prec
         out.append((gamma0, eta.truncate(prec)))
     return out
 
 
 def compute_psi(curve, alpha, beta):
-    """psi, the residual of alpha + beta in the defining equation, by the
-    calls construct_with_report makes:
+    """psi, the residual of alpha + beta in the defining equation, as a
+    series, by the calls verify_functional_equation makes:
 
     psi = c^2 (X^3+AX+B) ((alpha-beta)/X)^2
           - alpha^3 - beta^3 - A alpha - A beta - B.

