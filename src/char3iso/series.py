@@ -185,8 +185,10 @@ class LaurentSeries:
             return other._scaled(int.from_bytes(b"".join(self.cols), "little"), self.val, prec)
         val = self.val + other.val  # below prec, as each run lies below its own prec
         n = len(self.cols[0]) + len(other.cols[0]) - 1
-        if prec != INF:
-            n = min(n, prec - val)
+        if prec == INF:  # the end terms' products are nonzero: the run is stripped
+            b = self.cols if other is self else other.cols
+            return _made(self.field, val, tuple(kronecker._mul_cols(self.field, self.cols, b, n)), INF)
+        n = min(n, prec - val)
         a = [c[:n] for c in self.cols]
         b = a if other is self else [c[:n] for c in other.cols]
         return _series(self.field, val, kronecker._mul_cols(self.field, a, b, n), prec)
@@ -209,8 +211,10 @@ class LaurentSeries:
                      * FieldElement._from_packed(field, d)).packed
             return _monomial(field, val, d, prec)
         if packed != 1:
-            cols = kronecker._f3_linear(kronecker._scale_matrix(field, packed),
-                                        kronecker._ints(cols), len(cols[0]))
+            cols = tuple(kronecker._f3_linear(kronecker._scale_matrix(field, packed),
+                                              kronecker._ints(cols), len(cols[0])))
+        if val is not None and val + len(cols[0]) <= prec:  # c != 0 keeps the run stripped
+            return _made(field, val, cols, prec)
         return _series(field, val, cols, prec)
 
     def __truediv__(self, other):
