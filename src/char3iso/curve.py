@@ -11,11 +11,12 @@ Zech's logarithms (Huber, IEEE Trans. IT 36, 1990): an element is the int
 i with element = g^i, None for zero, and a point a pair of them, None for
 infinity. The field operations are int arithmetic on the tables of
 _Logs, written out in _evaluate and _add with no call per operation.
-x^3 + A x + B is evaluated once at every field element; enumeration and
-both curve checks read that table, and the map's polynomials are read from
-their packed runs, so once the tables exist check_map makes no
-FieldElement. The chord-tangent law on points of FieldElements, which the
-tests compare this one against, lives in tests/helpers.py.
+x^3 + A x + B is evaluated once at every field element; enumeration,
+both curve checks and a map polynomial that is a power of the cubic read
+that table, and the map's other polynomials are read from their packed
+runs, so once the tables exist check_map makes no FieldElement. The
+chord-tangent law on points of FieldElements, which the tests compare this
+one against, lives in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ import itertools
 
 from . import kronecker
 from .errors import FieldTooLarge, MixedFields, PointNotOnCurve
+from .ratrec import _power, degree
 from .record import Record
-from .series import LaurentSeries
+from .series import INF, LaurentSeries
 
 ENUMERATION_MAX_ORDER = 3 ** 10
 
@@ -66,7 +68,7 @@ def check_map(curve, fx, fy_factor, max_scalar):
     if bad:
         x, y = (field._names[0 if i is None else logs.exp[i]] for i in points[bad[0]])
         raise PointNotOnCurve(f"Point({x}, {y}) fails the curve equation")
-    images = _map_points(logs, fx, fy_factor, points)
+    images = _map_points(logs, cubic, curve, fx, fy_factor, points)
     if _off_curve(logs, cubic, images):
         return MapCheckReport(False, False, 0, len(points))
     index = {p: i for i, p in enumerate(points)}
@@ -238,15 +240,25 @@ def _add(logs, a, p, q):
     return x3, None if z is None else (t + z) % n
 
 
-def _map_points(logs, fx, fy_factor, points):
-    """The image of each point of _enumerate, a pole mapping to infinity:
-    each polynomial's packed run goes to logs once, its p.val low zeros
-    None, and is evaluated once over the distinct x's of the points."""
-    xs, log = list(dict.fromkeys(p[0] for p in points[1:])), logs.log.get
-    runs = ([*map(log, reversed(kronecker._packed(p.cols))), *[None] * (p.val or 0)]
-            for p in (fx.num, fx.den, fy_factor.num, fy_factor.den))
-    values = dict(zip(xs, zip(*(_evaluate(logs, run, xs) for run in runs))))
-    n, images = logs.n, [None]
+def _map_points(logs, cubic, curve, fx, fy_factor, points):
+    """The image of each point of _enumerate, a pole mapping to infinity.
+    A polynomial that is a power f^e of the curve's cubic f, as the
+    doubling map's denominators are, is read from the cubic's table as e
+    times its log; any other has its packed run go to logs once, its p.val
+    low zeros None, and is evaluated once over the distinct x's of the
+    points."""
+    xs, log, n = list(dict.fromkeys(p[0] for p in points[1:])), logs.log.get, logs.n
+    field = curve.field
+    f = LaurentSeries(field, 0, (curve.B, curve.A, field.zero, field.one), INF)
+    columns = []
+    for p in (fx.num, fx.den, fy_factor.num, fy_factor.den):
+        e, r = divmod(degree(p), 3)
+        if e > 0 and not r and p == _power(f, e):
+            columns.append([None if cubic[x] is None else e * cubic[x] % n for x in xs])
+        else:
+            run = [*map(log, reversed(kronecker._packed(p.cols))), *[None] * (p.val or 0)]
+            columns.append(_evaluate(logs, run, xs))
+    values, images = dict(zip(xs, zip(*columns))), [None]
     for x, y in points[1:]:
         x_num, x_den, y_num, y_den = values[x]
         images.append(None if x_den is None or y_den is None else (

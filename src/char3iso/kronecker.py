@@ -24,7 +24,7 @@ subtraction of the divisor's run per nonzero quotient term, and a run may
 carry its cofactor above the remainder, updated by the same subtraction.
 LaurentSeries keeps its run in column form, and so does a polynomial, an
 exact series; both call the column functions directly, and there is no
-entry point on element runs. _columns builds a run from FieldElements;
+entry point on element runs. _columns builds a run from packed ints;
 _packed and _elements read it back as packed ints or elements.
 """
 
@@ -40,12 +40,12 @@ _NEG = bytes((-v) % 3 for v in range(256))
 
 # ---- columns -----------------------------------------------------------
 
-def _columns(run):
-    k = run[0].field.degree
+def _columns(run, k):
+    """The k columns of a run of packed coefficients."""
     if k <= 8:  # one little-endian 8-byte word per coefficient: struct writes them all
-        raw = struct.pack(f"<{len(run)}Q", *[c.packed for c in run])
+        raw = struct.pack(f"<{len(run)}Q", *run)
         return [raw[j::8] for j in range(k)]
-    digits = b"".join([c.packed.to_bytes(k, "little") for c in run])
+    digits = b"".join([c.to_bytes(k, "little") for c in run])
     return [digits[j::k] for j in range(k)]
 
 

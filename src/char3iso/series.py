@@ -49,10 +49,8 @@ class LaurentSeries:
     __slots__ = ("field", "val", "cols", "prec")
 
     def __new__(cls, field, val, coeffs, prec):
-        coeffs = tuple(coeffs)
-        for c in coeffs:
-            _packed(field, c)
-        return _series(field, val, kronecker._columns(coeffs) if coeffs else (), prec)
+        run = [_packed(field, c) for c in coeffs]
+        return _series(field, val, kronecker._columns(run, field.degree) if run else (), prec)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
@@ -157,13 +155,8 @@ class LaurentSeries:
     def __add__(self, other):
         return self._add(other, False)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self._add(other, True)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return _series(self.field, self.val, [c.translate(kronecker._NEG) for c in self.cols],

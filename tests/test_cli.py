@@ -510,7 +510,7 @@ def test_identify_mul2_checks_each_point_once(capsys, monkeypatch):
     assert report.point_count == 244
     logs, _, cubic = curve._log_curve(e)
     points = curve._enumerate(logs, cubic)
-    assert within == points + curve._map_points(logs, fx, fy, points)
+    assert within == points + curve._map_points(logs, cubic, e, fx, fy, points)
 
 
 def test_identify_records_schema(capsys):

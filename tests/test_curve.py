@@ -373,7 +373,7 @@ def _log_images(e, fx, fy):
     import char3iso.curve as curve
 
     logs, _, cubic = curve._log_curve(e)
-    return logs, cubic, curve._map_points(logs, fx, fy, curve._enumerate(logs, cubic))
+    return logs, cubic, curve._map_points(logs, cubic, e, fx, fy, curve._enumerate(logs, cubic))
 
 
 def test_check_map_images_match_apply_map(e_f9, f9):
@@ -579,9 +579,10 @@ def test_doctored_image_off_the_generators_is_no_homomorphism(degree, monkeypatc
 
 def test_check_map_unpacks_each_polynomial_once(monkeypatch):
     # check_map converts each polynomial's packed run to logs once, so the
-    # doubling map at GF(3^5) unpacks each of its four polynomials once
-    # however many points it maps; once the field's tables exist, it makes
-    # no FieldElement, neither for the map nor for a point
+    # doubling map at GF(3^5) unpacks its two numerators once however many
+    # points it maps; its denominators, the cubic and its square, are read
+    # from the cubic's table and never unpacked; once the field's tables
+    # exist, it makes no FieldElement, neither for the map nor for a point
     import char3iso.curve as curve
     from char3iso import FieldElement, gf3field, kronecker
 
@@ -599,7 +600,7 @@ def test_check_map_unpacks_each_polynomial_once(monkeypatch):
                         lambda self, *args: made.append(args) or init(self, *args))
     report = check_map(e, fx, fy, 10)
     assert report.all_on_curve and report.point_count == 244
-    assert unpacked == [fx.num.cols, fx.den.cols, fy.num.cols, fy.den.cols]
+    assert unpacked == [fx.num.cols, fy.num.cols]
     assert made == []
 
 
@@ -607,7 +608,9 @@ def test_check_map_evaluates_the_cubic_once_per_field_element(monkeypatch):
     # the doubling map at GF(3^5): x^3 + A x + B is evaluated once at each
     # of the 243 field elements, and enumeration and both curve checks read
     # that table, where a check per point and per image evaluated it about
-    # 730 times; each map polynomial is evaluated once over the distinct x's
+    # 730 times; the map's denominators, the cubic f and f^2, are read from
+    # that table as 1 and 2 times its log, and only the two numerators are
+    # evaluated, each once over the distinct x's
     import char3iso.curve as curve
     from char3iso.ratrec import coefficients
 
@@ -618,7 +621,7 @@ def test_check_map_evaluates_the_cubic_once_per_field_element(monkeypatch):
     cubic = (0, None, logs.log[e.A.packed], logs.log[e.B.packed])
     distinct = len({p.x for p in enumerate_points(e)[1:]})
     polys = [tuple(logs.log.get(c.packed) for c in reversed(coefficients(p)))
-             for p in (fx.num, fx.den, fy.num, fy.den)]
+             for p in (fx.num, fy.num)]
     evaluated, evaluate = [], curve._evaluate
     monkeypatch.setattr(curve, "_evaluate", lambda logs, coeffs, xs: evaluated.append(
         (tuple(coeffs), len(xs))) or evaluate(logs, coeffs, xs))

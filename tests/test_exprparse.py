@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import random
 from pathlib import Path
 
@@ -60,8 +61,10 @@ def test_every_value_in_x_capped_at_max_degree(f3, monkeypatch):
     monkeypatch.setattr(exprparse, "MAX_POWER_DEGREE", 6)
     for text in ["x^3*x^3", "(x^6+1)/(x^6+2)", "x^5+1/x", "1/x^3-x^3"]:
         parse_rational_function(text, f3)  # each reaches degree 6 exactly
+    # a cancelled top term lowers the degree, so the cap reads exact degrees
+    assert str(parse_rational_function("(x^6-x^6+1)*x^6", f3)) == "x^6"
     for text, offset in [("x^4*x^3", 3), ("x^6+1/x", 3), ("1/x-x^6", 3), ("x^3/(1/x^4)", 3),
-                         ("(x^6+1)/(x^6+2)*x", 15)]:
+                         ("(x^6+1)/(x^6+2)*x", 15), ("(x^6+x-x)*x", 9)]:
         with pytest.raises(ParseError) as err:
             parse_rational_function(text, f3)
         assert type(err.value) is ParseError and err.value.offset == offset, text
@@ -227,6 +230,24 @@ def test_only_a_quotient_runs_a_gcd(monkeypatch, k):
     assert calls
 
 
+def test_a_sum_makes_as_many_series_however_many_terms_it_has(f9, monkeypatch):
+    # a sum of monomials accumulates in place: 10 terms and 1,000 make the
+    # same number of series, where one series or more per term made the
+    # parse quadratic in the number of terms
+    import char3iso.series as series
+
+    made, new = [], series._new_series
+    monkeypatch.setattr(series, "_new_series", lambda cls: made.append(cls) or new(cls))
+    counts = []
+    for n in (10, 1000):
+        made.clear()
+        rf = parse_rational_function("+".join(f"(1+t)*x^{e}" for e in range(n)), f9)
+        assert (degree(rf.num), degree(rf.den)) == (n - 1, 0)
+        assert rf.num.coefficient(n - 1) == f9.element((1, 1))
+        counts.append(len(made))
+    assert counts[0] == counts[1]
+
+
 def test_polynomial_rejects_quotient(f3):
     with pytest.raises(ParseError):
         parse_polynomial("1/x", f3)
@@ -352,3 +373,79 @@ def test_record_forms_print_back_as_read(path):
     assert forms or records.get("rational") == "none"
     for text in forms:
         assert str(parse_rational_function(text, field)) == text
+
+
+# ---- an independent oracle: bench/gf.py --------------------------------------------
+
+def _gf():
+    """bench/gf.py, imported by path and only read: a second GF(3^k) and
+    a second parser of the same grammar that share no code with the
+    library."""
+    path = Path(__file__).parent.parent / "bench" / "gf.py"
+    spec = importlib.util.spec_from_file_location("gf_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _oracle_sum(rng, F, n):
+    """n signed monomials with random nonzero coefficients in F, written
+    in t, with exponents below top = min(2n, 40) so that some collide, and
+    a term x^top that a later term cancels. gf raises x to the e by e
+    products, so the exponents stay small."""
+    coefficient = (lambda: f"({F.text(rng.randrange(1, F.q))})") if F.k >= 2 else (
+        lambda: str(rng.randrange(1, 3)))
+    top = min(2 * n, 40)
+    terms = [f"{rng.choice('+-')}{coefficient()}*x^{rng.randrange(top)}" for _ in range(n)]
+    i, j = sorted(rng.sample(range(n + 1), 2))
+    terms[j:j] = [f"-x^{top}"]
+    terms[i:i] = [f"+x^{top}"]
+    return "".join(terms).removeprefix("+")
+
+
+def _oracle_expression(rng, F, depth):
+    """A random expression over short sums: multi-term products, quotients,
+    small powers, unary minus, and a factor 3m that cancels to zero."""
+    if depth == 0:
+        return f"({_oracle_sum(rng, F, rng.randint(1, 5))})"
+    op = rng.choice(["+", "-", "*", "*", "/", "^", "neg", "zero"])
+    a = _oracle_expression(rng, F, depth - 1)
+    m = f"{F.text(rng.randrange(1, F.q)) if F.k >= 2 else 1}*x^{rng.randrange(6)}"
+    zero = f"(({m})+({m})+({m}))"
+    if op == "^":  # no x^0 of a quotient, which gf reads as 1 over a zero denominator
+        return f"({a})^{rng.randint(1 if '/' in a else 0, 3)}"
+    if op == "neg":
+        return f"(-{a})"
+    if op == "zero":
+        return f"{zero}*{a}"
+    b = _oracle_expression(rng, F, depth - 1)
+    if op == "/" and rng.random() < 0.25:
+        b = f"{zero}*{b}"
+    return f"({a}{op}{b})"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_parse_agrees_with_an_independent_parser(k):
+    # the library's printed value reads back, in gf's own arithmetic, as
+    # the same rational function gf reads from the text; where the library
+    # finds a zero denominator, gf refuses the text too
+    gf = _gf()
+    field = FieldParams(k)
+    F = gf.Field(field.modulus)
+    rng = random.Random(f"gf-oracle:{k}")
+    zero_denominators = quotients = 0
+    for case in range(60):
+        text = _oracle_expression(rng, F, rng.randint(1, 3))
+        if case % 4 == 0:  # a long sum: before, after, or multiplying the rest
+            big = f"({_oracle_sum(rng, F, rng.randint(200, 260))})"
+            text = rng.choice([f"{big}+{text}", f"{text}-{big}", f"{big}*{text}"])
+        try:
+            got = parse_rational_function(text, field)
+        except ZeroDenominator:
+            zero_denominators += 1
+            with pytest.raises(ValueError, match="zero denominator"):
+                gf.parse_rational(F, text)
+            continue
+        assert gf.rat_equal(F, gf.parse_rational(F, text), gf.parse_rational(F, str(got))), text
+        quotients += degree(got.den) > 0
+    assert zero_denominators and quotients, (zero_denominators, quotients)

@@ -75,7 +75,7 @@ def test_mul_matches_schoolbook(field):
             assert (LaurentSeries.from_coeffs(field, 0, a)
                     * LaurentSeries.from_coeffs(field, 0, b)).is_zero
             continue
-        assert kronecker._columns(a) == pack(field, a)
+        assert kronecker._columns([c.packed for c in a], field.degree) == pack(field, a)
         assert kronecker._elements(field, pack(field, a)) == a
         assert list(kronecker._packed(pack(field, a))) == [c.packed for c in a]
         full = la + lb - 1
