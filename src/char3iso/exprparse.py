@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import operator
+import re
 
 from . import kronecker
 from .errors import Char3Error, GeneratorUnavailable, ParseError, ZeroDenominator
@@ -53,31 +54,30 @@ def _is_uint(text):
     return text.isascii() and text.isdigit()
 
 
+# A token is a run of ASCII digits or one other character that is not
+# whitespace; \s matches exactly the characters str.isspace does.
+_TOKEN = re.compile(r"[0-9]+|\S")
+_UNEXPECTED = re.compile(r"[^\s0-9tx+\-*/^()]")
+
+
 def _tokenize(text):
-    """(text, offset) pairs; an empty text marks the end of the input."""
-    tokens = []
-    i = depth = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if _is_uint(ch):
-            j = i
-            while j < n and _is_uint(text[j]):
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-            continue
-        if ch not in "tx+-*/^()":
-            raise ParseError(i, f"unexpected character {ch!r}")
-        depth += (ch == "(") - (ch == ")")
-        if depth > MAX_NESTING_DEPTH:
-            raise ParseError(i, f"parentheses nested deeper than {MAX_NESTING_DEPTH}")
-        tokens.append((ch, i))
-        i += 1
-    tokens.append(("", n))
+    """(text, offset) pairs; an empty text marks the end of the input.
+
+    The first error in the text is raised: an unexpected character, or the
+    parenthesis that nests past MAX_NESTING_DEPTH."""
+    bad = _UNEXPECTED.search(text)
+    end = len(text) if bad is None else bad.start()
+    if text.count("(", 0, end) > MAX_NESTING_DEPTH:  # else no parenthesis can nest that deep
+        depth = 0
+        for paren in re.finditer(r"[()]", text[:end]):
+            depth += 1 if paren[0] == "(" else -1
+            if depth > MAX_NESTING_DEPTH:
+                raise ParseError(paren.start(),
+                                 f"parentheses nested deeper than {MAX_NESTING_DEPTH}")
+    if bad is not None:
+        raise ParseError(end, f"unexpected character {bad[0]!r}")
+    tokens = [(m[0], m.start()) for m in _TOKEN.finditer(text)]
+    tokens.append(("", len(text)))
     return tokens
 
 

@@ -29,6 +29,11 @@ and no further.
 
 construct() runs the whole pipeline once and returns one endomorphism per
 admissible constant term: the first, verified, and its kernel translates.
+
+verify_functional_equation() decides the equation for a rational x-part
+eta = P/Q in K(x): multiplied through by Q^4 it is one identity between
+polynomials, so its verdict, and the first bad term when it fails, need
+no precision.
 """
 
 from __future__ import annotations
@@ -157,17 +162,6 @@ class FormalEndomorphism(Record):
         return f"<endomorphism gamma0={self.gamma0} eta={self.eta}>"
 
 
-def _lhs(curve, eta):
-    """c^2 (X^3+AX+B) (eta')^2, the left side of the defining equation."""
-    d = eta.derivative()
-    return curve.rhs_series() * (d * d) * (curve.c * curve.c)
-
-
-def _residual(curve, eta, lhs):
-    """The residual of the defining equation for eta, given its left side."""
-    return lhs - eta.cube() - eta * curve.A - curve.B
-
-
 def solve_gamma(A, psi, gamma0, prec):
     """The gamma part: the series in X^3 solving gamma^3 + A gamma = psi,
     known to min(prec, psi.prec).
@@ -200,23 +194,30 @@ def solve_gamma(A, psi, gamma0, prec):
 
 
 class FunctionalEquationReport(Record):
-    # checked_prec is an int or INF; the first bad term is None when ok
-    __slots__ = ("ok", "checked_prec", "first_bad_exponent", "first_bad_coefficient")
+    # the first bad term is None when ok
+    __slots__ = ("ok", "first_bad_exponent", "first_bad_coefficient")
 
 
-def verify_functional_equation(curve, eta, prec=None):
-    """Residual of the defining equation for a candidate x-part.
+def verify_functional_equation(curve, eta):
+    """Decide the defining equation for the rational x-part eta = P/Q.
 
-    Computes r = c^2 (X^3+AX+B) (eta')^2 - eta^3 - A eta - B to the
-    achievable precision (optionally capped) and reports whether it
-    vanishes, with the first offending term otherwise.
+    Multiplied through by Q^4 the equation is R = 0 for the polynomial
+    R = c^2 (X^3+AX+B) W^2 - Q P^3 - Q^3 (A P + B Q), W = P'Q - PQ',
+    made by unreduced products, with no series and no gcd. The residual
+    is R/Q^4, so when R != 0 its first term lies at val R - 4 val Q with
+    coefficient lowest(R) / lowest(Q)^4.
     """
-    if not eta.is_zero and eta.val < -1:
+    P, Q = eta.num, eta.den
+    if not P.is_zero and P.val - Q.val < -1:
         raise ValueError("eta must have a pole of order at most one")
-    r = _residual(curve, eta, _lhs(curve, eta)).truncate(INF if prec is None else prec)
-    if r.is_zero:
-        return FunctionalEquationReport(True, r.prec, None, None)
-    return FunctionalEquationReport(False, r.prec, r.val, r.coefficient(r.val))
+    W = P.derivative() * Q - P * Q.derivative()
+    Q3 = Q * Q * Q
+    R = (curve.rhs_series() * (W * W) * (curve.c * curve.c)
+         - Q * P.cube() - Q3 * (P * curve.A + Q * curve.B))
+    if R.is_zero:
+        return FunctionalEquationReport(True, None, None)
+    return FunctionalEquationReport(False, R.val - 4 * Q.val,
+                                    R.coefficient(R.val) / Q.coefficient(Q.val) ** 4)
 
 
 def construct(curve, seed, prec):

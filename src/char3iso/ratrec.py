@@ -8,7 +8,9 @@ poly_gcd make no FieldElement; a constant or monomial factor scales the
 other run through its matrix over F3 (LaurentSeries._scaled), and a
 one-term run by one field product. What only polynomials need is a
 function here: degree, leading, coefficients, poly_gcd and poly_text. A
-RationalFunction holds two such series. A polynomial or a
+RationalFunction holds two such series, and the library reads them as
+polynomials; it never expands one into a series (construct reads a seed's
+num and den, verify_functional_equation those of eta). A polynomial or a
 constant becomes one over the denominator 1 with no gcd and no inverse, as
 1 is monic and coprime to anything, and a power of a monomial raises only
 its coefficient, and not at all when that is 1.
@@ -18,7 +20,8 @@ remainder with its cofactor, so the last remainder comes with the
 denominator and no series division is made. The candidate is checked by
 one product: den * series must equal num on every known coefficient; an
 imperfect match yields None rather than a guess. A match is agreement to
-the series' precision, not a proof that the form solves anything.
+the series' precision, not a proof that the form solves anything; for
+the defining equation, isocore.verify_functional_equation is that proof.
 """
 
 from __future__ import annotations
@@ -222,10 +225,6 @@ class RationalFunction:
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )
-
-    def expand(self, prec):
-        """Laurent expansion at X = 0 to absolute precision prec."""
-        return self.num.divide(self.den, prec=prec)
 
     def __eq__(self, other):
         other = self._coerce(other)

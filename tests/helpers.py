@@ -13,8 +13,11 @@ points back as Points, and apply_map evaluates a
 RationalFunction at a point by Horner's rule (rational_eval). The series
 pipeline (the partner part by series division, psi as the series residual
 of alpha + beta, construct_per_root) is the oracle for construct's exact
-n/q and N/q^4. parse_polynomial, poly_rem and poly_divmod are thin test
-entry points over the calls the library makes.
+n/q and N/q^4. The defining equation on series (expand, series_residual,
+verify_series) checks constructed etas, which are series, and is the
+oracle for the exact verdict of verify_functional_equation.
+parse_polynomial, poly_rem and poly_divmod are thin test entry points
+over the calls the library makes.
 """
 
 import itertools
@@ -31,11 +34,10 @@ from char3iso import (
     PrecisionError,
     RationalFunction,
     parse_rational_function,
-    verify_functional_equation,
 )
 from char3iso.curve import _enumerate, _log_curve
 from char3iso.gf3field import solve_additive_cubic
-from char3iso.isocore import CompatReport, _lhs, _residual, solve_gamma
+from char3iso.isocore import CompatReport, solve_gamma
 from char3iso import kronecker
 from char3iso.gf3field import _from_packed
 from char3iso.ratrec import _padded, coefficients, degree
@@ -677,7 +679,7 @@ def seed_parts(curve, seed, prec):
     """The seed expanded to prec and its partner part by series division,
     as (alpha, beta)."""
     seed.fraction()  # the seed's own checks, which raise SeedError
-    series = seed.source.expand(prec)
+    series = expand(seed.source, prec)
     if seed.kind == "alpha":
         return series, beta_from_alpha(curve, series)
     return alpha_from_beta(curve, series), series
@@ -700,7 +702,7 @@ def construct_per_root(curve, seed, prec):
     for gamma0 in report.gamma0_roots:
         gamma = solve_gamma(curve.A, psi, gamma0, wp)
         eta = alpha + beta + gamma
-        assert verify_functional_equation(curve, eta).ok
+        assert verify_series(curve, eta).ok
         assert check_cubic_membership(curve, alpha, beta, gamma).ok
         assert eta.prec >= prec
         out.append((gamma0, eta.truncate(prec)))
@@ -709,13 +711,49 @@ def construct_per_root(curve, seed, prec):
 
 def compute_psi(curve, alpha, beta):
     """psi, the residual of alpha + beta in the defining equation, as a
-    series, by the calls verify_functional_equation makes:
+    series, by the calls verify_series makes:
 
     psi = c^2 (X^3+AX+B) ((alpha-beta)/X)^2
           - alpha^3 - beta^3 - A alpha - A beta - B.
     """
-    ab = alpha + beta
-    return _residual(curve, ab, _lhs(curve, ab))
+    return series_residual(curve, alpha + beta)
+
+
+# ---- the defining equation on series: the oracle for constructed etas ------
+
+def expand(rf, prec):
+    """The Laurent expansion of the RationalFunction rf at X = 0, to
+    absolute precision prec."""
+    return rf.num.divide(rf.den, prec=prec)
+
+
+def series_residual(curve, eta):
+    """c^2 (X^3+AX+B) (eta')^2 - eta^3 - A eta - B for the series eta, to
+    the precision series arithmetic gives it."""
+    d = eta.derivative()
+    lhs = curve.rhs_series() * (d * d) * (curve.c * curve.c)
+    return lhs - eta.cube() - eta * curve.A - curve.B
+
+
+class SeriesReport(NamedTuple):
+    """The series residual's verdict: checked_prec is an int or INF, and
+    the first bad term is None when ok."""
+
+    ok: bool
+    checked_prec: object
+    first_bad_exponent: object
+    first_bad_coefficient: object
+
+
+def verify_series(curve, eta, prec=None):
+    """The defining equation for a series eta, decided on the coefficients
+    of its residual below the achievable precision (optionally capped)."""
+    if not eta.is_zero and eta.val < -1:
+        raise ValueError("eta must have a pole of order at most one")
+    r = series_residual(curve, eta).truncate(INF if prec is None else prec)
+    if r.is_zero:
+        return SeriesReport(True, r.prec, None, None)
+    return SeriesReport(False, r.prec, r.val, r.coefficient(r.val))
 
 
 # ---- polynomials from text ------------------------------------------------

@@ -281,7 +281,7 @@ def test_construct_records_per_solution_blocks(capsys):
 def test_verify_identity(capsys):
     code, out, _ = run(capsys, "verify", "--A", "1", "--B", "1", "--eta", "x")
     assert code == 0
-    assert "holds" in out
+    assert out.endswith("\nfunctional equation holds exactly\n")
 
 
 def test_verify_translate_fails(capsys):
@@ -326,6 +326,33 @@ def test_verify_records_schema(capsys):
                 "status", "checked_prec", "first_bad_exponent",
                 "first_bad_coefficient"}
     assert required <= keys
+    code, out, _ = run(capsys, "verify", "--A", "1", "--B", "1", "--eta", "x",
+                       "--format", "records")
+    assert code == 0
+    assert records(out)[-4:] == [("status", "pass"), ("checked_prec", "inf"),
+                                 ("first_bad_exponent", "none"),
+                                 ("first_bad_coefficient", "none")]
+
+
+# construct of the alpha seed 2*x on y^2 = x^3 + 2x + 1 at --prec 64 prints
+# this form: it agrees with the true solution below x^81, so a series check
+# to --prec 64 passed it
+FALSE_GF3_FORM = "(x^29+2*x^28+x^27+x^11+2*x^10+x^9+x^5+2*x^4+2*x^2+2*x)/(x^2+2*x+1)"
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("prec", ["16", "64", "200", "8192"])
+def test_verify_rejects_the_false_gf3_form_at_every_prec(capsys, prec, fmt):
+    code, out, _ = run(capsys, "verify", "--field", "3^1", "--A", "2", "--B", "1", "--c", "1",
+                       "--eta", FALSE_GF3_FORM, "--prec", prec, "--format", fmt)
+    assert code == 1
+    if fmt == "text":
+        assert out.splitlines()[-1] == "FAIL at x^81: residual coefficient 2"
+    else:
+        assert records(out)[-6:] == [
+            ("prec", prec), ("eta", FALSE_GF3_FORM), ("status", "fail"),
+            ("checked_prec", "inf"), ("first_bad_exponent", "81"),
+            ("first_bad_coefficient", "2")]
 
 
 # ---- identify ---------------------------------------------------------------------

@@ -81,6 +81,41 @@ def test_nesting_capped_at_max_depth(f3):
         assert str(err.value).endswith(f"parentheses nested deeper than {depth}")
 
 
+def test_every_bmp_character_tokenizes_by_the_grammar():
+    # whitespace (str.isspace) is skipped, ASCII digits join one literal,
+    # the grammar's symbols are tokens, and anything else is an error
+    for code in range(0x10000):
+        ch = chr(code)
+        text = f"1{ch}2"
+        if ch.isspace():
+            expected = [("1", 0), ("2", 2), ("", 3)]
+        elif ch in "0123456789":
+            expected = [(text, 0), ("", 3)]
+        elif ch in "tx+-*/^()":
+            expected = [("1", 0), (ch, 1), ("2", 2), ("", 3)]
+        else:
+            expected = (1, f"unexpected character {ch!r}")
+        try:
+            tokens = exprparse._tokenize(text)
+        except ParseError as exc:
+            tokens = (exc.offset, exc.message)
+        assert tokens == expected, hex(code)
+
+
+def test_tokenizer_reports_the_first_error_in_the_text():
+    depth = exprparse.MAX_NESTING_DEPTH
+    deep = "(" * (depth + 1)
+    nested = f"parentheses nested deeper than {depth}"
+    for text, offset, message in [
+            (deep + "?", depth, nested),
+            ("?" + deep, 0, "unexpected character '?'"),
+            ("()" * depth + "(" + "?" + deep, 2 * depth + 1, "unexpected character '?'"),
+            (") " + deep + "(", depth + 3, nested)]:
+        with pytest.raises(ParseError) as err:
+            exprparse._tokenize(text)
+        assert (err.value.offset, err.value.message) == (offset, message), text
+
+
 def test_generator_needs_extension(f3):
     with pytest.raises(GeneratorUnavailable) as err:
         parse_field_element("t", f3)

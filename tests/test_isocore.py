@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,10 +46,14 @@ from helpers import (
     compatibility_check,
     compute_psi,
     construct_per_root,
+    expand,
     gamma_by_recurrence,
     psi_by_formula,
+    random_rational,
+    rational_x,
     seed_parts,
     split,
+    verify_series,
 )
 
 
@@ -91,7 +96,8 @@ def test_records_are_frozen_and_equal_values_hash_equal(f9):
         report, endos = construct_with_report(curve, seed, 16)
         one = parse_rational_function("1", f9)
         return (Point(f9.gen, f9.one), curve, seed, report, endos[0],
-                verify_functional_equation(curve, endos[0].eta),
+                verify_functional_equation(curve, parse_rational_function(
+                    "(x^4+x^2+2*x+1)/(x^3+x+2)", f9)),
                 check_map(curve, parse_rational_function("x", f9), one, 10),
                 JobSpec(f9, curve, 16, "records"))
 
@@ -156,7 +162,7 @@ def test_seed_check_is_exact(f3, f9):
         den = {e: rng.randrange(1, 3) for e in rng.sample(range(7), rng.randint(1, 3))}
         text = f"({_poly_text(num)})/({_poly_text(den)})"
         seed = Seed(kind, parse_rational_function(text, field))
-        series = seed.source.expand(200)
+        series = expand(seed.source, 200)
         residue, lowest = (1, 1) if kind == "alpha" else (2, -1)
         ok = in_residue_class(series, residue) and (series.is_zero or series.val >= lowest)
         if ok:
@@ -209,9 +215,9 @@ def test_alpha_from_beta_example_inverse_x(curve_am1b0, f3):
 
 
 def test_alpha_from_beta_gf9_golden(curve_gf9, f9):
-    beta = parse_rational_function("x^2/(x^9+x^3-1)", f9).expand(40)
+    beta = expand(parse_rational_function("x^2/(x^9+x^3-1)", f9), 40)
     alpha = alpha_from_beta(curve_gf9, beta)
-    expected = parse_rational_function("x^10/(x^9+x^3-1)", f9).expand(alpha.prec)
+    expected = expand(parse_rational_function("x^10/(x^9+x^3-1)", f9), alpha.prec)
     assert alpha.agrees_with(expected)
 
 
@@ -256,14 +262,14 @@ def test_psi_zero_b_zero(curve_am1b0, f3):
 
 
 def test_psi_constant_on_gf9_curve(curve_gf9, f9):
-    beta = parse_rational_function("x^2/(x^9+x^3-1)", f9).expand(48)
+    beta = expand(parse_rational_function("x^2/(x^9+x^3-1)", f9), 48)
     alpha = alpha_from_beta(curve_gf9, beta)
     psi = compute_psi(curve_gf9, alpha, beta)
     assert psi.coefficient(0) == f9.one
     # the full psi agrees with the expansion of g^3 + g for the known
     # rational gamma part g
     g = parse_rational_function("(x^6+x^3+1)/(x^9+x^3+2)", f9)
-    expected = (g ** 3 + g).expand(psi.prec)
+    expected = expand(g ** 3 + g, psi.prec)
     assert psi.agrees_with(expected)
 
 
@@ -407,7 +413,7 @@ def test_closed_forms_branch_pole(curve_am1b0, f3):
 
 
 def test_closed_forms_gf9_alpha1(curve_gf9, f9):
-    beta = parse_rational_function("x^2/(x^9+x^3-1)", f9).expand(40)
+    beta = expand(parse_rational_function("x^2/(x^9+x^3-1)", f9), 40)
     alpha = alpha_from_beta(curve_gf9, beta)
     forms = closed_form_conditions(curve_gf9, alpha, beta)
     assert forms.alpha1 == f9.zero
@@ -463,11 +469,11 @@ def test_gamma_constant_solution(f3):
 
 
 def test_gamma_gf9_golden(curve_gf9, f9):
-    beta = parse_rational_function("x^2/(x^9+x^3-1)", f9).expand(136)
+    beta = expand(parse_rational_function("x^2/(x^9+x^3-1)", f9), 136)
     alpha = alpha_from_beta(curve_gf9, beta)
     psi = compute_psi(curve_gf9, alpha, beta)
     g = solve_gamma(f9.one, psi, f9.from_int(2), 128)
-    expected = parse_rational_function("(x^6+x^3+1)/(x^9+x^3+2)", f9).expand(128)
+    expected = expand(parse_rational_function("(x^6+x^3+1)/(x^9+x^3+2)", f9), 128)
     assert g.agrees_with(expected)
 
 
@@ -596,12 +602,11 @@ def test_construct_never_substitutes_a_series_in_full(monkeypatch, f9, B, kind, 
             inverting.pop()
 
     def refused(*args):
-        raise AssertionError("the series left side is on construct's path")
+        raise AssertionError("verify's identity is on construct's path")
 
     monkeypatch.setattr(kronecker, "_mul_cols", counted)
     monkeypatch.setattr(kronecker, "_inverse_cols", inverse)
-    monkeypatch.setattr(isocore, "_lhs", refused)
-    monkeypatch.setattr(isocore, "_residual", refused)
+    monkeypatch.setattr(isocore, "verify_functional_equation", refused)
     construct_with_report(curve, source, 8192)
     assert squared and max(squared) < 100
 
@@ -622,13 +627,13 @@ def test_construct_checks_eta_at_least_as_far_as_full_substitution(
     curve = CurveParams(field, A=A, B=B, c=1)
     source = getattr(Seed, kind)(parse_rational_function(seed, field))
     eta = construct(curve, source, prec)[0].eta
-    full = verify_functional_equation(curve, eta)
+    full = verify_series(curve, eta)
     assert full.ok and prec - 3 <= full.checked_prec <= prec
     real_solve = isocore.solve_gamma
     for last in (3 * ((full.checked_prec - 1) // 3), 3 * ((prec - 1) // 3)):
         fault = LaurentSeries.monomial(field, last, 1, prec)
         if last < full.checked_prec:
-            assert verify_functional_equation(curve, eta + fault).first_bad_exponent == last
+            assert verify_series(curve, eta + fault).first_bad_exponent == last
         monkeypatch.setattr(isocore, "solve_gamma", lambda *args: real_solve(*args) + fault)
         with pytest.raises(char3iso.VerificationFailed, match="defining equation"):
             construct(curve, source, prec)
@@ -638,31 +643,77 @@ def test_construct_checks_eta_at_least_as_far_as_full_substitution(
 
 
 def test_identity_map_satisfies_equation(curve_a1b1, f3):
-    rep = verify_functional_equation(curve_a1b1, S(f3, {1: 1}, 40))
+    rep = verify_functional_equation(curve_a1b1, parse_rational_function("x", f3))
     assert rep.ok
 
 
 def test_translate_fails_equation(curve_a1b1, f3):
-    rep = verify_functional_equation(curve_a1b1, S(f3, {0: 1, 1: 1}, 40))
+    rep = verify_functional_equation(curve_a1b1, parse_rational_function("x+1", f3))
     assert not rep.ok
     assert rep.first_bad_exponent == 0
     assert not rep.first_bad_coefficient.is_zero
 
 
 def test_translate_passes_on_b_zero_curve(curve_am1b0, f3):
-    rep = verify_functional_equation(curve_am1b0, S(f3, {0: 1, 1: 1}, 40))
+    rep = verify_functional_equation(curve_am1b0, parse_rational_function("x+1", f3))
     assert rep.ok
 
 
 def test_gf9_eta_expansion_passes(curve_gf9, f9):
-    eta = parse_rational_function("(x^4+x^2+2*x+1)/(x^3+x+2)", f9).expand(64)
-    rep = verify_functional_equation(curve_gf9, eta)
-    assert rep.ok
+    eta = parse_rational_function("(x^4+x^2+2*x+1)/(x^3+x+2)", f9)
+    assert verify_functional_equation(curve_gf9, eta).ok
+    assert verify_series(curve_gf9, expand(eta, 64)).ok
 
 
 def test_verify_rejects_deep_pole(curve_a1b1, f3):
     with pytest.raises(ValueError):
-        verify_functional_equation(curve_a1b1, S(f3, {-2: 1}, 20))
+        verify_functional_equation(curve_a1b1, parse_rational_function("1/x^2", f3))
+    with pytest.raises(ValueError):
+        verify_series(curve_a1b1, S(f3, {-2: 1}, 20))
+
+
+def test_exact_verdict_agrees_with_the_series_oracle():
+    # the exact verdict on eta against the series residual of eta expanded
+    # to a random prec, on random etas with at most a simple pole, on known
+    # solutions (x, the doubling map, and for B = 0 the pole A/x, each plus
+    # a kernel constant; all with c = +-1), and on solutions with one term
+    # u x^k added, which the series residual sees only below its precision
+    rng = random.Random(1133)
+    fields = [FieldParams(k) for k in (1, 2, 3)]
+    seen = Counter()
+    for _ in range(600):
+        field = rng.choice(fields)
+        elements = list(field.elements())
+        nonzero = elements[1:]
+        A, B = rng.choice(nonzero), rng.choice(elements)
+        x = rational_x(field)
+        kind = rng.choice(("random", "solution", "perturbed"))
+        if kind == "random":
+            curve = CurveParams(field, A, B, rng.choice(nonzero))
+            eta = random_rational(rng, field, 6)
+            if rng.random() < 0.5:
+                eta = eta / x
+        else:
+            curve = CurveParams(field, A, B, rng.choice((1, -1)))
+            f = x ** 3 + A * x + B
+            sols = [x, (x * f + A * A) / f] + ([A / x] if B.is_zero else [])
+            eta = rng.choice(sols) + rng.choice(solve_additive_cubic(A, field.zero))
+            if kind == "perturbed":
+                eta = eta + rng.choice(nonzero) * x ** rng.randint(0, 120)
+        exact = verify_functional_equation(curve, eta)
+        oracle = verify_series(curve, expand(eta, rng.randint(16, 100)))
+        if exact.ok:
+            verdict = "pass"
+            assert oracle.ok
+        elif exact.first_bad_exponent < oracle.checked_prec:
+            verdict = "fail below checked_prec"
+            assert (oracle.first_bad_exponent, oracle.first_bad_coefficient) == (
+                exact.first_bad_exponent, exact.first_bad_coefficient)
+        else:
+            verdict = "fail at or above checked_prec"
+            assert oracle.ok
+        seen[verdict] += 1
+    assert len(seen) == 3 and min(seen.values()) >= 50, seen
 
 
 def test_membership_goldens(curve_a1b1, curve_am1b0, f3):
@@ -686,7 +737,7 @@ def test_construct_translation_family(curve_am1b0, f3):
     assert [str(s.gamma0) for s in sols] == ["0", "1", "2"]
     for c0, sol in zip((0, 1, 2), sols):
         assert sol.eta == S(f3, {0: c0, 1: 1}, 64)
-        assert verify_functional_equation(curve_am1b0, sol.eta).ok
+        assert verify_series(curve_am1b0, sol.eta).ok
         parts = split(sol.eta)
         assert check_cubic_membership(
             curve_am1b0, parts.alpha, parts.beta, parts.gamma).ok
@@ -711,13 +762,13 @@ def test_construct_gf9_family(curve_gf9, f9):
     assert [str(s.gamma0) for s in sols] == ["2", "2+t", "2+2*t"]
     for sol in sols:
         assert sol.prec == 128
-        assert verify_functional_equation(curve_gf9, sol.eta).ok
+        assert verify_series(curve_gf9, sol.eta).ok
     # the mod-3 components of eta recover the seed data and its partner
     parts = split(sols[0].eta)
-    assert parts.alpha == parse_rational_function(
-        "x^10/(x^9+x^3-1)", f9).expand(128)
-    assert parts.beta == parse_rational_function(
-        "x^2/(x^9+x^3-1)", f9).expand(128)
+    assert parts.alpha == expand(parse_rational_function(
+        "x^10/(x^9+x^3-1)", f9), 128)
+    assert parts.beta == expand(parse_rational_function(
+        "x^2/(x^9+x^3-1)", f9), 128)
 
 
 def test_construct_incompatible_pole_seed(curve_gf9, f9):
@@ -738,8 +789,9 @@ def test_pole_sign_gates_compatibility(curve_am1b0, f3):
 
 
 def test_verify_precision_cap(curve_am1b0, f3):
-    eta = parse_rational_function("x", f3).expand(64)
-    rep = verify_functional_equation(curve_am1b0, eta, prec=20)
+    # the series oracle's cap, which the sweep against the exact verdict reads
+    eta = expand(parse_rational_function("x", f3), 64)
+    rep = verify_series(curve_am1b0, eta, prec=20)
     assert rep.ok
     assert rep.checked_prec == 20
 
@@ -806,7 +858,7 @@ def test_construct_random_seeds_all_verified(f3, f9):
             continue
         built += len(sols)
         for sol in sols:
-            assert verify_functional_equation(curve, sol.eta).ok
+            assert verify_series(curve, sol.eta).ok
             parts = split(sol.eta)
             assert check_cubic_membership(
                 curve, parts.alpha, parts.beta, parts.gamma).ok

@@ -25,6 +25,7 @@ from helpers import (
     elementwise_derivative,
     elementwise_in_residue_class,
     elementwise_neg,
+    expand,
     homogeneity_class,
     oracle_expand,
     random_series,
@@ -302,8 +303,8 @@ def test_homogeneity_matches_derivative_characterization(f3, f9):
 def _expand(num, den, prec):
     """The expansion of num/den, given as runs, to absolute precision prec."""
     field = den[0].field
-    return RationalFunction(LaurentSeries.from_coeffs(field, 0, num),
-                            LaurentSeries.from_coeffs(field, 0, den)).expand(prec)
+    return expand(RationalFunction(LaurentSeries.from_coeffs(field, 0, num),
+                                   LaurentSeries.from_coeffs(field, 0, den)), prec)
 
 
 def test_expand_geometric(f3):
