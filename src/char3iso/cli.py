@@ -34,8 +34,7 @@ from .exprparse import _is_uint, parse_field_element, parse_rational_function
 from .gf3field import DEFAULT_MODULI, FieldParams
 from .isocore import (CurveParams, Seed, construct, construct_with_report,
                       verify_functional_equation)
-from .ratrec import (RationalFunction, coefficients, degree, derive_map_pair, pade,
-                     poly_text)
+from .ratrec import RationalFunction, coefficients, degree, derive_map_pair, pade
 from .record import Record
 from .series import LaurentSeries
 
@@ -162,12 +161,6 @@ def _parse_modulus(text):
     return [c.coeffs[0] for c in coefficients(rf.num)]
 
 
-def _modulus_text(field):
-    """The field's modulus as a polynomial in t, the inverse of _parse_modulus."""
-    modulus = LaurentSeries.from_coeffs(FieldParams(1), 0, field.modulus)
-    return poly_text(modulus).replace("x", "t")
-
-
 def _job_from_args(args):
     field = _parse_field(args)
     A = parse_field_element(args.A, field)
@@ -209,7 +202,7 @@ def _coeffs_polynomial(text, field):
 def _emit_header(out, job, command):
     out(f"command={command}")
     out(f"field=3^{job.field.degree}")
-    out(f"modulus={_modulus_text(job.field)}")
+    out(f"modulus={job.field.modulus_text}")
     out(f"A={job.curve.A}")
     out(f"B={job.curve.B}")
     out(f"c={job.curve.c}")
@@ -273,7 +266,7 @@ def _print_construct_records(job, seed, report, endos, out):
 def _print_construct_text(job, seed, report, endos, out):
     curve = job.curve
     out(f"curve: y^2 = x^3 + ({curve.A})*x + ({curve.B}) over "
-        f"GF(3^{job.field.degree}), modulus {_modulus_text(job.field)}, c = {curve.c}")
+        f"GF(3^{job.field.degree}), modulus {job.field.modulus_text}, c = {curve.c}")
     out(f"seed ({seed.kind}): {seed.source}")
     out(f"psi(0) = {report.psi0}; principal part ok: {report.principal_part_ok}; "
         f"[x^-1]beta = {report.beta_minus1}; [x^1]alpha = {report.alpha1}")

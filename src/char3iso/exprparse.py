@@ -61,7 +61,8 @@ _UNEXPECTED = re.compile(r"[^\s0-9tx+\-*/^()]")
 
 
 def _tokenize(text):
-    """(text, offset) pairs; an empty text marks the end of the input.
+    """The token texts; an empty text marks the end of the input. Only an
+    error needs their offsets, which _Parser.offset finds.
 
     The first error in the text is raised: an unexpected character, or the
     parenthesis that nests past MAX_NESTING_DEPTH."""
@@ -76,34 +77,44 @@ def _tokenize(text):
                                  f"parentheses nested deeper than {MAX_NESTING_DEPTH}")
     if bad is not None:
         raise ParseError(end, f"unexpected character {bad[0]!r}")
-    tokens = [(m[0], m.start()) for m in _TOKEN.finditer(text)]
-    tokens.append(("", len(text)))
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
     return tokens
 
 
 class _Parser:
-    """Recursive descent that emits postfix (token, offset) steps: an
+    """Recursive descent that emits postfix (token, index) steps: an
     integer literal, 't', 'x', a binary operator, 'neg' for unary minus
-    or '^n' for a power."""
+    or '^n' for a power, with the index of its token in the text."""
 
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.steps = []
+        self._starts = None
+
+    def offset(self, index):
+        """The character offset of token `index` (the end's is the text's
+        length); the text is scanned for offsets once, on the first call,
+        so a text that parses needs none."""
+        if self._starts is None:
+            self._starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        return self._starts[index]
 
     def peek(self):
-        return self.tokens[self.i][0]
+        return self.tokens[self.i]
 
     def advance(self):
-        tok = self.tokens[self.i]
+        """The next token's text and index."""
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1], self.i - 1
 
     def parse(self):
         self.expr()
-        text, pos = self.tokens[self.i]
+        text = self.tokens[self.i]
         if text:
-            raise ParseError(pos, f"unexpected {text!r}")
+            raise ParseError(self.offset(self.i), f"unexpected {text!r}")
         return self.steps
 
     def expr(self):
@@ -127,7 +138,7 @@ class _Parser:
             _, caret = self.advance()
             exponent, pos = self.advance()
             if not _is_uint(exponent):
-                raise ParseError(pos, "exponent must be an unsigned integer")
+                raise ParseError(self.offset(pos), "exponent must be an unsigned integer")
             self.steps.append(("^" + exponent, caret))
         if sign is not None:
             self.steps.append(("neg", sign[1]))
@@ -138,11 +149,12 @@ class _Parser:
             self.expr()
             closing, at = self.advance()
             if closing != ")":
-                raise ParseError(at, "expected ')'")
+                raise ParseError(self.offset(at), "expected ')'")
         elif _is_uint(text) or text in ("t", "x"):
             self.steps.append((text, pos))
         else:
-            raise ParseError(pos, f"expected a value, found {text or 'end of input'!r}")
+            raise ParseError(self.offset(pos),
+                             f"expected a value, found {text or 'end of input'!r}")
 
 
 class _Sum:
@@ -214,9 +226,9 @@ class _Sum:
         return _made(field, lo, tuple(kronecker._columns(run, field.degree)), INF)
 
 
-def _evaluate(steps, field, rational):
-    """Run the postfix steps to a field constant or, when `rational`, a
-    rational function in x.
+def _evaluate(parser, field, rational):
+    """Run the parser's postfix steps to a field constant or, when
+    `rational`, a rational function in x.
 
     A value is a field constant, a sum of monomials in x (a _Sum), a
     polynomial in x (an exact series) or a RationalFunction. 'x' is a
@@ -231,22 +243,23 @@ def _evaluate(steps, field, rational):
 
     An error is kept on the stack as a value, so the one raised is the one
     met first in a walk that evaluates left before right and checks a
-    constant's division before its operands."""
-    stack = []
-    for token, pos in steps:
+    constant's division before its operands. Only an error reads a step's
+    offset, from parser.offset."""
+    stack, offset = [], parser.offset
+    for token, pos in parser.parse():
         if token in _BINARY:
             right = stack.pop()
             left = stack.pop()
             if token == "/" and not rational:
-                value = ParseError(pos, "division is not allowed in a field constant")
+                value = ParseError(offset(pos), "division is not allowed in a field constant")
             elif isinstance(left, Char3Error):
                 value = left
             elif isinstance(right, Char3Error):
                 value = right
             elif token == "/" and right.is_zero:
-                value = ZeroDenominator(f"zero denominator at offset {pos}")
+                value = ZeroDenominator(f"zero denominator at offset {offset(pos)}")
             elif _reach(token, left, right) > MAX_POWER_DEGREE:
-                value = ParseError(pos, f"value of degree above {MAX_POWER_DEGREE}")
+                value = ParseError(offset(pos), f"value of degree above {MAX_POWER_DEGREE}")
             elif token == "/" or RationalFunction in (type(left), type(right)):
                 value = _BINARY[token](_rational(left), _rational(right))
             elif type(left) is type(right) is FieldElement:
@@ -260,13 +273,15 @@ def _evaluate(steps, field, rational):
             if isinstance(value, _Sum) and token == "neg":
                 value = value.times(0, 2)  # -1 is packed as 2
             elif not isinstance(value, Char3Error):
-                value = -value if token == "neg" else _power(value, token[1:], pos, field)
+                value = -value if token == "neg" else _power(value, token[1:], field)
+                if value is None:
+                    value = ParseError(offset(pos), f"power of degree above {MAX_POWER_DEGREE}")
         elif token == "x":
             value = (_Sum(field, {1: 1}) if rational else
-                     ParseError(pos, "'x' is not allowed in a field constant"))
+                     ParseError(offset(pos), "'x' is not allowed in a field constant"))
         elif token == "t":
             value = field.gen if field.degree >= 2 else GeneratorUnavailable(
-                pos, "'t' needs a field extension of degree >= 2")
+                offset(pos), "'t' needs a field extension of degree >= 2")
         else:  # 10 = 1 (mod 3), so a literal is its digit sum mod 3
             value = field.from_int(sum(map(int, token)))
         stack.append(value)
@@ -343,9 +358,9 @@ def _reach(token, left, right):
     return max(ln + rn, ld + rd) if token in "*/" else max(ln + rd, rn + ld, ld + rd)
 
 
-def _power(base, digits, pos, field):
-    """base ** e, e given by its decimal digits; a ParseError at the '^'
-    when base has x and the power would pass degree MAX_POWER_DEGREE."""
+def _power(base, digits, field):
+    """base ** e, e given by its decimal digits; None when base has x and
+    the power would pass degree MAX_POWER_DEGREE."""
     degree = max(_degrees(base))
     e = digits.lstrip("0") or "0"
     if degree == 0 and e != "0":
@@ -356,7 +371,7 @@ def _power(base, digits, pos, field):
             r = (r * 10 ** len(e[i:i + 500]) + int(e[i:i + 500])) % m
         return _pow(base, r or m)
     if len(e) > len(str(MAX_POWER_DEGREE)) or degree * int(e) > MAX_POWER_DEGREE:
-        return ParseError(pos, f"power of degree above {MAX_POWER_DEGREE}")
+        return None
     return _pow(base, int(e))
 
 
@@ -375,9 +390,9 @@ def _pow(base, n):
 
 def parse_field_element(text, field):
     """Evaluate a constant expression (integers, 't', + - * ^, parens)."""
-    return _evaluate(_Parser(text).parse(), field, rational=False)
+    return _evaluate(_Parser(text), field, rational=False)
 
 
 def parse_rational_function(text, field):
     """Evaluate a polynomial or quotient expression in x, in lowest terms."""
-    return _evaluate(_Parser(text).parse(), field, rational=True)
+    return _evaluate(_Parser(text), field, rational=True)

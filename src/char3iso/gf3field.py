@@ -37,15 +37,17 @@ DEFAULT_MODULI = {
 }
 
 
-class FieldParams:
-    """GF(3^k) given by extension degree and a monic irreducible modulus.
+# The one FieldParams of each normalised (degree, modulus) made in this process
+_FIELDS = {}
 
-    Immutable: it caches only values derived from the modulus. Equality
-    is on (degree, modulus) so any two instances of the same field
-    interoperate.
-    """
 
-    def __init__(self, degree, modulus=None):
+class _Interned(type):
+    """FieldParams(degree, modulus) returns one object per normalised
+    (degree, modulus) in a process, built on the first call: a modulus of
+    None is read from DEFAULT_MODULI and every digit is reduced mod 3. A
+    modulus that fails a check raises on every call and leaves no entry."""
+
+    def __call__(cls, degree, modulus=None):
         if degree < 1:
             raise ValueError("degree must be a positive integer")
         if modulus is None:
@@ -55,7 +57,27 @@ class FieldParams:
                 raise ValueError(
                     f"no default modulus for degree {degree}; pass one explicitly"
                 ) from None
-        modulus = tuple(int(c) % 3 for c in modulus)
+        key = degree, tuple(int(c) % 3 for c in modulus)
+        field = _FIELDS.get(key)
+        if field is None:
+            field = _FIELDS.setdefault(key, super().__call__(*key))
+        return field
+
+
+class FieldParams(metaclass=_Interned):
+    """GF(3^k) given by extension degree and a monic irreducible modulus.
+
+    One object per field in a process (see _Interned), so what is derived
+    from the modulus alone is made once: the irreducibility test, the
+    product tables, the Frobenius matrix, the text of each element and of
+    the modulus, and the memos of inverses and of multiplication matrices,
+    at most q - 1 entries each. Equality is on (degree, modulus), so an
+    equal field built outside the intern table still interoperates.
+    """
+
+    def __init__(self, degree, modulus):
+        """The field of a normalised (degree, modulus); call the class, not
+        this, to get the one object of the field."""
         if len(modulus) != degree + 1:
             raise ValueError("modulus degree does not match field degree")
         if modulus[-1] != 1:
@@ -75,6 +97,9 @@ class FieldParams:
             high.append(tuple(cur))
         self._high_powers = tuple(high)
         self._names = _Names()  # FieldElement.__str__: at most q strings, made as printed
+        self.modulus_text = "+".join(reversed(_terms(modulus)))
+        self._inverses = {}  # packed -> packed inverse, filled by _inverse_packed
+        self._scale_matrices = {}  # packed c -> rows of x -> c x, by kronecker._scale_matrix
         self.zero = FieldElement._from_packed(self, 0)
         self.one = FieldElement._from_packed(self, 1)
         self.gen = FieldElement._from_packed(self, 256) if degree >= 2 else None
@@ -124,6 +149,10 @@ class FieldParams:
 
     def __hash__(self):
         return hash((self.degree, self.modulus))
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle call the class, so they return the interned field
+        return FieldParams, (self.degree, self.modulus)
 
     def __repr__(self):
         return f"FieldParams(3^{self.degree}, modulus={list(self.modulus)})"
@@ -282,10 +311,15 @@ class FieldElement:
 class _Names(dict):
     """Packed element -> its text, as "1+2*t^2", formatted on first lookup."""
     def __missing__(self, packed):
-        text = self[packed] = "+".join(
-            str(c) if i == 0 else ("" if c == 1 else f"{c}*") + ("t" if i == 1 else f"t^{i}")
-            for i, c in enumerate(packed.to_bytes(packed.bit_length(), "little")) if c) or "0"
+        digits = packed.to_bytes(packed.bit_length(), "little")
+        text = self[packed] = "+".join(_terms(digits)) or "0"
         return text
+
+
+def _terms(digits):
+    """The nonzero terms c t^i of a polynomial in t given by its digits, lowest first."""
+    return [str(c) if i == 0 else ("" if c == 1 else f"{c}*") + ("t" if i == 1 else f"t^{i}")
+            for i, c in enumerate(digits) if c]
 
 
 def _reduce(value, n):
@@ -294,6 +328,15 @@ def _reduce(value, n):
 
 
 def _inverse_packed(field, packed):
+    """The packed inverse of a nonzero packed element, from the field's memo
+    or, on the first call, from _extended_euclid."""
+    inverse = field._inverses.get(packed)
+    if inverse is None:
+        inverse = field._inverses[packed] = _extended_euclid(field, packed)
+    return inverse
+
+
+def _extended_euclid(field, packed):
     """The packed inverse of a nonzero packed element, by the extended
     Euclidean algorithm over F3[t] on the modulus and the digits, one
     leading digit at a time: it keeps s with s * a = r (mod modulus) and

@@ -203,7 +203,16 @@ def _ints(cols):
 
 def _scale_matrix(field, packed):
     """The matrix over F3 of multiplication by the packed element c, by rows
-    (entry (i, j) the t^i digit of c t^j): each column times t is the next."""
+    (entry (i, j) the t^i digit of c t^j), from the field's memo or, on the
+    first call, from _multiplication_rows."""
+    rows = field._scale_matrices.get(packed)
+    if rows is None:
+        rows = field._scale_matrices[packed] = _multiplication_rows(field, packed)
+    return rows
+
+
+def _multiplication_rows(field, packed):
+    """The rows of _scale_matrix(field, packed): each column times t is the next."""
     k, fold = field.degree, field._tables[1][0]
     top, columns = 8 * (k - 1), [packed.to_bytes(k, "little")]
     for _ in range(k - 1):

@@ -96,7 +96,8 @@ def test_every_bmp_character_tokenizes_by_the_grammar():
         else:
             expected = (1, f"unexpected character {ch!r}")
         try:
-            tokens = exprparse._tokenize(text)
+            parser = exprparse._Parser(text)
+            tokens = [(token, parser.offset(i)) for i, token in enumerate(parser.tokens)]
         except ParseError as exc:
             tokens = (exc.offset, exc.message)
         assert tokens == expected, hex(code)

@@ -1,10 +1,12 @@
+import copy
 import itertools
 import operator
+import pickle
 import random
 
 import pytest
 
-from char3iso import FieldParams, MixedFields
+from char3iso import FieldParams, MixedFields, gf3field
 from char3iso.curve import _evaluate, _Logs
 from char3iso.gf3field import DEFAULT_MODULI, FieldElement, solve_additive_cubic
 
@@ -192,7 +194,9 @@ def test_packed_ops_at_the_byte_slot_boundary(degree):
 
 
 def test_equal_field_params_interoperate():
-    field, other = FieldParams(5), FieldParams(5)
+    # an equal field built outside the intern table works with the interned one
+    field, other = FieldParams(5), object.__new__(FieldParams)
+    other.__init__(5, DEFAULT_MODULI[5])
     assert field is not other and field == other
     a, b = field.gen, other.gen
     assert a == b and hash(a) == hash(b)
@@ -208,6 +212,51 @@ def test_different_fields_still_raise_mixed_fields(other):
         with pytest.raises(MixedFields):
             op(a, b)
     assert a != b
+
+
+# ---- one object per field in a process ------------------------------------------
+
+def test_field_params_are_interned():
+    for k, modulus in DEFAULT_MODULI.items():
+        field = FieldParams(k)
+        assert field is FieldParams(k) is FieldParams(k, modulus)
+        # the modulus is normalised: any sequence, digits reduced mod 3
+        assert FieldParams(k, [c + 3 for c in modulus]) is field
+
+
+@pytest.mark.parametrize("degree, modulus, message", [
+    (2, (2, 0, 1), "modulus is reducible over F3"),  # t^2 + 2 = (t + 1)(t + 2)
+    (4, (1, 0, 2, 0, 1), "modulus is reducible over F3"),  # (t^2 + 1)^2
+    (2, (1, 0, 2), "modulus must be monic"),
+    (2, (1, 1), "modulus degree does not match field degree"),
+    (0, (1,), "degree must be a positive integer"),
+])
+def test_a_bad_modulus_raises_on_every_call_and_leaves_no_entry(degree, modulus, message):
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            FieldParams(degree, modulus)
+        assert (degree, modulus) not in gf3field._FIELDS
+
+
+def test_distinct_moduli_of_one_degree_are_distinct_fields():
+    # with their own memos; test_different_fields_still_raise_mixed_fields
+    # mixes their elements
+    field, other = FieldParams(5), FieldParams(5, (1, 0, 0, 0, 2, 1))
+    assert other is FieldParams(5, (1, 0, 0, 0, 2, 1)) and other is not field
+    assert other != field and other._inverses is not field._inverses
+    assert field.gen.inverse() * field.gen == field.one
+    assert other.gen.inverse() * other.gen == other.one
+    assert field.gen.inverse().packed != other.gen.inverse().packed
+
+
+@pytest.mark.parametrize("field", [FieldParams(1), FieldParams(5),
+                                   FieldParams(5, (1, 0, 0, 0, 2, 1))],
+                         ids=["3^1", "3^5", "3^5-modulus"])
+def test_copies_and_pickles_return_the_interned_field(field):
+    assert copy.copy(field) is field and copy.deepcopy(field) is field
+    assert copy.deepcopy([field])[0] is field
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(field, protocol)) is field
 
 
 @pytest.mark.parametrize("field", [FieldParams(k) for k in range(1, 7)] + [
@@ -236,8 +285,18 @@ def test_negative_powers(f9):
 @pytest.mark.parametrize("field", [FieldParams(k) for k in (1, 2, 3)] + [
     FieldParams(11, (1, 0, 2) + (0,) * 8 + (1,)),  # t^11 + 2 t^2 + 1
 ], ids=lambda field: f"3^{field.degree}")
-def test_element_text_is_formatted_once_per_value(field):
-    # each field keeps one table of texts, filled as values are printed
+def test_element_text_is_formatted_once_per_value(field, monkeypatch):
+    # each field keeps one table of texts, filled as values are printed, and
+    # an equal field is the same object with the same table; earlier tests
+    # may have filled it, so a value found there is formatted no more
+    formatted, missing = [], gf3field._Names.__missing__
+
+    def format_once(table, packed):
+        formatted.append(packed)
+        return missing(table, packed)
+
+    monkeypatch.setattr(gf3field._Names, "__missing__", format_once)
+    before = set(field._names)
     rng = random.Random(field.order)
     elems = (list(field.elements()) if field.order <= 27 else
              [field.element([rng.randrange(3) for _ in range(11)]) for _ in range(50)])
@@ -246,8 +305,11 @@ def test_element_text_is_formatted_once_per_value(field):
                  for i, c in enumerate(e.coeffs) if c]
         assert str(e) == ("+".join(terms) or "0")
         assert str(FieldElement._from_packed(field, e.packed)) is str(e)
-    assert set(field._names) == {e.packed for e in elems}
-    assert not FieldParams(field.degree, field.modulus)._names
+    packed = {e.packed for e in elems}
+    assert sorted(formatted) == sorted(packed - before)
+    assert packed <= set(field._names)
+    twin = FieldParams(field.degree, field.modulus)
+    assert twin is field and twin._names is field._names
 
 
 # The enumeration and the group law of char3iso.curve run on logs, with the
