@@ -18,6 +18,7 @@ from char3iso.exprparse import parse_field_element
 from char3iso.ratrec import RationalFunction, degree
 from char3iso.series import LaurentSeries
 
+import parse_outcomes
 from helpers import parse_polynomial, random_rational, rational_x
 
 
@@ -409,6 +410,15 @@ def test_record_forms_print_back_as_read(path):
     assert forms or records.get("rational") == "none"
     for text in forms:
         assert str(parse_rational_function(text, field)) == text
+
+
+def test_every_parse_outcome_matches_its_golden(monkeypatch):
+    # each text of tests/data/parse_outcomes.txt, over its field, has the
+    # value or the error (type, offset and message) the golden gives it
+    monkeypatch.setattr(exprparse, "MAX_POWER_DEGREE", parse_outcomes.CAP)
+    golden = parse_outcomes.GOLDEN.read_text().splitlines()
+    assert len(golden) > 2000
+    assert [parse_outcomes.line(*row.split("\t")[:2]) for row in golden] == golden
 
 
 # ---- an independent oracle: bench/gf.py --------------------------------------------
