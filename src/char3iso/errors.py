@@ -71,6 +71,10 @@ class ParseError(Char3Error):
         self.offset = offset
         self.message = message
 
+    def __reduce__(self):
+        # the default would call the class with the formatted text alone
+        return type(self), (self.offset, self.message)
+
     def shifted(self, by):
         """The same error at `by` characters further on, for a text that
         was parsed as a piece of a longer one."""

@@ -16,8 +16,11 @@ evaluated in the field, but no value in x may pass degree MAX_POWER_DEGREE
 in numerator or denominator, and parentheses nest at most MAX_NESTING_DEPTH
 deep. Error offsets are 0-based character offsets (code points, not bytes).
 
-The parser turns the whole text into postfix steps before anything is
-evaluated, so a syntax error anywhere wins over an error of value.
+The parser evaluates as it reads, in one pass. A syntax error is raised
+where it is met, and an error of value is held as a value until the whole
+text has parsed, so a syntax error anywhere wins over an error of value.
+A malformed text so costs the evaluation of what comes before its first
+syntax error.
 
 A value is a field constant, a sum of monomials in x, an exact series or a
 RationalFunction. A sum accumulates in place, in a dict from exponent to
@@ -83,15 +86,21 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Recursive descent that emits postfix (token, index) steps: an
-    integer literal, 't', 'x', a binary operator, 'neg' for unary minus
-    or '^n' for a power, with the index of its token in the text."""
+    """Recursive descent that evaluates as it reads: expr, term, factor and
+    atom each return the value of what they read, a field constant or,
+    when `rational`, a value in x. 'x' is a _Sum; a sum that meets a
+    series takes its terms once into a _Sum, and only a quotient with x in
+    it, or an operation on one, makes a RationalFunction, so a gcd runs
+    only there.
 
-    def __init__(self, text):
-        self.text = text
+    An error of value is kept as a value, so the one raised is the one met
+    first in an evaluation of left before right that checks a constant's
+    division before its operands. Only an error reads a token's offset."""
+
+    def __init__(self, text, field, rational):
+        self.text, self.field, self.rational = text, field, rational
         self.tokens = _tokenize(text)
         self.i = 0
-        self.steps = []
         self._starts = None
 
     def offset(self, index):
@@ -102,59 +111,87 @@ class _Parser:
             self._starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
         return self._starts[index]
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        """The next token's text and index."""
-        self.i += 1
-        return self.tokens[self.i - 1], self.i - 1
-
     def parse(self):
-        self.expr()
-        text = self.tokens[self.i]
-        if text:
+        """The text's value, a RationalFunction when `rational`."""
+        value = self.expr()
+        if text := self.tokens[self.i]:
             raise ParseError(self.offset(self.i), f"unexpected {text!r}")
-        return self.steps
+        if isinstance(value, Char3Error):
+            raise value
+        if self.rational and isinstance(value, FieldElement):
+            return RationalFunction.constant(self.field, value)
+        return _rational(value)
 
     def expr(self):
-        self.term()
-        while self.peek() in ("+", "-"):
-            op = self.advance()
-            self.term()
-            self.steps.append(op)
+        value = self.term()
+        while (token := self.tokens[self.i]) in ("+", "-"):
+            self.i += 1
+            value = self.binary(token, self.i - 1, value, self.term())
+        return value
 
     def term(self):
-        self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.advance()
-            self.factor()
-            self.steps.append(op)
+        value = self.factor()
+        while (token := self.tokens[self.i]) in ("*", "/"):
+            self.i += 1
+            value = self.binary(token, self.i - 1, value, self.factor())
+        return value
 
     def factor(self):
-        sign = self.advance() if self.peek() == "-" else None
-        self.atom()
-        if self.peek() == "^":
-            _, caret = self.advance()
-            exponent, pos = self.advance()
+        sign = self.tokens[self.i] == "-"
+        self.i += sign
+        value = self.atom()
+        if self.tokens[self.i] == "^":
+            caret, exponent = self.i, self.tokens[self.i + 1]
+            self.i += 2
             if not _is_uint(exponent):
-                raise ParseError(self.offset(pos), "exponent must be an unsigned integer")
-            self.steps.append(("^" + exponent, caret))
-        if sign is not None:
-            self.steps.append(("neg", sign[1]))
+                raise ParseError(self.offset(caret + 1), "exponent must be an unsigned integer")
+            if not isinstance(value, Char3Error):
+                value = _power(value, exponent, self.field)
+                if value is None:
+                    value = ParseError(self.offset(caret),
+                                       f"power of degree above {MAX_POWER_DEGREE}")
+        if sign and not isinstance(value, Char3Error):
+            value = value.times(0, 2) if isinstance(value, _Sum) else -value  # -1 is packed as 2
+        return value
 
     def atom(self):
-        text, pos = self.advance()
+        text, pos = self.tokens[self.i], self.i
+        self.i += 1
         if text == "(":
-            self.expr()
-            closing, at = self.advance()
-            if closing != ")":
-                raise ParseError(self.offset(at), "expected ')'")
-        elif _is_uint(text) or text in ("t", "x"):
-            self.steps.append((text, pos))
-        else:
-            raise ParseError(self.offset(pos),
-                             f"expected a value, found {text or 'end of input'!r}")
+            value = self.expr()
+            if self.tokens[self.i] != ")":
+                raise ParseError(self.offset(self.i), "expected ')'")
+            self.i += 1
+            return value
+        if _is_uint(text):  # 10 = 1 (mod 3), so a literal is its digit sum mod 3
+            return self.field.from_int(sum(map(int, text)))
+        if text == "x":
+            return (_Sum(self.field, {1: 1}) if self.rational else
+                    ParseError(self.offset(pos), "'x' is not allowed in a field constant"))
+        if text == "t":
+            return self.field.gen if self.field.degree >= 2 else GeneratorUnavailable(
+                self.offset(pos), "'t' needs a field extension of degree >= 2")
+        raise ParseError(self.offset(pos), f"expected a value, found {text or 'end of input'!r}")
+
+    def binary(self, token, index, left, right):
+        """left op right, op the binary operator `token` at token `index`."""
+        if token == "/" and not self.rational:
+            return ParseError(self.offset(index), "division is not allowed in a field constant")
+        if isinstance(left, Char3Error):
+            return left
+        if isinstance(right, Char3Error):
+            return right
+        if token == "/" and right.is_zero:
+            return ZeroDenominator(f"zero denominator at offset {self.offset(index)}")
+        if _reach(token, left, right) > MAX_POWER_DEGREE:
+            return ParseError(self.offset(index), f"value of degree above {MAX_POWER_DEGREE}")
+        if token == "/" or RationalFunction in (type(left), type(right)):
+            return _BINARY[token](_rational(left), _rational(right))
+        if type(left) is type(right) is FieldElement:
+            return _BINARY[token](left, right)
+        if token == "*":
+            return _product(left, right)
+        return _sum(token, left, right, self.field)
 
 
 class _Sum:
@@ -224,72 +261,6 @@ class _Sum:
         for e, p in terms.items():
             run[e - lo] = p
         return _made(field, lo, tuple(kronecker._columns(run, field.degree)), INF)
-
-
-def _evaluate(parser, field, rational):
-    """Run the parser's postfix steps to a field constant or, when
-    `rational`, a rational function in x.
-
-    A value is a field constant, a sum of monomials in x (a _Sum), a
-    polynomial in x (an exact series) or a RationalFunction. 'x' is a
-    _Sum; a sum, a difference, a unary minus, a constant factor, a
-    one-term factor and a power of one term update a _Sum in place and
-    make no series, so a sum of N terms costs N dict updates. Only a
-    product of two longer values and a power of one make a series, and
-    a sum that meets a series takes its terms once into a _Sum. Only a
-    quotient with x in it, or an operation on one, makes a
-    RationalFunction, so a gcd runs only there. The final value becomes
-    one run.
-
-    An error is kept on the stack as a value, so the one raised is the one
-    met first in a walk that evaluates left before right and checks a
-    constant's division before its operands. Only an error reads a step's
-    offset, from parser.offset."""
-    stack, offset = [], parser.offset
-    for token, pos in parser.parse():
-        if token in _BINARY:
-            right = stack.pop()
-            left = stack.pop()
-            if token == "/" and not rational:
-                value = ParseError(offset(pos), "division is not allowed in a field constant")
-            elif isinstance(left, Char3Error):
-                value = left
-            elif isinstance(right, Char3Error):
-                value = right
-            elif token == "/" and right.is_zero:
-                value = ZeroDenominator(f"zero denominator at offset {offset(pos)}")
-            elif _reach(token, left, right) > MAX_POWER_DEGREE:
-                value = ParseError(offset(pos), f"value of degree above {MAX_POWER_DEGREE}")
-            elif token == "/" or RationalFunction in (type(left), type(right)):
-                value = _BINARY[token](_rational(left), _rational(right))
-            elif type(left) is type(right) is FieldElement:
-                value = _BINARY[token](left, right)
-            elif token == "*":
-                value = _product(left, right)
-            else:
-                value = _sum(token, left, right, field)
-        elif token == "neg" or token[0] == "^":
-            value = stack.pop()
-            if isinstance(value, _Sum) and token == "neg":
-                value = value.times(0, 2)  # -1 is packed as 2
-            elif not isinstance(value, Char3Error):
-                value = -value if token == "neg" else _power(value, token[1:], field)
-                if value is None:
-                    value = ParseError(offset(pos), f"power of degree above {MAX_POWER_DEGREE}")
-        elif token == "x":
-            value = (_Sum(field, {1: 1}) if rational else
-                     ParseError(offset(pos), "'x' is not allowed in a field constant"))
-        elif token == "t":
-            value = field.gen if field.degree >= 2 else GeneratorUnavailable(
-                offset(pos), "'t' needs a field extension of degree >= 2")
-        else:  # 10 = 1 (mod 3), so a literal is its digit sum mod 3
-            value = field.from_int(sum(map(int, token)))
-        stack.append(value)
-    if isinstance(stack[0], Char3Error):
-        raise stack[0]
-    if rational and isinstance(stack[0], FieldElement):
-        return RationalFunction.constant(field, stack[0])
-    return _rational(stack[0])
 
 
 def _sum(token, left, right, field):
@@ -390,9 +361,9 @@ def _pow(base, n):
 
 def parse_field_element(text, field):
     """Evaluate a constant expression (integers, 't', + - * ^, parens)."""
-    return _evaluate(_Parser(text), field, rational=False)
+    return _Parser(text, field, rational=False).parse()
 
 
 def parse_rational_function(text, field):
     """Evaluate a polynomial or quotient expression in x, in lowest terms."""
-    return _evaluate(_Parser(text), field, rational=True)
+    return _Parser(text, field, rational=True).parse()

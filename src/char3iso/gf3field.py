@@ -184,6 +184,10 @@ class FieldElement:
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
+    def __reduce__(self):
+        # the default would restore the slots through __setattr__, which raises
+        return _from_packed, (self.field, self.packed)
+
     @property
     def coeffs(self):
         return tuple(self.packed.to_bytes(self.field.degree, "little"))

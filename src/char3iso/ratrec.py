@@ -138,6 +138,10 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
+    def __reduce__(self):
+        # already in lowest terms, so no gcd runs again
+        return RationalFunction._lowest_terms, (self.num, self.den)
+
     @classmethod
     def from_polynomial(cls, p):
         return cls._lowest_terms(p, _one(p.field))

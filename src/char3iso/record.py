@@ -25,6 +25,10 @@ class Record:
 
     __setattr__ = __delattr__ = _immutable
 
+    def __reduce__(self):
+        # the default would restore the slots through __setattr__, which raises
+        return type(self), self._values()
+
     def _values(self):
         return tuple([getattr(self, name) for name in self.__slots__])
 

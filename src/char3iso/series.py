@@ -55,6 +55,10 @@ class LaurentSeries:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
 
+    def __reduce__(self):
+        # __new__ takes coefficients, not the stored columns
+        return _made, (self.field, self.val, self.cols, self.prec)
+
     # ---- constructors -------------------------------------------------
 
     @classmethod

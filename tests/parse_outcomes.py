@@ -7,8 +7,9 @@ A line is `3^k<TAB>text<TAB>constant<TAB>rational`, the last two the
 outcome of parse_field_element and of parse_rational_function: the value's
 str() or the error raised, as `type offset message` (offset `-` for an
 error that has none).
-test_exprparse parses each text again and diffs the lines. This script
-made the file, and prints it again:
+test_exprparse parses each text of the file again and diffs the lines,
+so the test needs no code from bench/. This script made the file, and
+prints it again:
 
     PYTHONPATH=src python tests/parse_outcomes.py > tests/data/parse_outcomes.txt
 

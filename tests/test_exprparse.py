@@ -97,7 +97,7 @@ def test_every_bmp_character_tokenizes_by_the_grammar():
         else:
             expected = (1, f"unexpected character {ch!r}")
         try:
-            parser = exprparse._Parser(text)
+            parser = exprparse._Parser(text, FieldParams(1), rational=True)
             tokens = [(token, parser.offset(i)) for i, token in enumerate(parser.tokens)]
         except ParseError as exc:
             tokens = (exc.offset, exc.message)

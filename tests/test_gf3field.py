@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import operator
 import pickle
@@ -6,8 +7,27 @@ import random
 
 import pytest
 
-from char3iso import FieldParams, MixedFields, gf3field
-from char3iso.curve import _evaluate, _Logs
+from char3iso import (
+    CompatReport,
+    CurveParams,
+    FieldParams,
+    FormalEndomorphism,
+    FunctionalEquationReport,
+    GeneratorUnavailable,
+    IncompatibleSeed,
+    LaurentSeries,
+    MixedFields,
+    ParseError,
+    RationalFunction,
+    Seed,
+    construct_with_report,
+    derive_map_pair,
+    gf3field,
+    parse_rational_function,
+    verify_functional_equation,
+)
+from char3iso.cli import JobSpec
+from char3iso.curve import MapCheckReport, _evaluate, _Logs, check_map
 from char3iso.gf3field import DEFAULT_MODULI, FieldElement, solve_additive_cubic
 
 from helpers import BOUNDARY_MODULI, is_irreducible_trial, oracle_add, oracle_mul, sqrt
@@ -257,6 +277,58 @@ def test_copies_and_pickles_return_the_interned_field(field):
     assert copy.deepcopy([field])[0] is field
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(field, protocol)) is field
+
+
+@functools.cache
+def _library_values():
+    """One value of each type the library returns, and each error that takes
+    more than a message, over GF(9)."""
+    field = FieldParams(2)
+    curve = CurveParams(field, A=1, B=2, c=1)
+    seed = Seed.beta(parse_rational_function("x^2/(x^9+x^3-1)", field))
+    report, endos = construct_with_report(curve, seed, prec=64)
+    eta = parse_rational_function("(x^4+x^2+2*x+1)/(x^3+x+2)", field)
+    errors = {}
+    for text, over in (("x+)", field), ("t", FieldParams(1))):
+        with pytest.raises(ParseError) as err:
+            parse_rational_function(text, over)
+        errors[type(err.value)] = err.value
+    return {
+        FieldElement: field.gen, LaurentSeries: endos[0].eta, RationalFunction: eta,
+        CurveParams: curve, Seed: seed, FormalEndomorphism: endos[0], CompatReport: report,
+        FunctionalEquationReport: verify_functional_equation(curve, eta + 1),
+        MapCheckReport: check_map(curve, *derive_map_pair(curve, eta), 10),
+        JobSpec: JobSpec(field, curve, 64, "records"),
+        IncompatibleSeed: IncompatibleSeed("no root", report), **errors,
+    }
+
+
+# each type, and where a field is reached from its values
+FIELD_OF = [
+    (FieldElement, "field"), (LaurentSeries, "field"), (RationalFunction, "field"),
+    (CurveParams, "field"), (Seed, "source.field"), (FormalEndomorphism, "eta.field"),
+    (CompatReport, "psi0.field"), (FunctionalEquationReport, "first_bad_coefficient.field"),
+    (MapCheckReport, None), (JobSpec, "curve.A.field"), (ParseError, None),
+    (GeneratorUnavailable, None), (IncompatibleSeed, "report.psi0.field"),
+]
+
+
+@pytest.mark.parametrize("kind, field_of", FIELD_OF, ids=[kind.__name__ for kind, _ in FIELD_OF])
+def test_every_library_value_copies_and_pickles(kind, field_of):
+    value = _library_values()[kind]
+    copies = [copy.copy(value), copy.deepcopy(value)] + [
+        pickle.loads(pickle.dumps(value, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is kind
+        if isinstance(value, Exception):
+            assert str(other) == str(value)
+            for name in ("offset", "message", "report"):
+                assert getattr(other, name, None) == getattr(value, name, None)
+        else:
+            assert other == value
+        if field_of is not None:
+            assert operator.attrgetter(field_of)(other) is FieldParams(2)
 
 
 @pytest.mark.parametrize("field", [FieldParams(k) for k in range(1, 7)] + [
