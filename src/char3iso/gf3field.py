@@ -125,8 +125,8 @@ class FieldParams(metaclass=_Interned):
     @functools.cached_property
     def _frobenius(self):
         """The cube map a -> a^3 as a matrix over F3 on the digits, by rows:
-        entry (i, j) is the t^i digit of (t^j)^3. For kronecker._cube_cols and
-        kronecker._cube_packed."""
+        entry (i, j) is the t^i digit of (t^j)^3. For kronecker._cube_cols,
+        kronecker._cube_packed and solve_additive_cubic."""
         return tuple(zip(*(_from_packed(self, 1 << 8 * j).frobenius().coeffs
                            for j in range(self.degree))))
 
@@ -380,19 +380,17 @@ def solve_additive_cubic(a_coeff, rhs):
 
     The map t -> t^3 + a*t is F3-linear (cubing is the Frobenius), so the
     solution set is empty or a coset of the kernel; it is found by Gaussian
-    elimination on the k x k matrix of the map over F3. Results come back
-    as a tuple in ascending coefficient order.
+    elimination on the k x k matrix of the map over F3, the sum of the
+    field's Frobenius matrix and a's multiplication matrix. Results come
+    back as a tuple in ascending coefficient order.
     """
+    from .kronecker import _scale_matrix  # kronecker imports this module
+
     if a_coeff.is_zero:
         raise ValueError("linear coefficient must be nonzero")
     field = a_coeff.field
-    k = field.degree
-    columns = []
-    for j in range(k):
-        e = FieldElement(field, tuple(1 if i == j else 0 for i in range(k)))
-        image = e.frobenius() + a_coeff * e
-        columns.append(image.coeffs)
-    matrix = [[columns[j][i] for j in range(k)] for i in range(k)]
+    matrix = [[(f + s) % 3 for f, s in zip(frobenius, scale)] for frobenius, scale
+              in zip(field._frobenius, _scale_matrix(field, a_coeff.packed))]
     solutions = _solve_f3(matrix, list(rhs.coeffs))
     return tuple(sorted((field.element(s) for s in solutions), key=lambda e: e.coeffs))
 

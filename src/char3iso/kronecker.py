@@ -19,9 +19,12 @@ are) is that of the decimated run, spread back to every third index:
 per tripling of the precision from the packed inverse of the constant
 term, cubed as one packed image, so the kernel makes no FieldElement. A
 series quotient is a product with an inverse. The Euclid of pade and
-poly_gcd (_euclid) divides from the top keeping no quotient: one scaled
-subtraction of the divisor's run per nonzero quotient term, and a run may
-carry its cofactor above the remainder, updated by the same subtraction.
+poly_gcd (_euclid) divides from the top keeping no quotient, on runs held
+as column ints whose bytes are reduced mod 3 lazily: the divisor's run,
+scaled once for each quotient coefficient a division meets and left
+unreduced, is added shifted for each nonzero quotient term, one shift-add
+per column, and a run may carry its cofactor above the remainder, updated
+by the same addition.
 LaurentSeries keeps its run in column form, and so does a polynomial, an
 exact series; both call the column functions directly, and there is no
 entry point on element runs. _columns builds a run from packed ints;
@@ -181,18 +184,15 @@ def _in_class(cols, at):
     return support.count(0) == len(support)
 
 
-def _f3_linear(rows, digits, n, base=None):
+def _f3_linear(rows, digits, n):
     """The n-byte columns of a run (column ints) after the F3-linear map with
     matrix `rows` (entry (i, j) the t^i digit of the image of t^j) is applied
-    to every coefficient, plus the run `base` when given."""
+    to every coefficient."""
     out = []
-    for i, row in enumerate(rows):
-        acc = 0 if base is None else base[i]
-        for j, (m, d) in enumerate(zip(row, digits)):
-            if m:
-                acc += d if m == 1 else d << 1
-            if j % 63 == 62:  # 2 + 63 terms of at most 4 stay below 256
-                acc = _reduce(acc, n)
+    for row in rows:
+        acc = sum(map(mul, row[:63], digits[:63]))
+        for j in range(63, len(row), 63):  # 2 + 63 terms of at most 4 stay below 256
+            acc = _reduce(acc, n) + sum(map(mul, row[j:j + 63], digits[j:j + 63]))
         out.append(acc.to_bytes(n, "little").translate(_MOD3))
     return out
 
@@ -226,40 +226,70 @@ def _euclid(field, a, b, split, stop):
     """Euclid on two runs of bytearray columns, in place, while the second
     remainder's degree is above stop; returns the last two runs. Each run
     holds a remainder below `split` and its cofactor from `split` up, and
-    is long enough for every cofactor the divisions make. The
-    quotient term m X^s cancelling a's top at d, m = -lead(a)/lead(b) and
-    s = d - deg b, adds b's whole run scaled by m's matrix into a's window
-    from s, so the remainder and the cofactor take the same int sum: a
-    keeps r = u * g (mod X^split) for any g that b keeps it for. Tops are
-    read below split only, and zero quotient terms cost nothing. A divisor
-    of degree above stop that is zero raises ZeroDivisionError."""
-    k = field.degree
-    da, db = (_length([c[:split] for c in run]) - 1 for run in (a, b))
+    is long enough for every cofactor the divisions make. Inside, a run is
+    its k column ints, bytes reduced mod 3 lazily. The quotient term m X^s
+    cancelling a's top at d, m = -lead(a)/lead(b) and s = d - deg b, adds
+    b's whole run scaled by m's matrix, shifted by s, to a's, so the
+    remainder and the cofactor take the same int sum: a keeps
+    r = u * g (mod X^split) for any g that b keeps it for. The scaled run is
+    made once for each top a division meets and kept unreduced, a byte at
+    most 4k, so a term is one shift-add per column; a's bytes are reduced
+    every 253 // (4k) terms, at the end of each division, and when a top
+    reads zero, which then jumps to the next nonzero top by one mask. From
+    k = 64 on 4k passes 255, so the scaled runs are reduced too and a's
+    bytes every 126 terms. Tops are read below split only. A divisor of
+    degree above stop that is zero raises ZeroDivisionError."""
+    k, zero = field.degree, bytes(field.degree)
+    lazy = 4 * k < 256  # a scaled run's bytes, at most 4k, fit unreduced
+    budget = 253 // (4 * k if lazy else 2)  # 2 + budget * that stays below 256
+    low = (1 << 8 * split) - 1
+    ra, rb, a, b = a, b, _ints(a), _ints(b)  # the runs, and their column ints
+    da, db = _degree(a, low), _degree(b, low)
     while db > stop:
         if db < 0:
             raise ZeroDivisionError("polynomial division by zero")
-        lu = _length([c[split:] for c in b])  # b's run ends at its cofactor's end, or at db
-        nb = split + lu if lu else db + 1
-        lead = int.from_bytes(bytes([c[db] for c in b]), "little")
+        lead = int.from_bytes(bytes([x >> 8 * db & 255 for x in b]), "little")
         rows = _scale_matrix(field, _inverse_packed(field, _reduce(2 * lead, k)))
-        digits, matrices, d = _ints(c[:nb] for c in b), {}, da
+        images, d, terms = {}, da, 0
         while d >= db:
-            s, top = d - db, bytes([c[d] for c in a])
-            if top not in matrices:  # m's matrix, made once for each top met
+            top = bytes([x >> 8 * d & 255 for x in a]).translate(_MOD3)
+            if top == zero:  # the next nonzero top lies below d
+                a, terms = _reduced(a), 0
+                d = _degree(a, low)
+                continue
+            image = images.get(top)
+            if image is None:  # b times m, made once for each top met
                 m = int.from_bytes(bytes([sum(map(mul, row, top)) % 3 for row in rows]), "little")
-                matrices[top] = _scale_matrix(field, m)
-            e = s + nb
-            windows = _f3_linear(matrices[top], digits, nb,
-                                 [int.from_bytes(c[s:e], "little") for c in a])
-            for c, w in zip(a, windows):
-                c[s:e] = w
-            d = s + _length([w[:d - s] for w in windows] if lu else windows) - 1
-            if d < s:  # the window's remainder is zero: the next top lies below it
-                d = _length([c[:s] for c in a]) - 1
-        a, b, da, db = b, a, db, d
-    return a, b
+                scale = _scale_matrix(field, m)
+                images[top] = image = (
+                    [sum(map(mul, row, b)) for row in scale] if lazy
+                    else _ints(_f3_linear(scale, b, max(_size(x) for x in b))))
+            s = 8 * (d - db)
+            a = [x + (y << s) for x, y in zip(a, image)]
+            terms += 1
+            if terms == budget:
+                a, terms = _reduced(a), 0
+            d -= 1
+        a = _reduced(a)
+        ra, a, rb, b, da, db = rb, b, ra, a, db, _degree(a, low)
+    for run, ints in ((ra, a), (rb, b)):
+        for c, x in zip(run, ints):
+            c[:] = x.to_bytes(len(c), "little")
+    return ra, rb
 
 
-def _length(cols):
-    """The run's length without its trailing zero coefficients."""
-    return max([len(c.rstrip(b"\0")) for c in cols])
+def _reduced(ints):
+    """Column ints with every byte reduced mod 3."""
+    return [_reduce(x, _size(x)) for x in ints]
+
+
+def _size(x):
+    return (x.bit_length() + 7) // 8
+
+
+def _degree(ints, low):
+    """The degree of a reduced run's part under the mask low; -1 for zero."""
+    mask = 0
+    for x in ints:
+        mask |= x & low
+    return _size(mask) - 1

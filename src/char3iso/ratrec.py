@@ -17,7 +17,9 @@ its coefficient, and not at all when that is 1.
 
 Reconstruction runs the kernel's Euclid on X^order and the prefix, each
 remainder with its cofactor, so the last remainder comes with the
-denominator and no series division is made. The candidate is checked by
+denominator and no series division is made; each quotient term is one
+shift-add of the scaled divisor per column int, remainder and cofactor
+together. The candidate is checked by
 one product: den * series must equal num on every known coefficient; an
 imperfect match yields None rather than a guess. A match is agreement to
 the series' precision, not a proof that the form solves anything; for

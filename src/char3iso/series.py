@@ -142,13 +142,20 @@ class LaurentSeries:
     def _add(self, other, subtract):
         """self + other, or self - other, on the runs aligned below the
         common precision: one int sum and one translate per column."""
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        prec = min(self.prec, other.prec)
-        present = [s for s in (self, other) if s.val is not None]
-        lo = min((s.val for s in present), default=0)
-        hi = min(max((s.val + len(s.cols[0]) for s in present), default=0), prec)
+        if type(other) is not LaurentSeries or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        prec = self.prec if self.prec <= other.prec else other.prec
+        if self.val is not None and other.val is not None:  # both runs nonzero
+            lo = self.val if self.val < other.val else other.val
+            hi = max(self.val + len(self.cols[0]), other.val + len(other.cols[0]))
+            if hi > prec:
+                hi = prec
+        else:
+            present = [s for s in (self, other) if s.val is not None]
+            lo = min((s.val for s in present), default=0)
+            hi = min(max((s.val + len(s.cols[0]) for s in present), default=0), prec)
         if hi <= lo:
             return LaurentSeries.zero(self.field, prec)
         n, factor = hi - lo, 2 if subtract else 1  # -d = 2d (mod 3); a byte sums to at most 6

@@ -11,6 +11,7 @@ import pytest
 from char3iso import FieldElement, FieldParams, LaurentSeries, ZeroDivisor, kronecker
 
 from helpers import (
+    BOUNDARY_MODULI,
     pack,
     poly_rem,
     run_sub,
@@ -154,6 +155,11 @@ def test_cube_packed_is_the_frobenius(field):
         assert kronecker._cube_packed(field, c.packed) == c.frobenius().packed, c
 
 
+def _with_remainder(field, a, r):
+    """The run a plus the shorter run r."""
+    return [x + (r[i] if i < len(r) else field.zero) for i, x in enumerate(a)]
+
+
 def _sparse_quotients(rng, field):
     """(a, b) with a = q b + r for quotients q of one to three nonzero terms,
     short and long, and r of every length below deg b, zero included."""
@@ -165,7 +171,7 @@ def _sparse_quotients(rng, field):
             b = _run(rng, field, lb - 1, rng.choice((1.0, 0.3))) + [_unit(rng, field)]
             r = _run(rng, field, rng.randrange(lb), 0.5)
             a = schoolbook_mul(q, b)
-            yield [x + (r[i] if i < len(r) else field.zero) for i, x in enumerate(a)], b
+            yield _with_remainder(field, a, r), b
 
 
 def _low_trimmed(run):
@@ -252,6 +258,64 @@ def test_divmod_by_zero(f9):
         poly_rem(LaurentSeries.constant(f9, 1), LaurentSeries.zero(f9))
     assert _divide(f9, [zero, one], [one, zero], [one], [one]) == ([], [one, -one])
     assert _divide(f9, [zero, zero, one], [one, one, zero, zero]) == ([one], [])
+
+
+def test_euclid_reduces_within_its_budget(monkeypatch):
+    # Over GF(3^5) a byte of a scaled divisor reaches 4k = 20, so the
+    # dividend's bytes are reduced every 253 // 20 = 12 terms: a dense
+    # quotient of 300 terms, every top nonzero, takes 25 reductions inside
+    # its division and one at its end, and remainder and cofactor still
+    # match long division
+    field = FieldParams(5)
+    rng = random.Random("budget")
+    q = [_unit(rng, field) for _ in range(300)]
+    b = _run(rng, field, 6) + [_unit(rng, field)]
+    a = _with_remainder(field, schoolbook_mul(q, b), _run(rng, field, 6))
+    ua, ub = _run(rng, field, 5), _run(rng, field, 4)
+    calls = []
+    reduced = kronecker._reduced
+    monkeypatch.setattr(kronecker, "_reduced", lambda ints: calls.append(1) or reduced(ints))
+    r, u = _divide(field, a, b, ua, ub)
+    assert len(calls) == 300 // 12 + 1
+    q_ref, r_ref = schoolbook_divmod(a, b)
+    assert q_ref == q
+    assert (r, u) == (r_ref, run_sub(ua, schoolbook_mul(q, ub)))
+
+
+def _truncated_ring(k):
+    """F3[t]/(t^k), made without FieldParams's irreducibility test. Its
+    units are the elements with a nonzero constant digit, and the matrix of
+    multiplication by 2 + 2t + ... + 2t^(k-1) has a last row of k 2s: on
+    all-2 digits a byte of the image sums to 4k, the most any scaling makes."""
+    ring = object.__new__(FieldParams)
+    ring.degree, ring.modulus = k, (0,) * k + (1,)
+    ring._high_powers = ((0,) * k,) * (k - 1)  # t^(k+i) = 0
+    ring._inverses, ring._scale_matrices = {}, {}
+    ring.zero = FieldElement._from_packed(ring, 0)
+    return ring
+
+
+@pytest.mark.parametrize("k", sorted(BOUNDARY_MODULI))
+def test_euclid_keeps_bytes_below_256_in_large_degrees(k):
+    # Below k = 64 a scaled divisor stays unreduced, a byte up to 4k, and
+    # 253 // 4k = 1 reduces the dividend after every term; from k = 64 on
+    # 4k passes 255, so the scaled divisors are reduced too. An all-1 top
+    # over an all-2 divisor of lead 1 makes the quotient term the all-2
+    # element, the worst case, and the field of the same degree adds a
+    # dense modulus.
+    ring = _truncated_ring(k)
+    rng = random.Random(f"large:{k}")
+    ones, twos = ring.element((1,) * k), ring.element((2,) * k)
+    lead = ring.element((1,) + (0,) * (k - 1))
+    cases = [([ones] * 24, [twos] * 3 + [lead]), ([ones, twos] * 12, [twos, lead])]
+    for field in (ring, FieldParams(k, tuple(map(int, BOUNDARY_MODULI[k])))):
+        unit = field.element([1] + [rng.randrange(3) for _ in range(k - 1)])
+        cases.append((_run(rng, field, 30), _run(rng, field, 4) + [unit]))
+    for a, b in cases:
+        field = b[0].field
+        ua, ub = _run(rng, field, 3), _run(rng, field, 5)
+        q_ref, r_ref = schoolbook_divmod(a, b)
+        assert _divide(field, a, b, ua, ub) == (r_ref, run_sub(ua, schoolbook_mul(q_ref, ub)))
 
 
 def test_fold_keeps_bytes_below_256_in_large_degrees():
